@@ -39,6 +39,7 @@ import (
 type RangeTracker struct {
 	baseline int64 // S at the pruned cut P
 	min, max int64 // running extrema over every cut covered so far
+	lo, hi   int64 // extrema over the window of the last closure recomputation
 
 	// Retained window, dense slots.
 	slots   map[int64]int // external event id -> slot
@@ -49,6 +50,12 @@ type RangeTracker struct {
 	dirty   bool       // events observed since the last Flush
 	flushes int        // closure recomputations, for stats
 	tr      *obs.Trace // optional work accounting (nil: free)
+
+	// Scratch reused across Flush and Prune calls.
+	pairs [][2]int // closure constraints (v requires u)
+	neg   []int64  // negated weights
+	drop  []bool   // slot -> pruned by the current Prune
+	remap []int    // old slot -> new slot (-1: dropped)
 }
 
 // SetTrace routes the tracker's closure work counters (augmenting paths,
@@ -62,6 +69,8 @@ func NewRangeTracker(baseline int64) *RangeTracker {
 		baseline: baseline,
 		min:      baseline,
 		max:      baseline,
+		lo:       baseline,
+		hi:       baseline,
 		slots:    make(map[int64]int),
 	}
 }
@@ -78,14 +87,17 @@ func (t *RangeTracker) Observe(id int64, weight int64, requires []int64) {
 	}
 	slot := len(t.weights)
 	t.slots[id] = slot
+	//lint:ignore hotalloc the retained window grows by design until the caller prunes it; the backing arrays are reused across prunes
 	t.ids = append(t.ids, id)
+	//lint:ignore hotalloc as above: window growth, backing array reused across prunes
 	t.weights = append(t.weights, weight)
-	var rs []int
+	rs := make([]int, 0, len(requires))
 	for _, r := range requires {
 		if s, ok := t.slots[r]; ok {
 			rs = append(rs, s)
 		}
 	}
+	//lint:ignore hotalloc as above: window growth, backing array reused across prunes
 	t.reqs = append(t.reqs, rs)
 	t.dirty = true
 }
@@ -103,26 +115,37 @@ func (t *RangeTracker) Flush() (min, max int64) {
 	if n == 0 {
 		return t.min, t.max
 	}
-	var requires [][2]int
+	requires := t.pairs[:0]
 	for v, rs := range t.reqs {
 		for _, u := range rs {
 			requires = append(requires, [2]int{v, u})
 		}
 	}
+	t.pairs = requires
 	best, _ := maxflow.MaxClosureTraced(t.weights, requires, t.tr)
-	if hi := t.baseline + best; hi > t.max {
-		t.max = hi
+	t.hi = t.baseline + best
+	if t.hi > t.max {
+		t.max = t.hi
 	}
-	neg := make([]int64, n)
-	for i, w := range t.weights {
-		neg[i] = -w
+	neg := t.neg[:0]
+	for _, w := range t.weights {
+		neg = append(neg, -w)
 	}
+	t.neg = neg
 	worst, _ := maxflow.MaxClosureTraced(neg, requires, t.tr)
-	if lo := t.baseline - worst; lo < t.min {
-		t.min = lo
+	t.lo = t.baseline - worst
+	if t.lo < t.min {
+		t.min = t.lo
 	}
 	return t.min, t.max
 }
+
+// WindowRange returns the extrema over the cuts of the window as of the
+// last closure recomputation alone — baseline plus an ideal of the then
+// retained events — before they were folded into the running Range. A
+// consumer that joins the stream late folds these into its own running
+// extrema (folding the same pair twice is harmless).
+func (t *RangeTracker) WindowRange() (lo, hi int64) { return t.lo, t.hi }
 
 // Prune folds the given events into the baseline and drops them from the
 // window. The set must be downward closed within the window, and the
@@ -131,19 +154,26 @@ func (t *RangeTracker) Flush() (min, max int64) {
 // flushes first so no cut goes uncovered. Unknown ids are ignored.
 func (t *RangeTracker) Prune(ids []int64) {
 	t.Flush()
-	drop := make(map[int]bool, len(ids))
+	n := len(t.weights)
+	if cap(t.drop) < n {
+		t.drop = make([]bool, n)
+		t.remap = make([]int, n)
+	}
+	drop, remap := t.drop[:n], t.remap[:n]
+	clear(drop)
+	dropped := 0
 	for _, id := range ids {
-		if s, ok := t.slots[id]; ok {
+		if s, ok := t.slots[id]; ok && !drop[s] {
 			drop[s] = true
+			dropped++
 		}
 	}
-	if len(drop) == 0 {
+	if dropped == 0 {
 		return
 	}
-	remap := make([]int, len(t.weights))
 	newIDs := t.ids[:0]
 	newW := t.weights[:0]
-	var newReqs [][]int
+	newReqs := t.reqs[:0] // compacts in place: a kept slot never moves up
 	for s := range t.weights {
 		if drop[s] {
 			t.baseline += t.weights[s]
@@ -167,6 +197,7 @@ func (t *RangeTracker) Prune(ids []int64) {
 		}
 		newReqs = append(newReqs, kept)
 	}
+	clear(t.reqs[len(newReqs):n]) // release the dropped slots' requirement lists
 	t.ids, t.weights, t.reqs = newIDs, newW, newReqs
 	for s, id := range t.ids {
 		t.slots[id] = s

@@ -1,24 +1,35 @@
 package detect
 
-// frontier is the causal bookkeeping shared by the range-based
-// incremental detectors: it packs (process, local index) pairs into the
-// tracker id space, derives an event's direct causal dependencies from
-// its timestamp, and tracks the common vector-clock frontier below
-// which events are stable — in the causal past of every event yet to
-// arrive — and therefore safe to fold into a tracker baseline (see
-// relsum.RangeTracker).
+// frontier is the causal bookkeeping of the range core: it packs
+// (process, local index) pairs into the tracker id space, derives an
+// event's direct causal dependencies from its timestamp, and tracks the
+// common vector-clock frontier below which events are stable — in the
+// causal past of every event yet to arrive — and therefore safe to fold
+// into a tracker baseline (see relsum.RangeTracker).
 type frontier struct {
 	procs      int
 	lastVC     [][]int64 // timestamp of the last delivered event per process
 	prunedUpto []int64   // per-process local index already folded away
+
+	// Scratch reused across calls; the returned slices are only valid
+	// until the next call of the same method.
+	reqs, ids, min []int64
 }
 
-func newFrontier(procs int) *frontier {
-	return &frontier{
+// newFrontier starts a frontier at the given cut: the per-process local
+// indices already behind the stream's first event (nil: the stream
+// starts at index 1 everywhere). Nothing at or below the cut is ever
+// reported stable — a consumer joining a long-running stream must not
+// pay for the indices that preceded it.
+func newFrontier(procs int, cut []int64) *frontier {
+	f := &frontier{
 		procs:      procs,
 		lastVC:     make([][]int64, procs),
 		prunedUpto: make([]int64, procs),
+		min:        make([]int64, procs),
 	}
+	copy(f.prunedUpto, cut)
+	return f
 }
 
 // id packs a (process, local index) pair into the tracker id space.
@@ -31,15 +42,18 @@ func (f *frontier) id(proc int, index int64) int64 {
 // event of that process in its causal past. Local chains make the
 // transitive constraints follow.
 func (f *frontier) requires(ev Event) []int64 {
-	var reqs []int64
+	reqs := f.reqs[:0]
 	if own := ev.VC[ev.Proc]; own >= 2 {
+		//lint:ignore hotalloc scratch slice: grows to at most one entry per process, then is reused for every event
 		reqs = append(reqs, f.id(ev.Proc, own-1))
 	}
 	for q, v := range ev.VC {
 		if q != ev.Proc && v >= 1 {
+			//lint:ignore hotalloc as above: bounded scratch, reused
 			reqs = append(reqs, f.id(q, v))
 		}
 	}
+	f.reqs = reqs
 	return reqs
 }
 
@@ -54,7 +68,7 @@ func (f *frontier) observe(ev Event) {
 // still to be formed contains them. Returns nil while some process has
 // not reported yet.
 func (f *frontier) stable() []int64 {
-	min := make([]int64, f.procs)
+	min := f.min
 	for q := range min {
 		min[q] = int64(1) << 62
 	}
@@ -68,7 +82,7 @@ func (f *frontier) stable() []int64 {
 			}
 		}
 	}
-	var ids []int64
+	ids := f.ids[:0]
 	for q := 0; q < f.procs; q++ {
 		for i := f.prunedUpto[q] + 1; i <= min[q]; i++ {
 			ids = append(ids, f.id(q, i))
@@ -76,6 +90,10 @@ func (f *frontier) stable() []int64 {
 		if min[q] > f.prunedUpto[q] {
 			f.prunedUpto[q] = min[q]
 		}
+	}
+	f.ids = ids
+	if len(ids) == 0 {
+		return nil
 	}
 	return ids
 }

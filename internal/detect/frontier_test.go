@@ -8,9 +8,9 @@ import (
 // Two processes; online vector clocks count delivered events only (no
 // initial events). Ids pack as index*procs + proc.
 func TestFrontierRequires(t *testing.T) {
-	f := newFrontier(2)
+	f := newFrontier(2, nil)
 	// First event of process 0: no dependencies.
-	if got := f.requires(Event{Proc: 0, VC: []int64{1, 0}}); got != nil {
+	if got := f.requires(Event{Proc: 0, VC: []int64{1, 0}}); len(got) != 0 {
 		t.Errorf("first event: requires %v, want none", got)
 	}
 	// Second event of process 0 after receiving process 1's first:
@@ -23,7 +23,7 @@ func TestFrontierRequires(t *testing.T) {
 }
 
 func TestFrontierStable(t *testing.T) {
-	f := newFrontier(2)
+	f := newFrontier(2, nil)
 	if ids := f.stable(); ids != nil {
 		t.Errorf("nothing reported: stable = %v, want nil", ids)
 	}

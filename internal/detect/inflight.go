@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"fmt"
-
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/obs"
@@ -13,13 +11,13 @@ func init() {
 	caps := Caps{Incremental: true, Sliceable: true, Payload: PayloadDelta}
 	Register(Entry{
 		Family: pred.InFlight, Modality: ModalityPossibly, Caps: caps,
-		Batch: inflightPossibly, New: newInFlightDetector, Linearize: linearizeInFlight,
+		Batch: inflightPossibly, New: ownCore(PayloadDelta, sumView), View: sumView, Linearize: linearizeInFlight,
 		Slice: inflightSlicePossibly,
 	})
 	caps.NeedsFullTrace = true
 	Register(Entry{
 		Family: pred.InFlight, Modality: ModalityDefinitely, Caps: caps,
-		Batch: inflightDefinitely, New: newInFlightDetector, Linearize: linearizeInFlight,
+		Batch: inflightDefinitely, New: ownCore(PayloadDelta, sumView), View: sumView, Linearize: linearizeInFlight,
 		Slice: inflightSliceDefinitely,
 	})
 }
@@ -42,31 +40,13 @@ func inflightDefinitely(c *computation.Computation, s pred.Spec, opt Options, tr
 	return Result{Holds: ok, Min: min, Max: max, HasRange: true}, err
 }
 
-// newInFlightDetector builds the channel-occupancy detector: the shared
-// range core over per-event deltas (sends − receives, which an
-// instrumented application reports directly in Event.Val). Occupancy
-// always starts at zero, so the family takes no initial values; the
-// deltas are unit-step whenever every event sends or receives at most
-// one message, which is what makes the existing ±1 range tracker an
-// exact online detector for inflight == k.
-func newInFlightDetector(s pred.Spec, cfg Config) (Detector, error) {
-	if len(cfg.Init) > 0 {
-		return nil, fmt.Errorf("detect: inflight detectors take no initial values (occupancy starts at 0)")
-	}
-	d := &sumDetector{
-		fr:      newFrontier(cfg.Procs),
-		rel:     s.Rel,
-		k:       s.K,
-		unit:    s.Rel == relsum.Eq,
-		delta:   true,
-		tracker: relsum.NewRangeTracker(0),
-	}
-	if cfg.Retain {
-		d.weights = make(map[int64]int64)
-	}
-	d.possibly = relPossible(d.rel, d.k, 0, 0)
-	return d, nil
-}
+// The channel-occupancy detector is the sum view over a core of
+// per-event deltas (sends − receives, which an instrumented application
+// reports directly in Event.Val). Occupancy always starts at zero, so
+// the family takes no initial values; the deltas are unit-step whenever
+// every event sends or receives at most one message, which is what
+// makes the ±1 range tracker an exact online detector for
+// inflight == k.
 
 // linearizeInFlight replays channel occupancy: each event's Val is its
 // sends − receives, derived from the computation's messages.

@@ -24,6 +24,11 @@ type Entry struct {
 	// The same constructor backs both modalities of a family: Possibly
 	// is latched online, Definitely via the detector's Finalizer.
 	New func(s pred.Spec, cfg Config) (Detector, error)
+	// View builds the same detector over a caller-owned range core, so
+	// a transport multiplexing many predicates of one variable steps
+	// and flushes one core for all of them (nil unless the family is
+	// range-based; New is then View over a private core).
+	View func(s pred.Spec, core *RangeCore) *RangeView
 	// Linearize replays a sealed computation as the delivered-event
 	// stream an instrumented application would have produced, plus the
 	// session configuration matching it (nil unless Caps.Incremental).

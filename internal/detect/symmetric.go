@@ -14,12 +14,12 @@ func init() {
 		caps := Caps{Incremental: true, Payload: PayloadTruth}
 		Register(Entry{
 			Family: f, Modality: ModalityPossibly, Caps: caps,
-			Batch: symPossibly, New: newSymDetector, Linearize: linearizeBool,
+			Batch: symPossibly, New: ownCore(PayloadTruth, symView), View: symView, Linearize: linearizeBool,
 		})
 		caps.NeedsFullTrace = true
 		Register(Entry{
 			Family: f, Modality: ModalityDefinitely, Caps: caps,
-			Batch: symDefinitely, New: newSymDetector, Linearize: linearizeBool,
+			Batch: symDefinitely, New: ownCore(PayloadTruth, symView), View: symView, Linearize: linearizeBool,
 		})
 	}
 }
@@ -57,79 +57,11 @@ func symDefinitely(c *computation.Computation, s pred.Spec, opt Options, tr *obs
 	return Result{Holds: ok}, err
 }
 
-// symDetector wraps the online symmetric tracker (symmetric.Tracker, the
-// sum decomposition over the true-count) behind the Detector interface.
-type symDetector struct {
-	fr      *frontier
-	tracker *symmetric.Tracker
-	lastVal []int64 // 0/1 value after the last delivered event
-	spec    symmetric.Spec
-	varName string
-}
-
-func newSymDetector(s pred.Spec, cfg Config) (Detector, error) {
-	n := cfg.Procs
-	spec := symmetricSpec(n, s)
-	init := make([]bool, n)
-	lastVal := make([]int64, n)
-	for p, v := range cfg.Init {
-		if v != 0 {
-			init[p] = true
-			lastVal[p] = 1
-		}
-	}
-	return &symDetector{
-		fr:      newFrontier(n),
-		tracker: symmetric.NewTracker(spec, init),
-		lastVal: lastVal,
-		spec:    spec,
-		varName: s.Var,
-	}, nil
-}
-
-func (d *symDetector) SetTrace(tr *obs.Trace) { d.tracker.SetTrace(tr) }
-
-func (d *symDetector) Step(ev Event) error {
-	p := ev.Proc
-	var v int64
-	if ev.Truth {
-		v = 1
-	}
-	change := v - d.lastVal[p]
-	d.lastVal[p] = v
-	d.tracker.Observe(d.fr.id(p, ev.VC[p]), change, d.fr.requires(ev))
-	d.fr.observe(ev)
-	return nil
-}
-
-func (d *symDetector) Flush() bool {
-	d.tracker.Flush()
-	if ids := d.fr.stable(); len(ids) > 0 {
-		d.tracker.Prune(ids)
-	}
-	return d.tracker.Found()
-}
-
-func (d *symDetector) Possibly() bool { return d.tracker.Found() }
-
-// Touches bounds the detector's relevance set: the true-count ranges
-// over the named 0/1 variable's events on every process.
-func (d *symDetector) Touches() Relevance {
-	return Relevance{Vars: []string{d.varName}}
-}
-
-func (d *symDetector) Window() int { return d.tracker.Window() }
-
-func (d *symDetector) Snapshot() Snapshot {
-	min, max := d.tracker.CountRange()
-	return Snapshot{Possibly: d.tracker.Found(), Window: d.tracker.Window(), Min: min, Max: max, HasRange: true}
-}
-
-// FinalizeDefinitely decides Definitely over the complete computation
-// from the named 0/1 variable (initial states included — a transport's
-// rebuilt trace carries them as the initial events' variable values).
-func (d *symDetector) FinalizeDefinitely(c *computation.Computation, tr *obs.Trace) (bool, error) {
-	return symmetric.DefinitelyTraced(c, d.spec, symmetric.Truth(varTruth(c, d.varName)), tr)
+// symView is the count, xor and levels families' view: the level set
+// over the core's true-count.
+func symView(s pred.Spec, core *RangeCore) *RangeView {
+	spec := symmetricSpec(core.fr.procs, s)
+	return newRangeView(s, &spec, core)
 }
 
 // linearizeBool replays the named 0/1 variable as Truth flags, with 0/1

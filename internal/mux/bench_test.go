@@ -15,7 +15,10 @@ import (
 // 10000. Predicates spread over ~n/10 variables, so each delivered
 // event touches ~10 subscribers regardless of n: the reported
 // steps/event metric stays flat while registrations grow 100× — the
-// sublinear routing the relevance index exists for. Thresholds are
+// sublinear routing the relevance index exists for — and the physical
+// work (coreflushes/flush, cores) is bounded by the variables, not the
+// predicates: the sum predicates of a variable share one range core,
+// the count and levels predicates another. Thresholds are
 // chosen unreachable so detectors stay active (the worst case; latching
 // only makes the multiplexer cheaper).
 func BenchmarkMultiPredicate(b *testing.B) {
@@ -88,6 +91,10 @@ func BenchmarkMultiPredicate(b *testing.B) {
 			if st.Delivered > 0 {
 				b.ReportMetric(float64(st.Steps)/float64(st.Delivered), "steps/event")
 				b.ReportMetric(float64(st.Skipped)/float64(st.Delivered), "skipped/event")
+				// The physical work behind those logical steps: one core
+				// per (variable, payload) however many predicates share it.
+				b.ReportMetric(float64(st.CoreFlushes)/float64(g.Flushes()), "coreflushes/flush")
+				b.ReportMetric(float64(st.Cores), "cores")
 			}
 		})
 	}

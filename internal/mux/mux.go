@@ -2,6 +2,7 @@ package mux
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/distributed-predicates/gpd/internal/detect"
@@ -59,11 +60,16 @@ type Update struct {
 type Stats struct {
 	Registered int   // predicates registered (including latched/failed)
 	Active     int   // predicates still being stepped
-	Steps      int64 // detector steps performed
+	Steps      int64 // detector steps performed, one per stepped predicate (logical)
 	Skipped    int64 // detector steps avoided by the relevance index
 	Delivered  int64 // events causally delivered
 	Holdback   int   // events buffered awaiting causal delivery
-	Window     int   // summed detector windows
+	Window     int   // summed per-predicate detector windows (logical)
+
+	// Physical work behind the logical per-predicate counters above:
+	// range-based predicates of one variable share a core (core.go).
+	Cores       int   // live shared range cores
+	CoreFlushes int64 // core flushes performed (two closures each)
 
 	SliceRetained  int   // events held across the shared slicers' frontiers
 	SliceCompacted int64 // cumulative events freed by slice compaction
@@ -74,6 +80,8 @@ type predicate struct {
 	id, tenant string
 	spec       pred.Spec
 	det        detect.Detector
+	view       *detect.RangeView // non-nil: det is this view over the shared core below
+	core       *groupCore
 	routeVar   string // "" for all-events registrations
 	procSet    []bool // nil = all processes
 	all        bool
@@ -83,11 +91,11 @@ type predicate struct {
 	possibly bool
 	err      error
 	active   bool // still stepped; false once latched (routed), failed, or unregistered
-	dirty    bool // stepped since the last flush
-	window   int  // detector window as of the last flush
+	dirty    bool // on the group's dirty list: stepped, or retired with owed steps, since the last flush
+	window   int  // own detector's window as of the last flush (views: see groupCore.window)
 
-	steps     int64 // detector steps attempted over the predicate's lifetime
-	costSteps int64 // steps already reported through the cost hook
+	owed int64 // detector steps not yet reported through the cost hook
+	seen int64 // views: the core's step count already charged to this predicate
 }
 
 // varState is the last delivered value of one variable per process,
@@ -101,8 +109,10 @@ type varState struct {
 // event stream. Events are causally ordered once; each delivered event
 // is routed through the relevance index and stepped only into the
 // detectors whose variable (and process set) it touches, under
-// projected timestamps (see projector). A Group is confined to one
-// goroutine.
+// projected timestamps (see projector); the range-based predicates of a
+// variable are views over one shared core (see core.go), so the event
+// steps that core once however many of them subscribe. A Group is
+// confined to one goroutine.
 type Group struct {
 	procs     int
 	delivery  *Delivery
@@ -111,20 +121,25 @@ type Group struct {
 
 	preds  map[string]*predicate
 	onCost func(tenant, family, id string, steps int64)
-	byVar  map[string][]*predicate // active var-routed predicates
+	byVar  map[string][]*predicate // active var-routed predicates with a detector of their own
 	all    []*predicate            // active all-events predicates
+	cores  map[string][]*groupCore // shared range cores per variable, oldest first (core.go)
 	projs  map[string]*projector   // one per subscribed variable
 	vars   map[string]*varState
 	dirty  []*predicate
 	queued []Update
+
+	dirtyCores  []*groupCore // cores stepped since the last flush
+	ncores      int
+	coreFlushes int64
 
 	slicers        map[string]*groupSlicer // shared per-variable slicers (slicer.go)
 	sliceCompacted int64                   // cumulative events freed by compaction
 	sliceErr       error                   // sticky slice-maintenance failure
 
 	tenants   map[string]int
-	reap      []*predicate // deactivated but not yet removed from the indexes
 	active    int
+	latched   int // registered predicates whose verdict has latched
 	steps     int64
 	skipped   int64
 	flushes   int
@@ -138,6 +153,7 @@ func NewGroup(procs int) *Group {
 		lastVC:  make([][]int64, procs),
 		preds:   make(map[string]*predicate),
 		byVar:   make(map[string][]*predicate),
+		cores:   make(map[string][]*groupCore),
 		projs:   make(map[string]*projector),
 		vars:    make(map[string]*varState),
 		tenants: make(map[string]int),
@@ -176,16 +192,25 @@ func (g *Group) Register(r Registration) error {
 			routeVar = detect.InFlightVar
 		}
 	}
-	init := r.Init
-	if init == nil && routeVar != "" {
-		init = g.seedInit(routeVar, entry.Caps.Payload)
+	// A routed predicate of a range-based family is a view over the
+	// shared core of its variable; everything else owns its detector.
+	var det detect.Detector
+	var view *detect.RangeView
+	var core *groupCore
+	var err error
+	if entry.View != nil && routeVar != "" {
+		if core, err = g.coreFor(routeVar, entry.Caps.Payload, r.Init); err == nil {
+			view = entry.View(r.Spec, core.core)
+			det = view
+		}
+	} else {
+		det, err = entry.New(r.Spec, detect.Config{
+			Procs:    g.procs,
+			Involved: r.Involved,
+			Init:     r.Init,
+			Retain:   r.Retain,
+		})
 	}
-	det, err := entry.New(r.Spec, detect.Config{
-		Procs:    g.procs,
-		Involved: r.Involved,
-		Init:     init,
-		Retain:   r.Retain,
-	})
 	if err != nil {
 		return fmt.Errorf("mux: %w", err)
 	}
@@ -203,6 +228,8 @@ func (g *Group) Register(r Registration) error {
 		tenant:   tenant,
 		spec:     r.Spec,
 		det:      det,
+		view:     view,
+		core:     core,
 		routeVar: routeVar,
 		all:      r.AllEvents,
 		sliced:   r.Slice,
@@ -221,23 +248,31 @@ func (g *Group) Register(r Registration) error {
 	g.preds[r.ID] = p
 	g.tenants[tenant]++
 	g.active++
-	if p.all {
+	switch {
+	case p.all:
 		g.all = append(g.all, p)
-	} else {
+	case view != nil:
+		core.views = append(core.views, p)
+		p.seen = core.steps
+		g.windowSum += core.window
+	default:
 		g.byVar[routeVar] = append(g.byVar[routeVar], p)
-		if g.projs[routeVar] == nil {
-			g.projs[routeVar] = newProjector(g.procs)
-		}
+	}
+	if !p.all && g.projs[routeVar] == nil {
+		g.projs[routeVar] = newProjector(g.procs)
 	}
 	// A satisfied initial cut latches immediately.
 	if det.Possibly() {
 		g.latch(p)
+		if view != nil {
+			g.leave(p)
+		}
 	}
 	return nil
 }
 
-// seedInit builds the Init vector of a mid-stream registration from the
-// last delivered values of the variable.
+// seedInit returns the last delivered values of the variable — the
+// initial values of a core started mid-stream (nil: all zero).
 func (g *Group) seedInit(v string, payload detect.Payload) []int64 {
 	st := g.vars[v]
 	if st == nil {
@@ -245,9 +280,9 @@ func (g *Group) seedInit(v string, payload detect.Payload) []int64 {
 	}
 	switch payload {
 	case detect.PayloadValue:
-		return append([]int64(nil), st.val...)
+		return st.val
 	case detect.PayloadTruth:
-		return append([]int64(nil), st.truth...)
+		return st.truth
 	default: // PayloadDelta counts from zero at the registration cut
 		return nil
 	}
@@ -260,8 +295,15 @@ func (g *Group) Unregister(id string) error {
 	if !ok {
 		return fmt.Errorf("mux: predicate %q is not registered", id)
 	}
-	g.deactivate(p)
-	g.reapInactive()
+	if p.active {
+		g.retire(p)
+		if p.core != nil {
+			g.leave(p)
+		}
+	}
+	if p.possibly {
+		g.latched--
+	}
 	if p.sliced {
 		g.DetachSlicer(p.routeVar)
 	}
@@ -269,50 +311,53 @@ func (g *Group) Unregister(id string) error {
 	if g.tenants[p.tenant] == 0 {
 		delete(g.tenants, p.tenant)
 	}
-	g.windowSum -= p.window
-	p.window = 0
 	delete(g.preds, id)
 	return nil
 }
 
-// deactivate marks a predicate as no longer stepped. Removal from the
-// stepping indexes is deferred to reapInactive so a deactivation that
-// fires while deliver is iterating a subscriber list never mutates the
-// slice under the iteration.
-func (g *Group) deactivate(p *predicate) {
-	if !p.active {
-		return
-	}
+// retire takes an active predicate out of the stepping indexes and
+// releases its window and detector state. The indexes only ever shrink
+// at or after the position being retired, so deliver's loops walk them
+// from the end; a view is taken off its core's list by the caller
+// (leave, or the sift it is running under).
+func (g *Group) retire(p *predicate) {
 	p.active = false
 	g.active--
-	g.reap = append(g.reap, p)
+	switch {
+	case p.view != nil:
+		p.settle()
+		g.windowSum -= p.core.window
+		p.det, p.view = nil, nil
+	case p.all:
+		g.all = removePred(g.all, p) // the session keeps the detector for its finalizer
+	default:
+		g.byVar[p.routeVar] = removePred(g.byVar[p.routeVar], p)
+		g.unsubscribed(p.routeVar)
+		p.det = nil
+	}
+	g.windowSum -= p.window
+	p.window = 0
+	// The final steps are still reported at the next flush.
+	if p.owed > 0 && !p.dirty {
+		p.dirty = true
+		g.dirty = append(g.dirty, p)
+	}
 }
 
-// reapInactive removes deactivated predicates from the stepping indexes
-// and frees their detectors. Must not run while deliver is iterating.
-func (g *Group) reapInactive() {
-	for _, p := range g.reap {
-		if p.all {
-			g.all = removePred(g.all, p)
-			continue
-		}
-		g.byVar[p.routeVar] = removePred(g.byVar[p.routeVar], p)
-		if len(g.byVar[p.routeVar]) == 0 {
-			delete(g.byVar, p.routeVar)
-			delete(g.projs, p.routeVar) // re-created (at the new cut) on re-subscription
-		}
-		if !p.all {
-			p.det = nil
-		}
+// unsubscribed drops a variable's routing state once its last
+// subscriber is gone; the projector is re-created (at the new cut) on
+// re-subscription.
+func (g *Group) unsubscribed(v string) {
+	if len(g.byVar[v]) == 0 && len(g.cores[v]) == 0 {
+		delete(g.byVar, v)
+		delete(g.cores, v)
+		delete(g.projs, v)
 	}
-	g.reap = g.reap[:0]
 }
 
 func removePred(list []*predicate, p *predicate) []*predicate {
-	for i, q := range list {
-		if q == p {
-			return append(list[:i], list[i+1:]...)
-		}
+	if i := slices.Index(list, p); i >= 0 {
+		return slices.Delete(list, i, i+1)
 	}
 	return list
 }
@@ -325,13 +370,11 @@ func removePred(list []*predicate, p *predicate) []*predicate {
 // owns the detector for close-time finalizers.
 func (g *Group) latch(p *predicate) {
 	p.possibly = true
+	g.latched++
 	p.seq++
 	g.queued = append(g.queued, Update{ID: p.id, Tenant: p.tenant, Seq: p.seq, Possibly: true})
 	if !p.all {
-		g.windowSum -= p.window
-		p.window = 0
-		p.dirty = false
-		g.deactivate(p)
+		g.retire(p)
 	}
 }
 
@@ -342,10 +385,7 @@ func (g *Group) failPred(p *predicate, err error) {
 	p.err = err
 	p.seq++
 	g.queued = append(g.queued, Update{ID: p.id, Tenant: p.tenant, Seq: p.seq, Possibly: p.possibly, Err: err.Error()})
-	g.windowSum -= p.window
-	p.window = 0
-	p.dirty = false
-	g.deactivate(p)
+	g.retire(p)
 }
 
 // Step ingests one event; causally ready events are routed immediately.
@@ -381,24 +421,20 @@ func (g *Group) deliver(ev detect.Event) {
 	if ev.Var != "" {
 		g.recordVar(ev)
 	}
-	stepped := 0
-	for _, p := range g.all {
-		if !p.active {
-			continue
-		}
-		stepped++
-		g.stepPred(p, ev)
+	stepped := len(g.all)
+	for i := len(g.all) - 1; i >= 0; i-- {
+		g.stepPred(g.all[i], ev)
 	}
-	if subs := g.byVar[ev.Var]; len(subs) > 0 {
+	if subs, cores := g.byVar[ev.Var], g.cores[ev.Var]; len(subs) > 0 || len(cores) > 0 {
 		pe := ev
 		pe.VC = g.projs[ev.Var].project(ev.Proc, ev.VC)
-		for _, p := range subs {
-			if !p.active || (p.procSet != nil && !p.procSet[ev.Proc]) {
-				continue
+		for i := len(subs) - 1; i >= 0; i-- {
+			if p := subs[i]; p.procSet == nil || p.procSet[ev.Proc] {
+				stepped++
+				g.stepPred(p, pe)
 			}
-			stepped++
-			g.stepPred(p, pe)
 		}
+		stepped += g.stepCores(cores, pe)
 	}
 	g.steps += int64(stepped)
 	g.skipped += int64(g.active - stepped)
@@ -406,7 +442,7 @@ func (g *Group) deliver(ev detect.Event) {
 
 // stepPred feeds one event to one predicate's detector.
 func (g *Group) stepPred(p *predicate, ev detect.Event) {
-	p.steps++
+	p.owed++
 	if err := p.det.Step(ev); err != nil {
 		g.failPred(p, err)
 		return
@@ -433,25 +469,22 @@ func (g *Group) recordVar(ev detect.Event) {
 	}
 }
 
-// Flush advances every detector stepped since the last flush (one
-// batched sweep per detector however many events arrived), latches new
-// verdicts, prunes the projections below the delivered frontier, and
+// Flush advances every detector and shared core stepped since the last
+// flush (one batched sweep each however many events arrived, then a
+// constant-time fold per view of a flushed core), latches new verdicts,
+// re-attaches the views of younger cores to older ones that have pruned
+// past them, prunes the projections below the delivered frontier, and
 // returns whether any registered predicate has latched Possibly.
 func (g *Group) Flush() bool {
 	g.flushes++
 	for _, p := range g.dirty {
-		if g.onCost != nil {
-			// Report before the active check so a predicate that latched
-			// or failed mid-batch still accounts its final steps.
-			if d := p.steps - p.costSteps; d > 0 {
-				p.costSteps = p.steps
-				g.onCost(p.tenant, p.spec.Family.String(), p.id, d)
-			}
-		}
-		if !p.active {
-			continue // latched or failed while this flush list was built
-		}
 		p.dirty = false
+		// Charge before the active check so a predicate that failed or
+		// was unregistered mid-batch still accounts its final steps.
+		g.charge(p)
+		if !p.active {
+			continue
+		}
 		verdict := p.det.Flush()
 		w := p.det.Window()
 		g.windowSum += w - p.window
@@ -461,17 +494,26 @@ func (g *Group) Flush() bool {
 		}
 	}
 	g.dirty = g.dirty[:0]
-	g.reapInactive()
-	g.pruneProjections()
-	g.compactSlicers()
-	any := false
-	for _, p := range g.preds {
-		if p.possibly {
-			any = true
-			break
+	for _, c := range g.dirtyCores {
+		g.flushCore(c)
+	}
+	for _, c := range g.dirtyCores {
+		if c.seeded && len(c.views) > 0 {
+			g.absorb(c)
 		}
 	}
-	return any
+	g.dirtyCores = g.dirtyCores[:0]
+	g.pruneProjections()
+	g.compactSlicers()
+	return g.latched > 0
+}
+
+// charge reports a predicate's owed steps through the cost hook.
+func (g *Group) charge(p *predicate) {
+	if g.onCost != nil && p.owed > 0 {
+		g.onCost(p.tenant, p.spec.Family.String(), p.id, p.owed)
+	}
+	p.owed = 0
 }
 
 // pruneProjections drops projection state at or below the component-wise
@@ -598,6 +640,9 @@ func (g *Group) Stats() Stats {
 		Delivered:  g.delivery.Delivered(),
 		Holdback:   g.delivery.Holdback(),
 		Window:     g.windowSum,
+
+		Cores:       g.ncores,
+		CoreFlushes: g.coreFlushes,
 
 		SliceRetained:  g.SliceRetained(),
 		SliceCompacted: g.sliceCompacted,

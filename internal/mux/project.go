@@ -48,6 +48,14 @@ func (pj *projector) project(proc int, vc []int64) []int64 {
 	return out
 }
 
+// cut fills out with the projection's current cut: per process, how
+// many of the variable's events have been projected since creation.
+func (pj *projector) cut(out []int64) {
+	for q, list := range pj.idx {
+		out[q] = pj.base[q] + int64(len(list))
+	}
+}
+
 // countLE returns how many entries of the ascending slice are ≤ v.
 func countLE(idx []int64, v int64) int64 {
 	return int64(sort.Search(len(idx), func(i int) bool { return idx[i] > v }))

@@ -104,6 +104,69 @@ func TestLedgerAttributesCostPerTenant(t *testing.T) {
 	}
 }
 
+// TestLedgerChargesSharedCoreStepsPerTenant: predicates of two tenants
+// over one variable share a range core, which is stepped once per event
+// — the ledger must still charge every predicate its own logical steps
+// (one per event of its variable while it was registered) to its own
+// tenant and family, not the core's physical steps to whoever came first.
+func TestLedgerChargesSharedCoreStepsPerTenant(t *testing.T) {
+	led := obs.NewLedger()
+	e := NewEngine(Config{Shards: 1, Ledger: led})
+	defer e.Shutdown()
+	if err := e.Open("m", Spec{Mux: true, Procs: 2, Tenant: "owner"}); err != nil {
+		t.Fatal(err)
+	}
+	reg := func(id, tenant, text string) {
+		t.Helper()
+		if _, err := e.Register("m", RegisterSpec{ID: id, Tenant: tenant, Pred: text}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg("a1", "acme", "sum(v) >= 1000")
+	reg("a2", "acme", "sum(v) <= -1000")
+	reg("r1", "rival", "count(v) >= 3")
+	events := func(from, n int) []Event {
+		out := make([]Event, n)
+		for i := range out {
+			k := int64(from + i + 1)
+			out[i] = Event{Proc: 0, VC: []int64{k, 0}, Var: "v", Val: k % 2, Truth: k%2 != 0}
+		}
+		return out
+	}
+	if err := e.Append("m", events(0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.QueryUpdates("m"); err != nil {
+		t.Fatal(err)
+	}
+	reg("r2", "rival", "sum(v) >= 1000") // mid-stream: sees only the next 6 events
+	if err := e.Append("m", events(10, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.ClosePredicates("m"); err != nil {
+		t.Fatal(err)
+	}
+	steps := map[obs.ScopeKey]int64{}
+	for _, s := range led.Snapshot().Scopes {
+		steps[obs.ScopeKey{Tenant: s.Tenant, Family: s.Family}] = s.Steps
+	}
+	want := map[obs.ScopeKey]int64{
+		{Tenant: "acme", Family: "sum"}:    2 * 16,
+		{Tenant: "rival", Family: "count"}: 16,
+		{Tenant: "rival", Family: "sum"}:   6,
+	}
+	for k, n := range want {
+		if steps[k] != n {
+			t.Errorf("scope %v charged %d steps, want %d (all scopes: %v)", k, steps[k], n, steps)
+		}
+	}
+	for _, p := range led.HotPredicates(10) {
+		if n := map[string]int64{"a1": 16, "a2": 16, "r1": 16, "r2": 6}[p.ID]; p.Steps != n {
+			t.Errorf("predicate %s charged %d steps, want %d", p.ID, p.Steps, n)
+		}
+	}
+}
+
 // TestTenantCPUShareSLO arms the noisy-neighbour rule with a floor of one
 // nanosecond and a 50%% share budget, then lets a single tenant hold all
 // the attributed CPU: the rule must fire, once, naming the tenant.

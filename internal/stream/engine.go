@@ -125,6 +125,13 @@ type handle struct {
 	lastSteps   int64
 	lastSkipped int64
 
+	// Worker-confined step attribution: the mux cost hook reports one
+	// delta per stepped predicate per flush; they are summed here per
+	// (tenant, family) — scope handles interned on first sight — and
+	// charged once per scope after the flush (settleSteps).
+	stepAccs  map[obs.ScopeKey]*stepAcc
+	stepOrder []*stepAcc // first-sight order: settling must not depend on map order
+
 	ingested   atomic.Uint64
 	delivered  atomic.Int64
 	holdback   atomic.Int64
@@ -383,6 +390,7 @@ func (e *Engine) run(sh *shard) {
 			t0 := e.costStart()
 			e.withLabels(sh, h, func() { h.sess.Flush() })
 			e.costEnd(h, t0)
+			h.settleSteps()
 			e.flight.Record(obs.FlightRecord{
 				Seq: h.lastSeq, Session: id, Shard: sh.idx, Proc: -1,
 				Stage: obs.StageUpdate, Detail: "flush " + strconv.FormatInt(int64(h.sess.Flushes()), 10),
@@ -410,6 +418,33 @@ func (e *Engine) withLabels(sh *shard, h *handle, fn func()) {
 	pprof.SetGoroutineLabels(h.labelCtx)
 	fn()
 	pprof.SetGoroutineLabels(sh.baseCtx)
+}
+
+// stepAcc is one scope's detector steps accumulated within a flush.
+type stepAcc struct {
+	scope *obs.Scope
+	steps int64
+}
+
+// addSteps accumulates steps reported by the mux cost hook.
+func (h *handle) addSteps(l *obs.Ledger, tenant, family string, steps int64) {
+	k := obs.ScopeKey{Tenant: tenant, Family: family}
+	a := h.stepAccs[k]
+	if a == nil {
+		a = &stepAcc{scope: l.Scope(tenant, family)}
+		h.stepAccs[k] = a
+		h.stepOrder = append(h.stepOrder, a)
+	}
+	a.steps += steps
+}
+
+// settleSteps charges the steps accumulated since the last call, one
+// atomic add per scope the flush touched.
+func (h *handle) settleSteps() {
+	for _, a := range h.stepOrder {
+		a.scope.AddSteps(a.steps)
+		a.steps = 0
+	}
 }
 
 // costStart opens a CPU-attribution window: the wall clock on the
@@ -536,8 +571,9 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			// family; the session's built-in all-events predicate maps
 			// back to the session id.
 			id := m.session
+			h.stepAccs = make(map[obs.ScopeKey]*stepAcc)
 			sess.OnCost(func(tenant, family, pid string, steps int64) {
-				e.ledger.Scope(tenant, family).AddSteps(steps)
+				h.addSteps(e.ledger, tenant, family, steps)
 				if pid == sessionPred {
 					pid = id
 				}
@@ -584,6 +620,7 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			return
 		}
 		h.sess.Flush()
+		h.settleSteps()
 		e.drainUpdates(sh, h)
 		e.publish(sh, h, true)
 		ups := h.pending
@@ -665,6 +702,7 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			h.scope.AddCPU(int64(time.Since(start)))
 		}
 		e.foldFinalizeWork(tr)
+		h.settleSteps()
 		e.drainUpdates(sh, h)
 		var preds []mux.Update
 		var tenants map[string]int
