@@ -332,48 +332,32 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamSpecMatchesCanonical: the wire protocol's Spec converts to
-// the same canonical Spec the grammar produces, so the online and
-// offline surfaces cannot drift apart.
+// TestStreamSpecMatchesCanonical: the wire protocol's Spec carries the
+// grammar string itself, so it converts to the same canonical Spec the
+// grammar produces and the online and offline surfaces cannot drift
+// apart.
 func TestStreamSpecMatchesCanonical(t *testing.T) {
-	cases := []struct {
-		wire stream.Spec
-		text string
-	}{
-		{stream.Spec{Kind: stream.Conjunctive, Procs: 3}, "all(x)"},
-		{stream.Spec{Kind: stream.SumEq, Procs: 3, K: 5}, "sum(x) == 5"},
-		{stream.Spec{Kind: stream.Symmetric, Procs: 3, Levels: []int{0, 2}}, "levels(x): 0, 2"},
-	}
-	for _, tc := range cases {
-		got, err := tc.wire.Canonical()
+	for _, text := range []string{"all(x)", "sum(x) == 5", "levels(x): 0, 2"} {
+		wire := stream.Spec{Pred: text, Procs: 3}
+		got, err := wire.Canonical()
 		if err != nil {
-			t.Fatalf("Canonical(%+v): %v", tc.wire, err)
+			t.Fatalf("Canonical(%+v): %v", wire, err)
 		}
-		want, err := gpd.ParseSpec(tc.text)
+		want, err := gpd.ParseSpec(text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("stream %v: Canonical() = %+v, ParseSpec(%q) = %+v", tc.wire.Kind, got, tc.text, want)
+			t.Errorf("stream pred %q: Canonical() = %+v, want %+v", text, got, want)
 		}
-		if got.String() != tc.text {
-			t.Errorf("stream %v renders %q, want %q", tc.wire.Kind, got.String(), tc.text)
-		}
-		// A wire spec carrying the same canonical grammar string converts
-		// identically — the two encodings cannot drift apart.
-		fromPred := stream.Spec{Pred: tc.text, Procs: tc.wire.Procs}
-		got2, err := fromPred.Canonical()
-		if err != nil {
-			t.Fatalf("Canonical(%+v): %v", fromPred, err)
-		}
-		if !reflect.DeepEqual(got2, want) {
-			t.Errorf("stream pred %q: Canonical() = %+v, want %+v", tc.text, got2, want)
+		if got.String() != text {
+			t.Errorf("stream pred %q renders %q", text, got.String())
 		}
 	}
 	// Family-shape validation is delegated to the canonical spec.
-	bad := stream.Spec{Kind: stream.Symmetric, Procs: 3}
+	bad := stream.Spec{Pred: "levels(x): 4", Procs: 3}
 	if err := bad.Validate(); err == nil {
-		t.Error("symmetric stream spec without levels must fail validation")
+		t.Error("a level beyond the process count must fail validation")
 	}
 }
 

@@ -385,7 +385,7 @@ func ingestOnce(metrics *obs.Registry, events int) (float64, error) {
 		}
 		srcs[s] = src
 		ids[s] = fmt.Sprintf("bench-%d", s)
-		if err := eng.Open(ids[s], stream.Spec{Kind: stream.SumEq, Procs: procs, K: -1}); err != nil {
+		if err := eng.Open(ids[s], stream.Spec{Pred: "sum(x) == -1", Procs: procs}); err != nil {
 			return 0, err
 		}
 	}

@@ -55,7 +55,9 @@
 //
 //   - Building and (de)serializing computations: New, ReadTrace, WriteTrace.
 //   - Conjunctive predicates (one local predicate per process):
-//     PossiblyConjunctive, and the online Monitor for live systems.
+//     PossiblyConjunctive, and the online Monitor for live systems (an
+//     in-process adapter over the same conjunctive detector the
+//     streaming server runs).
 //   - Singular k-CNF predicates (Sections 3.1–3.3 of the paper):
 //     PossiblySingular with the polynomial receive-/send-ordered
 //     algorithms and the general-case process-subset and chain-cover

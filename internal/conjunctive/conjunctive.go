@@ -179,8 +179,9 @@ func DetectTables(c *computation.Computation, truth [][]bool) Result {
 // checker reports as soon as a pairwise-consistent set, one true event per
 // involved process, is known.
 //
-// Checker is not safe for concurrent use; serialize calls to Observe (the
-// monitor package wraps it in a goroutine-confined loop).
+// Checker is not safe for concurrent use; serialize calls to Observe
+// (internal/detect wraps it behind the Detector interface, which
+// sessions confine to one goroutine and gpd.Monitor guards with a mutex).
 type Checker struct {
 	procs []int         // involved processes, in slot order
 	slot  map[int]int   // process -> slot
@@ -224,16 +225,7 @@ func (ch *Checker) Witness() []vclock.VC {
 // Observations from a process must arrive in that process's local order;
 // observations from different processes may interleave arbitrarily.
 func (ch *Checker) Observe(proc int, vc vclock.VC) bool {
-	if ch.found {
-		return true
-	}
-	i, ok := ch.slot[proc]
-	if !ok {
-		return false // not an involved process
-	}
-	ch.queue[i] = append(ch.queue[i], vc.Clone())
-	ch.sweep()
-	return ch.found
+	return ch.ObserveBatch(proc, []vclock.VC{vc})
 }
 
 // ObserveBatch feeds a batch of true-event timestamps of one process (in
@@ -246,7 +238,7 @@ func (ch *Checker) ObserveBatch(proc int, vcs []vclock.VC) bool {
 	}
 	i, ok := ch.slot[proc]
 	if !ok {
-		return false
+		return false // not an involved process
 	}
 	for _, vc := range vcs {
 		ch.queue[i] = append(ch.queue[i], vc.Clone())

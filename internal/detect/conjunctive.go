@@ -65,12 +65,28 @@ type conjDetector struct {
 	possibly bool
 }
 
+// newConjDetector is the one place every route to a conjunctive
+// detector crosses (session open, mux register, replay, the in-process
+// monitor), so the involved set is checked here: the checker allocates
+// a queue per entry, and a duplicate's or stranger's queue is never fed
+// — the conjunction would silently never latch.
 func newConjDetector(s pred.Spec, cfg Config) (Detector, error) {
 	involved := cfg.Involved
 	if len(involved) == 0 {
 		involved = make([]int, cfg.Procs)
 		for i := range involved {
 			involved[i] = i
+		}
+	} else {
+		seen := make([]bool, cfg.Procs)
+		for _, p := range involved {
+			if p < 0 || p >= cfg.Procs {
+				return nil, fmt.Errorf("detect: involved process %d out of range [0,%d)", p, cfg.Procs)
+			}
+			if seen[p] {
+				return nil, fmt.Errorf("detect: involved process %d listed twice", p)
+			}
+			seen[p] = true
 		}
 	}
 	return &conjDetector{
@@ -108,6 +124,11 @@ func (d *conjDetector) Flush() bool {
 }
 
 func (d *conjDetector) Possibly() bool { return d.possibly }
+
+// Witness returns copies of the detected true events' timestamps, one
+// per involved process in Config.Involved order, or nil before the
+// verdict latches.
+func (d *conjDetector) Witness() []vclock.VC { return d.checker.Witness() }
 
 // Touches bounds the detector's relevance set: only true events of the
 // involved processes can move the token checker, and only the spec's

@@ -7,7 +7,7 @@ import (
 )
 
 // concurrentPkgs are the module-relative prefixes whose goroutines must
-// be tied to a shutdown path: the serving stacks and the simulator are
+// be tied to a shutdown path: the serving stack and the simulator are
 // long-lived multi-tenant processes, and an untracked goroutine there
 // is a leak that Shutdown/Close cannot wait for (the monitor-shutdown
 // race of PR 1 started exactly this way). The parallelized theory
@@ -16,7 +16,7 @@ import (
 // concurrent work has completed), so an untied goroutine there is not
 // just a leak but a correctness hole.
 var concurrentPkgs = []string{
-	"internal/stream", "internal/monitor", "internal/simulator",
+	"internal/stream", "internal/simulator",
 	"internal/par", "internal/lattice", "internal/maxflow",
 	"internal/chains", "internal/linear", "internal/core", "internal/detect",
 }
@@ -28,7 +28,7 @@ var concurrentPkgs = []string{
 // channel, or ctx.Done()).
 var AnalyzerCtxLeak = &Analyzer{
 	Name: "ctxleak",
-	Doc:  "every goroutine in the serving stacks and the parallelized theory packages is tied to a shutdown path (WaitGroup, done channel, or context)",
+	Doc:  "every goroutine in the serving stack and the parallelized theory packages is tied to a shutdown path (WaitGroup, done channel, or context)",
 	Run:  runCtxLeak,
 }
 

@@ -1,5 +1,5 @@
 // Package detect stands in for the detector kernel: theory imports are
-// allowed, the serving stacks and the network are not.
+// allowed, the serving stack and the network are not.
 package detect
 
 import (

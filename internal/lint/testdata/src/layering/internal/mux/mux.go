@@ -1,5 +1,5 @@
 // Package mux stands in for the predicate multiplexer: the detector
-// kernel is the allowed downward edge, the serving stacks and the
+// kernel is the allowed downward edge, the serving stack and the
 // network are not.
 package mux
 

@@ -1,15 +1,11 @@
-// Package stream stands in for the serving stack: it may use the
-// network, but not its peer serving stack.
+// Package stream stands in for the serving stack; importing the
+// network is its job, so no finding here.
 package stream
 
-import (
-	"net"
-
-	"example.com/layering/internal/monitor" // want `package internal/stream must not import internal/monitor`
-)
+import "net"
 
 // Frames reports a made-up frame count.
 func Frames() int {
 	_ = net.FlagUp
-	return monitor.Observations()
+	return 1
 }

@@ -22,10 +22,10 @@ func TestLedgerAttributesCostPerTenant(t *testing.T) {
 	e := NewEngine(Config{Shards: 2, Ledger: led})
 	defer e.Shutdown()
 
-	if err := e.Open("a", Spec{Kind: Conjunctive, Procs: 2, Tenant: "acme"}); err != nil {
+	if err := e.Open("a", Spec{Pred: "all(x)", Procs: 2, Tenant: "acme"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Open("b", Spec{Kind: Conjunctive, Procs: 2, Tenant: "rival"}); err != nil {
+	if err := e.Open("b", Spec{Pred: "all(x)", Procs: 2, Tenant: "rival"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Append("a", []Event{
@@ -186,7 +186,7 @@ func TestTenantCPUShareSLO(t *testing.T) {
 	})
 	defer e.Shutdown()
 
-	if err := e.Open("s", Spec{Kind: Conjunctive, Procs: 2, Tenant: "greedy"}); err != nil {
+	if err := e.Open("s", Spec{Pred: "all(x)", Procs: 2, Tenant: "greedy"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Append("s", []Event{
@@ -224,7 +224,7 @@ func TestProfileLabelsOnShardGoroutines(t *testing.T) {
 	// that has never been scheduled carries no labels yet).
 	for i := 0; ; i++ {
 		id := fmt.Sprintf("warm-%d", i)
-		if err := e.Open(id, Spec{Kind: Conjunctive, Procs: 1, Tenant: "warm"}); err != nil {
+		if err := e.Open(id, Spec{Pred: "all(x)", Procs: 1, Tenant: "warm"}); err != nil {
 			t.Fatal(err)
 		}
 		snap := e.Snapshot()
@@ -274,7 +274,7 @@ func TestCPUProfileCarriesTenantLabels(t *testing.T) {
 	deadline := time.Now().Add(500 * time.Millisecond)
 	for sess := 0; time.Now().Before(deadline); sess++ {
 		id := fmt.Sprintf("p%d", sess)
-		if err := e.Open(id, Spec{Kind: Conjunctive, Procs: 2, Tenant: "profiled"}); err != nil {
+		if err := e.Open(id, Spec{Pred: "all(x)", Procs: 2, Tenant: "profiled"}); err != nil {
 			t.Fatal(err)
 		}
 		batch := make([]Event, 0, 256)

@@ -1,18 +1,24 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	gpd "github.com/distributed-predicates/gpd"
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/conjunctive"
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/core/symmetric"
 	"github.com/distributed-predicates/gpd/internal/gen"
+	"github.com/distributed-predicates/gpd/internal/obs"
+	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
 // e2eJob is one monitored application: a random computation, its session
@@ -26,19 +32,16 @@ type e2eJob struct {
 	checkDef bool
 }
 
-// specLabel names a spec for test failures: the grammar string when the
-// session was opened with one, the legacy kind otherwise.
-func specLabel(sp Spec) string {
-	if sp.Pred != "" {
-		return sp.Pred
-	}
-	return sp.Kind.String()
+// sumEqPred and levelsPred spell the two parameterised test predicates
+// over the default variable in the canonical grammar.
+func sumEqPred(k int64) string { return fmt.Sprintf("sum(%s) == %d", varName, k) }
+
+func levelsPred(levels []int) string {
+	return pred.Spec{Family: pred.Levels, Var: varName, Levels: levels}.String()
 }
 
 // makeJobs builds n jobs cycling through the four streaming predicate
-// families, computing oracle verdicts with the offline detectors. The
-// inflight jobs open their sessions with a canonical grammar string —
-// the family the legacy numeric kinds never had.
+// families, computing oracle verdicts with the offline detectors.
 func makeJobs(t *testing.T, n int) []e2eJob {
 	t.Helper()
 	jobs := make([]e2eJob, 0, n)
@@ -60,7 +63,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 					return e.Index < len(row) && row[e.Index]
 				}
 			}
-			j.spec = Spec{Kind: Conjunctive, Procs: np, Retain: true}
+			j.spec = Spec{Pred: "all(x)", Procs: np, Retain: true}
 			j.events = TableTrace(c, truth)
 			j.wantPos = conjunctive.DetectTables(c, truth).Found
 			j.wantDef = conjunctive.DetectDefinitely(c, locals)
@@ -69,7 +72,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			events, init := SumTrace(c, varName)
 			lo, hi := relsum.SumRange(c, varName)
 			k := lo + seed%(hi-lo+2)
-			j.spec = Spec{Kind: SumEq, Procs: np, K: k, Init: init, Retain: true}
+			j.spec = Spec{Pred: sumEqPred(k), Procs: np, Init: init, Retain: true}
 			j.events = events
 			var err error
 			if j.wantPos, err = relsum.Possibly(c, varName, relsum.Eq, k); err != nil {
@@ -83,7 +86,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			events, init := BoolTrace(c, varName)
 			sp := symmetric.NotAllEqual(np)
 			truth := func(e computation.Event) bool { return c.Var(varName, e.ID) != 0 }
-			j.spec = Spec{Kind: Symmetric, Procs: np, Levels: sp.Levels, Init: init, Retain: true}
+			j.spec = Spec{Pred: levelsPred(sp.Levels), Procs: np, Init: init, Retain: true}
 			j.events = events
 			var err error
 			if j.wantPos, _, err = symmetric.Possibly(c, sp, truth); err != nil {
@@ -92,7 +95,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			if j.wantDef, err = symmetric.Definitely(c, sp, truth); err != nil {
 				t.Fatal(err)
 			}
-		case 3: // channel occupancy, via the canonical grammar
+		case 3: // channel occupancy
 			k := 1 + seed%2
 			j.spec = Spec{Pred: fmt.Sprintf("inflight >= %d", k), Procs: np, Retain: true}
 			j.events = InFlightTrace(c)
@@ -108,18 +111,30 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 	return jobs
 }
 
+// serveLoopback starts an engine behind a loopback server and dials one
+// client; everything is torn down with the test.
+func serveLoopback(t *testing.T, cfg Config, opts ...ServerOption) (*Server, *Client) {
+	t.Helper()
+	eng := NewEngine(cfg)
+	t.Cleanup(eng.Shutdown)
+	srv, err := ListenAndServe("127.0.0.1:0", eng, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return srv, cl
+}
+
 // TestServe64ConcurrentSessions is the acceptance e2e: 64 sessions
 // streamed concurrently over real TCP connections, each verdict checked
 // against the offline oracles for its predicate family.
 func TestServe64ConcurrentSessions(t *testing.T) {
-	eng := NewEngine(Config{Shards: 4, QueueLen: 64, BatchSize: 16})
-	defer eng.Shutdown()
-	srv, err := ListenAndServe("127.0.0.1:0", eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
+	srv, _ := serveLoopback(t, Config{Shards: 4, QueueLen: 64, BatchSize: 16})
 	jobs := makeJobs(t, 64)
 	var wg sync.WaitGroup
 	errs := make(chan error, len(jobs))
@@ -158,11 +173,11 @@ func TestServe64ConcurrentSessions(t *testing.T) {
 			}
 			if verdict.Possibly != j.wantPos {
 				errs <- fmt.Errorf("%s (%s): Possibly=%v, oracle=%v",
-					j.id, specLabel(j.spec), verdict.Possibly, j.wantPos)
+					j.id, j.spec.Pred, verdict.Possibly, j.wantPos)
 			}
 			if j.checkDef && (!verdict.DefinitelyKnown || verdict.Definitely != j.wantDef) {
 				errs <- fmt.Errorf("%s (%s): Definitely=%v (known=%v), oracle=%v",
-					j.id, specLabel(j.spec), verdict.Definitely, verdict.DefinitelyKnown, j.wantDef)
+					j.id, j.spec.Pred, verdict.Definitely, verdict.DefinitelyKnown, j.wantDef)
 			}
 		}(jobs[i], int64(i))
 	}
@@ -172,7 +187,7 @@ func TestServe64ConcurrentSessions(t *testing.T) {
 		t.Error(err)
 	}
 
-	snap := eng.Snapshot()
+	snap := srv.Engine().Snapshot()
 	if snap.Detections == 0 {
 		t.Error("no detections recorded across 64 sessions")
 	}
@@ -185,14 +200,7 @@ func TestServe64ConcurrentSessions(t *testing.T) {
 // the server must answer with an error frame (when it can) and drop the
 // connection without disturbing other clients.
 func TestServerRejectsGarbage(t *testing.T) {
-	eng := NewEngine(Config{Shards: 1})
-	defer eng.Shutdown()
-	srv, err := ListenAndServe("127.0.0.1:0", eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
+	srv, cl := serveLoopback(t, Config{Shards: 1})
 	t.Run("bad version", func(t *testing.T) {
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
@@ -225,12 +233,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 		DecodeResponse(conn)
 	})
 	// A healthy client still works afterwards.
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Open("ok", Spec{Kind: Conjunctive, Procs: 1}); err != nil {
+	if err := cl.Open("ok", Spec{Pred: "all(x)", Procs: 1}); err != nil {
 		t.Fatalf("healthy client after garbage: %v", err)
 	}
 }
@@ -238,14 +241,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 // TestServerIdleTimeout checks that a silent connection is disconnected
 // while an active one keeps its session.
 func TestServerIdleTimeout(t *testing.T) {
-	eng := NewEngine(Config{Shards: 1})
-	defer eng.Shutdown()
-	srv, err := ListenAndServe("127.0.0.1:0", eng, WithServerIdleTimeout(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
+	srv, cl := serveLoopback(t, Config{Shards: 1}, WithServerIdleTimeout(50*time.Millisecond))
 	stalled, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -254,11 +250,7 @@ func TestServerIdleTimeout(t *testing.T) {
 
 	// Sessions outlive connections: open, let the connection idle out,
 	// reconnect, and continue the same session.
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Open("s", Spec{Kind: Conjunctive, Procs: 1}); err != nil {
+	if err := cl.Open("s", Spec{Pred: "all(x)", Procs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(120 * time.Millisecond)
@@ -280,6 +272,215 @@ func TestServerIdleTimeout(t *testing.T) {
 	}
 	if verdict, err := cl2.CloseSession("s"); err != nil || !verdict.Possibly {
 		t.Fatalf("verdict %+v, err %v", verdict, err)
+	}
+}
+
+// TestServeOneSessionManyConnections is the shape the onlinemonitor
+// example relies on: one session shared by one connection per process,
+// each appending its own process's events one by one in local order.
+// Arrival across processes is scrambled — concurrently on even seeds,
+// whole processes in reverse order (receivers before their senders) on
+// odd ones — and the close verdict must equal gpd.Detect on the sealed
+// computation under both modalities.
+func TestServeOneSessionManyConnections(t *testing.T) {
+	srv, ctl := serveLoopback(t, Config{Shards: 2})
+	ps, err := gpd.ParseSpec("all(" + varName + ")")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		c := gen.Random(gen.Params{Seed: seed, Procs: 4, Events: 6, MsgFrac: 1})
+		// Truth density cycles sparse, even, dense so the seeds cover
+		// every verdict pair; sessions take initial states as false.
+		rng := rand.New(rand.NewSource(seed))
+		density := []float64{0.2, 0.5, 0.95}[seed%3]
+		for id := 0; id < c.NumEvents(); id++ {
+			e := c.Event(computation.EventID(id))
+			c.SetVar(varName, e.ID, 0)
+			if !e.IsInitial() && rng.Float64() < density {
+				c.SetVar(varName, e.ID, 1)
+			}
+		}
+		events, _ := BoolTrace(c, varName)
+		id := fmt.Sprintf("shared-%d", seed)
+		if err := ctl.Open(id, Spec{Pred: ps.String(), Procs: c.NumProcs(), Retain: true}); err != nil {
+			t.Fatal(err)
+		}
+		stream := func(p int) {
+			cl, err := Dial(srv.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cl.Close()
+			for _, ev := range events { // topological, so local order per process
+				if ev.Proc != p {
+					continue
+				}
+				if _, err := cl.Append(id, []Event{ev}); err != nil {
+					t.Errorf("seed %d process %d: append: %v", seed, p, err)
+					return
+				}
+			}
+		}
+		var wg sync.WaitGroup
+		for p := c.NumProcs() - 1; p >= 0; p-- {
+			if seed%2 == 1 {
+				stream(p)
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stream(p)
+			}()
+		}
+		wg.Wait()
+
+		st, err := ctl.Query(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Delivered != int64(len(events)) || st.Holdback != 0 {
+			t.Errorf("seed %d: delivered %d of %d events, %d held back", seed, st.Delivered, len(events), st.Holdback)
+		}
+		verdict, err := ctl.CloseSession(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPos, err := gpd.Detect(c, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDef, err := gpd.Detect(c, ps, gpd.WithModality(gpd.ModalityDefinitely))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if verdict.Possibly != wantPos.Holds || !verdict.DefinitelyKnown || verdict.Definitely != wantDef.Holds {
+			t.Errorf("seed %d: verdict %+v, gpd.Detect possibly=%v definitely=%v",
+				seed, verdict, wantPos.Holds, wantDef.Holds)
+		}
+	}
+}
+
+// TestServerLifecycle walks one connection through the transport's
+// edges: the append reply piggybacks the latched verdict, a dropped
+// connection leaves a disconnect flight record and its lifecycle in the
+// log, Close is idempotent and unblocks a client waiting on it, and
+// dialing the closed port fails.
+func TestServerLifecycle(t *testing.T) {
+	fl := obs.NewFlight(16)
+	var logs bytes.Buffer // read only after Close has joined the serve goroutines
+	srv, cl := serveLoopback(t, Config{Shards: 1}, WithServerFlight(fl),
+		WithServerLogger(slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug}))))
+	if err := cl.Open("s", Spec{Pred: "all(x)", Procs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Append("s", []Event{{Proc: 0, VC: []int64{1, 0}, Truth: true}, {Proc: 1, VC: []int64{0, 1}, Truth: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Query("s"); err != nil { // synchronous flush: the verdict is latched now
+		t.Fatal(err)
+	}
+	if possibly, err := cl.Append("s", []Event{{Proc: 0, VC: []int64{2, 0}}}); err != nil || !possibly {
+		t.Fatalf("append reply after detection: possibly=%v, err %v", possibly, err)
+	}
+	cl.Close()
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(time.Millisecond) {
+		if recs := fl.Snapshot(); len(recs) > 0 && recs[len(recs)-1].Stage == obs.StageDisconnect {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no disconnect record; ring: %+v", fl.Snapshot())
+		}
+	}
+
+	waiting, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer waiting.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("first Close: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	for _, want := range []string{"connection accepted", "connection closed"} {
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("log missing %q:\n%s", want, logs.String())
+		}
+	}
+	waiting.conn.SetDeadline(time.Now().Add(3 * time.Second))
+	if _, err := waiting.Query("s"); err == nil {
+		t.Fatal("query on a closed server succeeded")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("client hung after server close")
+	}
+	if _, err := Dial(srv.Addr()); err == nil {
+		t.Fatal("dialing a closed server must fail")
+	}
+}
+
+// TestServerRejectsBadSpecs sends the specs that used to open (or
+// register) fine and then silently never latch: an involved set naming
+// a process twice or outside the session, on both routes that carry
+// one, and a legacy frame spelling its predicate as a numeric kind.
+// Each must come back ok:false with nothing opened or registered.
+func TestServerRejectsBadSpecs(t *testing.T) {
+	srv, cl := serveLoopback(t, Config{Shards: 1})
+	if err := cl.Open("m", Spec{Mux: true, Procs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		involved []int
+		want     string
+	}{
+		{[]int{0, 0}, "listed twice"},
+		{[]int{0, 7}, "out of range"},
+		{[]int{-1}, "out of range"},
+	} {
+		err := cl.Open("s", Spec{Pred: "all(x)", Procs: 2, Involved: tc.involved})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("open with involved %v: got %v, want an error saying %q", tc.involved, err, tc.want)
+		}
+		_, err = cl.RegisterPredicate("m", RegisterSpec{ID: "p", Pred: "all(x)", Involved: tc.involved})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("register with involved %v: got %v, want an error saying %q", tc.involved, err, tc.want)
+		}
+	}
+	// A well-formed subset still opens, registers and latches.
+	if err := cl.Open("s", Spec{Pred: "all(x)", Procs: 2, Involved: []int{1}}); err != nil {
+		t.Fatalf("open with involved [1]: %v", err)
+	}
+	if _, err := cl.Append("s", []Event{{Proc: 1, VC: []int64{0, 1}, Truth: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cl.CloseSession("s"); err != nil || !v.Possibly {
+		t.Errorf("involved [1] with p1 true: verdict %+v, err %v", v, err)
+	}
+	if _, err := cl.RegisterPredicate("m", RegisterSpec{ID: "p", Pred: "all(x)", Involved: []int{1}}); err != nil {
+		t.Errorf("register with involved [1]: %v", err)
+	}
+
+	// The legacy frame goes out raw: the Spec type can no longer spell it.
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteFrame(conn, []byte(legacyKindFrame)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := DecodeResponse(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || !strings.Contains(resp.Error, `"pred"`) || !strings.Contains(resp.Error, `"all(x)"`) {
+		t.Errorf("legacy kind frame: got %+v, want ok:false naming pred with an example", resp)
+	}
+	if _, err := cl.Query("legacy"); err == nil {
+		t.Error("legacy kind frame opened a session")
 	}
 }
 
@@ -311,7 +512,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 		}
 		srcs[s] = src
 		ids[s] = fmt.Sprintf("bench-%d", s)
-		if err := eng.Open(ids[s], Spec{Kind: SumEq, Procs: procs, K: -1}); err != nil {
+		if err := eng.Open(ids[s], Spec{Pred: "sum(x) == -1", Procs: procs}); err != nil {
 			b.Fatal(err)
 		}
 	}

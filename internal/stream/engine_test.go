@@ -17,7 +17,7 @@ func TestEngineLifecycle(t *testing.T) {
 	e := NewEngine(Config{Shards: 2})
 	defer e.Shutdown()
 
-	spec := Spec{Kind: Conjunctive, Procs: 2, Retain: true}
+	spec := Spec{Pred: "all(x)", Procs: 2, Retain: true}
 	if err := e.Open("a", spec); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestEngineLifecycle(t *testing.T) {
 
 func TestEngineShutdownRejectsAndIsIdempotent(t *testing.T) {
 	e := NewEngine(Config{Shards: 1})
-	if err := e.Open("a", Spec{Kind: Conjunctive, Procs: 1}); err != nil {
+	if err := e.Open("a", Spec{Pred: "all(x)", Procs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -69,7 +69,7 @@ func TestEngineShutdownRejectsAndIsIdempotent(t *testing.T) {
 		go func() { defer wg.Done(); e.Shutdown() }()
 	}
 	wg.Wait()
-	if err := e.Open("b", Spec{Kind: Conjunctive, Procs: 1}); !errors.Is(err, ErrEngineClosed) {
+	if err := e.Open("b", Spec{Pred: "all(x)", Procs: 1}); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("open after shutdown: got %v, want ErrEngineClosed", err)
 	}
 	if err := e.Append("a", nil); !errors.Is(err, ErrEngineClosed) {
@@ -83,7 +83,7 @@ func TestEngineShutdownRejectsAndIsIdempotent(t *testing.T) {
 func TestEngineDropOldestSheds(t *testing.T) {
 	e := NewEngine(Config{Shards: 1, QueueLen: 2, BatchSize: 1, Policy: DropOldest})
 	defer e.Shutdown()
-	if err := e.Open("a", Spec{Kind: SumEq, Procs: 1, K: 5}); err != nil {
+	if err := e.Open("a", Spec{Pred: "sum(x) == 5", Procs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 2000; i++ {
@@ -107,7 +107,7 @@ func TestEngineBackpressureLossless(t *testing.T) {
 	e := NewEngine(Config{Shards: 1, QueueLen: 2, BatchSize: 4, Policy: Backpressure})
 	defer e.Shutdown()
 	const n = 2000
-	if err := e.Open("a", Spec{Kind: SumEq, Procs: 1, K: n}); err != nil {
+	if err := e.Open("a", Spec{Pred: sumEqPred(n), Procs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= n; i++ {
@@ -142,7 +142,7 @@ func TestEngineSnapshotAggregates(t *testing.T) {
 	const sessions = 12
 	for i := 0; i < sessions; i++ {
 		id := fmt.Sprintf("s%02d", i)
-		if err := e.Open(id, Spec{Kind: Conjunctive, Procs: 1}); err != nil {
+		if err := e.Open(id, Spec{Pred: "all(x)", Procs: 1}); err != nil {
 			t.Fatal(err)
 		}
 		// Even sessions get a true event (a detection), odd ones a false.
@@ -200,7 +200,7 @@ func TestEngineManyConcurrentSessions(t *testing.T) {
 		k := lo + int64(i)%(hi-lo+2) // sometimes hi+1: unreachable
 		jobs = append(jobs, job{
 			id:     fmt.Sprintf("sess-%03d", i),
-			spec:   Spec{Kind: SumEq, Procs: c.NumProcs(), K: k, Init: init},
+			spec:   Spec{Pred: sumEqPred(k), Procs: c.NumProcs(), Init: init},
 			events: events,
 			want:   lo <= k && k <= hi,
 		})

@@ -95,14 +95,7 @@ func multiVarComputation(rng *rand.Rand, procs, rounds int, vars []string) (*com
 // economy counters.
 func TestServeMultiPredicateSession(t *testing.T) {
 	const procs = 4
-	eng := NewEngine(Config{Shards: 2, QueueLen: 64, BatchSize: 16, MaxPredicatesPerTenant: 8})
-	defer eng.Shutdown()
-	srv, err := ListenAndServe("127.0.0.1:0", eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
+	srv, cl := serveLoopback(t, Config{Shards: 2, QueueLen: 64, BatchSize: 16, MaxPredicatesPerTenant: 8})
 	rng := rand.New(rand.NewSource(7))
 	c, events := multiVarComputation(rng, procs, 150, []string{"v0", "v1", "v2"})
 
@@ -119,11 +112,6 @@ func TestServeMultiPredicateSession(t *testing.T) {
 		{"quiet", "", "inflight == 0"},
 	}
 
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 	if err := cl.Open("m", Spec{Mux: true, Procs: procs}); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +220,7 @@ func TestServeMultiPredicateSession(t *testing.T) {
 	}
 
 	// Every slot returned to its tenant at close.
-	snap := eng.Snapshot()
+	snap := srv.Engine().Snapshot()
 	if snap.Predicates != 0 || len(snap.Tenants) != 0 {
 		t.Errorf("predicates leaked after close: total=%d tenants=%v", snap.Predicates, snap.Tenants)
 	}

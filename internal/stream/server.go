@@ -15,10 +15,10 @@ import (
 
 // Server exposes an Engine over TCP: one length-prefixed JSON frame per
 // request, one per reply, any number of sessions multiplexed over any
-// number of connections. The transport extends internal/monitor's TCP
-// checker to the multi-tenant setting: framed (so corrupt input fails
-// fast and fuzzably), versioned, and deadline-guarded so hung peers
-// cannot wedge a serve goroutine.
+// number of connections. It is the repository's one network transport
+// for online detection: framed (so corrupt input fails fast and
+// fuzzably), versioned, and deadline-guarded so hung peers cannot wedge
+// a serve goroutine.
 type Server struct {
 	eng *Engine
 	ln  net.Listener
@@ -30,6 +30,7 @@ type Server struct {
 
 	mu        sync.Mutex
 	conns     map[net.Conn]struct{}
+	closed    bool // set by Close under mu; acceptLoop refuses later connections
 	wg        sync.WaitGroup
 	done      chan struct{}
 	closeOnce sync.Once
@@ -113,6 +114,7 @@ func (s *Server) Close() error {
 		// the same lock to deregister, and a stalled close would wedge
 		// them behind it).
 		s.mu.Lock()
+		s.closed = true
 		conns := make([]net.Conn, 0, len(s.conns))
 		for c := range s.conns {
 			//lint:ignore maporder close order of the surviving connections is immaterial; each close is independent and nothing downstream observes the sequence
@@ -139,7 +141,16 @@ func (s *Server) acceptLoop() {
 				continue // transient accept error: keep serving
 			}
 		}
+		// Close marks the server closed under the same lock it
+		// snapshots the connections under, so a connection accepted
+		// around that moment is either in the snapshot or refused here
+		// — never served with nobody left to close it.
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)

@@ -10,9 +10,8 @@ import (
 	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
-// varName is the variable name used for legacy Kind specs (which name no
-// variable) when a retained trace is rebuilt into an offline computation
-// at Close.
+// varName is the variable name a retained trace is rebuilt under at
+// Close when the predicate names none (inflight).
 const varName = "x"
 
 // sessionPred is the reserved registration id of a single-predicate
@@ -25,7 +24,7 @@ const sessionPred = "_session"
 // session is backed by a mux.Group — causal delivery happens once, and
 // detectors attach to it:
 //
-//   - A single-predicate session (Spec.Pred or Spec.Kind) carries one
+//   - A single-predicate session (Spec.Pred) carries one
 //     all-events registration with exactly the pre-multiplexer
 //     semantics: the detector sees every event under raw timestamps, a
 //     detector error kills the session, and Close can decide Definitely
@@ -96,10 +95,6 @@ func NewSession(spec Spec) (*Session, error) {
 	s.possibly = s.group.Possibly(sessionPred) // a satisfied initial cut latches immediately
 	return s, nil
 }
-
-// Family returns the canonical predicate family of a single-predicate
-// session (zero for multiplexed sessions; see KindLabel).
-func (s *Session) Family() pred.Family { return s.ps.Family }
 
 // KindLabel names the session for stats surfaces: the predicate family
 // of a single-predicate session, "mux" for a multiplexed one.
@@ -375,8 +370,8 @@ func (s *Session) finalizeSliced(v Verdict, tr *obs.Trace) (Verdict, error) {
 }
 
 // traceVar returns the variable name of the rebuilt computation: the
-// canonical spec's variable, or the legacy default for families that
-// name none (inflight).
+// canonical spec's variable, or the default for families that name
+// none (inflight).
 func (s *Session) traceVar() string {
 	if s.ps.Var != "" {
 		return s.ps.Var

@@ -81,7 +81,7 @@ func TestSessionConjunctiveAgreesWithOffline(t *testing.T) {
 		}
 		offDef := conjunctive.DetectDefinitely(c, locals)
 
-		spec := Spec{Kind: Conjunctive, Procs: c.NumProcs(), Retain: true}
+		spec := Spec{Pred: "all(x)", Procs: c.NumProcs(), Retain: true}
 		v, _ := replay(t, rng, spec, TableTrace(c, truth))
 		if v.Possibly != offPos {
 			t.Errorf("seed %d: Possibly: stream=%v offline=%v", seed, v.Possibly, offPos)
@@ -111,7 +111,7 @@ func TestSessionSumEqAgreesWithOffline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: offline Definitely: %v", seed, err)
 			}
-			spec := Spec{Kind: SumEq, Procs: c.NumProcs(), K: k, Init: init, Retain: true}
+			spec := Spec{Pred: sumEqPred(k), Procs: c.NumProcs(), Init: init, Retain: true}
 			v, _ := replay(t, rng, spec, events)
 			if v.Possibly != offPos {
 				t.Errorf("seed %d K=%d: Possibly: stream=%v offline=%v", seed, k, v.Possibly, offPos)
@@ -152,7 +152,7 @@ func TestSessionSymmetricAgreesWithOffline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %v: offline Definitely: %v", seed, sp, err)
 			}
-			spec := Spec{Kind: Symmetric, Procs: n, Levels: sp.Levels, Init: init, Retain: true}
+			spec := Spec{Pred: levelsPred(sp.Levels), Procs: n, Init: init, Retain: true}
 			v, _ := replay(t, rng, spec, events)
 			if v.Possibly != offPos {
 				t.Errorf("seed %d %v: Possibly: stream=%v offline=%v", seed, sp, v.Possibly, offPos)
@@ -170,7 +170,7 @@ func TestSessionPruningBoundsWindow(t *testing.T) {
 	c := gen.Random(gen.Params{Seed: 42, Procs: 3, Events: 40, MsgFrac: 1.5})
 	gen.UnitStepVar(42, c, varName)
 	events, init := SumTrace(c, varName)
-	s, err := NewSession(Spec{Kind: SumEq, Procs: 3, K: 1, Init: init})
+	s, err := NewSession(Spec{Pred: "sum(x) == 1", Procs: 3, Init: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSessionPruningBoundsWindow(t *testing.T) {
 // TestSessionRejects checks structural failure modes: bad timestamps,
 // duplicate delivery, gaps at close, and the MaxWindow bound.
 func TestSessionRejects(t *testing.T) {
-	spec := Spec{Kind: Conjunctive, Procs: 2}
+	spec := Spec{Pred: "all(x)", Procs: 2}
 	t.Run("bad proc", func(t *testing.T) {
 		s, _ := NewSession(spec)
 		if err := s.Step(Event{Proc: 5, VC: []int64{1, 0}}); err == nil {
@@ -228,7 +228,7 @@ func TestSessionRejects(t *testing.T) {
 		}
 	})
 	t.Run("max window", func(t *testing.T) {
-		s, _ := NewSession(Spec{Kind: Conjunctive, Procs: 2, MaxWindow: 2})
+		s, _ := NewSession(Spec{Pred: "all(x)", Procs: 2, MaxWindow: 2})
 		var err error
 		for i := int64(2); i < 10 && err == nil; i++ {
 			err = s.Step(Event{Proc: 0, VC: []int64{i, 0}}) // all held back

@@ -29,9 +29,9 @@ func TestSlicedSessionAgreesWithRetain(t *testing.T) {
 		events := TableTrace(c, truth)
 
 		ctrl, _ := replay(t, rand.New(rand.NewSource(seed)),
-			Spec{Kind: Conjunctive, Procs: c.NumProcs(), Retain: true}, events)
+			Spec{Pred: "all(x)", Procs: c.NumProcs(), Retain: true}, events)
 		v, s := replay(t, rand.New(rand.NewSource(seed)),
-			Spec{Kind: Conjunctive, Procs: c.NumProcs(), Slice: true}, events)
+			Spec{Pred: "all(x)", Procs: c.NumProcs(), Slice: true}, events)
 
 		if v.Possibly != ctrl.Possibly {
 			t.Errorf("seed %d: Possibly: sliced=%v retain=%v", seed, v.Possibly, ctrl.Possibly)
@@ -74,14 +74,14 @@ func TestSlicedSessionDefinitely(t *testing.T) {
 	// Every event true: the final cut satisfies, so every run ends in a
 	// satisfying cut — Definitely true straight from the slice top.
 	evs, procs := build(func(p, i int) bool { return true })
-	v, _ := replay(t, rand.New(rand.NewSource(1)), Spec{Kind: Conjunctive, Procs: procs, Slice: true}, evs)
+	v, _ := replay(t, rand.New(rand.NewSource(1)), Spec{Pred: "all(x)", Procs: procs, Slice: true}, evs)
 	if !v.Possibly || !v.DefinitelyKnown || !v.Definitely {
 		t.Fatalf("all-true trace: verdict %+v, want Definitely true (known)", v)
 	}
 
 	// No event ever true on process 1: the slice is empty — Definitely false.
 	evs, procs = build(func(p, i int) bool { return p == 0 })
-	v, _ = replay(t, rand.New(rand.NewSource(2)), Spec{Kind: Conjunctive, Procs: procs, Slice: true}, evs)
+	v, _ = replay(t, rand.New(rand.NewSource(2)), Spec{Pred: "all(x)", Procs: procs, Slice: true}, evs)
 	if v.Possibly || !v.DefinitelyKnown || v.Definitely {
 		t.Fatalf("never-true trace: verdict %+v, want Definitely false (known)", v)
 	}
@@ -89,7 +89,7 @@ func TestSlicedSessionDefinitely(t *testing.T) {
 	// Satisfied mid-stream but not at the final cut: Possibly true, and
 	// the session honestly reports it cannot decide Definitely.
 	evs, procs = build(func(p, i int) bool { return i == 1 })
-	v, _ = replay(t, rand.New(rand.NewSource(3)), Spec{Kind: Conjunctive, Procs: procs, Slice: true}, evs)
+	v, _ = replay(t, rand.New(rand.NewSource(3)), Spec{Pred: "all(x)", Procs: procs, Slice: true}, evs)
 	if !v.Possibly || v.DefinitelyKnown {
 		t.Fatalf("mid-stream trace: verdict %+v, want Possibly true, Definitely unknown", v)
 	}

@@ -34,7 +34,7 @@ func sloBreachEngine(dumpPath, format string) (*Engine, *obs.Registry, chan stri
 // concurrent true events, which latches Possibly on the first flush.
 func latchVerdict(t *testing.T, e *Engine, id string) {
 	t.Helper()
-	if err := e.Open(id, Spec{Kind: Conjunctive, Procs: 2}); err != nil {
+	if err := e.Open(id, Spec{Pred: "all(x)", Procs: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Append(id, []Event{
@@ -188,7 +188,7 @@ func TestSLOShedFramesBreach(t *testing.T) {
 		},
 	})
 	defer e.Shutdown()
-	if err := e.Open("a", Spec{Kind: SumEq, Procs: 1, K: 5}); err != nil {
+	if err := e.Open("a", Spec{Pred: "sum(x) == 5", Procs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 2000; i++ {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -109,17 +110,52 @@ func TestDecodeRequestRejectsBadInput(t *testing.T) {
 	})
 }
 
+// legacyKindFrame is an open request as pre-grammar clients spelled it:
+// a numeric kind selector and no pred. The field is gone, and
+// encoding/json drops unknown fields silently, so validation has to be
+// what refuses it.
+const legacyKindFrame = `{"v":1,"type":"open","session":"legacy","spec":{"kind":1,"procs":2}}`
+
+// TestLegacyKindFrameRefused: the legacy frame still decodes (it is
+// well-formed JSON at the right version), but its spec fails validation
+// with an error that names the field to set and shows what to put there.
+func TestLegacyKindFrameRefused(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, []byte(legacyKindFrame)); err != nil {
+		t.Fatal(err)
+	}
+	req, err := DecodeRequest(&buf)
+	if err != nil || req.Spec == nil {
+		t.Fatalf("decode: %+v, %v", req, err)
+	}
+	err = req.Spec.Validate()
+	if err == nil {
+		t.Fatal("a spec without pred validated")
+	}
+	for _, want := range []string{`"pred"`, `"all(x)"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if _, err := NewSession(*req.Spec); err == nil {
+		t.Error("NewSession opened a spec without pred")
+	}
+}
+
 // FuzzDecodeFrame throws arbitrary bytes at the request decoder: it must
 // return an error or a request — never panic — and must refuse to
 // allocate frames beyond MaxFrame no matter what the length prefix says.
 func FuzzDecodeFrame(f *testing.F) {
 	var seed bytes.Buffer
 	EncodeRequest(&seed, Request{V: ProtocolVersion, Type: "open", Session: "s",
-		Spec: &Spec{Kind: Conjunctive, Procs: 2}})
+		Spec: &Spec{Pred: "all(x)", Procs: 2}})
 	f.Add(seed.Bytes())
 	seed.Reset()
 	EncodeRequest(&seed, Request{V: ProtocolVersion, Type: "append", Session: "s",
 		Events: []Event{{Proc: 0, VC: []int64{1, 0}, Truth: true}}})
+	f.Add(seed.Bytes())
+	seed.Reset()
+	WriteFrame(&seed, []byte(legacyKindFrame))
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})

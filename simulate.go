@@ -1,11 +1,6 @@
 package gpd
 
-import (
-	"github.com/distributed-predicates/gpd/internal/monitor"
-	"github.com/distributed-predicates/gpd/internal/relmon"
-	"github.com/distributed-predicates/gpd/internal/simulator"
-	"github.com/distributed-predicates/gpd/internal/vclock"
-)
+import "github.com/distributed-predicates/gpd/internal/simulator"
 
 // Simulation types, re-exported so examples and downstream users can
 // generate realistic traces without touching internal packages.
@@ -66,26 +61,3 @@ const (
 	VarCommitted = simulator.VarCommitted
 	VarAborted   = simulator.VarAborted
 )
-
-// Online monitoring types.
-type (
-	// Monitor detects a weak conjunctive predicate online from streamed
-	// vector-clock observations.
-	Monitor = monitor.Monitor
-	// Probe instruments one application process for a Monitor.
-	Probe = monitor.Probe
-	// VC is a vector timestamp.
-	VC = vclock.VC
-)
-
-// NewMonitor starts an online monitor over n processes for the conjunction
-// of the involved processes' local predicates. Call Shutdown when done.
-func NewMonitor(n int, involved []int) *Monitor { return monitor.New(n, involved) }
-
-// SumMonitor tracks, online, the exact min and max of x0 + x1 over all
-// consistent state pairs of a two-process system (the Garg–Waldecker
-// relational monitoring setting the paper builds on).
-type SumMonitor = relmon.SumMonitor
-
-// NewSumMonitor returns an empty two-process relational sum monitor.
-func NewSumMonitor() *SumMonitor { return relmon.NewSumMonitor() }
