@@ -2,6 +2,7 @@ package gpd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/pprof"
 
@@ -153,8 +154,7 @@ func WithModality(m Modality) Option {
 // detection route (StrategyBatch, StrategyReplay — how Detect computes
 // its answer) or a singular algorithm (StrategyAuto, StrategyChainCover,
 // ... — which algorithm decides a cnf predicate). The two namespaces
-// were historically split between WithDetectStrategy and WithStrategy;
-// they now share one option, disambiguated by type at compile time.
+// share one option, disambiguated by type at compile time.
 type Strategy interface {
 	DetectStrategy | SingularStrategy
 }
@@ -218,9 +218,12 @@ type Report struct {
 	// Combinations counts the CPDHB sub-runs tried (FamilyCNF under
 	// ModalityPossibly only).
 	Combinations int
-	// Min and Max bound the tracked quantity over all consistent cuts
-	// when HasRange is set (FamilyInFlight, and replay runs of the
-	// range-tracking families).
+	// Min and Max are the exact extrema of the tracked quantity (the
+	// variable sum, the true-count, the channel occupancy) over all
+	// consistent cuts when HasRange is set: every ModalityPossibly run
+	// of sum, count, xor, levels and inflight, and their
+	// ModalityDefinitely runs under StrategyReplay (inflight also under
+	// StrategyBatch).
 	Min, Max int64
 	// HasRange reports whether Min and Max are meaningful.
 	HasRange bool
@@ -243,8 +246,9 @@ type Report struct {
 // against the batch verdict.
 //
 // The zero options decide Possibly with StrategyBatch. Errors come from
-// spec validation (including against the computation's process count),
-// option conflicts, and detector preconditions such as ErrNotUnitStep.
+// a nil or unsealed computation, spec validation (including against the
+// computation's process count), option conflicts, and detector
+// preconditions such as ErrNotUnitStep.
 func Detect(c *Computation, s Spec, opts ...Option) (Report, error) {
 	o := detectOptions{modality: ModalityPossibly, route: StrategyBatch, strategy: StrategyAuto}
 	for _, opt := range opts {
@@ -270,6 +274,12 @@ func Detect(c *Computation, s Spec, opts ...Option) (Report, error) {
 		if o.modality != ModalityPossibly {
 			return Report{}, fmt.Errorf("gpd: strategy %v applies only under possibly; definitely uses lattice reachability", o.strategy)
 		}
+	}
+	// The precondition of every route lives here, once: some kernels
+	// would panic on an order query before Seal while others seal a
+	// private clone and answer, so the verdict would depend on the family.
+	if c == nil || !c.Sealed() {
+		return Report{}, errors.New("gpd: Detect needs a sealed computation; call Seal first")
 	}
 	if err := s.Validate(c.NumProcs()); err != nil {
 		return Report{}, err

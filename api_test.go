@@ -1,18 +1,20 @@
 package gpd_test
 
 // Agreement tests for the gpd.Detect front door: on random computations,
-// Detect must give the same verdicts as the legacy per-family entry
-// points (and, where no legacy function exists, as the exhaustive
-// generic oracles), across both modalities. Also: grammar round-trips
-// and cross-surface spec equivalence with the streaming wire protocol.
+// Detect must give the same verdicts as the exhaustive lattice oracles
+// (PossiblyGeneric / DefinitelyGeneric evaluating the spec cut by cut),
+// across both modalities. Also: grammar round-trips and cross-surface
+// spec equivalence with the streaming wire protocol.
 
 import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	gpd "github.com/distributed-predicates/gpd"
+	idetect "github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/gen"
 	"github.com/distributed-predicates/gpd/internal/stream"
 )
@@ -27,59 +29,117 @@ func randomComputation(seed int64) *gpd.Computation {
 }
 
 // detect runs the front door and fails the test on error.
-func detect(t *testing.T, c *gpd.Computation, pred string, m gpd.Modality) gpd.Report {
+func detect(t *testing.T, c *gpd.Computation, pred string, opts ...gpd.Option) gpd.Report {
 	t.Helper()
 	spec, err := gpd.ParseSpec(pred)
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", pred, err)
 	}
-	rep, err := gpd.Detect(c, spec, gpd.WithModality(m))
+	rep, err := gpd.Detect(c, spec, opts...)
 	if err != nil {
-		t.Fatalf("Detect(%q, %v): %v", pred, m, err)
+		t.Fatalf("Detect(%q): %v", pred, err)
 	}
 	return rep
 }
 
+// definitely is the option selecting the strong modality.
+var definitely = gpd.WithModality(gpd.ModalityDefinitely)
+
+// registeredFamilies lists the families of the detector registry (the
+// family constants are contiguous from FamilyConjunctive).
+func registeredFamilies() []gpd.SpecFamily {
+	var out []gpd.SpecFamily
+	for f := gpd.FamilyConjunctive; ; f++ {
+		if _, ok := idetect.Lookup(f, gpd.ModalityPossibly); !ok {
+			return out
+		}
+		out = append(out, f)
+	}
+}
+
+// cutInFlight counts messages sent but not yet received in the cut.
+func cutInFlight(c *gpd.Computation, k gpd.Cut) int64 {
+	var n int64
+	for _, m := range c.Messages() {
+		if k.Contains(c.Event(m.Send)) && !k.Contains(c.Event(m.Receive)) {
+			n++
+		}
+	}
+	return n
+}
+
+// specHolds is the spec as a predicate on one consistent cut — what the
+// exhaustive lattice oracles evaluate.
+func specHolds(s gpd.Spec) gpd.GlobalPredicate {
+	return func(c *gpd.Computation, k gpd.Cut) bool {
+		truth := func(e gpd.Event) bool { return c.Var(s.Var, e.ID) != 0 }
+		count := c.CountTrue(k, truth)
+		switch s.Family {
+		case gpd.FamilyConjunctive:
+			return count == c.NumProcs()
+		case gpd.FamilyEquilevel:
+			return count == c.NumProcs() && int64(k.Size()) == s.K
+		case gpd.FamilySum:
+			return s.Rel.Eval(c.SumVar(s.Var, k), s.K)
+		case gpd.FamilyCount:
+			return s.Rel.Eval(int64(count), s.K)
+		case gpd.FamilyXor:
+			return count%2 == 1
+		case gpd.FamilyLevels:
+			for _, m := range s.Levels {
+				if m == count {
+					return true
+				}
+			}
+			return false
+		case gpd.FamilyInFlight:
+			return s.Rel.Eval(cutInFlight(c, k), s.K)
+		case gpd.FamilyCNF:
+			front := c.Frontier(k)
+			for _, cl := range s.Clauses {
+				sat := false
+				for _, l := range cl {
+					sat = sat || truth(c.Event(front[l.Proc])) != l.Negated
+				}
+				if !sat {
+					return false
+				}
+			}
+			return true
+		}
+		panic(fmt.Sprintf("specHolds: unknown family %v", s.Family))
+	}
+}
+
+// agreesWithLattice checks Detect against the lattice oracle under both
+// modalities, and that a Possibly witness is a consistent satisfying cut.
+func agreesWithLattice(t *testing.T, label string, c *gpd.Computation, pred string) {
+	t.Helper()
+	rep := detect(t, c, pred)
+	holds := specHolds(rep.Spec)
+	if oracle, _ := gpd.PossiblyGeneric(c, holds); rep.Holds != oracle {
+		t.Errorf("%s: Possibly(%s): Detect %v, lattice %v", label, pred, rep.Holds, oracle)
+	}
+	if rep.Witness != nil && !(c.CutConsistent(rep.Witness) && holds(c, rep.Witness)) {
+		t.Errorf("%s: witness %v does not satisfy %s", label, rep.Witness, pred)
+	}
+	if oracle := gpd.DefinitelyGeneric(c, holds); detect(t, c, pred, definitely).Holds != oracle {
+		t.Errorf("%s: Definitely(%s): Detect %v, lattice %v", label, pred, !oracle, oracle)
+	}
+}
+
 func TestDetectAgreesConjunctive(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		c := randomComputation(seed)
-		truth := func(e gpd.Event) bool { return c.Var("x", e.ID) != 0 }
-		locals := make(map[gpd.ProcID]gpd.LocalPredicate, c.NumProcs())
-		for p := 0; p < c.NumProcs(); p++ {
-			locals[gpd.ProcID(p)] = truth
-		}
-		legacy := gpd.PossiblyConjunctive(c, locals)
-		if rep := detect(t, c, "all(x)", gpd.ModalityPossibly); rep.Holds != legacy.Found {
-			t.Errorf("seed %d: Detect possibly %v, legacy %v", seed, rep.Holds, legacy.Found)
-		}
-		legacyDef := gpd.DefinitelyConjunctive(c, locals)
-		if rep := detect(t, c, "all(x)", gpd.ModalityDefinitely); rep.Holds != legacyDef {
-			t.Errorf("seed %d: Detect definitely %v, legacy %v", seed, rep.Holds, legacyDef)
-		}
+		agreesWithLattice(t, fmt.Sprint("seed ", seed), randomComputation(seed), "all(x)")
 	}
 }
 
 func TestDetectAgreesSum(t *testing.T) {
-	relops := []gpd.Relop{gpd.Lt, gpd.Le, gpd.Eq, gpd.Ge, gpd.Gt, gpd.Ne}
 	for seed := int64(0); seed < 4; seed++ {
 		c := randomComputation(seed)
-		for _, rel := range relops {
+		for _, rel := range []string{"<", "<=", "==", ">=", ">", "!="} {
 			for _, k := range []int64{-2, 0, 2} {
-				pred := fmt.Sprintf("sum(u) %v %d", rel, k)
-				legacy, err := gpd.PossiblySum(c, "u", rel, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep := detect(t, c, pred, gpd.ModalityPossibly); rep.Holds != legacy {
-					t.Errorf("seed %d: Possibly(%s): Detect %v, legacy %v", seed, pred, rep.Holds, legacy)
-				}
-				legacyDef, err := gpd.DefinitelySum(c, "u", rel, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep := detect(t, c, pred, gpd.ModalityDefinitely); rep.Holds != legacyDef {
-					t.Errorf("seed %d: Definitely(%s): Detect %v, legacy %v", seed, pred, rep.Holds, legacyDef)
-				}
+				agreesWithLattice(t, fmt.Sprint("seed ", seed), c, fmt.Sprintf("sum(u) %s %d", rel, k))
 			}
 		}
 	}
@@ -88,102 +148,28 @@ func TestDetectAgreesSum(t *testing.T) {
 func TestDetectAgreesSymmetric(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		c := randomComputation(seed)
-		n := c.NumProcs()
-		truth := func(e gpd.Event) bool { return c.Var("x", e.ID) != 0 }
-		cases := []struct {
-			pred string
-			spec gpd.SymmetricSpec
-		}{
-			{"count(x) >= 2", gpd.SymmetricFromFunc(n, func(m int) bool { return m >= 2 })},
-			{"count(x) == 0", gpd.SymmetricFromFunc(n, func(m int) bool { return m == 0 })},
-			{"xor(x)", gpd.Xor(n)},
-			{"levels(x): 0, 2", gpd.SymmetricSpec{N: n, Levels: []int{0, 2}}},
-		}
-		for _, tc := range cases {
-			legacy, _, err := gpd.PossiblySymmetric(c, tc.spec, truth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep := detect(t, c, tc.pred, gpd.ModalityPossibly); rep.Holds != legacy {
-				t.Errorf("seed %d: Possibly(%s): Detect %v, legacy %v", seed, tc.pred, rep.Holds, legacy)
-			}
-			legacyDef, err := gpd.DefinitelySymmetric(c, tc.spec, truth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep := detect(t, c, tc.pred, gpd.ModalityDefinitely); rep.Holds != legacyDef {
-				t.Errorf("seed %d: Definitely(%s): Detect %v, legacy %v", seed, tc.pred, rep.Holds, legacyDef)
-			}
+		for _, pred := range []string{"count(x) >= 2", "count(x) == 0", "xor(x)", "levels(x): 0, 2"} {
+			agreesWithLattice(t, fmt.Sprint("seed ", seed), c, pred)
 		}
 	}
 }
 
 func TestDetectAgreesCNF(t *testing.T) {
-	const pred = "cnf(x): (0 | !1) & (2 | 3)"
-	spec, err := gpd.ParseSpec(pred)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for seed := int64(0); seed < 6; seed++ {
-		c := randomComputation(seed)
-		truth := func(e gpd.Event) bool { return c.Var("x", e.ID) != 0 }
-
-		p := &gpd.SingularPredicate{}
-		for _, cl := range spec.Clauses {
-			var out gpd.SingularClause
-			for _, l := range cl {
-				out = append(out, gpd.SingularLiteral{Proc: gpd.ProcID(l.Proc), Negated: l.Negated})
-			}
-			p.Clauses = append(p.Clauses, out)
-		}
-		legacy, err := gpd.PossiblySingular(c, p, truth, gpd.StrategyAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep := detect(t, c, pred, gpd.ModalityPossibly); rep.Holds != legacy.Found {
-			t.Errorf("seed %d: Possibly(%s): Detect %v, legacy %v", seed, pred, rep.Holds, legacy.Found)
-		}
-
-		// No legacy Definitely for CNF: compare against the exhaustive
-		// oracle evaluating the clauses on each cut's frontier.
-		holds := func(cc *gpd.Computation, k gpd.Cut) bool {
-			front := cc.Frontier(k)
-			for _, cl := range spec.Clauses {
-				sat := false
-				for _, l := range cl {
-					if (cc.Var("x", front[l.Proc]) != 0) != l.Negated {
-						sat = true
-						break
-					}
-				}
-				if !sat {
-					return false
-				}
-			}
-			return true
-		}
-		oracle := gpd.DefinitelyGeneric(c, holds)
-		if rep := detect(t, c, pred, gpd.ModalityDefinitely); rep.Holds != oracle {
-			t.Errorf("seed %d: Definitely(%s): Detect %v, oracle %v", seed, pred, rep.Holds, oracle)
-		}
+		agreesWithLattice(t, fmt.Sprint("seed ", seed), randomComputation(seed), "cnf(x): (0 | !1) & (2 | 3)")
 	}
 }
 
-// cutInFlight counts messages sent but not yet received in the cut.
-func cutInFlight(cc *gpd.Computation, k gpd.Cut) int64 {
-	var n int64
-	for p := 0; p < cc.NumProcs(); p++ {
-		ids := cc.ProcEvents(gpd.ProcID(p))
-		for i := 1; i <= k[p]; i++ {
-			switch cc.Event(ids[i]).Kind {
-			case gpd.KindSend:
-				n++
-			case gpd.KindReceive:
-				n--
-			}
+// TestDetectAgreesEquilevel also validates the Garg & Streit collapse on
+// the Definitely side: every run passes exactly one cut per level, so
+// inevitability is "the level set is non-empty and unanimous".
+func TestDetectAgreesEquilevel(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		c := randomComputation(seed)
+		for _, level := range []int64{0, 1, 2, 3, 5, 8, 100} {
+			agreesWithLattice(t, fmt.Sprint("seed ", seed), c, fmt.Sprintf("equilevel(x): %d", level))
 		}
 	}
-	return n
 }
 
 // ringComputation simulates a token ring: every event sends or receives
@@ -201,74 +187,63 @@ func ringComputation(t *testing.T, seed int64) *gpd.Computation {
 }
 
 func TestDetectAgreesInFlight(t *testing.T) {
-	relops := []gpd.Relop{gpd.Lt, gpd.Le, gpd.Eq, gpd.Ge, gpd.Gt, gpd.Ne}
 	for seed := int64(0); seed < 4; seed++ {
 		c := ringComputation(t, seed+1)
-		for _, rel := range relops {
+		for _, rel := range []string{"<", "<=", "==", ">=", ">", "!="} {
 			for _, k := range []int64{0, 1, 3} {
-				pred := fmt.Sprintf("inflight %v %d", rel, k)
-				holds := func(cc *gpd.Computation, cut gpd.Cut) bool {
-					return rel.Eval(cutInFlight(cc, cut), k)
-				}
-				oracle, _ := gpd.PossiblyGeneric(c, holds)
-				rep := detect(t, c, pred, gpd.ModalityPossibly)
-				if rep.Holds != oracle {
-					t.Errorf("seed %d: Possibly(%s): Detect %v, oracle %v", seed, pred, rep.Holds, oracle)
-				}
-				if !rep.HasRange {
-					t.Errorf("seed %d: Possibly(%s): missing range", seed, pred)
-				}
-				oracleDef := gpd.DefinitelyGeneric(c, holds)
-				if rep := detect(t, c, pred, gpd.ModalityDefinitely); rep.Holds != oracleDef {
-					t.Errorf("seed %d: Definitely(%s): Detect %v, oracle %v", seed, pred, rep.Holds, oracleDef)
-				}
+				agreesWithLattice(t, fmt.Sprint("seed ", seed), c, fmt.Sprintf("inflight %s %d", rel, k))
 			}
 		}
 	}
 }
 
-// TestDetectWitnessesSatisfy checks that every witness cut Detect returns
-// actually satisfies the predicate it was produced for.
+// TestDetectWitnessesSatisfy: every cut-constructing family returns a
+// witness whenever Possibly holds (agreesWithLattice checks that each
+// witness is a consistent satisfying cut).
 func TestDetectWitnessesSatisfy(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		c := randomComputation(seed)
-		for _, pred := range []string{"all(x)", "sum(u) == 0", "count(x) >= 2", "xor(x)"} {
-			rep := detect(t, c, pred, gpd.ModalityPossibly)
-			if !rep.Holds || rep.Witness == nil {
-				continue
+	check := func(c *gpd.Computation, preds ...string) {
+		for _, pred := range preds {
+			if rep := detect(t, c, pred); rep.Holds && rep.Witness == nil {
+				t.Errorf("Possibly(%s) holds without a witness", pred)
 			}
-			var ok bool
-			switch rep.Spec.Family {
-			case gpd.FamilyConjunctive:
-				ok = c.CountTrue(rep.Witness, func(e gpd.Event) bool { return c.Var("x", e.ID) != 0 }) == c.NumProcs()
-			case gpd.FamilySum:
-				ok = c.SumVar("u", rep.Witness) == rep.Spec.K
-			case gpd.FamilyCount:
-				m := c.CountTrue(rep.Witness, func(e gpd.Event) bool { return c.Var("x", e.ID) != 0 })
-				ok = rep.Spec.Rel.Eval(int64(m), rep.Spec.K)
-			case gpd.FamilyXor:
-				m := c.CountTrue(rep.Witness, func(e gpd.Event) bool { return c.Var("x", e.ID) != 0 })
-				ok = m%2 == 1
-			case gpd.FamilyInFlight:
-				ok = cutInFlight(c, rep.Witness) == rep.Spec.K
-			}
-			if !ok {
-				t.Errorf("seed %d: witness %v does not satisfy %s", seed, rep.Witness, pred)
-			}
-			if !c.CutConsistent(rep.Witness) {
-				t.Errorf("seed %d: witness %v for %s is not consistent", seed, rep.Witness, pred)
-			}
+			agreesWithLattice(t, "witness", c, pred)
 		}
 	}
+	for seed := int64(0); seed < 6; seed++ {
+		check(randomComputation(seed), "all(x)", "sum(u) == 0", "count(x) >= 2", "xor(x)", "levels(x): 1, 3")
+	}
 	for seed := int64(0); seed < 3; seed++ {
-		c := ringComputation(t, seed+1)
-		rep := detect(t, c, "inflight == 1", gpd.ModalityPossibly)
-		if rep.Holds && rep.Witness != nil {
-			if cutInFlight(c, rep.Witness) != 1 {
-				t.Errorf("seed %d: inflight witness %v has %d in flight", seed, rep.Witness, cutInFlight(c, rep.Witness))
-			}
-			if !c.CutConsistent(rep.Witness) {
-				t.Errorf("seed %d: inflight witness %v is not consistent", seed, rep.Witness)
+		check(ringComputation(t, seed+1), "inflight == 1")
+	}
+}
+
+// TestDetectRejectsUnsealed: the precondition of every route lives at the
+// front door — a nil or unsealed computation is an error for every
+// registered (family, modality, strategy), never a panic and never a
+// verdict that depends on whether the family's kernel happens to seal a
+// private clone.
+func TestDetectRejectsUnsealed(t *testing.T) {
+	preds := map[gpd.SpecFamily]string{
+		gpd.FamilyConjunctive: "all(x)", gpd.FamilySum: "sum(x) >= 1", gpd.FamilyCount: "count(x) >= 1",
+		gpd.FamilyXor: "xor(x)", gpd.FamilyLevels: "levels(x): 1", gpd.FamilyCNF: "cnf(x): (0 | 1)",
+		gpd.FamilyInFlight: "inflight >= 0", gpd.FamilyEquilevel: "equilevel(x): 1",
+	}
+	unsealed := gpd.New()
+	unsealed.SetVar("x", unsealed.AddInternal(unsealed.AddProcess()), 1)
+	unsealed.AddInternal(unsealed.AddProcess())
+	for _, f := range registeredFamilies() {
+		spec, err := gpd.ParseSpec(preds[f])
+		if err != nil {
+			t.Fatalf("family %v: no example predicate: %v", f, err)
+		}
+		for _, m := range []gpd.Modality{gpd.ModalityPossibly, gpd.ModalityDefinitely} {
+			for _, route := range []gpd.DetectStrategy{gpd.StrategyBatch, gpd.StrategyReplay, gpd.StrategySlice} {
+				for name, c := range map[string]*gpd.Computation{"nil": nil, "unsealed": unsealed} {
+					if _, err := gpd.Detect(c, spec, gpd.WithModality(m), gpd.WithStrategy(route)); err == nil ||
+						!strings.Contains(err.Error(), "sealed computation") {
+						t.Errorf("%v/%v/%v on a %s computation: err = %v, want the sealed-computation error", f, m, route, name, err)
+					}
+				}
 			}
 		}
 	}

@@ -2,10 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -47,28 +44,5 @@ func TestWorkReport(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("report output missing %q:\n%s", want, s)
 		}
-	}
-}
-
-func TestObsBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "obs.json")
-	var out bytes.Buffer
-	// A tiny event count keeps the test fast; throughput numbers are
-	// noisy at this size, so only the file shape is asserted.
-	err := run([]string{"-obs-baseline", path, "-obs-events", "4096"}, &out)
-	if err != nil && !strings.Contains(err.Error(), "exceeds") {
-		t.Fatal(err)
-	}
-	data, rerr := os.ReadFile(path)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	var got obsBaselineOut
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Benchmark != "BenchmarkStreamIngest" || got.Events != 4096 ||
-		got.BaselineEvtSec <= 0 || got.MeteredEvtSec <= 0 {
-		t.Fatalf("baseline file: %+v", got)
 	}
 }

@@ -1,35 +1,14 @@
 package gpd
 
 import (
-	"github.com/distributed-predicates/gpd/internal/conjunctive"
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/core/singular"
 	"github.com/distributed-predicates/gpd/internal/core/symmetric"
 )
 
-// LocalPredicate evaluates a process-local predicate at the state
-// following an event.
-type LocalPredicate = conjunctive.LocalPredicate
-
-// ConjunctiveResult is the outcome of conjunctive detection.
-type ConjunctiveResult = conjunctive.Result
-
-// Singular k-CNF predicates (the paper's central objects).
-type (
-	// SingularPredicate is a CNF predicate over boolean variables, one
-	// per process, with no process shared between clauses.
-	SingularPredicate = singular.Predicate
-	// SingularClause is one disjunction of a singular predicate.
-	SingularClause = singular.Clause
-	// SingularLiteral is one (possibly negated) per-process variable.
-	SingularLiteral = singular.Literal
-	// Truth supplies the boolean variable values per event.
-	Truth = singular.Truth
-	// SingularStrategy selects the singular detection algorithm.
-	SingularStrategy = singular.Strategy
-	// SingularResult reports the outcome, witness and work counters.
-	SingularResult = singular.Result
-)
+// SingularStrategy selects the singular detection algorithm of a cnf
+// predicate (the paper's central objects, Sections 3.1–3.3).
+type SingularStrategy = singular.Strategy
 
 // Singular detection strategies.
 const (
@@ -60,13 +39,6 @@ var (
 	ErrNotUnitStep = relsum.ErrNotUnitStep
 )
 
-// TruthFromTables adapts per-process boolean tables (indexed by local
-// event index) into a Truth function.
-func TruthFromTables(tables [][]bool) Truth { return singular.TruthFromTables(tables) }
-
-// TruthFromVar reads a named 0/1 variable table of the computation.
-func TruthFromVar(c *Computation, name string) Truth { return singular.TruthFromVar(c, name) }
-
 // Relop is a relational operator for sum predicates.
 type Relop = relsum.Relop
 
@@ -83,50 +55,10 @@ const (
 // ParseRelop parses "<", "<=", "==", ">=", ">", "!=".
 func ParseRelop(s string) (Relop, error) { return relsum.ParseRelop(s) }
 
-// SumRange returns the exact minimum and maximum over all consistent cuts
-// of the sum of the named per-process variable, in polynomial time via a
-// max-weight closure (min-cut) computation. No step-size assumption.
-func SumRange(c *Computation, name string) (min, max int64) {
-	return relsum.SumRange(c, name)
-}
-
 // ValidateUnitStep checks that the named variable changes by at most one
 // at every event.
 func ValidateUnitStep(c *Computation, name string) error {
 	return relsum.ValidateUnitStep(c, name)
-}
-
-// EventWeight assigns a per-event change to a global quantity; the
-// quantity at a cut is a base value plus the sum over the cut's
-// non-initial events. Variable sums and channel occupancy are both
-// instances, and both enjoy the same polynomial min/max machinery.
-type EventWeight = relsum.Weight
-
-// WeightedRange returns the exact minimum and maximum over all consistent
-// cuts of base + the summed event weights, in polynomial time.
-func WeightedRange(c *Computation, base int64, w EventWeight) (min, max int64) {
-	return relsum.WeightedRange(c, base, w)
-}
-
-// PossiblyWeighted decides Possibly(quantity relop k) for an ideal-sum
-// quantity; equality requires unit weights (ErrNotUnitStep otherwise).
-func PossiblyWeighted(c *Computation, base int64, w EventWeight, r Relop, k int64) (bool, error) {
-	return relsum.PossiblyWeighted(c, base, w, r, k)
-}
-
-// DefinitelyWeighted decides Definitely(quantity relop k) for an
-// ideal-sum quantity by region reachability (worst-case exponential;
-// equality requires unit weights).
-func DefinitelyWeighted(c *Computation, base int64, w EventWeight, r Relop, k int64) (bool, error) {
-	return relsum.DefinitelyWeighted(c, base, w, r, k)
-}
-
-// InFlightRange returns the minimum and maximum number of messages in
-// flight (sent but not received) over all consistent cuts — channel
-// occupancy bounds, including quiescence (min) and the buffer requirement
-// (max).
-func InFlightRange(c *Computation) (min, max int64) {
-	return relsum.InFlightRange(c)
 }
 
 // SymmetricSpec is a symmetric predicate over per-process booleans,

@@ -35,41 +35,38 @@
 // streaming wire protocol, so a predicate accepted by one surface is
 // accepted by all of them.
 //
-// # Migration note
-//
-// The per-family entry points that predate Detect — PossiblyConjunctive,
-// DefinitelyConjunctive, PossiblySingular, DefinitelySingular,
-// PossiblySum, PossiblySumWitness, DefinitelySum, PossiblyWeighted,
-// DefinitelyWeighted, PossiblyInFlight, PossiblySymmetric,
-// DefinitelySymmetric and friends — remain supported as thin wrappers
-// over the same internal detectors and are not going away. New code
-// should prefer Detect: it validates the spec against the computation,
-// rejects option combinations the legacy surfaces used to ignore
-// silently, and returns a Report carrying the work accounting (Work) of
-// the run. Reach for the legacy functions when the predicate does not fit
-// the Spec grammar: arbitrary LocalPredicate maps, custom EventWeight
-// functions, SymmetricSpec builders, or programmatic SingularPredicate
-// values.
+// Options select the rest: WithModality(ModalityDefinitely) for the strong
+// modality; WithStrategy(StrategyReplay) to drive the streaming state
+// machine over the trace instead of the batch algorithm, or
+// WithStrategy(StrategySlice) to decide through the predicate's slice;
+// WithStrategy(StrategyChainCover) etc. to pin a singular algorithm;
+// WithParallelism for the worker pool; WithTrace to accumulate work
+// across runs. The Report carries the verdict, a witness cut where the
+// detector constructs one, the exact [Min, Max] of the tracked quantity
+// for the sum, count, xor, levels and inflight families, and the run's
+// work counters. Detect rejects a nil or unsealed computation, option
+// combinations that would be silently ignored, and specs that do not fit
+// the computation.
 //
 // # What this library provides
 //
 //   - Building and (de)serializing computations: New, ReadTrace, WriteTrace.
-//   - Conjunctive predicates (one local predicate per process):
-//     PossiblyConjunctive, and the online Monitor for live systems (an
-//     in-process adapter over the same conjunctive detector the
-//     streaming server runs).
-//   - Singular k-CNF predicates (Sections 3.1–3.3 of the paper):
-//     PossiblySingular with the polynomial receive-/send-ordered
-//     algorithms and the general-case process-subset and chain-cover
-//     algorithms. Detection is NP-complete in general (Theorem 1); the
-//     hardness construction itself ships in the reduction toolbox used by
-//     cmd/gpdreduce.
-//   - Relational sums x1+...+xn relop k (Section 4): SumRange,
-//     PossiblySum, PossiblySumWitness, DefinitelySum. Possibly(S = k) is
-//     polynomial for unit-step variables and NP-complete otherwise
-//     (Theorem 3).
-//   - Symmetric boolean predicates (Section 4.3): PossiblySymmetric with
-//     builders Xor, NoSimpleMajority, ExactlyK, NotAllEqual, ...
+//   - Conjunctive predicates, all(var): Garg–Waldecker CPDHB offline, and
+//     the online Monitor for live systems (an in-process adapter over the
+//     same conjunctive detector the streaming server runs).
+//   - Singular k-CNF predicates, cnf(var): (0 | !1) & (2) (Sections 3.1–3.3
+//     of the paper): the polynomial receive-/send-ordered algorithms and the
+//     general-case process-subset and chain-cover algorithms. Detection is
+//     NP-complete in general (Theorem 1); the hardness construction itself
+//     ships in the reduction toolbox used by cmd/gpdreduce.
+//   - Relational sums sum(var) relop k (Section 4): Possibly(S = k) is
+//     polynomial for unit-step variables (ValidateUnitStep) and
+//     NP-complete otherwise (Theorem 3); inflight relop k is the same
+//     machinery on channel occupancy.
+//   - Symmetric boolean predicates (Section 4.3): count(var) relop k,
+//     xor(var) and levels(var): m1, m2, ..., with the level-set builders
+//     Xor, NoSimpleMajority, ExactlyK, NotAllEqual, ... for
+//     Spec{Family: FamilyLevels, Levels: builder(n).Levels}.
 //   - Exhaustive oracles PossiblyGeneric and DefinitelyGeneric for
 //     arbitrary predicates (exponential; useful for testing and small
 //     computations).

@@ -28,82 +28,80 @@ func twoFlags() (*gpd.Computation, gpd.ProcID, gpd.ProcID) {
 	return c, p0, p1
 }
 
-func ExamplePossiblyConjunctive() {
-	c, p0, p1 := twoFlags()
-	res := gpd.PossiblyConjunctive(c, map[gpd.ProcID]gpd.LocalPredicate{
-		p0: func(e gpd.Event) bool { return c.Var("flag", e.ID) != 0 },
-		p1: func(e gpd.Event) bool { return c.Var("flag", e.ID) != 0 },
-	})
-	fmt.Println(res.Found)
+// mustDetect is Detect for examples whose inputs are known good.
+func mustDetect(c *gpd.Computation, pred string, opts ...gpd.Option) gpd.Report {
+	spec, err := gpd.ParseSpec(pred)
+	if err != nil {
+		panic(err)
+	}
+	rep, err := gpd.Detect(c, spec, opts...)
+	if err != nil {
+		panic(err)
+	}
+	return rep
+}
+
+func ExampleDetect_conjunctive() {
+	c, _, _ := twoFlags()
+	fmt.Println(mustDetect(c, "all(flag)").Holds)
 	// Output: false
 }
 
-func ExampleSumRange() {
+func ExampleDetect_sumRange() {
 	c, _, _ := twoFlags()
-	min, max := gpd.SumRange(c, "flag")
-	fmt.Println(min, max)
+	// Every Possibly report on a sum carries its exact range.
+	rep := mustDetect(c, "sum(flag) >= 0")
+	fmt.Println(rep.Min, rep.Max)
 	// Output: 0 1
 }
 
-func ExamplePossiblySum() {
+func ExampleDetect_sum() {
 	c, _, _ := twoFlags()
-	ok, err := gpd.PossiblySum(c, "flag", gpd.Eq, 1)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(ok)
-	// Output: true
+	rep := mustDetect(c, "sum(flag) == 1")
+	fmt.Println(rep.Holds, rep.Witness)
+	// Output: true <1,0>
 }
 
-func ExamplePossiblySingular() {
+func ExampleDetect_cnf() {
 	c, p0, p1 := twoFlags()
-	pred := &gpd.SingularPredicate{Clauses: []gpd.SingularClause{
-		{{Proc: p0}, {Proc: p1}}, // flag0 OR flag1
+	spec := gpd.Spec{Family: gpd.FamilyCNF, Var: "flag", Clauses: []gpd.SpecClause{
+		{{Proc: int(p0)}, {Proc: int(p1)}}, // flag0 OR flag1
 	}}
-	res, err := gpd.PossiblySingular(c, pred, gpd.TruthFromVar(c, "flag"), gpd.StrategyAuto)
+	rep, err := gpd.Detect(c, spec, gpd.WithStrategy(gpd.StrategyAuto))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.Found, res.Strategy)
+	fmt.Println(rep.Holds, rep.Strategy)
 	// Output: true receive-ordered
 }
 
-func ExamplePossiblySymmetric() {
+func ExampleDetect_xor() {
 	c, _, _ := twoFlags()
-	truth := func(e gpd.Event) bool { return c.Var("flag", e.ID) != 0 }
-	ok, _, err := gpd.PossiblySymmetric(c, gpd.Xor(2), truth)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(ok)
+	fmt.Println(mustDetect(c, "xor(flag)").Holds)
 	// Output: true
 }
 
-func ExampleDefinitelySum() {
+func ExampleDetect_definitely() {
 	c, _, _ := twoFlags()
 	// Every run raises exactly one flag at a time at some point.
-	ok, err := gpd.DefinitelySum(c, "flag", gpd.Eq, 1)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(ok)
+	rep := mustDetect(c, "sum(flag) == 1", gpd.WithModality(gpd.ModalityDefinitely))
+	fmt.Println(rep.Holds)
 	// Output: true
 }
 
-func ExampleInFlightRange() {
+func ExampleDetect_inFlightRange() {
 	c, _, _ := twoFlags()
-	min, max := gpd.InFlightRange(c)
-	fmt.Println(min, max)
+	rep := mustDetect(c, "inflight >= 0")
+	fmt.Println(rep.Min, rep.Max)
 	// Output: 0 1
 }
 
-func ExampleComputeSlice() {
-	c, p0, p1 := twoFlags()
-	flag := func(e gpd.Event) bool { return c.Var("flag", e.ID) != 0 }
-	o := gpd.ConjunctiveSliceOracle(map[gpd.ProcID]func(gpd.Event) bool{p0: flag, p1: flag})
-	_, err := gpd.ComputeSlice(c, o)
-	fmt.Println(err)
-	// Output: slicing: no consistent cut satisfies the predicate
+func ExampleDetect_slice() {
+	c, _, _ := twoFlags()
+	// The slice of all(flag) is empty: no consistent cut satisfies it.
+	rep := mustDetect(c, "all(flag)", gpd.WithStrategy(gpd.StrategySlice))
+	fmt.Println(rep.Holds, rep.Witness == nil)
+	// Output: false true
 }
 
 func ExampleNewSimulator() {

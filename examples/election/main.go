@@ -38,20 +38,21 @@ func run() error {
 			seed, perm, c.NumEvents(), len(c.Messages()))
 
 		// Safety: no consistent cut with two self-declared leaders.
-		twoLeaders, err := gpd.PossiblySum(c, gpd.VarLeader, gpd.Ge, 2)
+		twoLeaders, err := gpd.Detect(c, gpd.Spec{Family: gpd.FamilySum, Var: gpd.VarLeader, Rel: gpd.Ge, K: 2})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  Possibly(#leaders >= 2)  = %-5v (safety: must be false)\n", twoLeaders)
+		fmt.Printf("  Possibly(#leaders >= 2)  = %-5v (safety: must be false)\n", twoLeaders.Holds)
 
 		// Progress: every run of the computation passes through a state
 		// with exactly one leader (and stays there — leaders never
 		// abdicate, so = 1 at the end).
-		elected, err := gpd.DefinitelySum(c, gpd.VarLeader, gpd.Eq, 1)
+		elected, err := gpd.Detect(c, gpd.Spec{Family: gpd.FamilySum, Var: gpd.VarLeader, Rel: gpd.Eq, K: 1},
+			gpd.WithModality(gpd.ModalityDefinitely))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  Definitely(#leaders == 1) = %-5v (progress: must be true)\n", elected)
+		fmt.Printf("  Definitely(#leaders == 1) = %-5v (progress: must be true)\n", elected.Holds)
 
 		// A richer question: was there a reachable moment with NO
 		// remaining candidate but also no leader yet? (There must not

@@ -39,39 +39,38 @@ func run() error {
 	if err := gpd.ValidateUnitStep(c, gpd.VarTokens); err != nil {
 		return fmt.Errorf("token counts should be unit-step: %w", err)
 	}
-	min, max := gpd.SumRange(c, gpd.VarTokens)
-	fmt.Printf("observable token count range: [%d, %d]\n", min, max)
-
-	for k := int64(0); k <= int64(tokens)+1; k++ {
-		poss, err := gpd.PossiblySum(c, gpd.VarTokens, gpd.Eq, k)
-		if err != nil {
-			return err
-		}
-		def, err := gpd.DefinitelySum(c, gpd.VarTokens, gpd.Eq, k)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("tokens == %d: possibly=%-5v definitely=%v\n", k, poss, def)
-	}
-
 	// Conservation violation check: can the count ever exceed the
-	// number of tokens in the system? (It must not.)
-	over, err := gpd.PossiblySum(c, gpd.VarTokens, gpd.Gt, int64(tokens))
+	// number of tokens in the system? (It must not.) The report of any
+	// Possibly query on the sum carries its exact range.
+	over, err := gpd.Detect(c, gpd.Spec{Family: gpd.FamilySum, Var: gpd.VarTokens, Rel: gpd.Gt, K: tokens})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("conservation violated (count > %d possible): %v\n", tokens, over)
+	fmt.Printf("observable token count range: [%d, %d]\n", over.Min, over.Max)
+
+	for k := int64(0); k <= tokens+1; k++ {
+		eq := gpd.Spec{Family: gpd.FamilySum, Var: gpd.VarTokens, Rel: gpd.Eq, K: k}
+		poss, err := gpd.Detect(c, eq)
+		if err != nil {
+			return err
+		}
+		def, err := gpd.Detect(c, eq, gpd.WithModality(gpd.ModalityDefinitely))
+		if err != nil {
+			return err
+		}
+		fmt.Printf("tokens == %d: possibly=%-5v definitely=%v\n", k, poss.Holds, def.Holds)
+	}
+	fmt.Printf("conservation violated (count > %d possible): %v\n", tokens, over.Holds)
 
 	// The same question expressed as a symmetric predicate on the
 	// boolean "holds at least one token": exactly-k-holders.
-	holders := func(e gpd.Event) bool { return c.Var(gpd.VarTokens, e.ID) > 0 }
-	ok, cut, err := gpd.PossiblySymmetric(c, gpd.ExactlyK(procs, tokens), holders)
+	holders, err := gpd.Detect(c, gpd.Spec{Family: gpd.FamilyCount, Var: gpd.VarTokens, Rel: gpd.Eq, K: tokens})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("some cut with exactly %d token holders: %v", tokens, ok)
-	if ok {
-		fmt.Printf(" (witness %v)", cut)
+	fmt.Printf("some cut with exactly %d token holders: %v", tokens, holders.Holds)
+	if holders.Holds {
+		fmt.Printf(" (witness %v)", holders.Witness)
 	}
 	fmt.Println()
 	return nil

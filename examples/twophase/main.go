@@ -30,18 +30,22 @@ func run() error {
 		return err
 	}
 	// The commit point: every run passes through "all n committed".
-	committed, err := gpd.DefinitelySum(c, gpd.VarCommitted, gpd.Eq, int64(n))
+	committed, err := gpd.Detect(c, gpd.Spec{Family: gpd.FamilySum, Var: gpd.VarCommitted, Rel: gpd.Eq, K: n},
+		gpd.WithModality(gpd.ModalityDefinitely))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Definitely(all %d committed) = %v\n", n, committed)
+	fmt.Printf("Definitely(all %d committed) = %v\n", n, committed.Holds)
 	if bad, err := mixedDecision(c); err != nil {
 		return err
 	} else {
 		fmt.Printf("Possibly(commit & abort coexist) = %v (agreement holds)\n", bad)
 	}
-	min, max := gpd.InFlightRange(c)
-	fmt.Printf("channel occupancy over all cuts: [%d, %d] messages\n", min, max)
+	occupancy, err := gpd.Detect(c, gpd.Spec{Family: gpd.FamilyInFlight, Rel: gpd.Ge, K: 0})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("channel occupancy over all cuts: [%d, %d] messages\n", occupancy.Min, occupancy.Max)
 
 	fmt.Println("\n--- buggy coordinator (commits on the first yes), one no vote ---")
 	for seed := int64(0); seed < 6; seed++ {

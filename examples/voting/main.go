@@ -43,21 +43,22 @@ func run() error {
 		{"not all votes equal", gpd.NotAllEqual(procs)},
 		{"unanimous yes", gpd.ExactlyK(procs, procs)},
 	}
+	var rep gpd.Report
 	for _, q := range questions {
-		found, cut, err := gpd.PossiblySymmetric(c, q.spec, yes)
+		// A symmetric predicate is its set of satisfying yes-counts.
+		rep, err = gpd.Detect(c, gpd.Spec{Family: gpd.FamilyLevels, Var: gpd.VarYes, Levels: q.spec.Levels})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-30s possibly=%v", q.name, found)
-		if found {
-			fmt.Printf("  (witness cut %v, yes count %d)", cut, c.CountTrue(cut, yes))
+		fmt.Printf("%-30s possibly=%v", q.name, rep.Holds)
+		if rep.Holds {
+			fmt.Printf("  (witness cut %v, yes count %d)", rep.Witness, c.CountTrue(rep.Witness, yes))
 		}
 		fmt.Println()
 	}
 
 	// The yes count is a unit-step sum, so its whole reachable range is
-	// exact and cheap:
-	min, max := gpd.SumRange(c, gpd.VarYes)
-	fmt.Printf("yes-count range over all consistent cuts: [%d, %d] of %d\n", min, max, procs)
+	// exact and cheap — every report above carries it:
+	fmt.Printf("yes-count range over all consistent cuts: [%d, %d] of %d\n", rep.Min, rep.Max, procs)
 	return nil
 }

@@ -3,6 +3,7 @@ package gpd_test
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	gpd "github.com/distributed-predicates/gpd"
@@ -10,7 +11,8 @@ import (
 
 // buildDebugScenario assembles the two-process computation used across the
 // public API tests: p0 flips a flag at event a; p1 flips at event b after a
-// message from a third event.
+// message from a third event. The 0/1 variable "x" is true exactly at a
+// and b.
 func buildDebugScenario(t *testing.T) (*gpd.Computation, gpd.EventID, gpd.EventID) {
 	t.Helper()
 	c := gpd.New()
@@ -22,6 +24,8 @@ func buildDebugScenario(t *testing.T) (*gpd.Computation, gpd.EventID, gpd.EventI
 	if err := c.AddMessage(a2, b); err != nil {
 		t.Fatal(err)
 	}
+	c.SetVar("x", a, 1)
+	c.SetVar("x", b, 1)
 	if err := c.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -29,35 +33,23 @@ func buildDebugScenario(t *testing.T) (*gpd.Computation, gpd.EventID, gpd.EventI
 }
 
 func TestPossiblyConjunctivePublic(t *testing.T) {
-	c, a, b := buildDebugScenario(t)
-	res := gpd.PossiblyConjunctive(c, map[gpd.ProcID]gpd.LocalPredicate{
-		0: func(e gpd.Event) bool { return e.ID == a },
-		1: func(e gpd.Event) bool { return e.ID == b },
-	})
-	if res.Found {
+	c, a, _ := buildDebugScenario(t)
+	if detect(t, c, "all(x)").Holds {
 		t.Fatal("a happened-before b through a2: conjunction must not hold")
 	}
-	res2 := gpd.PossiblyConjunctive(c, map[gpd.ProcID]gpd.LocalPredicate{
-		0: func(e gpd.Event) bool { return e.ID == a },
-		1: func(e gpd.Event) bool { return e.IsInitial() },
-	})
-	if !res2.Found {
-		t.Fatal("a is consistent with p1's initial state")
+	c.SetVar("y", a, 1)
+	c.SetVar("y", c.Initial(1).ID, 1)
+	rep := detect(t, c, "all(y)")
+	if !rep.Holds || !rep.Witness.PassesThrough(c.Event(a)) {
+		t.Fatalf("a is consistent with p1's initial state, got %+v", rep)
 	}
 }
 
 func TestPossiblySingularPublic(t *testing.T) {
-	c, a, b := buildDebugScenario(t)
-	pred := &gpd.SingularPredicate{Clauses: []gpd.SingularClause{
-		{{Proc: 0}, {Proc: 1}},
-	}}
-	truth := func(e gpd.Event) bool { return e.ID == a || e.ID == b }
-	res, err := gpd.PossiblySingular(c, pred, truth, gpd.StrategyAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found {
-		t.Fatal("disjunction (x0 | x1) holds at the cut through a")
+	c, a, _ := buildDebugScenario(t)
+	rep := detect(t, c, "cnf(x): (0 | 1)", gpd.WithStrategy(gpd.StrategyAuto))
+	if !rep.Holds || !rep.Witness.PassesThrough(c.Event(a)) {
+		t.Fatalf("disjunction (x0 | x1) holds at the cut through a, got %+v", rep)
 	}
 }
 
@@ -72,24 +64,18 @@ func TestSumAPIsPublic(t *testing.T) {
 	if err := c.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	min, max := gpd.SumRange(c, "x")
-	if min != 0 || max != 2 {
-		t.Fatalf("SumRange = [%d,%d], want [0,2]", min, max)
+	rep := detect(t, c, "sum(x) == 1")
+	if !rep.HasRange || rep.Min != 0 || rep.Max != 2 {
+		t.Fatalf("range = [%d,%d] has=%v, want [0,2]", rep.Min, rep.Max, rep.HasRange)
 	}
-	ok, err := gpd.PossiblySum(c, "x", gpd.Eq, 1)
-	if err != nil || !ok {
-		t.Fatalf("PossiblySum(=1) = %v, %v", ok, err)
+	if !rep.Holds || rep.Witness == nil {
+		t.Fatalf("Possibly(sum == 1) = %+v", rep)
 	}
-	found, cut, err := gpd.PossiblySumWitness(c, "x", 1)
-	if err != nil || !found {
-		t.Fatalf("PossiblySumWitness = %v, %v", found, err)
-	}
-	if got := c.SumVar("x", cut); got != 1 {
+	if got := c.SumVar("x", rep.Witness); got != 1 {
 		t.Fatalf("witness sum = %d", got)
 	}
-	def, err := gpd.DefinitelySum(c, "x", gpd.Eq, 1)
-	if err != nil || !def {
-		t.Fatalf("DefinitelySum(=1) = %v, %v (every run passes 0->1->2)", def, err)
+	if !detect(t, c, "sum(x) == 1", definitely).Holds {
+		t.Fatal("Definitely(sum == 1) must hold (every run passes 0->1->2)")
 	}
 	if err := gpd.ValidateUnitStep(c, "x"); err != nil {
 		t.Fatal(err)
@@ -107,26 +93,27 @@ func TestUnitStepErrorSurfaced(t *testing.T) {
 	if err := c.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gpd.PossiblySum(c, "x", gpd.Eq, 5); !errors.Is(err, gpd.ErrNotUnitStep) {
-		t.Fatalf("err = %v, want ErrNotUnitStep", err)
+	spec := gpd.Spec{Family: gpd.FamilySum, Var: "x", Rel: gpd.Eq, K: 5}
+	if _, err := gpd.Detect(c, spec); !errors.Is(err, gpd.ErrNotUnitStep) || !strings.Contains(err.Error(), `"x"`) {
+		t.Fatalf("err = %v, want ErrNotUnitStep naming the variable", err)
 	}
 }
 
 func TestSymmetricPublic(t *testing.T) {
-	c, a, b := buildDebugScenario(t)
-	truth := func(e gpd.Event) bool { return e.ID == a || e.ID == b }
-	ok, cut, err := gpd.PossiblySymmetric(c, gpd.Xor(2), truth)
-	if err != nil || !ok {
-		t.Fatalf("PossiblySymmetric(Xor) = %v, %v", ok, err)
+	c, _, _ := buildDebugScenario(t)
+	spec := gpd.Spec{Family: gpd.FamilyLevels, Var: "x", Levels: gpd.Xor(2).Levels}
+	rep, err := gpd.Detect(c, spec)
+	if err != nil || !rep.Holds {
+		t.Fatalf("Possibly(xor) = %v, %v", rep.Holds, err)
 	}
-	if cut == nil {
+	if rep.Witness == nil {
 		t.Fatal("expected witness cut")
 	}
-	def, err := gpd.DefinitelySymmetric(c, gpd.Xor(2), truth)
+	def, err := gpd.Detect(c, spec, definitely)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !def {
+	if !def.Holds {
 		t.Fatal("the flips are ordered, so every run passes through count=1")
 	}
 }
@@ -155,13 +142,7 @@ func TestSimulatorPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, _, err := gpd.PossiblySymmetric(c,
-		gpd.ExactlyK(3, 1),
-		func(e gpd.Event) bool { return c.Var(gpd.VarTokens, e.ID) > 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	if !detect(t, c, "count(tokens) == 1").Holds {
 		t.Fatal("some cut must show exactly one token holder")
 	}
 }
@@ -194,22 +175,14 @@ func TestTraceRoundTripPublic(t *testing.T) {
 }
 
 func TestDefinitelySingularPublic(t *testing.T) {
-	c, a, b := buildDebugScenario(t)
-	pred := &gpd.SingularPredicate{Clauses: []gpd.SingularClause{
-		{{Proc: 0}, {Proc: 1}},
-	}}
-	truth := func(e gpd.Event) bool { return e.ID == a || e.ID == b }
+	c, _, _ := buildDebugScenario(t)
 	// Every run passes through a (p0's first event), where the clause holds.
-	ok, err := gpd.DefinitelySingular(c, pred, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	if !detect(t, c, "cnf(x): (0 | 1)", definitely).Holds {
 		t.Fatal("the disjunction holds on every run")
 	}
 	// Validation errors surface.
-	bad := &gpd.SingularPredicate{Clauses: []gpd.SingularClause{{{Proc: 0}}, {{Proc: 0}}}}
-	if _, err := gpd.DefinitelySingular(c, bad, truth); err == nil {
+	bad := gpd.Spec{Family: gpd.FamilyCNF, Var: "x", Clauses: []gpd.SpecClause{{{Proc: 0}}, {{Proc: 0}}}}
+	if _, err := gpd.Detect(c, bad, definitely); err == nil {
 		t.Fatal("non-singular predicate must be rejected")
 	}
 }
@@ -217,25 +190,18 @@ func TestDefinitelySingularPublic(t *testing.T) {
 func TestDefinitelyConjunctivePublic(t *testing.T) {
 	// Two processes that become true and stay true: definite.
 	c := gpd.New()
-	p0 := c.AddProcess()
-	p1 := c.AddProcess()
-	a := c.AddInternal(p0)
-	b := c.AddInternal(p1)
+	a := c.AddInternal(c.AddProcess())
+	b := c.AddInternal(c.AddProcess())
+	c.SetVar("stable", a, 1)
+	c.SetVar("stable", b, 1)
 	if err := c.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	stable := map[gpd.ProcID]gpd.LocalPredicate{
-		p0: func(e gpd.Event) bool { return e.ID == a },
-		p1: func(e gpd.Event) bool { return e.ID == b },
-	}
-	if !gpd.DefinitelyConjunctive(c, stable) {
+	if !detect(t, c, "all(stable)", definitely).Holds {
 		t.Fatal("stable conjunction must be definite")
 	}
 	// A conjunct that is never true cannot be definite.
-	never := map[gpd.ProcID]gpd.LocalPredicate{
-		p0: func(gpd.Event) bool { return false },
-	}
-	if gpd.DefinitelyConjunctive(c, never) {
+	if detect(t, c, "all(never)", definitely).Holds {
 		t.Fatal("never-true conjunct cannot be definite")
 	}
 }

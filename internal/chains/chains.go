@@ -52,9 +52,3 @@ func Cover(n int, less func(i, j int) bool) [][]int {
 	}
 	return cover
 }
-
-// Width returns the maximum antichain size of the poset, which by Dilworth
-// equals the minimum chain cover size.
-func Width(n int, less func(i, j int) bool) int {
-	return len(Cover(n, less))
-}

@@ -27,8 +27,8 @@ func TestAntichainNeedsNChains(t *testing.T) {
 	if len(cover) != 4 {
 		t.Fatalf("antichain cover = %v, want 4 singleton chains", cover)
 	}
-	if Width(4, less) != 4 {
-		t.Fatalf("Width = %d, want 4", Width(4, less))
+	if got := len(Cover(4, less)); got != 4 {
+		t.Fatalf("cover size = %d, want 4", got)
 	}
 }
 

@@ -52,8 +52,3 @@ func CoverPar(n int, less func(i, j int) bool, workers int) [][]int {
 	}
 	return cover
 }
-
-// WidthPar is Width on a bounded worker pool.
-func WidthPar(n int, less func(i, j int) bool, workers int) int {
-	return len(CoverPar(n, less, workers))
-}

@@ -70,9 +70,6 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 		if !batched.Found() && batched.Pending() != one.Pending() {
 			t.Fatalf("seed %d: pending mismatch: %d vs %d", seed, batched.Pending(), one.Pending())
 		}
-		if got := len(batched.Depths()); got != 3 {
-			t.Fatalf("Depths length = %d, want 3", got)
-		}
 		if got := batched.Involved(); len(got) != 3 || got[0] != 0 {
 			t.Fatalf("Involved = %v", got)
 		}

@@ -252,16 +252,6 @@ func (ch *Checker) Involved() []int {
 	return append([]int(nil), ch.procs...)
 }
 
-// Depths returns the current per-slot queue depths — the candidates that
-// can be neither eliminated nor confirmed until other processes report.
-func (ch *Checker) Depths() []int {
-	out := make([]int, len(ch.queue))
-	for i, q := range ch.queue {
-		out[i] = len(q)
-	}
-	return out
-}
-
 // Pending returns the total number of queued candidate events.
 func (ch *Checker) Pending() int {
 	n := 0

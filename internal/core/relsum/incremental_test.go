@@ -36,7 +36,7 @@ func feed(t *testing.T, c *computation.Computation, name string, pruneEvery int,
 				reqs = append(reqs, int64(p))
 			}
 		}
-		tr.Observe(int64(id), delta(c, name, id), reqs)
+		tr.Observe(int64(id), sumOf(c, name).w(e), reqs)
 		last[int(e.Proc)] = c.Clock(id)
 		delivered++
 		if pruneEvery > 0 && delivered%pruneEvery == 0 {

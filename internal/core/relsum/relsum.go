@@ -22,9 +22,9 @@ package relsum
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
-	"github.com/distributed-predicates/gpd/internal/lattice"
 	"github.com/distributed-predicates/gpd/internal/obs"
 )
 
@@ -110,93 +110,70 @@ func (r Relop) Eval(s, k int64) bool {
 	}
 }
 
-// delta returns the change of the named variable caused by the event
-// (value after the event minus value after its local predecessor).
-func delta(c *computation.Computation, name string, id computation.EventID) int64 {
-	prev := c.Prev(id)
-	if prev == computation.NoEvent {
-		return 0 // initial events carry the baseline, not a change
+// sumOf is the ideal-sum quantity of a named per-process variable: base
+// is its sum over the initial events, an event's weight its change of
+// the variable (value after the event minus value after its local
+// predecessor), and the value at a cut is read off the cut's frontier.
+func sumOf(c *computation.Computation, name string) quantity {
+	q := quantity{
+		w: func(e computation.Event) int64 {
+			prev := c.Prev(e.ID)
+			if prev == computation.NoEvent {
+				return 0 // initial events carry the baseline, not a change
+			}
+			return c.Var(name, e.ID) - c.Var(name, prev)
+		},
+		at:   func(cc *computation.Computation, k computation.Cut) int64 { return cc.SumVar(name, k) },
+		what: strconv.Quote(name),
 	}
-	return c.Var(name, id) - c.Var(name, prev)
-}
-
-// MaxStep returns the largest absolute per-event change of the named
-// variable across the computation.
-func MaxStep(c *computation.Computation, name string) int64 {
-	var max int64
-	c.Events(func(e computation.Event) bool {
-		d := delta(c, name, e.ID)
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
-			max = d
-		}
-		return true
-	})
-	return max
+	for p := 0; p < c.NumProcs(); p++ {
+		q.base += c.Var(name, c.Initial(computation.ProcID(p)).ID)
+	}
+	return q
 }
 
 // ValidateUnitStep returns ErrNotUnitStep (wrapped, identifying the event)
 // unless every event changes the variable by at most one.
 func ValidateUnitStep(c *computation.Computation, name string) error {
-	var bad computation.Event
-	found := false
-	c.Events(func(e computation.Event) bool {
-		d := delta(c, name, e.ID)
-		if d > 1 || d < -1 {
-			bad, found = e, true
-			return false
-		}
-		return true
-	})
-	if found {
-		return fmt.Errorf("%w: event %v changes %q by %d",
-			ErrNotUnitStep, bad, name, delta(c, name, bad.ID))
-	}
-	return nil
+	return sumOf(c, name).validateUnit(c)
 }
 
 // SumRange returns the minimum and maximum of S = sum of the named
 // variable over all consistent cuts, in polynomial time via two max-weight
 // closure computations on the event DAG. It does not require unit steps.
 func SumRange(c *computation.Computation, name string) (min, max int64) {
-	return SumRangeTraced(c, name, nil)
+	return SumRangePar(c, name, 1, nil)
 }
 
-// SumRangeTraced is SumRange with closure work counters (augmenting paths,
-// closure sizes) accumulated into the trace.
-func SumRangeTraced(c *computation.Computation, name string, tr *obs.Trace) (min, max int64) {
-	return SumRangePar(c, name, 1, tr)
+// SumRangePar is SumRange with the two closure computations run on a
+// bounded worker pool and their work counters (augmenting paths, closure
+// sizes) accumulated into the trace. Identical extrema and counters for
+// every worker count.
+func SumRangePar(c *computation.Computation, name string, workers int, tr *obs.Trace) (min, max int64) {
+	min, max, _, _ = sumOf(c, name).rangeWitness(c, workers, tr)
+	return min, max
 }
 
-// sumRangeWitness is SumRange but also returns cuts achieving the extremes.
-func sumRangeWitness(c *computation.Computation, name string, tr *obs.Trace) (min, max int64, argmin, argmax computation.Cut) {
-	return sumRangeWitnessPar(c, name, 1, tr)
+// Possibly is PossiblyPar run sequentially, untraced, for the verdict alone.
+func Possibly(c *computation.Computation, name string, r Relop, k int64) (bool, error) {
+	holds, _, _, _, err := PossiblyPar(c, name, r, k, 1, nil)
+	return holds, err
 }
 
-// maskToCut converts a closure membership mask over event ids into the
-// frontier cut containing exactly the chosen events plus all initial
-// events.
-func maskToCut(c *computation.Computation, mask []bool) computation.Cut {
-	k := c.InitialCut()
-	c.Events(func(e computation.Event) bool {
-		if !e.IsInitial() && mask[int(e.ID)] && e.Index > k[int(e.Proc)] {
-			k[int(e.Proc)] = e.Index
-		}
-		return true
-	})
-	return k
+// PossiblyPar decides Possibly(S relop k) for the named variable sum from
+// the exact extrema of S over consistent cuts, which it also returns. For
+// = the computation must be unit-step (ErrNotUnitStep otherwise) and,
+// when the predicate holds, witness is a consistent cut with S exactly k
+// (Theorem 4). The closures run on a bounded worker pool, counters into
+// the trace.
+func PossiblyPar(c *computation.Computation, name string, r Relop, k int64, workers int, tr *obs.Trace) (holds bool, witness computation.Cut, min, max int64, err error) {
+	return sumOf(c, name).possibly(c, r, k, workers, tr)
 }
 
-// Sum evaluates S at a cut.
-func Sum(c *computation.Computation, name string, k computation.Cut) int64 {
-	return c.SumVar(name, k)
-}
-
-// region returns the lattice predicate "S relop k".
-func region(name string, r Relop, k int64) lattice.Predicate {
-	return func(c *computation.Computation, cut computation.Cut) bool {
-		return r.Eval(c.SumVar(name, cut), k)
-	}
+// DefinitelyPar decides Definitely(S relop k): does every run of the
+// computation pass through a consistent cut with S relop k? The
+// region-reachability sweeps run on a bounded worker pool, their work
+// counters into the trace; = requires unit steps.
+func DefinitelyPar(c *computation.Computation, name string, r Relop, k int64, workers int, tr *obs.Trace) (bool, error) {
+	return sumOf(c, name).definitely(c, r, k, workers, tr)
 }

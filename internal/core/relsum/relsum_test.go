@@ -2,7 +2,9 @@ package relsum
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
@@ -104,7 +106,7 @@ func TestPossiblyMatchesLattice(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, r, err)
 			}
-			want, _ := lattice.Possibly(c, region(varName, r, k))
+			want, _ := lattice.Possibly(c, sumOf(c, varName).region(r, k))
 			if got != want {
 				t.Fatalf("trial %d: Possibly(S %v %d) = %v, oracle = %v", trial, r, k, got, want)
 			}
@@ -117,11 +119,11 @@ func TestPossiblyEqWitness(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		c := unitStepComputation(rng, 2+rng.Intn(3), 4, 8)
 		k := int64(rng.Intn(9) - 4)
-		ok, cut, err := PossiblyEqWitness(c, varName, k)
+		ok, cut, _, _, err := PossiblyPar(c, varName, Eq, k, 1, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, _ := lattice.Possibly(c, region(varName, Eq, k))
+		want, _ := lattice.Possibly(c, sumOf(c, varName).region(Eq, k))
 		if ok != want {
 			t.Fatalf("trial %d: witness search = %v, oracle = %v", trial, ok, want)
 		}
@@ -143,11 +145,11 @@ func TestDefinitelyMatchesLattice(t *testing.T) {
 		c := unitStepComputation(rng, 2+rng.Intn(2), 4, 6)
 		k := int64(rng.Intn(7) - 3)
 		for _, r := range relops {
-			got, err := Definitely(c, varName, r, k)
+			got, err := DefinitelyPar(c, varName, r, k, 1, nil)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, r, err)
 			}
-			want := lattice.Definitely(c, region(varName, r, k))
+			want := lattice.Definitely(c, sumOf(c, varName).region(r, k))
 			if got != want {
 				t.Fatalf("trial %d: Definitely(S %v %d) = %v, oracle = %v", trial, r, k, got, want)
 			}
@@ -197,11 +199,8 @@ func TestArbitraryStepEqRejected(t *testing.T) {
 	if _, err := Possibly(c, varName, Eq, 3); !errors.Is(err, ErrNotUnitStep) {
 		t.Errorf("Possibly Eq: err = %v, want ErrNotUnitStep", err)
 	}
-	if _, err := Definitely(c, varName, Eq, 3); !errors.Is(err, ErrNotUnitStep) {
+	if _, err := DefinitelyPar(c, varName, Eq, 3, 1, nil); !errors.Is(err, ErrNotUnitStep) {
 		t.Errorf("Definitely Eq: err = %v, want ErrNotUnitStep", err)
-	}
-	if _, _, err := PossiblyEqWitness(c, varName, 3); !errors.Is(err, ErrNotUnitStep) {
-		t.Errorf("PossiblyEqWitness: err = %v, want ErrNotUnitStep", err)
 	}
 	// Order operators remain exact with arbitrary steps.
 	ok, err := Possibly(c, varName, Ge, 5)
@@ -218,10 +217,9 @@ func TestMaxStepAndValidate(t *testing.T) {
 	c.SetVar(varName, a, 1)
 	c.SetVar(varName, b, -1) // step of -2
 	c.MustSeal()
-	if got := MaxStep(c, varName); got != 2 {
-		t.Errorf("MaxStep = %d, want 2", got)
-	}
-	if err := ValidateUnitStep(c, varName); !errors.Is(err, ErrNotUnitStep) {
+	// The error names the variable and the offending step.
+	if err := ValidateUnitStep(c, varName); !errors.Is(err, ErrNotUnitStep) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("changes %q by -2", varName)) {
 		t.Errorf("ValidateUnitStep err = %v", err)
 	}
 	// A unit-step variable passes.
@@ -310,7 +308,7 @@ func TestTokenConservationExample(t *testing.T) {
 	if err != nil || !ok {
 		t.Errorf("Possibly(S=1) = %v, %v", ok, err)
 	}
-	def, err := Definitely(c, varName, Le, 1)
+	def, err := DefinitelyPar(c, varName, Le, 1, 1, nil)
 	if err != nil || !def {
 		t.Errorf("Definitely(S<=1) = %v, %v; every run observes a token in flight", def, err)
 	}

@@ -15,13 +15,13 @@ import (
 
 // possiblyOracle checks Possibly(S relop k) exhaustively.
 func possiblyOracle(c *computation.Computation, r Relop, k int64) bool {
-	ok, _ := lattice.Possibly(c, region(varName, r, k))
+	ok, _ := lattice.Possibly(c, sumOf(c, varName).region(r, k))
 	return ok
 }
 
 // definitelyOracle checks Definitely(S relop k) exhaustively.
 func definitelyOracle(c *computation.Computation, r Relop, k int64) bool {
-	return lattice.Definitely(c, region(varName, r, k))
+	return lattice.Definitely(c, sumOf(c, varName).region(r, k))
 }
 
 // TestLemma5 validates: Possibly(S <= k) and Possibly(S >= k) implies
@@ -101,12 +101,12 @@ func TestTheorem7AgainstDetectors(t *testing.T) {
 		if eq != (le && ge) {
 			t.Fatalf("trial %d: Theorem 7(1) broken by detectors: eq=%v le=%v ge=%v", trial, eq, le, ge)
 		}
-		deq, err := Definitely(c, varName, Eq, k)
+		deq, err := DefinitelyPar(c, varName, Eq, k, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dle, _ := Definitely(c, varName, Le, k)
-		dge, _ := Definitely(c, varName, Ge, k)
+		dle, _ := DefinitelyPar(c, varName, Le, k, 1, nil)
+		dge, _ := DefinitelyPar(c, varName, Ge, k, 1, nil)
 		if deq != (dle && dge) {
 			t.Fatalf("trial %d: Theorem 7(2) broken by detectors: eq=%v le=%v ge=%v", trial, deq, dle, dge)
 		}
@@ -119,7 +119,7 @@ func TestSumRangeIsTight(t *testing.T) {
 	rng := rand.New(rand.NewSource(269))
 	for trial := 0; trial < 80; trial++ {
 		c := unitStepComputation(rng, 2+rng.Intn(3), 5, 8)
-		min, max, argmin, argmax := sumRangeWitness(c, varName, nil)
+		min, max, argmin, argmax := sumOf(c, varName).rangeWitness(c, 1, nil)
 		if !c.CutConsistent(argmin) || !c.CutConsistent(argmax) {
 			t.Fatalf("trial %d: extreme cuts not consistent", trial)
 		}
@@ -140,8 +140,8 @@ func TestDefinitelyMonotoneInK(t *testing.T) {
 		c := unitStepComputation(rng, 2, 5, 5)
 		prevLe, prevGe := false, true
 		for k := int64(-5); k <= 5; k++ {
-			le, _ := Definitely(c, varName, Le, k)
-			ge, _ := Definitely(c, varName, Ge, k)
+			le, _ := DefinitelyPar(c, varName, Le, k, 1, nil)
+			ge, _ := DefinitelyPar(c, varName, Ge, k, 1, nil)
 			if prevLe && !le {
 				t.Fatalf("trial %d: Definitely(S<=k) lost at k=%d", trial, k)
 			}

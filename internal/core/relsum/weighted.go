@@ -1,8 +1,6 @@
 package relsum
 
 import (
-	"fmt"
-
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/obs"
 )
@@ -16,22 +14,14 @@ import (
 // via max-weight closures.
 type Weight func(computation.Event) int64
 
-// WeightedRange returns the minimum and maximum over all consistent cuts
-// of base + sum of event weights, in polynomial time (two max-weight
-// closure computations).
-func WeightedRange(c *computation.Computation, base int64, w Weight) (min, max int64) {
-	return WeightedRangeTraced(c, base, w, nil)
-}
-
-// WeightedRangeTraced is WeightedRange with closure work counters
-// accumulated into the trace.
-func WeightedRangeTraced(c *computation.Computation, base int64, w Weight, tr *obs.Trace) (min, max int64) {
-	min, max, _, _ = weightedRangeWitness(c, base, w, tr)
-	return min, max
-}
-
-func weightedRangeWitness(c *computation.Computation, base int64, w Weight, tr *obs.Trace) (min, max int64, argmin, argmax computation.Cut) {
-	return weightedRangeWitnessPar(c, base, w, 1, tr)
+// weighted is the ideal-sum quantity of a caller-supplied weight.
+func weighted(base int64, w Weight) quantity {
+	return quantity{
+		base: base,
+		w:    w,
+		at:   func(c *computation.Computation, k computation.Cut) int64 { return WeightedAt(c, base, w, k) },
+		what: "the weighted quantity",
+	}
 }
 
 // WeightedAt evaluates the quantity at a cut directly.
@@ -45,37 +35,30 @@ func WeightedAt(c *computation.Computation, base int64, w Weight, k computation.
 	return s
 }
 
-// PossiblyWeighted decides Possibly(quantity relop k) for an ideal-sum
-// quantity. Order operators are exact with arbitrary weights; equality
-// and its witness require unit weights (|w(e)| <= 1), mirroring the
-// paper's Theorem 7/Theorem 3 split.
-func PossiblyWeighted(c *computation.Computation, base int64, w Weight, r Relop, k int64) (bool, error) {
-	return PossiblyWeightedTraced(c, base, w, r, k, nil)
+// WeightedRangePar returns the minimum and maximum over all consistent
+// cuts of base + sum of event weights, in polynomial time (two
+// max-weight closure computations on a bounded worker pool, their work
+// counters accumulated into the trace).
+func WeightedRangePar(c *computation.Computation, base int64, w Weight, workers int, tr *obs.Trace) (min, max int64) {
+	min, max, _, _ = weighted(base, w).rangeWitness(c, workers, tr)
+	return min, max
 }
 
-// PossiblyWeightedTraced is PossiblyWeighted with closure work counters
-// accumulated into the trace.
-func PossiblyWeightedTraced(c *computation.Computation, base int64, w Weight, r Relop, k int64, tr *obs.Trace) (bool, error) {
-	return PossiblyWeightedPar(c, base, w, r, k, 1, tr)
+// PossiblyWeightedPar decides Possibly(quantity relop k) for an
+// ideal-sum quantity and returns its exact range. Order operators are
+// exact with arbitrary weights; equality requires unit weights
+// (|w(e)| <= 1), mirroring the paper's Theorem 7/Theorem 3 split, and
+// comes with a witness cut (Theorem 4's constructive side).
+func PossiblyWeightedPar(c *computation.Computation, base int64, w Weight, r Relop, k int64, workers int, tr *obs.Trace) (holds bool, witness computation.Cut, min, max int64, err error) {
+	return weighted(base, w).possibly(c, r, k, workers, tr)
 }
 
-func validateUnitWeight(c *computation.Computation, w Weight) error {
-	var bad computation.Event
-	found := false
-	c.Events(func(e computation.Event) bool {
-		if e.IsInitial() {
-			return true
-		}
-		if d := w(e); d > 1 || d < -1 {
-			bad, found = e, true
-			return false
-		}
-		return true
-	})
-	if found {
-		return fmt.Errorf("%w: event %v has weight outside [-1,1]", ErrNotUnitStep, bad)
-	}
-	return nil
+// DefinitelyWeightedPar decides Definitely(quantity relop k) for an
+// ideal-sum quantity by region reachability (worst-case exponential);
+// equality requires unit weights and uses the Theorem 7(2)
+// decomposition.
+func DefinitelyWeightedPar(c *computation.Computation, base int64, w Weight, r Relop, k int64, workers int, tr *obs.Trace) (bool, error) {
+	return weighted(base, w).definitely(c, r, k, workers, tr)
 }
 
 // InFlightWeight returns the weight function for the channel-occupancy
@@ -98,58 +81,11 @@ func InFlightWeight(c *computation.Computation) Weight {
 // bound the system actually needs, and min == 0 at reachable quiescent
 // states.
 func InFlightRange(c *computation.Computation) (min, max int64) {
-	return InFlightRangeTraced(c, nil)
+	return InFlightRangePar(c, 1, nil)
 }
 
-// InFlightRangeTraced is InFlightRange with closure work counters
-// accumulated into the trace.
-func InFlightRangeTraced(c *computation.Computation, tr *obs.Trace) (min, max int64) {
-	return WeightedRangeTraced(c, 0, InFlightWeight(c), tr)
-}
-
-// PossiblyQuiescent reports whether some consistent cut other than the
-// trivially quiescent initial cut has no messages in flight — with the
-// witness cut. (The initial and final cuts of a complete computation are
-// always quiescent; the interesting question is usually about bounds, see
-// InFlightRange, but a witness for equality demonstrates Theorem 4's
-// constructive side for channel quantities. Requires every event to send
-// or receive at most one message in total, the unit-weight condition.)
-func PossiblyQuiescent(c *computation.Computation, k int64) (bool, computation.Cut, error) {
-	return PossiblyQuiescentTraced(c, k, nil)
-}
-
-// PossiblyQuiescentTraced is PossiblyQuiescent with closure work counters
-// accumulated into the trace.
-func PossiblyQuiescentTraced(c *computation.Computation, k int64, tr *obs.Trace) (bool, computation.Cut, error) {
-	return PossiblyQuiescentPar(c, k, 1, tr)
-}
-
-// scanWeighted walks initial -> via -> final looking for quantity == k.
-func scanWeighted(c *computation.Computation, w Weight, k int64, via computation.Cut) (computation.Cut, bool) {
-	cur := c.InitialCut()
-	val := int64(0)
-	if val == k {
-		return cur, true
-	}
-	for _, target := range []computation.Cut{via, c.FinalCut()} {
-		for !cur.Equal(target) {
-			advanced := false
-			for _, id := range c.Enabled(cur) {
-				e := c.Event(id)
-				if e.Index <= target[int(e.Proc)] {
-					cur = c.Execute(cur, e.Proc)
-					val += w(e)
-					advanced = true
-					break
-				}
-			}
-			if !advanced {
-				return nil, false
-			}
-			if val == k {
-				return cur, true
-			}
-		}
-	}
-	return nil, false
+// InFlightRangePar is InFlightRange on a bounded worker pool, closure
+// work counters accumulated into the trace.
+func InFlightRangePar(c *computation.Computation, workers int, tr *obs.Trace) (min, max int64) {
+	return WeightedRangePar(c, 0, InFlightWeight(c), workers, tr)
 }

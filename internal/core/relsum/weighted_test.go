@@ -77,7 +77,7 @@ func TestPossiblyWeightedAllRelops(t *testing.T) {
 		w := InFlightWeight(c)
 		for _, r := range []Relop{Lt, Le, Eq, Ge, Gt, Ne} {
 			for k := int64(0); k <= 3; k++ {
-				got, err := PossiblyWeighted(c, 0, w, r, k)
+				got, _, _, _, err := PossiblyWeightedPar(c, 0, w, r, k, 1, nil)
 				if errors.Is(err, ErrNotUnitStep) {
 					continue // an event carries several messages
 				}
@@ -88,7 +88,7 @@ func TestPossiblyWeightedAllRelops(t *testing.T) {
 					return r.Eval(bruteInFlight(cc, cut), k)
 				})
 				if got != want {
-					t.Fatalf("trial %d: PossiblyWeighted(inflight %v %d) = %v, oracle = %v",
+					t.Fatalf("trial %d: PossiblyWeightedPar(inflight %v %d) = %v, oracle = %v",
 						trial, r, k, got, want)
 				}
 			}
@@ -102,13 +102,13 @@ func TestPossiblyQuiescentWitness(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		c := gen.Random(gen.Params{Seed: rng.Int63(), Procs: 3, Events: 5, MsgFrac: 0.6})
 		w := InFlightWeight(c)
-		if validateUnitWeight(c, w) != nil {
+		if weighted(0, w).validateUnit(c) != nil {
 			continue // multi-message events: out of scope for equality
 		}
 		checked++
 		_, max := InFlightRange(c)
 		for k := int64(0); k <= max; k++ {
-			ok, cut, err := PossiblyQuiescent(c, k)
+			ok, cut, _, _, err := PossiblyWeightedPar(c, 0, w, Eq, k, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,8 +138,8 @@ func TestWeightedSumEquivalentToVarSum(t *testing.T) {
 		for p := 0; p < c.NumProcs(); p++ {
 			base += c.Var(varName, c.Initial(computation.ProcID(p)).ID)
 		}
-		w := func(e computation.Event) int64 { return delta(c, varName, e.ID) }
-		wmin, wmax := WeightedRange(c, base, w)
+		w := sumOf(c, varName).w
+		wmin, wmax := WeightedRangePar(c, base, w, 1, nil)
 		smin, smax := SumRange(c, varName)
 		if wmin != smin || wmax != smax {
 			t.Fatalf("trial %d: weighted [%d,%d] != var-sum [%d,%d]", trial, wmin, wmax, smin, smax)
@@ -163,6 +163,13 @@ func TestTokenRingChannelBound(t *testing.T) {
 		if max > 2 {
 			t.Fatalf("seed %d: %d tokens in flight simultaneously, ring has 2", seed, max)
 		}
+		// Conservation: held + in-flight is the same at every cut, so the
+		// combined ideal-sum quantity has a one-point range.
+		held, flight := sumOf(c, simulator.VarTokens), InFlightWeight(c)
+		combined := func(e computation.Event) int64 { return held.w(e) + flight(e) }
+		if min, max := WeightedRangePar(c, held.base, combined, 1, nil); min != 2 || max != 2 {
+			t.Fatalf("seed %d: held+in-flight range [%d,%d], want constant 2", seed, min, max)
+		}
 	}
 }
 
@@ -172,10 +179,10 @@ func TestDefinitelyWeightedMatchesLattice(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		c := gen.Random(gen.Params{Seed: rng.Int63(), Procs: 3, Events: 4, MsgFrac: 0.6})
 		w := InFlightWeight(c)
-		unit := validateUnitWeight(c, w) == nil
+		unit := weighted(0, w).validateUnit(c) == nil
 		for _, r := range relops {
 			for k := int64(0); k <= 2; k++ {
-				got, err := DefinitelyWeighted(c, 0, w, r, k)
+				got, err := DefinitelyWeightedPar(c, 0, w, r, k, 1, nil)
 				if err != nil {
 					if r == Eq && !unit {
 						continue
@@ -186,7 +193,7 @@ func TestDefinitelyWeightedMatchesLattice(t *testing.T) {
 					return r.Eval(bruteInFlight(cc, cut), k)
 				})
 				if got != want {
-					t.Fatalf("trial %d: DefinitelyWeighted(inflight %v %d) = %v, oracle = %v",
+					t.Fatalf("trial %d: DefinitelyWeightedPar(inflight %v %d) = %v, oracle = %v",
 						trial, r, k, got, want)
 				}
 			}
@@ -196,7 +203,7 @@ func TestDefinitelyWeightedMatchesLattice(t *testing.T) {
 
 func TestDefinitelyWeightedUnknownRelop(t *testing.T) {
 	c := gen.Random(gen.Params{Seed: 1, Procs: 2, Events: 2, MsgFrac: 0})
-	if _, err := DefinitelyWeighted(c, 0, InFlightWeight(c), Relop(42), 0); err == nil {
+	if _, err := DefinitelyWeightedPar(c, 0, InFlightWeight(c), Relop(42), 0, 1, nil); err == nil {
 		t.Fatal("unknown relop must error")
 	}
 }

@@ -156,20 +156,3 @@ func runSelections(
 	}
 	return res
 }
-
-// ChainCoverSizes reports the minimum chain cover size of each clause's
-// true events — the c_i of algorithm B — without running detection. The
-// benchmark harness uses it to predict the A-versus-B combination counts.
-func ChainCoverSizes(c *computation.Computation, p *Predicate, truth Truth) ([]int, error) {
-	if err := p.Validate(c); err != nil {
-		return nil, err
-	}
-	cands := p.trueEvents(c, truth)
-	out := make([]int, len(cands))
-	for i, t := range cands {
-		out[i] = chains.Width(len(t), func(a, b int) bool {
-			return c.Precedes(t[a], t[b])
-		})
-	}
-	return out, nil
-}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/distributed-predicates/gpd/internal/chains"
 	"github.com/distributed-predicates/gpd/internal/computation"
 )
 
@@ -99,9 +100,12 @@ func TestCombinationsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes, err := ChainCoverSizes(c, p, truth)
-		if err != nil {
-			t.Fatal(err)
+		// c_i: the minimum chain cover size of each clause's true events.
+		var sizes []int
+		for _, evs := range p.trueEvents(c, truth) {
+			sizes = append(sizes, len(chains.Cover(len(evs), func(a, b int) bool {
+				return c.Precedes(evs[a], evs[b])
+			})))
 		}
 		boundB := 1
 		empty := false

@@ -75,12 +75,6 @@ func TruthFromTables(truth [][]bool) Truth {
 	}
 }
 
-// TruthFromVar reads the variable table named name of the computation,
-// treating non-zero as true.
-func TruthFromVar(c *computation.Computation, name string) Truth {
-	return func(e computation.Event) bool { return c.Var(name, e.ID) != 0 }
-}
-
 // Validate checks the singularity condition against a computation: every
 // process occurs in at most one literal across all clauses, and all
 // processes exist.

@@ -363,39 +363,11 @@ func TestChainCoverNeverMoreCombinationsThanSubsets(t *testing.T) {
 	}
 }
 
-func TestChainCoverSizes(t *testing.T) {
-	// A clause over two processes whose true events are all ordered by a
-	// message chain needs a single chain.
-	c := computation.New()
-	p0 := c.AddProcess()
-	p1 := c.AddProcess()
-	a := c.AddInternal(p0)
-	b := c.AddInternal(p1)
-	if err := c.AddMessage(a, b); err != nil {
-		t.Fatal(err)
-	}
-	c.MustSeal()
-	p := &Predicate{Clauses: []Clause{{{Proc: p0}, {Proc: p1}}}}
-	truth := func(e computation.Event) bool { return e.ID == a || e.ID == b }
-	sizes, err := ChainCoverSizes(c, p, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sizes) != 1 || sizes[0] != 1 {
-		t.Fatalf("ChainCoverSizes = %v, want [1]", sizes)
-	}
-}
-
 func TestTruthHelpers(t *testing.T) {
 	c := computation.New()
 	p := c.AddProcess()
 	a := c.AddInternal(p)
-	c.SetVar("flag", a, 1)
 	c.MustSeal()
-	fromVar := TruthFromVar(c, "flag")
-	if !fromVar(c.Event(a)) || fromVar(c.Initial(p)) {
-		t.Error("TruthFromVar wrong")
-	}
 	fromTab := TruthFromTables([][]bool{{false, true}})
 	if !fromTab(c.Event(a)) || fromTab(c.Initial(p)) {
 		t.Error("TruthFromTables wrong")

@@ -15,7 +15,6 @@ package symmetric
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
@@ -102,25 +101,22 @@ func withCount(c *computation.Computation, truth Truth) *computation.Computation
 	return cc
 }
 
-// Possibly reports whether some consistent cut satisfies the symmetric
-// predicate, returning a witness cut when one exists. Runs in polynomial
-// time: one SumRange plus at most one witness walk.
+// Possibly is PossiblyPar run sequentially, untraced, without the range.
 func Possibly(c *computation.Computation, spec Spec, truth Truth) (bool, computation.Cut, error) {
-	return PossiblyTraced(c, spec, truth, nil)
+	holds, cut, _, _, err := PossiblyPar(c, spec, truth, 1, nil)
+	return holds, cut, err
 }
 
-// PossiblyTraced is Possibly with work counters (levels probed, closure
-// work) accumulated into the trace.
-func PossiblyTraced(c *computation.Computation, spec Spec, truth Truth, tr *obs.Trace) (bool, computation.Cut, error) {
-	return PossiblyPar(c, spec, truth, 1, tr)
-}
-
-// PossiblyPar is PossiblyTraced with the closure computations run on a
-// bounded worker pool (the at most one witness probe stays sequential).
-// Identical verdict, witness and counters for every worker count.
-func PossiblyPar(c *computation.Computation, spec Spec, truth Truth, workers int, tr *obs.Trace) (bool, computation.Cut, error) {
+// PossiblyPar reports whether some consistent cut satisfies the symmetric
+// predicate, returning a witness cut when one exists and the exact range
+// of the true-count over all consistent cuts. Runs in polynomial time: one
+// SumRange plus at most one witness walk, the closure computations on a
+// bounded worker pool (the witness probe stays sequential), work counters
+// (levels probed, closure work) into the trace. Identical verdict, witness
+// and counters for every worker count.
+func PossiblyPar(c *computation.Computation, spec Spec, truth Truth, workers int, tr *obs.Trace) (holds bool, cut computation.Cut, min, max int64, err error) {
 	cc := withCount(c, truth)
-	min, max := relsum.SumRangePar(cc, countVar, workers, tr)
+	min, max = relsum.SumRangePar(cc, countVar, workers, tr)
 	var probed int64
 	defer func() { tr.Add("symmetric.levels_probed", probed) }()
 	for _, m := range spec.Levels {
@@ -131,34 +127,24 @@ func PossiblyPar(c *computation.Computation, spec Spec, truth Truth, workers int
 		if int64(m) < min || int64(m) > max {
 			continue
 		}
-		ok, cut, err := relsum.PossiblyEqWitnessPar(cc, countVar, int64(m), workers, tr)
+		ok, cut, _, _, err := relsum.PossiblyPar(cc, countVar, relsum.Eq, int64(m), workers, tr)
 		if err != nil {
-			return false, nil, err
+			return false, nil, min, max, err
 		}
 		if !ok {
-			return false, nil, fmt.Errorf("symmetric: internal error: level %d in range [%d,%d] but no witness", m, min, max)
+			return false, nil, min, max, fmt.Errorf("symmetric: internal error: level %d in range [%d,%d] but no witness", m, min, max)
 		}
-		return true, cut, nil
+		return true, cut, min, max, nil
 	}
-	return false, nil, nil
+	return false, nil, min, max, nil
 }
 
-// Definitely reports whether every run passes through a cut satisfying the
-// symmetric predicate. Definitely does not distribute over disjunction, so
-// this falls back to region reachability in the cut lattice (worst-case
-// exponential); the paper's polynomial corollary covers Possibly only.
-func Definitely(c *computation.Computation, spec Spec, truth Truth) (bool, error) {
-	return DefinitelyTraced(c, spec, truth, nil)
-}
-
-// DefinitelyTraced is Definitely with region-reachability work counters
+// DefinitelyPar reports whether every run passes through a cut satisfying
+// the symmetric predicate. Definitely does not distribute over
+// disjunction, so this falls back to region reachability in the cut
+// lattice (worst-case exponential; the paper's polynomial corollary covers
+// Possibly only), swept on a bounded worker pool with its work counters
 // accumulated into the trace.
-func DefinitelyTraced(c *computation.Computation, spec Spec, truth Truth, tr *obs.Trace) (bool, error) {
-	return DefinitelyPar(c, spec, truth, 1, tr)
-}
-
-// DefinitelyPar is DefinitelyTraced with the region-reachability sweep
-// run on a bounded worker pool.
 func DefinitelyPar(c *computation.Computation, spec Spec, truth Truth, workers int, tr *obs.Trace) (bool, error) {
 	levels := make(map[int]bool, len(spec.Levels))
 	for _, m := range spec.Levels {
@@ -170,11 +156,4 @@ func DefinitelyPar(c *computation.Computation, spec Spec, truth Truth, workers i
 	not := func(cc *computation.Computation, k computation.Cut) bool { return !holds(cc, k) }
 	avoidable := lattice.PathExistsPar(c, c.InitialCut(), c.FinalCut(), not, workers, tr)
 	return !avoidable, nil
-}
-
-// Holds evaluates the predicate at a cut directly.
-func Holds(c *computation.Computation, spec Spec, truth Truth, k computation.Cut) bool {
-	count := c.CountTrue(k, func(e computation.Event) bool { return truth(e) })
-	i := sort.SearchInts(spec.Levels, count)
-	return i < len(spec.Levels) && spec.Levels[i] == count
 }

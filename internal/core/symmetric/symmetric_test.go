@@ -81,9 +81,20 @@ func TestNoTwoThirdsMajorityExact(t *testing.T) {
 	}
 }
 
+// holdsAt evaluates the predicate at a cut directly: the oracles' view.
+func holdsAt(c *computation.Computation, spec Spec, truth Truth, k computation.Cut) bool {
+	count := c.CountTrue(k, func(e computation.Event) bool { return truth(e) })
+	for _, m := range spec.Levels {
+		if m == count {
+			return true
+		}
+	}
+	return false
+}
+
 func oracle(c *computation.Computation, spec Spec, truth Truth) bool {
 	ok, _ := lattice.Possibly(c, func(cc *computation.Computation, k computation.Cut) bool {
-		return Holds(cc, spec, truth, k)
+		return holdsAt(cc, spec, truth, k)
 	})
 	return ok
 }
@@ -115,7 +126,7 @@ func TestPossiblyMatchesLattice(t *testing.T) {
 				if !c.CutConsistent(cut) {
 					t.Fatalf("trial %d: witness cut %v inconsistent", trial, cut)
 				}
-				if !Holds(c, spec, truth, cut) {
+				if !holdsAt(c, spec, truth, cut) {
 					t.Fatalf("trial %d: predicate %v does not hold at witness %v", trial, spec, cut)
 				}
 			}
@@ -130,12 +141,12 @@ func TestDefinitelyMatchesLattice(t *testing.T) {
 		c := randomComputation(rng, np, 4, 6)
 		truth := randomTruth(rng, c, 0.4)
 		for _, spec := range []Spec{Xor(np), ExactlyK(np, 1), NotAllEqual(np)} {
-			got, err := Definitely(c, spec, truth)
+			got, err := DefinitelyPar(c, spec, truth, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := lattice.Definitely(c, func(cc *computation.Computation, k computation.Cut) bool {
-				return Holds(cc, spec, truth, k)
+				return holdsAt(cc, spec, truth, k)
 			})
 			if got != want {
 				t.Fatalf("trial %d: Definitely(%v) = %v, oracle = %v", trial, spec, got, want)
@@ -153,7 +164,7 @@ func TestEmptyLevels(t *testing.T) {
 	if err != nil || ok {
 		t.Errorf("empty levels: Possibly = %v, %v; want false", ok, err)
 	}
-	def, err := Definitely(c, Spec{N: 2}, truth)
+	def, err := DefinitelyPar(c, Spec{N: 2}, truth, 1, nil)
 	if err != nil || def {
 		t.Errorf("empty levels: Definitely = %v, %v; want false", def, err)
 	}
@@ -192,7 +203,7 @@ func TestXorTwoProcessExample(t *testing.T) {
 	}
 	// Every run flips p0 first then p1, passing through count=1: XOR is
 	// definite.
-	def, err := Definitely(c, Xor(2), truth)
+	def, err := DefinitelyPar(c, Xor(2), truth, 1, nil)
 	if err != nil || !def {
 		t.Errorf("Definitely(Xor) = %v, %v; want true", def, err)
 	}

@@ -59,7 +59,7 @@ func equilevelPossibly(c *computation.Computation, s pred.Spec, opt Options, tr 
 	for p := 0; p < c.NumProcs(); p++ {
 		locals[computation.ProcID(p)] = varTruth(c, s.Var)
 	}
-	least, ok := linear.FindLeast(c, linear.Conjunctive(locals))
+	least, ok := linear.FindLeast(c, linear.Conjunctive(locals), c.InitialCut())
 	if !ok || int64(cutLevel(least)) > s.K {
 		return Result{}, nil
 	}

@@ -23,15 +23,8 @@ func init() {
 }
 
 func inflightPossibly(c *computation.Computation, s pred.Spec, opt Options, tr *obs.Trace) (Result, error) {
-	min, max := relsum.InFlightRangePar(c, opt.Parallelism, tr)
-	res := Result{Min: min, Max: max, HasRange: true}
-	if s.Rel == relsum.Eq {
-		ok, cut, err := relsum.PossiblyQuiescentPar(c, s.K, opt.Parallelism, tr)
-		res.Holds, res.Witness = ok, cut
-		return res, err
-	}
-	res.Holds = s.Rel.Eval(min, s.K) || s.Rel.Eval(max, s.K)
-	return res, nil
+	ok, cut, min, max, err := relsum.PossiblyWeightedPar(c, 0, relsum.InFlightWeight(c), s.Rel, s.K, opt.Parallelism, tr)
+	return Result{Holds: ok, Witness: cut, Min: min, Max: max, HasRange: true}, err
 }
 
 func inflightDefinitely(c *computation.Computation, s pred.Spec, opt Options, tr *obs.Trace) (Result, error) {

@@ -248,10 +248,10 @@ func (v *RangeView) Snapshot() Snapshot {
 // for delta payloads.
 func (v *RangeView) FinalizeDefinitely(c *computation.Computation, tr *obs.Trace) (bool, error) {
 	if v.levels != nil {
-		return symmetric.DefinitelyTraced(c, *v.levels, symmetric.Truth(varTruth(c, v.spec.Var)), tr)
+		return symmetric.DefinitelyPar(c, *v.levels, symmetric.Truth(varTruth(c, v.spec.Var)), 1, tr)
 	}
 	if v.core.payload != PayloadDelta {
-		return relsum.DefinitelyTraced(c, v.spec.Var, v.spec.Rel, v.spec.K, tr)
+		return relsum.DefinitelyPar(c, v.spec.Var, v.spec.Rel, v.spec.K, 1, tr)
 	}
 	weights, fr := v.core.weights, v.core.fr
 	if weights == nil {
@@ -260,5 +260,5 @@ func (v *RangeView) FinalizeDefinitely(c *computation.Computation, tr *obs.Trace
 	w := func(e computation.Event) int64 {
 		return weights[fr.id(int(e.Proc), int64(e.Index))]
 	}
-	return relsum.DefinitelyWeightedTraced(c, 0, w, v.spec.Rel, v.spec.K, tr)
+	return relsum.DefinitelyWeightedPar(c, 0, w, v.spec.Rel, v.spec.K, 1, tr)
 }

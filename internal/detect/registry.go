@@ -2,7 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/obs"
@@ -72,20 +71,6 @@ func Register(e Entry) {
 func Lookup(f pred.Family, m Modality) (Entry, bool) {
 	e, ok := registry[regKey{f, m}]
 	return e, ok
-}
-
-// Families returns the registered families in stable order.
-func Families() []pred.Family {
-	seen := make(map[pred.Family]bool)
-	var out []pred.Family
-	for key := range registry {
-		if !seen[key.family] {
-			seen[key.family] = true
-			out = append(out, key.family)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Batch resolves the registry entry for the spec's family under the

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -9,12 +10,26 @@ import (
 	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
+// families lists the registered families in stable order.
+func families() []pred.Family {
+	seen := make(map[pred.Family]bool)
+	var out []pred.Family
+	for key := range registry {
+		if !seen[key.family] {
+			seen[key.family] = true
+			out = append(out, key.family)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 // TestRegistryShape: every family the package registers must be present
 // under both modalities with structurally consistent capabilities —
 // this is the invariant the session layer and the replay route rely on
 // when they resolve detectors without switching on the family.
 func TestRegistryShape(t *testing.T) {
-	fams := Families()
+	fams := families()
 	if len(fams) == 0 {
 		t.Fatal("no families registered")
 	}

@@ -39,7 +39,7 @@ func TestEveryIncrementalFamilyReportsRelevance(t *testing.T) {
 		pred.Levels:      {Family: pred.Levels, Var: "x", Levels: []int{1}},
 		pred.InFlight:    {Family: pred.InFlight, Rel: relsum.Ge, K: 1},
 	}
-	for _, f := range Families() {
+	for _, f := range families() {
 		e, ok := Lookup(f, ModalityPossibly)
 		if !ok || !e.Caps.Incremental {
 			continue

@@ -34,14 +34,6 @@ func Slice(c *computation.Computation, s pred.Spec, m Modality, opt Options, tr 
 	return e.Slice(c, s, opt, tr)
 }
 
-// Sliceable reports whether the family has a slice route under the
-// modality. Individual specs may still fall outside the family's
-// regular fragment; Slice rejects those with a NotRegularError.
-func Sliceable(f pred.Family, m Modality) bool {
-	e, ok := Lookup(f, m)
-	return ok && e.Caps.Sliceable
-}
-
 // conjSliceOracle adapts the batch truth convention (the named 0/1
 // variable, initial states included) on every process for the slicing
 // constructor — the same locals the CPDHB batch kernel runs on, so the

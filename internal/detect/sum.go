@@ -21,12 +21,8 @@ func init() {
 }
 
 func sumPossibly(c *computation.Computation, s pred.Spec, opt Options, tr *obs.Trace) (Result, error) {
-	if s.Rel == relsum.Eq {
-		ok, cut, err := relsum.PossiblyEqWitnessPar(c, s.Var, s.K, opt.Parallelism, tr)
-		return Result{Holds: ok, Witness: cut}, err
-	}
-	ok, err := relsum.PossiblyPar(c, s.Var, s.Rel, s.K, opt.Parallelism, tr)
-	return Result{Holds: ok}, err
+	ok, cut, min, max, err := relsum.PossiblyPar(c, s.Var, s.Rel, s.K, opt.Parallelism, tr)
+	return Result{Holds: ok, Witness: cut, Min: min, Max: max, HasRange: true}, err
 }
 
 func sumDefinitely(c *computation.Computation, s pred.Spec, opt Options, tr *obs.Trace) (Result, error) {

@@ -47,8 +47,8 @@ func symmetricSpec(n int, s pred.Spec) symmetric.Spec {
 
 func symPossibly(c *computation.Computation, s pred.Spec, opt Options, tr *obs.Trace) (Result, error) {
 	spec := symmetricSpec(c.NumProcs(), s)
-	ok, cut, err := symmetric.PossiblyPar(c, spec, symmetric.Truth(varTruth(c, s.Var)), opt.Parallelism, tr)
-	return Result{Holds: ok, Witness: cut}, err
+	ok, cut, min, max, err := symmetric.PossiblyPar(c, spec, symmetric.Truth(varTruth(c, s.Var)), opt.Parallelism, tr)
+	return Result{Holds: ok, Witness: cut, Min: min, Max: max, HasRange: true}, err
 }
 
 func symDefinitely(c *computation.Computation, s pred.Spec, opt Options, tr *obs.Trace) (Result, error) {

@@ -100,9 +100,14 @@ func TestUnitStepVar(t *testing.T) {
 func TestArbitraryStepVar(t *testing.T) {
 	c := Random(Params{Seed: 2, Procs: 3, Events: 20, MsgFrac: 0.2})
 	ArbitraryStepVar(13, c, "y", 5)
-	if got := relsum.MaxStep(c, "y"); got > 5 {
-		t.Fatalf("MaxStep = %d, want <= 5", got)
-	}
+	c.Events(func(e computation.Event) bool {
+		if prev := c.Prev(e.ID); prev != computation.NoEvent {
+			if d := c.Var("y", e.ID) - c.Var("y", prev); d > 5 || d < -5 {
+				t.Fatalf("event %v steps by %d, want |step| <= 5", e, d)
+			}
+		}
+		return true
+	})
 }
 
 func TestBoolVar(t *testing.T) {

@@ -152,17 +152,12 @@ func DefinitelyTraced(c *computation.Computation, pred Predicate, tr *obs.Trace)
 	return true
 }
 
-// PathExists reports whether the lattice contains a path of consistent cuts
-// from one cut to another (from must be <= to component-wise) such that
-// every cut on the path, including the endpoints, satisfies allowed. A nil
-// allowed admits every cut. This is the reachability primitive behind
-// Theorem 4 of the paper.
-func PathExists(c *computation.Computation, from, to computation.Cut, allowed Predicate) bool {
-	return PathExistsTraced(c, from, to, allowed, nil)
-}
-
-// PathExistsTraced is PathExists with the number of region cuts explored
-// accumulated into the trace.
+// PathExistsTraced reports whether the lattice contains a path of
+// consistent cuts from one cut to another (from must be <= to
+// component-wise) such that every cut on the path, including the
+// endpoints, satisfies allowed. A nil allowed admits every cut. This is
+// the reachability primitive behind Theorem 4 of the paper. The number of
+// region cuts explored is accumulated into the trace.
 func PathExistsTraced(c *computation.Computation, from, to computation.Cut, allowed Predicate, tr *obs.Trace) bool {
 	var cuts int64
 	defer func() {

@@ -25,64 +25,6 @@ type succ struct {
 	key string
 }
 
-// PossiblyPar is PossiblyTraced with the level sweep spread over a
-// bounded worker pool. workers <= 1 runs the exact sequential kernel;
-// any worker count returns the same verdict, witness and counters.
-func PossiblyPar(c *computation.Computation, pred Predicate, workers int, tr *obs.Trace) (bool, computation.Cut) {
-	if workers <= 1 {
-		return PossiblyTraced(c, pred, tr)
-	}
-	var cuts, levels, width int64
-	defer func() {
-		tr.Add("lattice.cuts_explored", cuts)
-		tr.Add("lattice.levels_swept", levels)
-		tr.Max("lattice.max_frontier_width", width)
-	}()
-	type visit struct {
-		holds bool
-		succs []succ
-	}
-	level := []computation.Cut{c.InitialCut()}
-	seen := map[string]bool{c.InitialCut().Key(): true}
-	for len(level) > 0 {
-		levels++
-		if int64(len(level)) > width {
-			width = int64(len(level))
-		}
-		out := make([]visit, len(level))
-		par.Do(workers, len(level), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				k := level[i]
-				if pred(c, k) {
-					// The merge stops at the first satisfying cut in
-					// frontier order; successors are never needed.
-					out[i].holds = true
-					continue
-				}
-				for _, id := range c.Enabled(k) {
-					nk := c.Execute(k, c.Event(id).Proc)
-					out[i].succs = append(out[i].succs, succ{nk, nk.Key()})
-				}
-			}
-		})
-		var next []computation.Cut
-		for i, k := range level {
-			cuts++
-			if out[i].holds {
-				return true, k.Clone()
-			}
-			for _, s := range out[i].succs {
-				if !seen[s.key] {
-					seen[s.key] = true
-					next = append(next, s.cut)
-				}
-			}
-		}
-		level = next
-	}
-	return false, nil
-}
-
 // DefinitelyPar is DefinitelyTraced with each level's successor
 // generation and predicate evaluation spread over a bounded worker
 // pool. workers <= 1 runs the exact sequential kernel; any worker count
@@ -227,21 +169,17 @@ func PathExistsPar(c *computation.Computation, from, to computation.Cut, allowed
 	return false
 }
 
-// LevelCuts returns every consistent cut at the given level (number of
-// non-initial events executed), in breadth-first frontier order. The
-// result is empty when the level exceeds the computation's event count.
-// This is the level-set primitive behind the equilevel detectors (Garg
-// & Streit, "Parallel Algorithms for Equilevel Predicates", 2023):
-// every run passes through exactly one cut of each level, so both
-// modalities of an equilevel predicate reduce to one antichain scan.
-func LevelCuts(c *computation.Computation, level int) []computation.Cut {
-	return LevelCutsTraced(c, level, 1, nil)
-}
-
-// LevelCutsTraced is LevelCuts with a bounded worker pool over each
-// frontier and the number of cuts explored (all levels up to and
-// including the target) accumulated into the trace. The frontier order
-// and counters are identical for every worker count.
+// LevelCutsTraced returns every consistent cut at the given level
+// (number of non-initial events executed), in breadth-first frontier
+// order. The result is empty when the level exceeds the computation's
+// event count. This is the level-set primitive behind the equilevel
+// detectors (Garg & Streit, "Parallel Algorithms for Equilevel
+// Predicates", 2023): every run passes through exactly one cut of each
+// level, so both modalities of an equilevel predicate reduce to one
+// antichain scan. Each frontier is expanded on a bounded worker pool and
+// the number of cuts explored (all levels up to and including the target)
+// is accumulated into the trace; the frontier order and counters are
+// identical for every worker count.
 func LevelCutsTraced(c *computation.Computation, level, workers int, tr *obs.Trace) []computation.Cut {
 	var cuts int64
 	defer func() {

@@ -36,29 +36,8 @@ func parTestComputations(t *testing.T) []*computation.Computation {
 	return cs
 }
 
-// TestPossiblyParMatchesSequential: verdict, witness and every counter
-// must be identical across worker counts.
-func TestPossiblyParMatchesSequential(t *testing.T) {
-	for ci, c := range parTestComputations(t) {
-		for _, k := range []int64{-100, 0, 2, 100} {
-			pred := sumAtLeast("x", k)
-			refTr := obs.NewTrace()
-			refOK, refWit := PossiblyTraced(c, pred, refTr)
-			for _, w := range workerCounts {
-				tr := obs.NewTrace()
-				ok, wit := PossiblyPar(c, pred, w, tr)
-				if ok != refOK {
-					t.Fatalf("c%d k=%d w=%d: Possibly = %v, want %v", ci, k, w, ok, refOK)
-				}
-				if (wit == nil) != (refWit == nil) || (wit != nil && !wit.Equal(refWit)) {
-					t.Fatalf("c%d k=%d w=%d: witness %v, want %v", ci, k, w, wit, refWit)
-				}
-				assertSameCounters(t, refTr, tr, fmt.Sprintf("Possibly c%d k=%d w=%d", ci, k, w))
-			}
-		}
-	}
-}
-
+// TestDefinitelyParMatchesSequential: verdict and every counter must be
+// identical across worker counts.
 func TestDefinitelyParMatchesSequential(t *testing.T) {
 	for ci, c := range parTestComputations(t) {
 		for _, k := range []int64{-100, 0, 2, 100} {
@@ -112,7 +91,7 @@ func TestLevelCuts(t *testing.T) {
 		maxLevel := c.NumEvents() - c.NumProcs() // non-initial events
 		var total int64
 		for l := 0; l <= maxLevel; l++ {
-			ref := LevelCuts(c, l)
+			ref := LevelCutsTraced(c, l, 1, nil)
 			total += int64(len(ref))
 			if len(ref) == 0 {
 				t.Fatalf("c%d: no cuts at level %d <= %d", ci, l, maxLevel)
@@ -136,10 +115,10 @@ func TestLevelCuts(t *testing.T) {
 		if want := Count(c); total != want {
 			t.Errorf("c%d: level sets cover %d cuts, want %d", ci, total, want)
 		}
-		if got := LevelCuts(c, maxLevel+1); len(got) != 0 {
+		if got := LevelCutsTraced(c, maxLevel+1, 1, nil); len(got) != 0 {
 			t.Errorf("c%d: level %d past the final cut has %d cuts, want 0", ci, maxLevel+1, len(got))
 		}
-		if got := LevelCuts(c, -1); got != nil {
+		if got := LevelCutsTraced(c, -1, 1, nil); got != nil {
 			t.Errorf("c%d: negative level returned %v", ci, got)
 		}
 	}

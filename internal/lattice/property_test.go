@@ -141,11 +141,11 @@ func TestPathExistsUnrestrictedAlwaysUpward(t *testing.T) {
 		ok := true
 		n := 0
 		Explore(c, func(k computation.Cut) bool {
-			if !PathExists(c, c.InitialCut(), k, nil) {
+			if !PathExistsTraced(c, c.InitialCut(), k, nil, nil) {
 				ok = false
 				return false
 			}
-			if !PathExists(c, k, c.FinalCut(), nil) {
+			if !PathExistsTraced(c, k, c.FinalCut(), nil, nil) {
 				ok = false
 				return false
 			}

@@ -38,11 +38,14 @@ type Oracle interface {
 	Forbidden(c *computation.Computation, k computation.Cut) computation.ProcID
 }
 
-// FindLeast returns the least consistent cut satisfying the oracle's
-// predicate, or ok=false if no consistent cut satisfies it. The running
-// time is at most one advancement per event plus one oracle call each.
-func FindLeast(c *computation.Computation, o Oracle) (computation.Cut, bool) {
-	k := c.InitialCut()
+// FindLeast returns the least consistent cut at or above from that
+// satisfies the oracle's predicate, or ok=false if no such cut exists;
+// from the initial cut this is the least satisfying cut overall, and
+// computation slicing calls it from arbitrary cuts to build a slice's
+// join-irreducibles. The running time is at most one advancement per
+// event plus one oracle call each.
+func FindLeast(c *computation.Computation, o Oracle, from computation.Cut) (computation.Cut, bool) {
+	k := from.Clone()
 	for !o.Holds(c, k) {
 		p := o.Forbidden(c, k)
 		if p == NoProc {
@@ -69,13 +72,6 @@ func FindLeast(c *computation.Computation, o Oracle) (computation.Cut, bool) {
 		}
 	}
 	return k, true
-}
-
-// Possibly reports whether some consistent cut satisfies the linear
-// predicate, with the least witness.
-func Possibly(c *computation.Computation, o Oracle) (bool, computation.Cut) {
-	k, ok := FindLeast(c, o)
-	return ok, k
 }
 
 // conjunctiveOracle adapts per-process local predicates. procs holds the
@@ -116,60 +112,4 @@ func (o *conjunctiveOracle) Forbidden(c *computation.Computation, k computation.
 		}
 	}
 	return NoProc
-}
-
-// sumAtLeastOracle makes "sum(name) >= k" a linear predicate when every
-// variable is non-decreasing along its process (e.g. monotone counters):
-// then the satisfying cuts are upward-closed per component and closed
-// under meet, and any process still below its final contribution is a
-// valid forbidden choice only when chosen carefully. For general
-// variables use the relsum package instead.
-type sumAtLeastOracle struct {
-	name string
-	k    int64
-}
-
-// MonotoneSumAtLeast builds a linear oracle for "sum(name) >= k" on
-// computations where the named variable never decreases on any process
-// (it is the caller's responsibility to guarantee monotonicity; see
-// ValidateMonotone).
-func MonotoneSumAtLeast(name string, k int64) Oracle {
-	return &sumAtLeastOracle{name: name, k: k}
-}
-
-func (o *sumAtLeastOracle) Holds(c *computation.Computation, k computation.Cut) bool {
-	return c.SumVar(o.name, k) >= o.k
-}
-
-func (o *sumAtLeastOracle) Forbidden(c *computation.Computation, k computation.Cut) computation.ProcID {
-	// With monotone variables any process that can still advance is a
-	// forbidden candidate whose advancement never hurts; pick the first
-	// that has events left.
-	for p := 0; p < c.NumProcs(); p++ {
-		if k[p]+1 < c.Len(computation.ProcID(p)) {
-			return computation.ProcID(p)
-		}
-	}
-	return NoProc
-}
-
-// ValidateMonotone reports an error if the named variable decreases at
-// some event.
-func ValidateMonotone(c *computation.Computation, name string) error {
-	var bad computation.Event
-	found := false
-	c.Events(func(e computation.Event) bool {
-		if e.IsInitial() {
-			return true
-		}
-		if c.Var(name, e.ID) < c.Var(name, c.Prev(e.ID)) {
-			bad, found = e, true
-			return false
-		}
-		return true
-	})
-	if found {
-		return fmt.Errorf("linear: variable %q decreases at event %v", name, bad)
-	}
-	return nil
 }

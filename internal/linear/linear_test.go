@@ -28,7 +28,7 @@ func TestConjunctiveAgreesWithCPDHB(t *testing.T) {
 		c := gen.Random(gen.Params{Seed: seed, Procs: 3, Events: 5, MsgFrac: 0.6})
 		truth := gen.BoolTables(seed+1000, c, 0.4)
 		want := conjunctive.DetectTables(c, truth)
-		got, cut := Possibly(c, Conjunctive(localsFromTables(truth)))
+		cut, got := FindLeast(c, Conjunctive(localsFromTables(truth)), c.InitialCut())
 		if got != want.Found {
 			t.Fatalf("seed %d: linear = %v, CPDHB = %v", seed, got, want.Found)
 		}
@@ -53,7 +53,7 @@ func TestFindLeastReturnsTheLeastCut(t *testing.T) {
 		c := gen.Random(gen.Params{Seed: rng.Int63(), Procs: 3, Events: 4, MsgFrac: 0.5})
 		truth := gen.BoolTables(rng.Int63(), c, 0.5)
 		o := Conjunctive(localsFromTables(truth))
-		got, ok := FindLeast(c, o)
+		got, ok := FindLeast(c, o, c.InitialCut())
 		// Compute the meet of all satisfying cuts exhaustively.
 		var meet computation.Cut
 		lattice.Explore(c, func(k computation.Cut) bool {
@@ -86,63 +86,19 @@ func TestFindLeastReturnsTheLeastCut(t *testing.T) {
 	}
 }
 
-func TestMonotoneSumAtLeast(t *testing.T) {
-	// Two processes with monotone counters: p0 counts 0,1,2; p1 counts
-	// 0,0,3.
-	c := computation.New()
-	p0 := c.AddProcess()
-	p1 := c.AddProcess()
-	a1 := c.AddInternal(p0)
-	a2 := c.AddInternal(p0)
-	b1 := c.AddInternal(p1)
-	b2 := c.AddInternal(p1)
-	c.SetVar("n", a1, 1)
-	c.SetVar("n", a2, 2)
-	c.SetVar("n", b1, 0)
-	c.SetVar("n", b2, 3)
-	c.MustSeal()
-	if err := ValidateMonotone(c, "n"); err != nil {
-		t.Fatal(err)
-	}
-	ok, cut := Possibly(c, MonotoneSumAtLeast("n", 4))
-	if !ok {
-		t.Fatal("sum reaches 5 at the final cut")
-	}
-	if got := c.SumVar("n", cut); got < 4 {
-		t.Fatalf("witness sum = %d, want >= 4", got)
-	}
-	ok, _ = Possibly(c, MonotoneSumAtLeast("n", 6))
-	if ok {
-		t.Fatal("sum never reaches 6")
-	}
-}
-
-func TestValidateMonotoneDetectsDecrease(t *testing.T) {
-	c := computation.New()
-	p := c.AddProcess()
-	a := c.AddInternal(p)
-	b := c.AddInternal(p)
-	c.SetVar("n", a, 5)
-	c.SetVar("n", b, 3)
-	c.MustSeal()
-	if err := ValidateMonotone(c, "n"); err == nil {
-		t.Fatal("decrease must be reported")
-	}
-}
-
 func TestImpossiblePredicate(t *testing.T) {
 	c := gen.Random(gen.Params{Seed: 1, Procs: 2, Events: 3, MsgFrac: 0})
 	o := Conjunctive(map[computation.ProcID]func(computation.Event) bool{
 		0: func(computation.Event) bool { return false },
 	})
-	if ok, _ := Possibly(c, o); ok {
+	if _, ok := FindLeast(c, o, c.InitialCut()); ok {
 		t.Fatal("constant-false local predicate cannot be satisfied")
 	}
 }
 
 func TestEmptyOracle(t *testing.T) {
 	c := gen.Random(gen.Params{Seed: 2, Procs: 2, Events: 2, MsgFrac: 0})
-	ok, cut := Possibly(c, Conjunctive(nil))
+	cut, ok := FindLeast(c, Conjunctive(nil), c.InitialCut())
 	if !ok || cut.Size() != 0 {
 		t.Fatalf("empty conjunction must hold at the initial cut, got %v %v", ok, cut)
 	}

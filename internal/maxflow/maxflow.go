@@ -76,12 +76,6 @@ func (g *Graph) MaxFlow(s, t int) int64 {
 	return total
 }
 
-// FlowStats reports the work done by MaxFlow so far: augmenting paths
-// found and BFS phases (level graphs) built.
-func (g *Graph) FlowStats() (augmentingPaths, phases int64) {
-	return g.augPaths, g.phases
-}
-
 func (g *Graph) bfs(s, t int, level []int, queue *[]int) bool {
 	for i := range level {
 		level[i] = -1
@@ -146,22 +140,16 @@ func (g *Graph) MinCutSide(s int) []bool {
 	return side
 }
 
-// MaxClosure solves the maximum-weight closure problem on a DAG: choose a
-// set S of nodes closed under predecessors (if v is in S, every u with an
-// edge u->v ... see orientation note below) maximizing the sum of weights.
+// MaxClosureTraced solves the maximum-weight closure problem on a DAG:
+// choose a set S of nodes closed under prerequisites maximizing the sum
+// of weights.
 //
 // Orientation: edges are given as "v requires u" pairs (u must be in S
 // whenever v is), i.e. u is a prerequisite of v. The empty closure is
-// allowed, so the result is always >= 0 in weight terms only when positive
-// weights exist; the returned value is the best closure weight (possibly 0
-// for the empty closure), and the mask marks chosen nodes.
-func MaxClosure(weights []int64, requires [][2]int) (int64, []bool) {
-	return MaxClosureTraced(weights, requires, nil)
-}
-
-// MaxClosureTraced is MaxClosure, additionally accumulating work counters
-// (augmenting paths, BFS phases, graph and closure sizes) into the trace.
-// A nil trace is free.
+// allowed, so the returned value — the best closure weight — is never
+// negative; the mask marks chosen nodes. Work counters (augmenting paths,
+// BFS phases, graph and closure sizes) accumulate into the trace; a nil
+// trace is free.
 func MaxClosureTraced(weights []int64, requires [][2]int, tr *obs.Trace) (int64, []bool) {
 	return maxClosure(weights, requires, 1, tr)
 }

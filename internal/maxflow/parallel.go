@@ -73,13 +73,6 @@ func (g *Graph) bfsPar(s, t int, level []int, workers int) bool {
 	return level[t] >= 0
 }
 
-// MaxClosureParTraced is MaxClosureTraced with the flow phases run on a
-// bounded worker pool. Identical value, mask and counters for every
-// worker count.
-func MaxClosureParTraced(weights []int64, requires [][2]int, workers int, tr *obs.Trace) (int64, []bool) {
-	return maxClosure(weights, requires, workers, tr)
-}
-
 // MaxClosurePairTraced solves the two closure problems behind every sum
 // range — the maximum-weight closure of weights and of their negation
 // (whose value negated is the minimum) — splitting the worker budget
@@ -111,7 +104,7 @@ func MaxClosurePairTraced(weights []int64, requires [][2]int, workers int, tr *o
 }
 
 // maxClosure is the single implementation behind MaxClosureTraced and
-// its parallel variants: the standard min-cut reduction, with the flow
+// MaxClosurePairTraced: the standard min-cut reduction, with the flow
 // run sequentially or with parallel BFS phases depending on workers.
 func maxClosure(weights []int64, requires [][2]int, workers int, tr *obs.Trace) (int64, []bool) {
 	n := len(weights)

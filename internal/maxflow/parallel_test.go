@@ -39,13 +39,13 @@ func TestMaxFlowParMatchesSequential(t *testing.T) {
 		build := randomFlowInstance(seed, 30)
 		ref := build()
 		want := ref.MaxFlow(0, 29)
-		wantAug, wantPhases := ref.FlowStats()
+		wantAug, wantPhases := ref.augPaths, ref.phases
 		for _, w := range []int{1, 2, 4, 8} {
 			g := build()
 			if got := g.MaxFlowPar(0, 29, w); got != want {
 				t.Fatalf("seed %d w=%d: flow %d, want %d", seed, w, got, want)
 			}
-			aug, phases := g.FlowStats()
+			aug, phases := g.augPaths, g.phases
 			if aug != wantAug || phases != wantPhases {
 				t.Fatalf("seed %d w=%d: stats (%d,%d), want (%d,%d)", seed, w, aug, phases, wantAug, wantPhases)
 			}
@@ -81,7 +81,7 @@ func TestMaxClosureParMatchesSequential(t *testing.T) {
 		wantVal, wantMask := MaxClosureTraced(weights, requires, refTr)
 		for _, w := range []int{1, 2, 4, 8} {
 			tr := obs.NewTrace()
-			val, mask := MaxClosureParTraced(weights, requires, w, tr)
+			val, mask := maxClosure(weights, requires, w, tr)
 			if val != wantVal || !reflect.DeepEqual(mask, wantMask) {
 				t.Fatalf("seed %d w=%d: closure (%d, %v), want (%d, %v)", seed, w, val, mask, wantVal, wantMask)
 			}

@@ -42,7 +42,7 @@ func TestElectionExactlyOneLeader(t *testing.T) {
 			t.Fatalf("seed %d: Possibly(two leaders) must be false", seed)
 		}
 		// Progress: every run of the recorded computation elects.
-		def, err := relsum.Definitely(c, VarLeader, relsum.Eq, 1)
+		def, err := relsum.DefinitelyPar(c, VarLeader, relsum.Eq, 1, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

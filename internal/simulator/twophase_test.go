@@ -46,7 +46,7 @@ func TestTwoPhaseAllYesCommits(t *testing.T) {
 		}
 		// Definitely(everyone committed): sum of committed flags
 		// reaches 4 on every run.
-		def, err := relsum.Definitely(c, VarCommitted, relsum.Eq, 4)
+		def, err := relsum.DefinitelyPar(c, VarCommitted, relsum.Eq, 4, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

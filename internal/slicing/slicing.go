@@ -26,6 +26,7 @@ import (
 
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/lattice"
+	"github.com/distributed-predicates/gpd/internal/linear"
 )
 
 // ErrNotRegular is returned when the predicate is detectably not regular
@@ -68,11 +69,9 @@ var ErrEmpty = errors.New("slicing: no consistent cut satisfies the predicate")
 // Oracle evaluates the (regular) predicate at consistent cuts and, when
 // the predicate does not hold, names a forbidden process — one that must
 // advance in any satisfying cut above the current one. Regular predicates
-// are in particular linear, so such a process always exists.
-type Oracle interface {
-	Holds(c *computation.Computation, k computation.Cut) bool
-	Forbidden(c *computation.Computation, k computation.Cut) computation.ProcID
-}
+// are in particular linear, so such a process always exists, and the
+// oracle — like the advancement loop it drives — is package linear's.
+type Oracle = linear.Oracle
 
 // Slice is the computed slice: for every event, the least satisfying cut
 // containing it (its join-irreducible), or excluded if no satisfying cut
@@ -93,7 +92,7 @@ type Slice struct {
 func Compute(c *computation.Computation, o Oracle) (*Slice, error) {
 	s := &Slice{c: c, least: make([]computation.Cut, c.NumEvents())}
 	// The least satisfying cut overall: advance from the initial cut.
-	bottom, ok := advance(c, o, c.InitialCut())
+	bottom, ok := linear.FindLeast(c, o, c.InitialCut())
 	if !ok {
 		return nil, ErrEmpty
 	}
@@ -133,40 +132,12 @@ func (s *Slice) leastContaining(o Oracle, e computation.Event) computation.Cut {
 	}
 	// The cut must keep containing e; advancement never removes events,
 	// so plain forward advancement suffices.
-	k, ok := advance(s.c, o, start)
+	k, ok := linear.FindLeast(s.c, o, start)
 	if !ok {
 		return nil
 	}
 	s.least[e.ID] = k
 	return k
-}
-
-// advance walks upward from start to the least satisfying cut above it,
-// using the forbidden-process oracle (the linear-predicate algorithm with
-// an arbitrary starting cut).
-func advance(c *computation.Computation, o Oracle, start computation.Cut) (computation.Cut, bool) {
-	k := start.Clone()
-	for !o.Holds(c, k) {
-		p := o.Forbidden(c, k)
-		if p < 0 || int(p) >= c.NumProcs() {
-			return nil, false
-		}
-		next := k[int(p)] + 1
-		if next >= c.Len(p) {
-			return nil, false
-		}
-		e := c.EventAt(p, next)
-		row := c.Clock(e.ID)
-		for q := range k {
-			if idx := int(row[q]) - 1; idx > k[q] {
-				k[q] = idx
-			}
-		}
-		if e.Index > k[int(p)] {
-			k[int(p)] = e.Index
-		}
-	}
-	return k, true
 }
 
 // Bottom returns the least satisfying cut.
@@ -297,40 +268,9 @@ func (s *Slice) Verify(o Oracle) error {
 }
 
 // ConjunctiveOracle adapts local predicates (the canonical regular
-// predicate) for slicing.
+// predicate) for slicing: the linear conjunctive oracle.
 func ConjunctiveOracle(locals map[computation.ProcID]func(computation.Event) bool) Oracle {
-	procs := make([]computation.ProcID, 0, len(locals))
-	for p := range locals {
-		procs = append(procs, p)
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
-	return conjOracle{locals: locals, procs: procs}
-}
-
-// conjOracle scans processes in sorted order: Forbidden names the first
-// failing process, and that choice steers the slice construction, so the
-// scan must not follow map iteration order.
-type conjOracle struct {
-	locals map[computation.ProcID]func(computation.Event) bool
-	procs  []computation.ProcID
-}
-
-func (o conjOracle) Holds(c *computation.Computation, k computation.Cut) bool {
-	for _, p := range o.procs {
-		if !o.locals[p](c.EventAt(p, k[int(p)])) {
-			return false
-		}
-	}
-	return true
-}
-
-func (o conjOracle) Forbidden(c *computation.Computation, k computation.Cut) computation.ProcID {
-	for _, p := range o.procs {
-		if !o.locals[p](c.EventAt(p, k[int(p)])) {
-			return p
-		}
-	}
-	return computation.ProcID(-1)
+	return linear.Conjunctive(locals)
 }
 
 // QuiescentOracle adapts channel quiescence — the inflight == 0
@@ -372,7 +312,7 @@ func (o quiescentOracle) Holds(c *computation.Computation, k computation.Cut) bo
 func (o quiescentOracle) Forbidden(c *computation.Computation, k computation.Cut) computation.ProcID {
 	m, inflight := o.inFlight(c, k)
 	if !inflight {
-		return computation.ProcID(-1)
+		return linear.NoProc
 	}
 	return c.Event(m.Receive).Proc
 }

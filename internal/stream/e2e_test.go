@@ -64,7 +64,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 				}
 			}
 			j.spec = Spec{Pred: "all(x)", Procs: np, Retain: true}
-			j.events = TableTrace(c, truth)
+			j.events = tableTrace(c, truth)
 			j.wantPos = conjunctive.DetectTables(c, truth).Found
 			j.wantDef = conjunctive.DetectDefinitely(c, locals)
 		case 1: // sum equality
@@ -78,7 +78,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			if j.wantPos, err = relsum.Possibly(c, varName, relsum.Eq, k); err != nil {
 				t.Fatal(err)
 			}
-			if j.wantDef, err = relsum.Definitely(c, varName, relsum.Eq, k); err != nil {
+			if j.wantDef, err = relsum.DefinitelyPar(c, varName, relsum.Eq, k, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 		case 2: // symmetric
@@ -92,17 +92,17 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			if j.wantPos, _, err = symmetric.Possibly(c, sp, truth); err != nil {
 				t.Fatal(err)
 			}
-			if j.wantDef, err = symmetric.Definitely(c, sp, truth); err != nil {
+			if j.wantDef, err = symmetric.DefinitelyPar(c, sp, truth, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 		case 3: // channel occupancy
 			k := 1 + seed%2
 			j.spec = Spec{Pred: fmt.Sprintf("inflight >= %d", k), Procs: np, Retain: true}
 			j.events = InFlightTrace(c)
-			min, max := relsum.InFlightRangeTraced(c, nil)
+			min, max := relsum.InFlightRange(c)
 			j.wantPos = min >= k || max >= k
 			var err error
-			if j.wantDef, err = relsum.DefinitelyWeightedTraced(c, 0, relsum.InFlightWeight(c), relsum.Ge, k, nil); err != nil {
+			if j.wantDef, err = relsum.DefinitelyWeightedPar(c, 0, relsum.InFlightWeight(c), relsum.Ge, k, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

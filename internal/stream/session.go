@@ -248,10 +248,6 @@ func (s *Session) Window() int {
 // Flushes returns the number of detector flushes performed.
 func (s *Session) Flushes() int { return s.flushes }
 
-// Sliced reports whether the session maintains an incremental slice in
-// place of retained history.
-func (s *Session) Sliced() bool { return s.spec.Slice }
-
 // SliceRetained returns the events currently held in the slicers'
 // frontiers — the window a sliced session keeps instead of the trace.
 func (s *Session) SliceRetained() int { return s.group.SliceRetained() }

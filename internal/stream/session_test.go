@@ -49,6 +49,17 @@ func replay(t *testing.T, rng *rand.Rand, spec Spec, events []Event) (Verdict, *
 	return v, s
 }
 
+// tableTrace replays per-process truth tables (the generator/simulator
+// representation) as Truth flags. Initial states are taken as false, so
+// rows' index-0 entries are ignored — matching the online convention that
+// probes report events, not initial states.
+func tableTrace(c *computation.Computation, truth [][]bool) []Event {
+	return Trace(c, func(e computation.Event, ev *Event) {
+		row := truth[int(e.Proc)]
+		ev.Truth = e.Index < len(row) && row[e.Index]
+	})
+}
+
 func randomComputation(seed int64) *computation.Computation {
 	rng := rand.New(rand.NewSource(seed * 7919))
 	return gen.Random(gen.Params{
@@ -82,7 +93,7 @@ func TestSessionConjunctiveAgreesWithOffline(t *testing.T) {
 		offDef := conjunctive.DetectDefinitely(c, locals)
 
 		spec := Spec{Pred: "all(x)", Procs: c.NumProcs(), Retain: true}
-		v, _ := replay(t, rng, spec, TableTrace(c, truth))
+		v, _ := replay(t, rng, spec, tableTrace(c, truth))
 		if v.Possibly != offPos {
 			t.Errorf("seed %d: Possibly: stream=%v offline=%v", seed, v.Possibly, offPos)
 		}
@@ -107,7 +118,7 @@ func TestSessionSumEqAgreesWithOffline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: offline Possibly: %v", seed, err)
 			}
-			offDef, err := relsum.Definitely(c, varName, relsum.Eq, k)
+			offDef, err := relsum.DefinitelyPar(c, varName, relsum.Eq, k, 1, nil)
 			if err != nil {
 				t.Fatalf("seed %d: offline Definitely: %v", seed, err)
 			}
@@ -148,7 +159,7 @@ func TestSessionSymmetricAgreesWithOffline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %v: offline Possibly: %v", seed, sp, err)
 			}
-			offDef, err := symmetric.Definitely(c, sp, truth)
+			offDef, err := symmetric.DefinitelyPar(c, sp, truth, 1, nil)
 			if err != nil {
 				t.Fatalf("seed %d %v: offline Definitely: %v", seed, sp, err)
 			}

@@ -26,7 +26,7 @@ func TestSlicedSessionAgreesWithRetain(t *testing.T) {
 		for p := range truth {
 			truth[p][0] = false // online sessions take initial states as false
 		}
-		events := TableTrace(c, truth)
+		events := tableTrace(c, truth)
 
 		ctrl, _ := replay(t, rand.New(rand.NewSource(seed)),
 			Spec{Pred: "all(x)", Procs: c.NumProcs(), Retain: true}, events)
@@ -68,7 +68,7 @@ func TestSlicedSessionDefinitely(t *testing.T) {
 		for p := range truth {
 			truth[p] = []bool{false, truthAt(p, 1), truthAt(p, 2)}
 		}
-		return TableTrace(c, truth), c.NumProcs()
+		return tableTrace(c, truth), c.NumProcs()
 	}
 
 	// Every event true: the final cut satisfies, so every run ends in a

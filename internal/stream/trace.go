@@ -51,17 +51,6 @@ func BoolTrace(c *computation.Computation, name string) (events []Event, init []
 	return events, init
 }
 
-// TableTrace replays per-process truth tables (the generator/simulator
-// representation) as Truth flags. Initial states are taken as false, so
-// rows' index-0 entries are ignored — matching the online convention that
-// probes report events, not initial states.
-func TableTrace(c *computation.Computation, truth [][]bool) []Event {
-	return Trace(c, func(e computation.Event, ev *Event) {
-		row := truth[int(e.Proc)]
-		ev.Truth = e.Index < len(row) && row[e.Index]
-	})
-}
-
 // InFlightTrace replays channel occupancy: each event's Val is its
 // sends − receives, derived from the computation's messages — the delta
 // stream an instrumented transport would report for inflight sessions.

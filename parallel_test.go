@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	gpd "github.com/distributed-predicates/gpd"
-	idetect "github.com/distributed-predicates/gpd/internal/detect"
 )
 
 // parallelWorkerCounts are compared against the sequential baseline:
@@ -109,7 +108,7 @@ func TestParallelBatchAgreement(t *testing.T) {
 
 	// Completeness: a newly registered family cannot silently skip the
 	// parallel cross-check.
-	for _, f := range idetect.Families() {
+	for _, f := range registeredFamilies() {
 		if !covered[f.String()] {
 			t.Errorf("registered family %v is missing from the parallel agreement matrix", f)
 		}
@@ -144,60 +143,6 @@ func TestParallelSingularStrategies(t *testing.T) {
 					label := testLabel(seed, w, gpd.ModalityPossibly, text) + "/" + strat.String()
 					assertReportsEqual(t, label, seq, par)
 				}
-			}
-		}
-	}
-}
-
-// TestDetectAgreesEquilevel checks the equilevel family against the
-// exhaustive generic oracles: equilevel(x): L holds at a cut iff the cut
-// executes exactly L non-initial events and x is true on every frontier
-// state. Possibly must match PossiblyGeneric, and Definitely must match
-// DefinitelyGeneric — the latter validates the Garg & Streit collapse
-// (every run passes exactly one cut per level, so inevitability is "the
-// level set is non-empty and unanimous").
-func TestDetectAgreesEquilevel(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		c := randomComputation(seed)
-		allTrue := func(cc *gpd.Computation, k gpd.Cut) bool {
-			return cc.CountTrue(k, func(e gpd.Event) bool {
-				return cc.Var("x", e.ID) != 0
-			}) == cc.NumProcs()
-		}
-		for _, level := range []int64{0, 1, 2, 3, 5, 8, 100} {
-			holds := func(cc *gpd.Computation, k gpd.Cut) bool {
-				lvl := 0
-				for _, v := range k {
-					lvl += v
-				}
-				return int64(lvl) == level && allTrue(cc, k)
-			}
-			spec, err := gpd.ParseSpec(fmt.Sprintf("equilevel(x): %d", level))
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle, _ := gpd.PossiblyGeneric(c, holds)
-			rep, err := gpd.Detect(c, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Holds != oracle {
-				t.Errorf("seed %d level %d: Possibly Detect %v, oracle %v", seed, level, rep.Holds, oracle)
-			}
-			if rep.Holds {
-				if rep.Witness == nil {
-					t.Errorf("seed %d level %d: missing witness", seed, level)
-				} else if !holds(c, rep.Witness) {
-					t.Errorf("seed %d level %d: witness %v does not satisfy the predicate", seed, level, rep.Witness)
-				}
-			}
-			oracleDef := gpd.DefinitelyGeneric(c, holds)
-			repDef, err := gpd.Detect(c, spec, gpd.WithModality(gpd.ModalityDefinitely))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if repDef.Holds != oracleDef {
-				t.Errorf("seed %d level %d: Definitely Detect %v, oracle %v", seed, level, repDef.Holds, oracleDef)
 			}
 		}
 	}

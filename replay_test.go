@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	gpd "github.com/distributed-predicates/gpd"
-	idetect "github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/gen"
 )
 
@@ -66,7 +65,7 @@ func TestReplayBatchAgreementMatrix(t *testing.T) {
 						t.Fatalf("seed %d: batch %v(%s): %v", seed, m, text, err)
 					}
 					replay, err := gpd.Detect(c, spec, gpd.WithModality(m),
-						gpd.WithDetectStrategy(gpd.StrategyReplay))
+						gpd.WithStrategy(gpd.StrategyReplay))
 					if err != nil {
 						t.Fatalf("seed %d: replay %v(%s): %v", seed, m, text, err)
 					}
@@ -79,7 +78,15 @@ func TestReplayBatchAgreementMatrix(t *testing.T) {
 					if replay.Witness != nil {
 						t.Errorf("seed %d: %v(%s): replay fabricated a witness cut", seed, m, text)
 					}
-					// Where both routes track an exact range, it must agree.
+					// Every range family reports its exact range on both
+					// Possibly routes. The Definitely batch kernels do not
+					// pay a closure pair for one, so there the ranges are
+					// compared only where both routes have them.
+					if wantRange := row.family != "conjunctive"; m == gpd.ModalityPossibly &&
+						(batch.HasRange != wantRange || replay.HasRange != wantRange) {
+						t.Errorf("seed %d: %v(%s): HasRange replay %v, batch %v, want %v",
+							seed, m, text, replay.HasRange, batch.HasRange, wantRange)
+					}
 					if batch.HasRange && replay.HasRange && (replay.Min != batch.Min || replay.Max != batch.Max) {
 						t.Errorf("seed %d: %v(%s): replay range [%d,%d], batch [%d,%d]",
 							seed, m, text, replay.Min, replay.Max, batch.Min, batch.Max)
@@ -93,7 +100,7 @@ func TestReplayBatchAgreementMatrix(t *testing.T) {
 	// the matrix (or be an explicit batch-only exception below), so a
 	// newly added family cannot silently skip the cross-check.
 	batchOnly := map[string]bool{"cnf": true, "equilevel": true}
-	for _, f := range idetect.Families() {
+	for _, f := range registeredFamilies() {
 		if !covered[f.String()] && !batchOnly[f.String()] {
 			t.Errorf("registered family %v is missing from the agreement matrix", f)
 		}
@@ -120,7 +127,7 @@ func TestReplayRejectsBatchOnlyFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = gpd.Detect(c, spec, gpd.WithDetectStrategy(gpd.StrategyReplay))
+	_, err = gpd.Detect(c, spec, gpd.WithStrategy(gpd.StrategyReplay))
 	if err == nil || !strings.Contains(err.Error(), "no incremental detector") {
 		t.Fatalf("cnf replay: want 'no incremental detector' error, got %v", err)
 	}
@@ -145,7 +152,7 @@ func TestReplayRejectsInitialTrueConjunctive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = gpd.Detect(c, spec, gpd.WithDetectStrategy(gpd.StrategyReplay))
+		_, err = gpd.Detect(c, spec, gpd.WithStrategy(gpd.StrategyReplay))
 		if err == nil || !strings.Contains(err.Error(), "initial states to be false") {
 			t.Fatalf("seed %d: want initial-state rejection, got %v", seed, err)
 		}
@@ -164,7 +171,7 @@ func TestReplayUnitStepViolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = gpd.Detect(c, spec, gpd.WithDetectStrategy(gpd.StrategyReplay))
+		_, err = gpd.Detect(c, spec, gpd.WithStrategy(gpd.StrategyReplay))
 		if err == nil {
 			continue // this seed happened to be unit-weight; try another
 		}
@@ -184,7 +191,7 @@ func TestReplayReportsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := gpd.Detect(c, spec, gpd.WithDetectStrategy(gpd.StrategyReplay))
+	rep, err := gpd.Detect(c, spec, gpd.WithStrategy(gpd.StrategyReplay))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,68 +5,61 @@ import (
 	"testing"
 
 	gpd "github.com/distributed-predicates/gpd"
-	idetect "github.com/distributed-predicates/gpd/internal/detect"
 )
+
+// sliceRoute is the option sending Detect through the predicate's slice.
+var sliceRoute = gpd.WithStrategy(gpd.StrategySlice)
 
 func TestSlicePublicAPI(t *testing.T) {
 	c := gpd.New()
-	p0 := c.AddProcess()
-	p1 := c.AddProcess()
-	a := c.AddInternal(p0)
-	b := c.AddInternal(p1)
+	a := c.AddInternal(c.AddProcess())
+	b := c.AddInternal(c.AddProcess())
+	c.SetVar("x", a, 1)
+	c.SetVar("x", b, 1)
 	if err := c.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	locals := map[gpd.ProcID]func(gpd.Event) bool{
-		p0: func(e gpd.Event) bool { return e.ID == a },
-		p1: func(e gpd.Event) bool { return e.ID == b },
+	// Only <1,1> satisfies both conjuncts: it is the slice's bottom, and
+	// (top == final cut) every run ends in it.
+	rep := detect(t, c, "all(x)", sliceRoute)
+	if !rep.Holds || rep.Witness[0] != 1 || rep.Witness[1] != 1 {
+		t.Fatalf("slice bottom = %v (holds %v), want <1,1>", rep.Witness, rep.Holds)
 	}
-	o := gpd.ConjunctiveSliceOracle(locals)
-	s, err := gpd.ComputeSlice(c, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only <1,1> satisfies both conjuncts.
-	if n := s.Count(o); n.Int64() != 1 {
-		t.Fatalf("slice count = %v, want 1", n)
-	}
-	if got := s.Bottom(); got[0] != 1 || got[1] != 1 {
-		t.Fatalf("bottom = %v, want <1,1>", got)
+	if def := detect(t, c, "all(x)", sliceRoute, definitely); !def.Holds || def.Work.Counters["slice.early_exit"] != 1 {
+		t.Fatalf("Definitely through the slice = %v, counters %v; want an early exit at the top", def.Holds, def.Work.Counters)
 	}
 }
 
 func TestSliceEmptyPublicAPI(t *testing.T) {
 	c := gpd.New()
-	p0 := c.AddProcess()
-	c.AddInternal(p0)
+	c.AddInternal(c.AddProcess())
 	if err := c.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	o := gpd.ConjunctiveSliceOracle(map[gpd.ProcID]func(gpd.Event) bool{
-		p0: func(gpd.Event) bool { return false },
-	})
-	if _, err := gpd.ComputeSlice(c, o); !errors.Is(err, gpd.ErrSliceEmpty) {
-		t.Fatalf("err = %v, want ErrSliceEmpty", err)
+	// An empty slice is a verdict, not an error.
+	rep := detect(t, c, "all(never)", sliceRoute)
+	if rep.Holds || rep.Witness != nil || rep.Work.Counters["slice.empty"] != 1 {
+		t.Fatalf("empty slice: %+v", rep)
 	}
 }
 
+// TestPossiblyLinearPublicAPI: the batch route of a conjunction returns
+// the unique least satisfying cut (linearity), and the slice agrees.
 func TestPossiblyLinearPublicAPI(t *testing.T) {
 	c := gpd.New()
 	p0 := c.AddProcess()
 	p1 := c.AddProcess()
-	a := c.AddInternal(p0)
+	c.SetVar("x", c.AddInternal(p0), 1)
+	c.SetVar("x", c.AddInternal(p0), 1)
+	c.SetVar("x", c.Initial(p1).ID, 1)
 	c.AddInternal(p1)
 	if err := c.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	ok, cut := gpd.PossiblyLinear(c, gpd.LinearConjunctive(map[gpd.ProcID]func(gpd.Event) bool{
-		p0: func(e gpd.Event) bool { return e.ID == a },
-	}))
-	if !ok {
-		t.Fatal("linear detection failed")
-	}
-	if cut[0] != 1 || cut[1] != 0 {
-		t.Fatalf("least cut = %v, want <1,0>", cut)
+	for _, rep := range []gpd.Report{detect(t, c, "all(x)"), detect(t, c, "all(x)", sliceRoute)} {
+		if !rep.Holds || rep.Witness[0] != 1 || rep.Witness[1] != 0 {
+			t.Fatalf("least cut = %v (holds %v), want <1,0>", rep.Witness, rep.Holds)
+		}
 	}
 }
 
@@ -152,7 +145,7 @@ func TestSliceStrategyAgreement(t *testing.T) {
 	// Completeness: every registered family either appears in the
 	// agreement matrix or is pinned as non-regular by the rejection test
 	// below, so a newly added family cannot silently skip the check.
-	for _, f := range idetect.Families() {
+	for _, f := range registeredFamilies() {
 		if !covered[f.String()] && nonRegularSpecs[f.String()] == "" {
 			t.Errorf("registered family %v is in neither the slice agreement matrix nor the non-regular rejection list", f)
 		}

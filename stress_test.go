@@ -5,6 +5,7 @@ package gpd_test
 // laws, protocol guarantees) instead of exhaustive oracles.
 
 import (
+	"fmt"
 	"testing"
 
 	gpd "github.com/distributed-predicates/gpd"
@@ -27,46 +28,20 @@ func TestStressTokenRingLarge(t *testing.T) {
 	if c.NumEvents() < 1000 {
 		t.Fatalf("expected a big trace, got %d events", c.NumEvents())
 	}
-	min, max := gpd.SumRange(c, gpd.VarTokens)
-	if max != tokens {
-		t.Errorf("max held tokens = %d, want %d", max, tokens)
+	held := detect(t, c, "sum(tokens) >= 0")
+	if held.Max != tokens {
+		t.Errorf("max held tokens = %d, want %d", held.Max, tokens)
 	}
-	if min < 0 || min > int64(tokens) {
-		t.Errorf("min held tokens = %d out of range", min)
+	if held.Min < 0 || held.Min > tokens {
+		t.Errorf("min held tokens = %d out of range", held.Min)
 	}
-	fmin, fmax := gpd.InFlightRange(c)
-	if fmin != 0 {
-		t.Errorf("in-flight min = %d", fmin)
+	flight := detect(t, c, "inflight >= 0")
+	if flight.Min != 0 {
+		t.Errorf("in-flight min = %d", flight.Min)
 	}
-	if fmax > int64(tokens) {
-		t.Errorf("in-flight max = %d exceeds token count %d", fmax, tokens)
+	if flight.Max > tokens {
+		t.Errorf("in-flight max = %d exceeds token count %d", flight.Max, tokens)
 	}
-	// Conservation: held + in-flight == tokens at every cut. Check via
-	// the combined weight function: it must be constant.
-	inflight := func(e gpd.Event) int64 { return 0 }
-	_ = inflight
-	held := func(e gpd.Event) int64 {
-		if e.IsInitial() {
-			return 0
-		}
-		return c.Var(gpd.VarTokens, e.ID) - c.Var(gpd.VarTokens, c.Prev(e.ID))
-	}
-	flight := flightWeight(c)
-	combined := func(e gpd.Event) int64 { return held(e) + flight(e) }
-	cmin, cmax := gpd.WeightedRange(c, int64(tokens), combined)
-	if cmin != int64(tokens) || cmax != int64(tokens) {
-		t.Errorf("held+in-flight range [%d,%d], want constant %d", cmin, cmax, tokens)
-	}
-}
-
-// flightWeight reproduces the in-flight weight for the combined check.
-func flightWeight(c *gpd.Computation) gpd.EventWeight {
-	delta := make([]int64, c.NumEvents())
-	for _, m := range c.Messages() {
-		delta[int(m.Send)]++
-		delta[int(m.Receive)]--
-	}
-	return func(e gpd.Event) int64 { return delta[int(e.ID)] }
 }
 
 func TestStressRandomDetectors(t *testing.T) {
@@ -79,37 +54,26 @@ func TestStressRandomDetectors(t *testing.T) {
 	if c.NumEvents() < 50000 {
 		t.Fatalf("trace too small: %d events", c.NumEvents())
 	}
-	min, max := gpd.SumRange(c, "x")
-	if min > max {
-		t.Fatalf("range inverted [%d,%d]", min, max)
+	rng := detect(t, c, "sum(x) >= 0")
+	if rng.Min > rng.Max {
+		t.Fatalf("range inverted [%d,%d]", rng.Min, rng.Max)
 	}
 	// Every k in [min,max] is witnessed (Theorem 4 at scale), sampled at
 	// the edges and middle.
-	for _, k := range []int64{min, (min + max) / 2, max} {
-		ok, cut, err := gpd.PossiblySumWitness(c, "x", k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
+	for _, k := range []int64{rng.Min, (rng.Min + rng.Max) / 2, rng.Max} {
+		rep := detect(t, c, fmt.Sprintf("sum(x) == %d", k))
+		if !rep.Holds {
 			t.Fatalf("k=%d in range not witnessed", k)
 		}
-		if got := c.SumVar("x", cut); got != k {
+		if got := c.SumVar("x", rep.Witness); got != k {
 			t.Fatalf("witness sum = %d, want %d", got, k)
 		}
 	}
-	// Symmetric predicate at scale.
-	ok, _, err := gpd.PossiblySymmetric(c, gpd.NoSimpleMajority(128),
-		func(e gpd.Event) bool { return c.Var("b", e.ID) != 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = ok // value workload-dependent; the point is completion in poly time
-	// Conjunctive detector on all 128 processes.
-	locals := map[gpd.ProcID]gpd.LocalPredicate{}
-	for p := 0; p < 128; p++ {
-		locals[gpd.ProcID(p)] = func(e gpd.Event) bool { return c.Var("b", e.ID) != 0 }
-	}
-	_ = gpd.PossiblyConjunctive(c, locals)
+	// Symmetric and conjunctive predicates at scale, on all 128
+	// processes: the verdicts are workload-dependent; the point is
+	// completion in polynomial time.
+	detect(t, c, "levels(b): 64")
+	detect(t, c, "all(b)")
 }
 
 func TestStressSingularOrderedLarge(t *testing.T) {
@@ -118,21 +82,16 @@ func TestStressSingularOrderedLarge(t *testing.T) {
 	}
 	const groupSize = 2
 	c := gen.GroupFunnel(gen.Params{Seed: 11, Procs: 32, Events: 200, MsgFrac: 0.3}, groupSize, true)
-	pred := &gpd.SingularPredicate{}
+	gen.BoolVar(12, c, "b", 0.1)
+	spec := gpd.Spec{Family: gpd.FamilyCNF, Var: "b"}
 	for g := 0; g < 16; g++ {
-		pred.Clauses = append(pred.Clauses, gpd.SingularClause{
-			{Proc: gpd.ProcID(2 * g)},
-			{Proc: gpd.ProcID(2*g + 1)},
-		})
+		spec.Clauses = append(spec.Clauses, gpd.SpecClause{{Proc: 2 * g}, {Proc: 2*g + 1}})
 	}
-	truth := gpd.TruthFromTables(gen.BoolTables(12, c, 0.1))
-	res, err := gpd.PossiblySingular(c, pred, truth, gpd.StrategyReceiveOrdered)
+	rep, err := gpd.Detect(c, spec, gpd.WithStrategy(gpd.StrategyReceiveOrdered))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Found {
-		if !c.CutConsistent(res.Cut) {
-			t.Fatal("witness cut inconsistent")
-		}
+	if rep.Holds && !c.CutConsistent(rep.Witness) {
+		t.Fatal("witness cut inconsistent")
 	}
 }
