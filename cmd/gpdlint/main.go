@@ -1,31 +1,24 @@
 // Command gpdlint runs the repository's project-specific static
-// analyzers over the module: concurrency, layering, determinism and
-// instrumentation invariants the compiler cannot check (see
-// internal/lint for the rule catalog).
+// analyzers over the module: concurrency, layering and determinism
+// invariants the compiler cannot check (see internal/lint for the rule
+// catalog).
 //
 // Usage:
 //
 //	go run ./cmd/gpdlint ./...
 //	go run ./cmd/gpdlint -rules lockheld,layering ./internal/...
-//	go run ./cmd/gpdlint -format sarif -o gpdlint.sarif ./...
-//	go run ./cmd/gpdlint -baseline lint.baseline -ratchet ./...
 //	go run ./cmd/gpdlint -list
 //
-// Findings print one per line as "file:line: [rule] message" (or as
-// JSON / SARIF 2.1.0 with -format); a per-rule count summary always
-// prints to stderr. With -baseline, findings recorded in the baseline
-// file are absorbed and only new ones fail the run; -update-baseline
-// rewrites the file from the current findings, and -ratchet
-// additionally fails if any rule's total count grows past its
-// baseline. Exit status is 0 when clean, 1 on findings, 2 when the
-// load itself fails. Suppress a finding with "//lint:ignore rule
-// reason" on or directly above the offending line.
+// Findings print one per line as "file:line: [rule] message"; a
+// per-rule count summary always prints to stderr. Exit status is 0 when
+// clean, 1 on findings, 2 when the load itself fails. Suppress a finding
+// with "//lint:ignore rule reason" on or directly above the offending
+// line.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"github.com/distributed-predicates/gpd/internal/lint"
@@ -35,12 +28,6 @@ func main() {
 	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	list := flag.Bool("list", false, "list the available rules and exit")
 	dir := flag.String("C", ".", "directory to resolve patterns against")
-	format := flag.String("format", "text", "output format: text, json or sarif")
-	outPath := flag.String("o", "", "write findings to this file instead of stdout")
-	baseline := flag.String("baseline", "", "baseline file of accepted findings; only new ones fail")
-	updateBaseline := flag.Bool("update-baseline", false, "rewrite the -baseline file from this run's findings and exit clean")
-	ratchet := flag.Bool("ratchet", false, "with -baseline: also fail when a rule's finding count grows")
-	countOnly := flag.Bool("count-only", false, "print only the per-rule summary, not individual findings")
 	flag.Parse()
 
 	if *list {
@@ -58,29 +45,5 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gpdlint:", err)
-			os.Exit(lint.ExitError)
-		}
-		out = f
-	}
-	code := lint.ExecOptions(*dir, patterns, analyzers, out, os.Stderr, lint.Options{
-		Format:         *format,
-		Baseline:       *baseline,
-		UpdateBaseline: *updateBaseline,
-		Ratchet:        *ratchet,
-		CountOnly:      *countOnly,
-	})
-	if f, ok := out.(*os.File); ok && f != os.Stdout {
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "gpdlint:", err)
-			if code == lint.ExitClean {
-				code = lint.ExitError
-			}
-		}
-	}
-	os.Exit(code)
+	os.Exit(lint.Exec(*dir, patterns, analyzers, os.Stdout, os.Stderr))
 }

@@ -12,9 +12,7 @@ import (
 // analyzers: an index of every declared function, a static call graph
 // over it, reachability from annotated roots, and a source-order
 // per-function traversal that threads a held-lock state through the
-// statements it visits (a CFG approximation: branches are walked in
-// order, function literals start fresh, defers pin their effect to the
-// function end). It stays stdlib-only, like the loader.
+// nodes it visits. It stays stdlib-only, like the loader.
 
 // funcInfo is one declared function or method with a body.
 type funcInfo struct {
@@ -286,109 +284,87 @@ func hotpathRoots(ix *moduleIndex) []*types.Func {
 }
 
 // lockFlow walks one function body in source order, threading the set
-// of held locks through every statement, and reports acquisition and
-// call events to its hooks. Locks are identified by lockKey (struct
-// field path or package-level variable), so two methods locking the
-// same field agree on identity. Function literals are walked with a
-// fresh held set: they run on another goroutine or after release.
+// of held locks through every node it visits, and reports each
+// operation that can block on a peer or the scheduler while the set is
+// non-empty to onBlock. Locks are identified by lockKeyOf (struct field
+// path or variable name), so two methods locking the same field agree
+// on identity. Lock/unlock pairs are matched lexically, a defer-unlocked
+// lock stays held to the end of the function, and function literals are
+// walked with a fresh held set: they run on another goroutine or after
+// release.
 type lockFlow struct {
 	pkg  *Package
-	held []lockKey // acquisition-ordered
-	// onAcquire fires when a lock is taken with the locks already held.
-	onAcquire func(lock lockKey, held []lockKey, pos token.Pos)
-	// onCall fires for every statically resolved call, with the locks
-	// held at the call site.
-	onCall func(callee *types.Func, held []lockKey, pos token.Pos)
-	// fresh starts a walker for a nested function literal.
-	fresh func() *lockFlow
-}
-
-// lockKey identifies a mutex: "Type.field" for a struct field,
-// "pkg.var" for a package-level or local mutex variable. Qual is the
-// defining package's name, so identities are global across the load.
-type lockKey struct {
-	Qual string
-	Name string
-}
-
-func (k lockKey) String() string {
-	if k.Qual == "" {
-		return k.Name
-	}
-	return k.Qual + "." + k.Name
+	held []string // acquisition-ordered lock keys
+	// onBlock fires for a channel send or receive, a select, a range
+	// over a channel, time.Sleep, and any call into package net or
+	// net/http (functions and methods alike, so a method call through
+	// the net.Conn interface counts), with the locks held at that site.
+	// sync.Cond.Wait is deliberately not a blocking operation: it
+	// releases the lock while blocked.
+	onBlock func(what string, held []string, pos token.Pos)
 }
 
 // lockKeyOf resolves the lock identity behind the receiver expression of
-// a Lock/Unlock call: the struct field path when the mutex is a field,
-// otherwise the variable itself.
-func lockKeyOf(pkg *Package, recv ast.Expr) (lockKey, bool) {
-	rel := func(p *types.Package) string {
-		if p == nil {
-			return ""
-		}
-		return p.Name()
-	}
+// a Lock/Unlock call: "Type.field" when the mutex is a struct field,
+// otherwise the variable's name.
+func lockKeyOf(pkg *Package, recv ast.Expr) (string, bool) {
 	switch x := ast.Unparen(recv).(type) {
 	case *ast.SelectorExpr:
 		// x.mu — prefer the owning named type of the field.
 		if selection, ok := pkg.Info.Selections[x]; ok && selection.Kind() == types.FieldVal {
-			field := selection.Obj()
 			t := selection.Recv()
 			if ptr, ok := t.Underlying().(*types.Pointer); ok {
 				t = ptr.Elem()
 			}
 			if named, ok := t.(*types.Named); ok {
-				return lockKey{Qual: rel(named.Obj().Pkg()), Name: named.Obj().Name() + "." + field.Name()}, true
+				return named.Obj().Name() + "." + selection.Obj().Name(), true
 			}
-			return lockKey{Qual: rel(field.Pkg()), Name: field.Name()}, true
+			return selection.Obj().Name(), true
 		}
 		// pkg.mu — a package-level mutex referenced with a qualifier.
 		if obj, ok := pkg.Info.Uses[x.Sel]; ok {
-			return lockKey{Qual: rel(obj.Pkg()), Name: obj.Name()}, true
+			return obj.Name(), true
 		}
 	case *ast.Ident:
 		if obj, ok := pkg.Info.Uses[x]; ok {
-			return lockKey{Qual: rel(obj.Pkg()), Name: obj.Name()}, true
+			return obj.Name(), true
 		}
 	}
-	return lockKey{}, false
+	return "", false
 }
 
 // mutexTransition classifies a call as a lock-state transition on a
 // sync.Mutex/RWMutex and returns the lock identity.
-func mutexTransition(pkg *Package, call *ast.CallExpr) (key lockKey, acquire, ok bool) {
+func mutexTransition(pkg *Package, call *ast.CallExpr) (key string, acquire, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
-		return lockKey{}, false, false
+		return "", false, false
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "TryLock", "TryRLock":
 		acquire = true
 	case "Unlock", "RUnlock":
 	default:
-		return lockKey{}, false, false
+		return "", false, false
 	}
 	fn, isFn := pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return lockKey{}, false, false
+		return "", false, false
 	}
 	key, ok = lockKeyOf(pkg, sel.X)
 	return key, acquire, ok
 }
 
-func (w *lockFlow) acquire(k lockKey, pos token.Pos) {
+func (w *lockFlow) acquire(k string) {
 	for _, h := range w.held {
 		if h == k {
 			return
 		}
 	}
-	if w.onAcquire != nil {
-		w.onAcquire(k, w.held, pos)
-	}
 	w.held = append(w.held, k)
 }
 
-func (w *lockFlow) release(k lockKey) {
+func (w *lockFlow) release(k string) {
 	for i := len(w.held) - 1; i >= 0; i-- {
 		if w.held[i] == k {
 			w.held = append(w.held[:i], w.held[i+1:]...)
@@ -397,153 +373,61 @@ func (w *lockFlow) release(k lockKey) {
 	}
 }
 
-// walk traverses a statement list in source order.
-func (w *lockFlow) walk(list []ast.Stmt) {
-	for _, s := range list {
-		w.stmt(s)
+func (w *lockFlow) block(what string, pos token.Pos) {
+	if len(w.held) > 0 {
+		w.onBlock(what, w.held, pos)
 	}
 }
 
-func (w *lockFlow) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if key, acq, ok := mutexTransition(w.pkg, call); ok {
-				if acq {
-					w.acquire(key, call.Pos())
-				} else {
-					w.release(key)
-				}
-				return
-			}
-		}
-		w.expr(s.X)
-	case *ast.DeferStmt:
-		if _, acq, ok := mutexTransition(w.pkg, s.Call); ok && !acq {
-			return // defer mu.Unlock(): held to function end
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.fresh().walk(lit.Body.List)
-			return
-		}
-		w.expr(s.Call)
-	case *ast.GoStmt:
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.fresh().walk(lit.Body.List)
-			return
-		}
-		w.expr(s.Call)
-	case *ast.SendStmt:
-		w.expr(s.Chan)
-		w.expr(s.Value)
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.walk(cc.Body)
-			}
-		}
-	case *ast.RangeStmt:
-		w.expr(s.X)
-		w.walk(s.Body.List)
-	case *ast.BlockStmt:
-		w.walk(s.List)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		w.expr(s.Cond)
-		w.walk(s.Body.List)
-		if s.Else != nil {
-			w.stmt(s.Else)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond)
-		}
-		w.walk(s.Body.List)
-		if s.Post != nil {
-			w.stmt(s.Post)
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					w.expr(e)
-				}
-				w.walk(cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walk(cc.Body)
-			}
-		}
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.expr(e)
-		}
-		for _, e := range s.Lhs {
-			w.expr(e)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.expr(e)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.expr(e)
-					}
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		w.expr(s.X)
-	}
-}
-
-// expr scans an expression for lock transitions and calls, in source
-// order. Function literals get a fresh walker.
-func (w *lockFlow) expr(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
+// walk traverses the node in source order (a CFG approximation:
+// branches are visited one after the other with the same held set).
+func (w *lockFlow) walk(root ast.Node) {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			w.fresh().walk(n.Body.List)
+			(&lockFlow{pkg: w.pkg, onBlock: w.onBlock}).walk(n.Body)
 			return false
+		case *ast.DeferStmt:
+			if _, _, ok := mutexTransition(w.pkg, n.Call); ok {
+				return false // defer mu.Unlock(): held to function end
+			}
 		case *ast.CallExpr:
 			if key, acq, ok := mutexTransition(w.pkg, n); ok {
 				if acq {
-					w.acquire(key, n.Pos())
+					w.acquire(key)
 				} else {
 					w.release(key)
 				}
-				return true
-			}
-			if w.onCall != nil && len(w.held) > 0 {
-				if callee := staticCallee(w.pkg, n); callee != nil {
-					w.onCall(callee, w.held, n.Pos())
+			} else if fn := staticCallee(w.pkg, n); fn != nil && fn.Pkg() != nil {
+				switch path := fn.Pkg().Path(); {
+				case path == "time" && fn.Name() == "Sleep":
+					w.block("time.Sleep", n.Pos())
+				case path == "net" || path == "net/http":
+					w.block(path+" I/O ("+fn.Name()+")", n.Pos())
 				}
 			}
+		case *ast.SendStmt:
+			w.block("channel send", n.Pos())
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				w.block("channel receive", n.Pos())
+			}
+		case *ast.RangeStmt:
+			if tv, ok := w.pkg.Info.Types[n.X]; ok {
+				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+					w.block("range over channel", n.Pos())
+				}
+			}
+		case *ast.SelectStmt:
+			// The select is the blocking operation; its comm clauses'
+			// own sends and receives are not reported a second time.
+			w.block("select", n.Pos())
+			for _, c := range n.Body.List {
+				for _, s := range c.(*ast.CommClause).Body {
+					w.walk(s)
+				}
+			}
+			return false
 		}
 		return true
 	})

@@ -5,19 +5,6 @@ import (
 	"go/types"
 )
 
-// deterministicPkgs are the module-relative prefixes whose behaviour
-// must be a pure function of their inputs: the replay/agreement tests
-// (Detect vs oracles, incremental vs batch) compare runs event-for-
-// event, and a wall-clock read or a draw from the global random source
-// would silently break that without failing any unit test.
-var deterministicPkgs = []string{
-	"internal/computation", "internal/vclock", "internal/lattice",
-	"internal/cnf", "internal/chains", "internal/core", "internal/slicing",
-	"internal/sat", "internal/subsetsum", "internal/maxflow",
-	"internal/matching", "internal/linear", "internal/conjunctive",
-	"internal/pred", "internal/gen", "internal/simulator",
-}
-
 // bannedTimeFuncs are the wall-clock entry points of package time.
 // (Deterministic code may still use time.Duration values handed in by a
 // caller; only reading the clock is forbidden.)
@@ -35,7 +22,7 @@ var AnalyzerDetPTime = &Analyzer{
 }
 
 func runDetPTime(pass *Pass) {
-	if !relPathMatches(pass.Pkg.RelPath, deterministicPkgs) {
+	if !pass.Pkg.has(deterministic) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {

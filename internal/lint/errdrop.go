@@ -5,15 +5,6 @@ import (
 	"go/types"
 )
 
-// servingPkgs are the module-relative prefixes of the serving layer:
-// the network stack, the multiplexer it fans into, and every
-// binary. A silently dropped I/O error here turns a broken peer into a
-// wedged session (a deadline that never armed, a reply that never
-// flushed) instead of a loud disconnect.
-var servingPkgs = []string{
-	"internal/stream", "internal/mux", "cmd", "examples",
-}
-
 // AnalyzerErrDrop flags discarded errors on the serving layer's I/O
 // boundaries:
 //
@@ -32,7 +23,7 @@ var AnalyzerErrDrop = &Analyzer{
 }
 
 func runErrDrop(pass *Pass) {
-	if !relPathMatches(pass.Pkg.RelPath, servingPkgs) {
+	if !pass.Pkg.has(serving) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {

@@ -5,14 +5,15 @@ import (
 	"strings"
 )
 
-// layerRule forbids a set of import edges: any package under one of the
-// Layers prefixes (module-relative) importing anything under one of the
-// Forbid prefixes is a finding. Forbid entries are module-relative
-// unless they name a standard-library path (no dot in the first
-// segment is not a reliable test, so entries are tagged explicitly with
-// "std:"), and the special entry "<module>" forbids every module-local
-// import.
+// layerRule forbids a set of import edges: any package carrying Trait in
+// the scope table, or under one of the Layers prefixes (module-
+// relative), importing anything under one of the Forbid prefixes is a
+// finding. Forbid entries are module-relative unless they name a
+// standard-library path (no dot in the first segment is not a reliable
+// test, so entries are tagged explicitly with "std:"), and the special
+// entry "<module>" forbids every module-local import.
 type layerRule struct {
+	Trait  trait
 	Layers []string
 	Forbid []string
 	Why    string
@@ -22,18 +23,7 @@ type layerRule struct {
 // import graph. Everything not forbidden here is allowed.
 var layerRules = []layerRule{
 	{
-		// The theory core: the computation/lattice model and the
-		// detection algorithms of the paper. Keeping it free of the
-		// serving stack and the network is what makes the detectors
-		// replayable and testable in isolation.
-		Layers: []string{
-			"internal/computation", "internal/vclock", "internal/lattice",
-			"internal/cnf", "internal/chains", "internal/core",
-			"internal/slicing", "internal/sat", "internal/subsetsum",
-			"internal/maxflow", "internal/matching", "internal/linear",
-			"internal/conjunctive", "internal/pred", "internal/gen",
-			"internal/par",
-		},
+		Trait:  theoryCore,
 		Forbid: []string{"internal/stream", "std:net", "std:net/http"},
 		Why:    "theory core stays serving-free",
 	},
@@ -92,7 +82,7 @@ func runLayering(pass *Pass) {
 		modPath = pass.Pkg.Path
 	}
 	for _, rule := range layerRules {
-		if !relPathMatches(rel, rule.Layers) {
+		if !pass.Pkg.has(rule.Trait) && !relPathMatches(rel, rule.Layers) {
 			continue
 		}
 		for _, f := range pass.Pkg.Files {

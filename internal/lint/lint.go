@@ -4,10 +4,10 @@
 // frameworks) and runs a pluggable set of analyzers that machine-check
 // invariants the compiler cannot see but the paper's guarantees depend
 // on: deterministic replayable computations (no escaping map-iteration
-// order, no wall clock), nil-safe observability calls, strict layering
-// between the theory core and the serving stack, no blocking work under
-// mutexes, a cycle-free global lock order, allocation-free hot paths,
-// and no leaked goroutines or dropped transport errors.
+// order, no wall clock), strict layering between the theory core and
+// the serving stack, no blocking work under mutexes, allocation-free
+// hot paths, and no dropped transport errors. Which packages a rule
+// applies to is declared once, in the scope table (scopes.go).
 //
 // Findings print as "file:line: [rule] message". A finding is suppressed
 // by a "//lint:ignore rule1,rule2 reason" comment on the offending line
@@ -21,12 +21,6 @@
 // marks a slow-path boundary that reachability does not cross (for
 // example the SLO breach dump, which is called from the ingest path but
 // fires at most once per rule transition).
-//
-// A committed baseline (see Baseline) turns the suite into a ratchet:
-// runs against it fail only on findings not already recorded, and with
-// Options.Ratchet any per-rule count growth fails even when entry
-// matching is confused. WriteJSON and WriteSARIF render findings for
-// machines; CI uploads the SARIF 2.1.0 form to code scanning.
 package lint
 
 import (
@@ -35,7 +29,6 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -94,8 +87,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzer is one named rule. A rule is either per-package (Run) or
 // whole-module (RunModule): module rules see every loaded package at
-// once, which is what lets lockorder stitch a global lock graph and
-// hotalloc follow calls across package boundaries.
+// once, which is what lets hotalloc follow calls across package
+// boundaries.
 type Analyzer struct {
 	// Name is the rule name used in findings and ignore directives.
 	Name string
@@ -141,11 +134,8 @@ func Analyzers() []*Analyzer {
 	as := []*Analyzer{
 		AnalyzerLockHeld,
 		AnalyzerLayering,
-		AnalyzerObsNil,
 		AnalyzerDetPTime,
-		AnalyzerCtxLeak,
 		AnalyzerMapOrder,
-		AnalyzerLockOrder,
 		AnalyzerHotAlloc,
 		AnalyzerErrDrop,
 	}
@@ -237,100 +227,20 @@ const (
 	ExitError    = 2 // the load itself failed (parse or type error)
 )
 
-// Options configures one driver run beyond the analyzer set.
-type Options struct {
-	// Format selects the finding encoding on out: "text" (default,
-	// file:line: [rule] message), "json", or "sarif" (2.1.0).
-	Format string
-	// Baseline is the path of the accepted-findings file; when set, only
-	// findings not absorbed by the baseline are reported and fail the
-	// run.
-	Baseline string
-	// UpdateBaseline rewrites Baseline from this run's findings and
-	// exits clean: the way a newly accepted debt level is recorded.
-	UpdateBaseline bool
-	// Ratchet additionally fails the run when any rule's finding count
-	// exceeds its baseline count, even if entry matching absorbed them.
-	Ratchet bool
-	// CountOnly suppresses the per-finding lines of text output; only
-	// the per-rule summary on errOut remains.
-	CountOnly bool
-}
-
-// Exec is the plain driver: load, run, print text findings, summarize.
+// Exec is the whole driver: load the patterns rooted at dir, run the
+// analyzers, print the findings to out, print a per-rule count summary
+// to errOut (always, success included), and return the process exit
+// code.
 func Exec(dir string, patterns []string, analyzers []*Analyzer, out, errOut io.Writer) int {
-	return ExecOptions(dir, patterns, analyzers, out, errOut, Options{})
-}
-
-// ExecOptions is the whole driver: load the patterns rooted at dir, run
-// the analyzers, apply the baseline, render findings to out in the
-// selected format, print a per-rule count summary to errOut (always,
-// success included), and return the process exit code.
-func ExecOptions(dir string, patterns []string, analyzers []*Analyzer, out, errOut io.Writer, opts Options) int {
 	pkgs, err := Load(patterns, dir)
 	if err != nil {
 		fmt.Fprintf(errOut, "gpdlint: %v\n", err)
 		return ExitError
 	}
 	findings := Run(pkgs, analyzers)
-
-	if opts.UpdateBaseline {
-		if opts.Baseline == "" {
-			fmt.Fprintln(errOut, "gpdlint: -update-baseline needs -baseline <file>")
-			return ExitError
-		}
-		if err := writeBaselineFile(opts.Baseline, dir, findings); err != nil {
-			fmt.Fprintf(errOut, "gpdlint: %v\n", err)
-			return ExitError
-		}
-		fmt.Fprintf(errOut, "gpdlint: baseline %s updated with %d finding(s)\n",
-			opts.Baseline, len(findings))
-		return ExitClean
-	}
-
-	report := findings
-	absorbed := 0
-	var ratchet []string
-	if opts.Baseline != "" {
-		b, err := readBaselineFile(opts.Baseline)
-		if err != nil {
-			fmt.Fprintf(errOut, "gpdlint: %v\n", err)
-			return ExitError
-		}
-		report = b.New(dir, findings)
-		absorbed = len(findings) - len(report)
-		if opts.Ratchet {
-			ratchet = b.Ratchet(findings)
-		}
-	}
-
-	switch opts.Format {
-	case "", "text":
-		if !opts.CountOnly {
-			for _, f := range report {
-				fmt.Fprintln(out, relativize(dir, f))
-			}
-		}
-	case "json":
-		if err := WriteJSON(out, dir, report); err != nil {
-			fmt.Fprintf(errOut, "gpdlint: %v\n", err)
-			return ExitError
-		}
-	case "sarif":
-		if err := WriteSARIF(out, dir, analyzers, report); err != nil {
-			fmt.Fprintf(errOut, "gpdlint: %v\n", err)
-			return ExitError
-		}
-	default:
-		fmt.Fprintf(errOut, "gpdlint: unknown format %q (want text, json or sarif)\n", opts.Format)
-		return ExitError
-	}
-
-	for _, m := range ratchet {
-		fmt.Fprintf(errOut, "gpdlint: ratchet: %s\n", m)
-	}
 	counts := make(map[string]int)
-	for _, f := range report {
+	for _, f := range findings {
+		fmt.Fprintln(out, relativize(dir, f))
 		counts[f.Rule]++
 	}
 	parts := make([]string, 0, len(analyzers))
@@ -340,43 +250,12 @@ func ExecOptions(dir string, patterns []string, analyzers []*Analyzer, out, errO
 	if n := counts["ignore"]; n > 0 {
 		parts = append(parts, fmt.Sprintf("ignore %d", n))
 	}
-	suffix := ""
-	if absorbed > 0 {
-		suffix = fmt.Sprintf(", %d baselined", absorbed)
-	}
-	fmt.Fprintf(errOut, "gpdlint: %d finding(s) in %d package(s) (%s)%s\n",
-		len(report), len(pkgs), strings.Join(parts, ", "), suffix)
-	if len(report) > 0 || len(ratchet) > 0 {
+	fmt.Fprintf(errOut, "gpdlint: %d finding(s) in %d package(s) (%s)\n",
+		len(findings), len(pkgs), strings.Join(parts, ", "))
+	if len(findings) > 0 {
 		return ExitFindings
 	}
 	return ExitClean
-}
-
-// writeBaselineFile records the findings at path, atomically enough for
-// a tool run (write then rename is overkill for a committed file).
-func writeBaselineFile(path, dir string, findings []Finding) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("lint: write baseline: %w", err)
-	}
-	werr := NewBaseline(dir, findings).Write(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("lint: write baseline: %w", werr)
-	}
-	return nil
-}
-
-// readBaselineFile loads the baseline at path.
-func readBaselineFile(path string) (*Baseline, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("lint: read baseline: %w", err)
-	}
-	defer f.Close()
-	return ReadBaseline(f)
 }
 
 // relativize shortens a finding's filename relative to dir for readable

@@ -84,15 +84,12 @@ func golden(t *testing.T, a *Analyzer) {
 	}
 }
 
-func TestGoldenLockHeld(t *testing.T)  { golden(t, AnalyzerLockHeld) }
-func TestGoldenLayering(t *testing.T)  { golden(t, AnalyzerLayering) }
-func TestGoldenObsNil(t *testing.T)    { golden(t, AnalyzerObsNil) }
-func TestGoldenDetPTime(t *testing.T)  { golden(t, AnalyzerDetPTime) }
-func TestGoldenCtxLeak(t *testing.T)   { golden(t, AnalyzerCtxLeak) }
-func TestGoldenMapOrder(t *testing.T)  { golden(t, AnalyzerMapOrder) }
-func TestGoldenLockOrder(t *testing.T) { golden(t, AnalyzerLockOrder) }
-func TestGoldenHotAlloc(t *testing.T)  { golden(t, AnalyzerHotAlloc) }
-func TestGoldenErrDrop(t *testing.T)   { golden(t, AnalyzerErrDrop) }
+func TestGoldenLockHeld(t *testing.T) { golden(t, AnalyzerLockHeld) }
+func TestGoldenLayering(t *testing.T) { golden(t, AnalyzerLayering) }
+func TestGoldenDetPTime(t *testing.T) { golden(t, AnalyzerDetPTime) }
+func TestGoldenMapOrder(t *testing.T) { golden(t, AnalyzerMapOrder) }
+func TestGoldenHotAlloc(t *testing.T) { golden(t, AnalyzerHotAlloc) }
+func TestGoldenErrDrop(t *testing.T)  { golden(t, AnalyzerErrDrop) }
 
 // TestIgnoreSuppression checks the directive semantics end to end: a
 // well-formed directive suppresses, a reason-less one is reported and
@@ -178,8 +175,8 @@ func TestExecSummaryOnFindings(t *testing.T) {
 // TestByName resolves rule subsets and rejects unknown names.
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 9 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 9, nil", len(all), err)
+	if err != nil || len(all) != 6 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 6, nil", len(all), err)
 	}
 	two, err := ByName("lockheld, layering")
 	if err != nil || len(two) != 2 {

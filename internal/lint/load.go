@@ -85,10 +85,10 @@ func findModule(dir string) (root, path string, err error) {
 // loaderCache memoizes one loader per module root for the lifetime of
 // the process. Parsing and type-checking the module (and, through the
 // source importer, its slice of the standard library) dominates a lint
-// run; sharing the loader means the driver's text, baseline, and SARIF
-// stages — and every fixture-module test — pay for the load once. The
-// cache assumes sources do not change underneath a running process,
-// which holds for both the CLI and the test suite.
+// run; sharing the loader means tests that load the same fixture module
+// more than once pay for it once. The cache assumes sources do not
+// change underneath a running process, which holds for both the CLI and
+// the test suite.
 var loaderCache = struct {
 	sync.Mutex
 	byRoot map[string]*loader

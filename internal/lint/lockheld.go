@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
+import "go/token"
 
 // AnalyzerLockHeld flags blocking operations performed while a
 // sync.Mutex or sync.RWMutex is held: channel sends and receives,
@@ -15,12 +11,8 @@ import (
 // PR 1. sync.Cond.Wait is deliberately not flagged (it releases the
 // lock while blocked).
 //
-// The analysis walks each function body in source order, tracking
-// which lock receivers are held (including defer-unlocked ones, which
-// stay held to the end of the function). It is conservative in the way
-// that matters for this codebase: lock/unlock pairs are matched
-// lexically, and function literals start with a fresh lock set (they
-// run on another goroutine or after release).
+// The analysis is lockFlow's source-order walk of each function body;
+// a finding names the most recently taken lock.
 var AnalyzerLockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc:  "no channel operations, net I/O, or time.Sleep while holding a mutex",
@@ -28,255 +20,15 @@ var AnalyzerLockHeld = &Analyzer{
 }
 
 func runLockHeld(pass *Pass) {
+	w := &lockFlow{pkg: pass.Pkg, onBlock: func(what string, held []string, pos token.Pos) {
+		pass.Reportf(pos, "%s while holding %s; move the blocking work outside the critical section", what, held[len(held)-1])
+	}}
 	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					w := &lockWalker{pass: pass, held: make(map[string]bool)}
-					w.stmts(n.Body.List)
-				}
-				return false // nested literals are handled by the walker
-			case *ast.FuncLit:
-				// Only reached for literals outside any FuncDecl (e.g.
-				// package-level var initializers).
-				w := &lockWalker{pass: pass, held: make(map[string]bool)}
-				w.stmts(n.Body.List)
-				return false
-			}
-			return true
-		})
-	}
-}
-
-// lockWalker tracks the set of held lock receivers through one
-// function body. order preserves acquisition order so findings name
-// the most recently taken lock deterministically.
-type lockWalker struct {
-	pass  *Pass
-	held  map[string]bool
-	order []string
-}
-
-func (w *lockWalker) acquire(recv string) {
-	if !w.held[recv] {
-		w.held[recv] = true
-		w.order = append(w.order, recv)
-	}
-}
-
-func (w *lockWalker) release(recv string) {
-	if w.held[recv] {
-		delete(w.held, recv)
-		for i := len(w.order) - 1; i >= 0; i-- {
-			if w.order[i] == recv {
-				w.order = append(w.order[:i], w.order[i+1:]...)
-				break
-			}
+		for _, d := range f.Decls {
+			// One walk per declaration: a function body, or a package-level
+			// var initializer whose function literals start fresh anyway.
+			w.held = w.held[:0]
+			w.walk(d)
 		}
 	}
-}
-
-// mutexMethod classifies a call as a lock-state transition on a
-// sync.Mutex/RWMutex receiver and returns the receiver's source
-// rendering.
-func (w *lockWalker) mutexMethod(call *ast.CallExpr) (recv string, name string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
-	default:
-		return "", "", false
-	}
-	fn, isFn := w.pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), sel.Sel.Name, true
-}
-
-// stmts walks a statement list in source order.
-func (w *lockWalker) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		w.stmt(s)
-	}
-}
-
-func (w *lockWalker) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if recv, name, ok := w.mutexMethod(call); ok {
-				switch name {
-				case "Lock", "RLock", "TryLock", "TryRLock":
-					w.acquire(recv)
-				case "Unlock", "RUnlock":
-					w.release(recv)
-				}
-				return
-			}
-		}
-		w.exprs(s.X)
-	case *ast.DeferStmt:
-		if _, _, ok := w.mutexMethod(s.Call); ok {
-			// defer mu.Unlock(): the lock stays held for the rest of
-			// the function, which is exactly what the rule must see.
-			return
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			fresh := &lockWalker{pass: w.pass, held: make(map[string]bool)}
-			fresh.stmts(lit.Body.List)
-			return
-		}
-		w.exprs(s.Call)
-	case *ast.GoStmt:
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			fresh := &lockWalker{pass: w.pass, held: make(map[string]bool)}
-			fresh.stmts(lit.Body.List)
-			return
-		}
-		w.exprs(s.Call)
-	case *ast.SendStmt:
-		if len(w.held) > 0 {
-			w.report(s.Pos(), "channel send")
-		}
-		w.exprs(s.Chan, s.Value)
-	case *ast.SelectStmt:
-		if len(w.held) > 0 {
-			w.report(s.Pos(), "select")
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body)
-			}
-		}
-	case *ast.RangeStmt:
-		if tv, ok := w.pass.Pkg.Info.Types[s.X]; ok {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan && len(w.held) > 0 {
-				w.report(s.Pos(), "range over channel")
-			}
-		}
-		w.exprs(s.X)
-		w.stmts(s.Body.List)
-	case *ast.BlockStmt:
-		w.stmts(s.List)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		w.exprs(s.Cond)
-		w.stmts(s.Body.List)
-		if s.Else != nil {
-			w.stmt(s.Else)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		if s.Cond != nil {
-			w.exprs(s.Cond)
-		}
-		w.stmts(s.Body.List)
-		if s.Post != nil {
-			w.stmt(s.Post)
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		if s.Tag != nil {
-			w.exprs(s.Tag)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.exprs(cc.List...)
-				w.stmts(cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body)
-			}
-		}
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt)
-	case *ast.AssignStmt:
-		w.exprs(s.Rhs...)
-		w.exprs(s.Lhs...)
-	case *ast.ReturnStmt:
-		w.exprs(s.Results...)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					w.exprs(vs.Values...)
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		w.exprs(s.X)
-	}
-}
-
-// exprs inspects expressions for blocking operations performed while a
-// lock is held. Function literals are skipped (fresh goroutine or
-// deferred context) except that their bodies are still scanned with a
-// fresh lock set.
-func (w *lockWalker) exprs(list ...ast.Expr) {
-	for _, e := range list {
-		if e == nil {
-			continue
-		}
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				fresh := &lockWalker{pass: w.pass, held: make(map[string]bool)}
-				fresh.stmts(n.Body.List)
-				return false
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && len(w.held) > 0 {
-					w.report(n.Pos(), "channel receive")
-				}
-			case *ast.CallExpr:
-				if len(w.held) > 0 {
-					w.checkBlockingCall(n)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// checkBlockingCall flags calls that can block on a peer or the
-// scheduler: time.Sleep and anything in package net or net/http
-// (functions and methods alike, so a method call through the net.Conn
-// interface counts).
-func (w *lockWalker) checkBlockingCall(call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	fn, ok := w.pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		if fn.Name() == "Sleep" {
-			w.report(call.Pos(), "time.Sleep")
-		}
-	case "net", "net/http":
-		w.report(call.Pos(), fn.Pkg().Path()+" I/O ("+fn.Name()+")")
-	}
-}
-
-func (w *lockWalker) report(pos token.Pos, what string) {
-	recv := w.order[len(w.order)-1]
-	w.pass.Reportf(pos, "%s while holding %s; move the blocking work outside the critical section", what, recv)
 }

@@ -6,22 +6,6 @@ import (
 	"go/types"
 )
 
-// orderSensitivePkgs are the module-relative prefixes whose outputs are
-// compared run-for-run: the theory core and detector kernel (replay and
-// agreement tests diff reports, witnesses, and work counters), the
-// serving layers (stats snapshots and flight records feed goldens and
-// CI scrapes), and this lint suite itself (its findings are diffed
-// against a committed baseline). In these packages a map range whose
-// iteration order reaches an output is a reproducibility bug — the
-// exact class that leaked into conjunctive's work counters before the
-// elimination order was canonicalized.
-var orderSensitivePkgs = []string{
-	"internal/lattice", "internal/chains", "internal/linear",
-	"internal/maxflow", "internal/core", "internal/detect", "internal/pred",
-	"internal/conjunctive", "internal/cnf", "internal/slicing",
-	"internal/stream", "internal/mux", "internal/obs", "internal/lint",
-}
-
 // AnalyzerMapOrder flags map-range loops whose iteration order can
 // escape the loop, in packages whose outputs must be deterministic.
 //
@@ -52,7 +36,7 @@ var AnalyzerMapOrder = &Analyzer{
 }
 
 func runMapOrder(pass *Pass) {
-	if !relPathMatches(pass.Pkg.RelPath, orderSensitivePkgs) {
+	if !pass.Pkg.has(orderSensitive) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {

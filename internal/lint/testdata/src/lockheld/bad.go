@@ -15,27 +15,27 @@ type srv struct {
 
 func (s *srv) sendHeld() {
 	s.mu.Lock()
-	s.ch <- 1 // want `channel send while holding s\.mu`
+	s.ch <- 1 // want `channel send while holding srv\.mu`
 	s.mu.Unlock()
 }
 
 func (s *srv) recvHeld() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := <-s.ch // want `channel receive while holding s\.mu`
+	v := <-s.ch // want `channel receive while holding srv\.mu`
 	_ = v
 }
 
 func (s *srv) sleepHeld() {
 	s.rw.RLock()
-	time.Sleep(time.Millisecond) // want `time\.Sleep while holding s\.rw`
+	time.Sleep(time.Millisecond) // want `time\.Sleep while holding srv\.rw`
 	s.rw.RUnlock()
 }
 
 func (s *srv) closeHeld() {
 	s.mu.Lock()
 	for c := range s.conns {
-		c.Close() // want `net I/O \(Close\) while holding s\.mu`
+		c.Close() // want `net I/O \(Close\) while holding srv\.mu`
 	}
 	s.mu.Unlock()
 }
@@ -43,7 +43,7 @@ func (s *srv) closeHeld() {
 func (s *srv) selectHeld() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	select { // want `select while holding s\.mu`
+	select { // want `select while holding srv\.mu`
 	default:
 	}
 }
@@ -51,7 +51,7 @@ func (s *srv) selectHeld() {
 func (s *srv) rangeChanHeld(jobs chan int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for j := range jobs { // want `range over channel while holding s\.mu`
+	for j := range jobs { // want `range over channel while holding srv\.mu`
 		_ = j
 	}
 }

@@ -3,9 +3,11 @@ package stream
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -385,6 +387,15 @@ func TestServerLifecycle(t *testing.T) {
 	if possibly, err := cl.Append("s", []Event{{Proc: 0, VC: []int64{2, 0}}}); err != nil || !possibly {
 		t.Fatalf("append reply after detection: possibly=%v, err %v", possibly, err)
 	}
+	// A clean hang-up: the peer stops writing but keeps reading, so any
+	// byte the server sent in answer to the EOF would arrive here.
+	if err := cl.conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	cl.conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if b, err := io.ReadAll(cl.conn); err != nil || len(b) != 0 {
+		t.Fatalf("server answered a hang-up with %d bytes (err %v): %q", len(b), err, b)
+	}
 	cl.Close()
 	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(time.Millisecond) {
 		if recs := fl.Snapshot(); len(recs) > 0 && recs[len(recs)-1].Stage == obs.StageDisconnect {
@@ -420,6 +431,81 @@ func TestServerLifecycle(t *testing.T) {
 	if _, err := Dial(srv.Addr()); err == nil {
 		t.Fatal("dialing a closed server must fail")
 	}
+}
+
+// waitGoroutines fails the test unless the process is back at (or below)
+// its starting goroutine count within a few seconds.
+func waitGoroutines(t *testing.T, start int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, started with %d:\n%s", runtime.NumGoroutine(), start, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestShutdownReturnsGoroutines is the dynamic form of "every goroutine
+// is tied to a shutdown path": after Server.Close and Engine.Shutdown the
+// process is back at the goroutine count it started with, whoever
+// launched them (interface and function-value calls included). The
+// connections cover the ways a peer can be left: closed by the client,
+// abandoned mid-frame, idle, and holding live plain and mux sessions.
+func TestShutdownReturnsGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
+	eng := NewEngine(Config{Shards: 2})
+	srv, err := ListenAndServe("127.0.0.1:0", eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() *Client {
+		cl, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	events := []Event{{Proc: 0, VC: []int64{1, 0}, Truth: true, Var: "x"}, {Proc: 1, VC: []int64{0, 1}, Truth: true, Var: "x"}}
+
+	gone := dial()
+	if err := gone.Open("gone", Spec{Pred: "all(x)", Procs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	gone.Close() // its session stays open on the engine
+
+	plain := dial()
+	if err := plain.Open("s", Spec{Pred: "all(x)", Procs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.Append("s", events); err != nil {
+		t.Fatal(err)
+	}
+
+	muxed := dial()
+	if err := muxed.Open("m", Spec{Mux: true, Procs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []RegisterSpec{{ID: "c", Pred: "all(x)"}, {ID: "s", Pred: "sum(x) >= 1"}} {
+		if _, err := muxed.RegisterPredicate("m", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := muxed.Append("m", events); err != nil {
+		t.Fatal(err)
+	}
+
+	dial() // idle: never sends a byte
+	abandoned := dial()
+	if _, err := abandoned.conn.Write([]byte{0, 0, 0, 64, '{'}); err != nil { // a 64-byte frame that stops after one byte
+		t.Fatal(err)
+	}
+
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Shutdown()
+	waitGoroutines(t, start)
 }
 
 // TestServerRejectsBadSpecs sends the specs that used to open (or

@@ -324,7 +324,9 @@ func (e *Engine) shardFor(id string) *shard {
 		h ^= uint32(id[i])
 		h *= prime32
 	}
-	return e.shards[int(h)%len(e.shards)]
+	// Reduce before converting: where int is 32 bits, int(h) is negative
+	// for half of all hashes.
+	return e.shards[int(h%uint32(len(e.shards)))]
 }
 
 // run is one shard worker loop: drain a batch, apply every message, then
@@ -376,7 +378,7 @@ func (e *Engine) run(sh *shard) {
 		// Flush touched sessions in sorted id order: Record/publish feed
 		// the flight recorder and the metrics registry, whose contents
 		// are diffed run to run — map order must not leak into them.
-		ids := ids[:0]
+		ids = ids[:0]
 		for id := range touched {
 			ids = append(ids, id)
 		}

@@ -188,15 +188,14 @@ func (s *Server) serve(conn net.Conn) {
 		inBefore, outBefore := cr.n, cw.n
 		req, err := DecodeRequest(br)
 		if err != nil {
-			// Version/JSON errors get one best-effort complaint; framing
-			// and I/O errors just drop the connection.
-			if !errors.Is(err, ErrFrameTooLarge) && !errors.Is(err, ErrEmptyFrame) {
-				var ne net.Error
-				if errors.As(err, &ne) {
-					return
-				}
+			// A peer that hung up (between frames or mid-frame) and I/O
+			// errors just drop the connection: nobody is left to read a
+			// reply. Version, JSON, oversize and empty-frame errors get one
+			// best-effort complaint.
+			var ne net.Error
+			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.As(err, &ne) {
+				s.reply(conn, bw, Response{V: ProtocolVersion, Error: err.Error()})
 			}
-			s.reply(conn, bw, Response{V: ProtocolVersion, Error: err.Error()})
 			return
 		}
 		if req.Type == "close" {

@@ -2,12 +2,15 @@ package gpd_test
 
 // The in-process Monitor/Probe adapter over the registry's conjunctive
 // detector. Reports are synchronous — a probe call returns with the
-// verdict already latched — so nothing here waits or sleeps.
+// verdict already latched — so nothing here waits or sleeps, except the
+// goroutine-count check that follows Shutdown.
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	gpd "github.com/distributed-predicates/gpd"
 )
@@ -179,6 +182,7 @@ func TestMonitorProbesOutliveShutdown(t *testing.T) {
 // are still reporting; under -race this pins the stop path, and neither
 // side can block the other (a deadlock here is a test timeout).
 func TestMonitorShutdownDuringReports(t *testing.T) {
+	start := runtime.NumGoroutine()
 	m := gpd.NewMonitor(3, nil)
 	var wg sync.WaitGroup
 	for p := 0; p < 3; p++ {
@@ -194,6 +198,12 @@ func TestMonitorShutdownDuringReports(t *testing.T) {
 	m.Shutdown()
 	m.Shutdown()
 	wg.Wait()
+	// Nothing the monitor or its probes started outlives Shutdown.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, started with %d", runtime.NumGoroutine(), start)
+		}
+	}
 }
 
 // TestNewMonitorRejectsBadInvolved: an involved set that names a process
