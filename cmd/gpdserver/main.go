@@ -20,7 +20,10 @@
 // examples/streamclient is a ready-made load generator and correctness
 // checker. The -stats listener serves expvar-style JSON at /debug/vars
 // with per-shard and per-session counters, Prometheus text exposition at
-// /metrics (including runtime self-telemetry under gpd_runtime_*), the
+// /metrics (the same per-shard counters as gpd_stream_*{shard=...} — one
+// store, two renderings — plus runtime self-telemetry under
+// gpd_runtime_*; README "Observability" lists every series with the
+// consumer that reads it), the
 // cost ledger at /debug/tenants — per-(tenant, family) CPU, detector
 // steps, events and wire bytes, plus the hottest predicates —
 // (?format=text for a table, ?k= for the hot-predicate depth), the
@@ -243,12 +246,10 @@ func statsHandler(eng *stream.Engine, metrics *obs.Registry, flight *obs.Flight,
 			}
 			k = n
 		}
-		led := ledger.Snapshot()
 		view := tenantsView{
-			TotalCPUNanos: led.TotalCPUNanos,
-			Scopes:        led.Scopes,
-			HotPredicates: ledger.HotPredicates(k),
-			Registered:    eng.Snapshot().Tenants,
+			LedgerSnapshot: ledger.Snapshot(),
+			HotPredicates:  ledger.HotPredicates(k),
+			Registered:     eng.Snapshot().Tenants,
 		}
 		switch format := r.URL.Query().Get("format"); format {
 		case "", "json":
@@ -284,10 +285,9 @@ func statsHandler(eng *stream.Engine, metrics *obs.Registry, flight *obs.Flight,
 // per-tenant registration counts, joined so one scrape answers "who is
 // expensive and what are they running".
 type tenantsView struct {
-	TotalCPUNanos int64           `json:"total_cpu_nanos"`
-	Scopes        []obs.ScopeCost `json:"scopes"`
-	HotPredicates []obs.PredCost  `json:"hot_predicates,omitempty"`
-	Registered    map[string]int  `json:"registered,omitempty"`
+	obs.LedgerSnapshot
+	HotPredicates []obs.PredCost `json:"hot_predicates,omitempty"`
+	Registered    map[string]int `json:"registered,omitempty"`
 }
 
 // writeTenantsText renders the ledger as a fixed-width table for humans

@@ -186,7 +186,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE gpd_stream_events_total counter",
 		"# TYPE gpd_stream_frames_total counter",
 		"# TYPE gpd_stream_detections_total counter",
-		"# TYPE gpd_stream_delivery_lag_events histogram",
 		"gpd_stream_finalize_millis_count 1",
 		`gpd_stream_finalize_work_total{counter="stream.rebuilt_events"} 4`,
 	} {

@@ -39,13 +39,25 @@ type RangeCore struct {
 
 // NewRangeCore starts a core over procs processes consuming the given
 // payload. init gives the per-process values at the core's first cut
-// (nil: all zero; delta payloads count from zero and take none). cut is
+// (nil: all zero; delta payloads count from zero and take none; truth
+// payloads take 0/1) and is validated here, the one place every route —
+// batch replay, plain session, mux registration — crosses. cut is
 // that first cut in the stream's own clocks — the per-process local
 // indices already behind it — for a core joining a running stream; nil
 // starts at the beginning.
 func NewRangeCore(procs int, payload Payload, init, cut []int64, retain bool) (*RangeCore, error) {
 	if payload == PayloadDelta && len(init) > 0 {
 		return nil, fmt.Errorf("detect: inflight detectors take no initial values (occupancy starts at 0)")
+	}
+	if len(init) > procs {
+		return nil, fmt.Errorf("detect: %d initial values for %d processes", len(init), procs)
+	}
+	if payload == PayloadTruth {
+		for p, v := range init {
+			if v != 0 && v != 1 {
+				return nil, fmt.Errorf("detect: initial value %d of process %d is not a 0/1 truth value", v, p)
+			}
+		}
 	}
 	c := &RangeCore{
 		fr:      newFrontier(procs, cut),

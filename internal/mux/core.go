@@ -48,7 +48,9 @@ func (g *Group) coreFor(routeVar string, payload detect.Payload, explicit []int6
 	copy(seed, g.seedInit(routeVar, payload))
 	init := seed
 	if explicit != nil {
-		init = make([]int64, g.procs)
+		// Padded, never truncated: an over-long or out-of-range Init
+		// matches no live core and is refused by NewRangeCore below.
+		init = make([]int64, max(g.procs, len(explicit)))
 		copy(init, explicit)
 	}
 	for _, c := range g.cores[routeVar] {

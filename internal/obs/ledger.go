@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -28,9 +27,6 @@ type ScopeKey struct {
 // discipline — instrumented code never branches on whether the ledger
 // is enabled.
 type Scope struct {
-	led *Ledger
-	key ScopeKey
-
 	cpu      atomic.Int64
 	steps    atomic.Int64
 	events   atomic.Int64
@@ -40,14 +36,12 @@ type Scope struct {
 
 // AddCPU charges ns nanoseconds of CPU-adjacent wall time measured on
 // the goroutine doing this scope's work (the stream engine times each
-// batch's detector work per session). Also feeds the ledger-wide total
-// that CPU shares are computed against.
+// batch's detector work per session).
 func (s *Scope) AddCPU(ns int64) {
 	if s == nil || ns <= 0 {
 		return
 	}
 	s.cpu.Add(ns)
-	s.led.total.Add(ns)
 }
 
 // AddSteps charges detector steps.
@@ -88,60 +82,26 @@ type predKey struct {
 	family string
 }
 
-type predCost struct {
-	steps int64
-}
-
 // Ledger attributes serving cost — CPU time, detector steps, events and
 // wire bytes — to (tenant, family) scopes, plus a bounded per-predicate
-// step table for the top-K hot-predicates view. Scope handles are
-// interned once (at session open) and then recorded to via atomics; the
-// per-event record path takes one mutex and does no allocation on the
-// hit path. All methods are nil-safe.
+// step table for the top-K hot-predicates view. Both tables are capped
+// interners with an "other" overflow, mirroring the vector cardinality
+// cap. Scope handles are interned once (at session open) and then
+// recorded to via atomics; the per-event record path takes one mutex
+// and does no allocation on the hit path. All methods are nil-safe.
 type Ledger struct {
-	total atomic.Int64 // CPU nanos across all scopes
-
-	mu     sync.Mutex
-	scopes map[ScopeKey]*Scope
-	limit  int
-	other  *Scope
-
-	pmu    sync.Mutex
-	preds  map[predKey]*predCost
-	plimit int
-	pother int64 // steps aggregated past the predicate cap
+	scopes interner[ScopeKey, Scope]
+	preds  interner[predKey, Counter]
 }
 
 // NewLedger returns an empty ledger with the default cardinality caps.
-func NewLedger() *Ledger {
+func NewLedger() *Ledger { return newLedger(DefaultMaxScopes, DefaultMaxHotPredicates) }
+
+func newLedger(maxScopes, maxPreds int) *Ledger {
 	return &Ledger{
-		scopes: make(map[ScopeKey]*Scope),
-		limit:  DefaultMaxScopes,
-		preds:  make(map[predKey]*predCost),
-		plimit: DefaultMaxHotPredicates,
+		scopes: newInterner[ScopeKey, Scope](maxScopes),
+		preds:  newInterner[predKey, Counter](maxPreds),
 	}
-}
-
-// SetScopeLimit overrides the scope cap (default DefaultMaxScopes).
-// Call before the ledger is populated; shrinking does not evict.
-func (l *Ledger) SetScopeLimit(n int) {
-	if l == nil || n <= 0 {
-		return
-	}
-	l.mu.Lock()
-	l.limit = n
-	l.mu.Unlock()
-}
-
-// SetPredicateLimit overrides the hot-predicate table cap (default
-// DefaultMaxHotPredicates).
-func (l *Ledger) SetPredicateLimit(n int) {
-	if l == nil || n <= 0 {
-		return
-	}
-	l.pmu.Lock()
-	l.plimit = n
-	l.pmu.Unlock()
 }
 
 // Scope interns and returns the scope for (tenant, family). Past the
@@ -151,21 +111,7 @@ func (l *Ledger) Scope(tenant, family string) *Scope {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	k := ScopeKey{Tenant: tenant, Family: family}
-	if s, ok := l.scopes[k]; ok {
-		return s
-	}
-	if len(l.scopes) >= l.limit {
-		if l.other == nil {
-			l.other = &Scope{led: l, key: ScopeKey{Tenant: overflowValue, Family: overflowValue}}
-		}
-		return l.other
-	}
-	s := &Scope{led: l, key: k}
-	l.scopes[k] = s
-	return s
+	return l.scopes.get(ScopeKey{Tenant: tenant, Family: family}, true)
 }
 
 // RecordPredicate charges steps to one registered predicate's row in
@@ -178,50 +124,37 @@ func (l *Ledger) RecordPredicate(id, tenant, family string, steps int64) {
 	if l == nil || steps <= 0 {
 		return
 	}
-	k := predKey{id: id, tenant: tenant, family: family}
-	l.pmu.Lock()
-	if p, ok := l.preds[k]; ok {
-		p.steps += steps
-	} else if len(l.preds) < l.plimit {
-		l.internPred(k, steps)
-	} else {
-		l.pother += steps
-	}
-	l.pmu.Unlock()
+	l.preds.get(predKey{id: id, tenant: tenant, family: family}, true).Add(steps)
 }
 
-// internPred creates a hot-table row; first sight of a predicate only,
-// so the allocation is off the per-event path.
-//
-//lint:coldpath
-func (l *Ledger) internPred(k predKey, steps int64) {
-	l.preds[k] = &predCost{steps: steps}
+// cpuNanos sums the attributed CPU over every scope (overflow included)
+// and, of that, over the named scopes of one tenant.
+func (l *Ledger) cpuNanos(tenant string) (total, own int64) {
+	if l == nil {
+		return 0, 0
+	}
+	l.scopes.each(func(k ScopeKey, s *Scope, overflow bool) {
+		ns := s.cpu.Load()
+		total += ns
+		if !overflow && k.Tenant == tenant {
+			own += ns
+		}
+	})
+	return total, own
 }
 
 // TotalCPUNanos returns the CPU nanoseconds attributed across every
-// scope (including overflow).
+// scope (including overflow) — the total CPU shares are computed against.
 func (l *Ledger) TotalCPUNanos() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.total.Load()
+	total, _ := l.cpuNanos("")
+	return total
 }
 
 // TenantCPUNanos sums the CPU attributed to one tenant across its
 // family scopes. Overflow cost is never attributed to a named tenant.
 func (l *Ledger) TenantCPUNanos(tenant string) int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var sum int64
-	for k, s := range l.scopes {
-		if k.Tenant == tenant {
-			sum += s.cpu.Load()
-		}
-	}
-	return sum
+	_, own := l.cpuNanos(tenant)
+	return own
 }
 
 // ScopeCost is one scope's row in a ledger snapshot.
@@ -249,32 +182,27 @@ func (l *Ledger) Snapshot() LedgerSnapshot {
 	if l == nil {
 		return LedgerSnapshot{}
 	}
-	l.mu.Lock()
-	scopes := make([]*Scope, 0, len(l.scopes)+1)
-	for _, s := range l.scopes {
-		//lint:ignore maporder the rendered ScopeCost slice built from this staging copy is sorted below before it escapes
-		scopes = append(scopes, s)
-	}
-	if l.other != nil {
-		scopes = append(scopes, l.other)
-	}
-	l.mu.Unlock()
-
-	snap := LedgerSnapshot{TotalCPUNanos: l.total.Load(), Scopes: make([]ScopeCost, 0, len(scopes))}
-	for _, s := range scopes {
+	var snap LedgerSnapshot
+	l.scopes.each(func(k ScopeKey, s *Scope, overflow bool) {
+		if overflow {
+			k = ScopeKey{Tenant: overflowValue, Family: overflowValue}
+		}
 		c := ScopeCost{
-			Tenant:   s.key.Tenant,
-			Family:   s.key.Family,
+			Tenant:   k.Tenant,
+			Family:   k.Family,
 			CPUNanos: s.cpu.Load(),
 			Steps:    s.steps.Load(),
 			Events:   s.events.Load(),
 			BytesIn:  s.bytesIn.Load(),
 			BytesOut: s.bytesOut.Load(),
 		}
-		if snap.TotalCPUNanos > 0 {
-			c.CPUShare = float64(c.CPUNanos) / float64(snap.TotalCPUNanos)
-		}
+		snap.TotalCPUNanos += c.CPUNanos
 		snap.Scopes = append(snap.Scopes, c)
+	})
+	if snap.TotalCPUNanos > 0 {
+		for i := range snap.Scopes {
+			snap.Scopes[i].CPUShare = float64(snap.Scopes[i].CPUNanos) / float64(snap.TotalCPUNanos)
+		}
 	}
 	sort.Slice(snap.Scopes, func(i, j int) bool {
 		a, b := snap.Scopes[i], snap.Scopes[j]
@@ -308,15 +236,13 @@ func (l *Ledger) HotPredicates(k int) []PredCost {
 	if l == nil || k <= 0 {
 		return nil
 	}
-	l.pmu.Lock()
-	out := make([]PredCost, 0, len(l.preds)+1)
-	for pk, p := range l.preds {
-		out = append(out, PredCost{ID: pk.id, Tenant: pk.tenant, Family: pk.family, Steps: p.steps})
-	}
-	if l.pother > 0 {
-		out = append(out, PredCost{ID: overflowValue, Tenant: overflowValue, Family: overflowValue, Steps: l.pother})
-	}
-	l.pmu.Unlock()
+	var out []PredCost
+	l.preds.each(func(pk predKey, p *Counter, overflow bool) {
+		if overflow {
+			pk = predKey{id: overflowValue, tenant: overflowValue, family: overflowValue}
+		}
+		out = append(out, PredCost{ID: pk.id, Tenant: pk.tenant, Family: pk.family, Steps: p.Value()})
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Steps != out[j].Steps {
 			return out[i].Steps > out[j].Steps

@@ -47,8 +47,7 @@ func TestLedgerScopes(t *testing.T) {
 // TestLedgerScopeOverflow checks the scope cap: past it, new pairs
 // share the other/other scope and totals are conserved.
 func TestLedgerScopeOverflow(t *testing.T) {
-	l := NewLedger()
-	l.SetScopeLimit(2)
+	l := newLedger(2, DefaultMaxHotPredicates)
 	l.Scope("a", "f").AddCPU(1)
 	l.Scope("b", "f").AddCPU(2)
 	l.Scope("c", "f").AddCPU(4)
@@ -95,8 +94,7 @@ func TestLedgerHotPredicates(t *testing.T) {
 // TestLedgerPredicateOverflow checks the hot-table cap aggregates the
 // remainder into an "other" row with steps conserved.
 func TestLedgerPredicateOverflow(t *testing.T) {
-	l := NewLedger()
-	l.SetPredicateLimit(2)
+	l := newLedger(DefaultMaxScopes, 2)
 	l.RecordPredicate("p1", "a", "f", 1)
 	l.RecordPredicate("p2", "a", "f", 2)
 	l.RecordPredicate("p3", "a", "f", 4)
@@ -130,8 +128,6 @@ func TestLedgerNilSafety(t *testing.T) {
 	s.AddEvents(1)
 	s.AddBytes(1, 1)
 	l.RecordPredicate("p", "a", "f", 1)
-	l.SetScopeLimit(1)
-	l.SetPredicateLimit(1)
 	if l.TotalCPUNanos() != 0 || l.TenantCPUNanos("a") != 0 {
 		t.Error("nil ledger reported cost")
 	}
@@ -146,9 +142,7 @@ func TestLedgerNilSafety(t *testing.T) {
 // TestLedgerConcurrent hammers scopes and the predicate table from many
 // goroutines (run under -race in CI) and checks conservation.
 func TestLedgerConcurrent(t *testing.T) {
-	l := NewLedger()
-	l.SetScopeLimit(4)
-	l.SetPredicateLimit(4)
+	l := newLedger(4, 4)
 	const workers, per = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -145,16 +145,15 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry is a named collection of metrics. Lookups intern the metric on
-// first use, so callers hold typed handles and pay a map access only once.
+// Registry is a named collection of metrics, one map per metric kind:
+// counters and gauges are vectors (a scalar is the vector with no label
+// keys), histograms are scalar only. Lookups intern the metric on first
+// use, so callers hold typed handles and pay a map access only once.
 type Registry struct {
-	mu    sync.Mutex
-	ctrs  map[string]*Counter
-	gaugs map[string]*Gauge
-	hists map[string]*Histogram
-	cvecs map[string]*CounterVec
-	gvecs map[string]*GaugeVec
-	hvecs map[string]*HistogramVec
+	mu       sync.Mutex
+	counters map[string]*CounterVec
+	gauges   map[string]*GaugeVec
+	hists    map[string]*Histogram
 
 	smu      sync.Mutex
 	samplers []func()
@@ -163,12 +162,9 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		ctrs:  make(map[string]*Counter),
-		gaugs: make(map[string]*Gauge),
-		hists: make(map[string]*Histogram),
-		cvecs: make(map[string]*CounterVec),
-		gvecs: make(map[string]*GaugeVec),
-		hvecs: make(map[string]*HistogramVec),
+		counters: make(map[string]*CounterVec),
+		gauges:   make(map[string]*GaugeVec),
+		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -197,36 +193,43 @@ func (r *Registry) sample() {
 	}
 }
 
-// Counter returns the named counter, creating it on first use. Returns a
-// nil (no-op) counter on a nil registry.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
+// vecIn returns the named vector of one kind's map, creating it with
+// the given label keys and the default series cap on first use (later
+// key lists are ignored for an existing vector, matching Histogram's
+// bounds rule).
+func vecIn[M any](r *Registry, m map[string]*vec[M], name string, labelKeys []string) *vec[M] {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.ctrs[name]
+	v, ok := m[name]
 	if !ok {
-		c = &Counter{}
-		r.ctrs[name] = c
+		v = newVec[M](name, labelKeys, DefaultMaxSeries)
+		m[name] = v
 	}
-	return c
+	return v
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
+// CounterVec returns the named counter vector. Returns a nil (no-op)
+// vector on a nil registry.
+func (r *Registry) CounterVec(name string, labelKeys ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gaugs[name]
-	if !ok {
-		g = &Gauge{}
-		r.gaugs[name] = g
-	}
-	return g
+	return vecIn(r, r.counters, name, labelKeys)
 }
+
+// GaugeVec returns the named gauge vector; see CounterVec.
+func (r *Registry) GaugeVec(name string, labelKeys ...string) *GaugeVec {
+	if r == nil {
+		return nil
+	}
+	return vecIn(r, r.gauges, name, labelKeys)
+}
+
+// Counter returns the named unlabeled counter.
+func (r *Registry) Counter(name string) *Counter { return r.CounterVec(name).With() }
+
+// Gauge returns the named unlabeled gauge.
+func (r *Registry) Gauge(name string) *Gauge { return r.GaugeVec(name).With() }
 
 // Histogram returns the named histogram, creating it with the given bounds
 // on first use (later bounds are ignored for an existing histogram).
@@ -267,23 +270,14 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	r.sample()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, c := range r.ctrs {
-		snap.Counters[name] = c.Value()
+	for _, v := range r.counters {
+		v.fold(snap.Counters, (*Counter).Value)
 	}
-	for name, g := range r.gaugs {
-		snap.Gauges[name] = g.Value()
+	for _, v := range r.gauges {
+		v.fold(snap.Gauges, (*Gauge).Value)
 	}
 	for name, h := range r.hists {
 		snap.Histograms[name] = h.Snapshot()
-	}
-	for _, v := range r.cvecs {
-		v.fold(snap.Counters)
-	}
-	for _, v := range r.gvecs {
-		v.fold(snap.Gauges)
-	}
-	for _, v := range r.hvecs {
-		v.fold(snap.Histograms)
 	}
 	return snap
 }

@@ -62,37 +62,31 @@ func (r *Registry) WritePrometheus(w io.Writer, prefix string) error {
 	snap := r.Snapshot()
 
 	typed := make(map[string]string) // base name -> TYPE already written
-	var names []string
-	for name := range snap.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(snap.Counters) {
 		if err := writeSeries(w, typed, prefix, name, "counter", snap.Counters[name]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for name := range snap.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(snap.Gauges) {
 		if err := writeSeries(w, typed, prefix, name, "gauge", snap.Gauges[name]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for name := range snap.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := writeHistogram(w, typed, prefix, name, snap.Histograms[name]); err != nil {
+	for _, name := range sortedKeys(snap.Histograms) {
+		if err := writeHistogram(w, typed, prefix+name, snap.Histograms[name]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 func writeType(w io.Writer, typed map[string]string, full, kind string) error {
@@ -117,37 +111,20 @@ func writeSeries(w io.Writer, typed map[string]string, prefix, name, kind string
 	return err
 }
 
-func writeHistogram(w io.Writer, typed map[string]string, prefix, name string, h HistogramSnapshot) error {
-	full := prefix + baseName(name)
+// writeHistogram writes one histogram; histograms are scalar (the
+// registry has no labeled histogram kind), so le is the only label.
+func writeHistogram(w io.Writer, typed map[string]string, full string, h HistogramSnapshot) error {
 	if err := writeType(w, typed, full, "histogram"); err != nil {
 		return err
-	}
-	ls := labelSet(name)
-	join := func(le string) string {
-		if ls == "" {
-			return fmt.Sprintf(`le="%s"`, le)
-		}
-		return fmt.Sprintf(`%s,le="%s"`, ls, le)
 	}
 	var cum int64
 	for i, b := range h.Bounds {
 		cum += h.Buckets[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", full, join(fmt.Sprint(b)), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", full, b, cum); err != nil {
 			return err
 		}
 	}
 	cum += h.Buckets[len(h.Buckets)-1]
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", full, join("+Inf"), cum); err != nil {
-		return err
-	}
-	sum, count := fmt.Sprintf("%s_sum", full), fmt.Sprintf("%s_count", full)
-	if ls != "" {
-		sum = fmt.Sprintf("%s_sum{%s}", full, ls)
-		count = fmt.Sprintf("%s_count{%s}", full, ls)
-	}
-	if _, err := fmt.Fprintf(w, "%s %d\n", sum, h.Sum); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %d\n", count, h.Count)
+	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n", full, cum, full, h.Sum, full, h.Count)
 	return err
 }

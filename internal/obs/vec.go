@@ -18,301 +18,126 @@ const DefaultMaxSeries = 256
 const overflowValue = "other"
 
 // seriesKeySep joins label values into a map key. 0x1f (ASCII unit
-// separator) cannot appear in sane label values; a value that does
-// contain it still round-trips in the exposition because rendering
-// escapes independently of this key.
+// separator) cannot appear in sane label values.
 const seriesKeySep = "\x1f"
 
-// vecCore carries the shape shared by the three vector kinds: the base
-// name, the ordered label keys, and the series cap. It does not hold
-// the series map (each kind keeps a typed map so With returns concrete
-// handles with zero interface indirection on the hot path).
-type vecCore struct {
-	name  string
-	keys  []string
+// interner is the one cardinality-capped table of the package: it hands
+// out one zero-initialized *V per key until limit keys exist, and from
+// then on one shared overflow value for every new key — so whatever the
+// values accumulate stays conserved while the table stays bounded. The
+// metric vectors, the ledger's scopes and its hot-predicate table are
+// all this type; the cap is fixed at construction.
+type interner[K comparable, V any] struct {
+	mu    sync.Mutex
+	m     map[K]*V
 	limit int
+	other *V
 }
 
-func newVecCore(name string, keys []string) vecCore {
-	return vecCore{name: name, keys: append([]string(nil), keys...), limit: DefaultMaxSeries}
+func newInterner[K comparable, V any](limit int) interner[K, V] {
+	return interner[K, V]{m: make(map[K]*V), limit: limit}
 }
 
-// seriesKey joins values for map lookup; arity mismatches return false
-// and route the caller to the overflow series — a misuse must not mint
-// series under a wrong schema.
-func (c *vecCore) seriesKey(values []string) (string, bool) {
-	if len(values) != len(c.keys) {
-		return "", false
+// get returns the value interned for k, creating it below the cap. A
+// new key past the cap — or any key with ok false, the caller's "this
+// key is malformed" — gets the overflow value. The hit path is one
+// mutex and one map lookup.
+func (in *interner[K, V]) get(k K, ok bool) *V {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if ok {
+		if v, hit := in.m[k]; hit {
+			return v
+		}
+		if len(in.m) < in.limit {
+			v := new(V)
+			in.m[k] = v
+			return v
+		}
 	}
-	if len(values) == 1 {
-		return values[0], true
+	if in.other == nil {
+		in.other = new(V)
 	}
-	return strings.Join(values, seriesKeySep), true
+	return in.other
 }
 
-// rendered returns the exposition name for a concrete series, e.g.
-// name{tenant="a",shard="0"} with values escaped.
-func (c *vecCore) rendered(values []string) string {
+// each calls fn for every interned value in map order, then for the
+// overflow value (zero key, overflow true) if anything ever landed on
+// it. fn runs under the table lock and must not call back into it.
+func (in *interner[K, V]) each(fn func(k K, v *V, overflow bool)) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for k, v := range in.m {
+		fn(k, v, false)
+	}
+	if in.other != nil {
+		var zero K
+		fn(zero, in.other, true)
+	}
+}
+
+// vec is a family of metrics sharing one name and label schema. With
+// interns a series per label-value tuple up to the cardinality cap;
+// past the cap every new tuple shares the "other" overflow series. A
+// vector with no label keys is a scalar: its one series is the bare
+// name. All methods are no-ops on a nil receiver.
+type vec[M any] struct {
+	name   string
+	keys   []string
+	series interner[string, M]
+}
+
+// CounterVec and GaugeVec are the two vector kinds.
+type (
+	CounterVec = vec[Counter]
+	GaugeVec   = vec[Gauge]
+)
+
+func newVec[M any](name string, keys []string, limit int) *vec[M] {
+	return &vec[M]{name: name, keys: append([]string(nil), keys...), series: newInterner[string, M](limit)}
+}
+
+// With returns the metric for the given label values (one per key, in
+// key order). A wrong number of values returns the overflow series — a
+// misuse must not mint series under a wrong schema. Nil-safe: a nil
+// vector returns a nil (no-op) handle.
+func (v *vec[M]) With(values ...string) *M {
+	if v == nil {
+		return nil
+	}
+	return v.series.get(strings.Join(values, seriesKeySep), len(values) == len(v.keys))
+}
+
+// rendered returns the exposition name of the series interned under
+// key, e.g. name{tenant="a",shard="0"} with values escaped.
+func (v *vec[M]) rendered(key string, overflow bool) string {
+	if len(v.keys) == 0 {
+		return v.name
+	}
+	values := strings.SplitN(key, seriesKeySep, len(v.keys))
 	var b strings.Builder
-	b.WriteString(c.name)
+	b.WriteString(v.name)
 	b.WriteByte('{')
-	for i, k := range c.keys {
+	for i, k := range v.keys {
 		if i > 0 {
 			b.WriteByte(',')
 		}
+		val := overflowValue
+		if !overflow {
+			val = values[i]
+		}
 		b.WriteString(k)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(values[i]))
+		b.WriteString(escapeLabelValue(val))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-func (c *vecCore) renderedOverflow() string {
-	vals := make([]string, len(c.keys))
-	for i := range vals {
-		vals[i] = overflowValue
-	}
-	return c.rendered(vals)
-}
-
-// CounterVec is a family of counters sharing one name and label schema.
-// With interns a series per label-value tuple up to the cardinality cap;
-// past the cap every new tuple shares the "other" overflow series. All
-// methods are no-ops on a nil receiver.
-type CounterVec struct {
-	core     vecCore
-	mu       sync.Mutex
-	series   map[string]*Counter
-	names    map[string]string // series key -> rendered exposition name
-	overflow *Counter
-}
-
-// With returns the counter for the given label values (one per key, in
-// key order). Unknown tuples intern a new series until the cap; the
-// cap'th-plus-one tuple — or a wrong number of values — returns the
-// shared overflow series. Nil-safe: a nil vector returns a nil counter.
-func (v *CounterVec) With(values ...string) *Counter {
-	if v == nil {
-		return nil
-	}
-	key, ok := v.core.seriesKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if ok {
-		if c, hit := v.series[key]; hit {
-			return c
-		}
-		if len(v.series) < v.core.limit {
-			c := &Counter{}
-			v.series[key] = c
-			v.names[key] = v.core.rendered(values)
-			return c
-		}
-	}
-	if v.overflow == nil {
-		v.overflow = &Counter{}
-	}
-	return v.overflow
-}
-
-// SetLimit overrides the series cap (default DefaultMaxSeries). Call
-// before the vector is populated; shrinking below the live series count
-// does not evict.
-func (v *CounterVec) SetLimit(n int) {
-	if v == nil || n <= 0 {
-		return
-	}
-	v.mu.Lock()
-	v.core.limit = n
-	v.mu.Unlock()
-}
-
 // fold copies every live series (rendered name -> value) into dst.
-func (v *CounterVec) fold(dst map[string]int64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for key, c := range v.series {
-		dst[v.names[key]] = c.Value()
-	}
-	if v.overflow != nil {
-		dst[v.core.renderedOverflow()] = v.overflow.Value()
-	}
-}
-
-// GaugeVec is a family of gauges sharing one name and label schema; see
-// CounterVec for the interning and overflow rules.
-type GaugeVec struct {
-	core     vecCore
-	mu       sync.Mutex
-	series   map[string]*Gauge
-	names    map[string]string
-	overflow *Gauge
-}
-
-// With returns the gauge for the given label values; see CounterVec.With.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	key, ok := v.core.seriesKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if ok {
-		if g, hit := v.series[key]; hit {
-			return g
-		}
-		if len(v.series) < v.core.limit {
-			g := &Gauge{}
-			v.series[key] = g
-			v.names[key] = v.core.rendered(values)
-			return g
-		}
-	}
-	if v.overflow == nil {
-		v.overflow = &Gauge{}
-	}
-	return v.overflow
-}
-
-// SetLimit overrides the series cap; see CounterVec.SetLimit.
-func (v *GaugeVec) SetLimit(n int) {
-	if v == nil || n <= 0 {
-		return
-	}
-	v.mu.Lock()
-	v.core.limit = n
-	v.mu.Unlock()
-}
-
-func (v *GaugeVec) fold(dst map[string]int64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for key, g := range v.series {
-		dst[v.names[key]] = g.Value()
-	}
-	if v.overflow != nil {
-		dst[v.core.renderedOverflow()] = v.overflow.Value()
-	}
-}
-
-// HistogramVec is a family of histograms sharing one name, one bucket
-// layout and one label schema; see CounterVec for interning and
-// overflow rules.
-type HistogramVec struct {
-	core     vecCore
-	bounds   []int64
-	mu       sync.Mutex
-	series   map[string]*Histogram
-	names    map[string]string
-	overflow *Histogram
-}
-
-// With returns the histogram for the given label values; see
-// CounterVec.With.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	key, ok := v.core.seriesKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if ok {
-		if h, hit := v.series[key]; hit {
-			return h
-		}
-		if len(v.series) < v.core.limit {
-			h := NewHistogram(v.bounds...)
-			v.series[key] = h
-			v.names[key] = v.core.rendered(values)
-			return h
-		}
-	}
-	if v.overflow == nil {
-		v.overflow = NewHistogram(v.bounds...)
-	}
-	return v.overflow
-}
-
-// SetLimit overrides the series cap; see CounterVec.SetLimit.
-func (v *HistogramVec) SetLimit(n int) {
-	if v == nil || n <= 0 {
-		return
-	}
-	v.mu.Lock()
-	v.core.limit = n
-	v.mu.Unlock()
-}
-
-func (v *HistogramVec) fold(dst map[string]HistogramSnapshot) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for key, h := range v.series {
-		dst[v.names[key]] = h.Snapshot()
-	}
-	if v.overflow != nil {
-		dst[v.core.renderedOverflow()] = v.overflow.Snapshot()
-	}
-}
-
-// CounterVec returns the named counter vector with the given label
-// keys, creating it on first use (later key lists are ignored for an
-// existing vector, matching Histogram's bounds rule). Nil-safe.
-func (r *Registry) CounterVec(name string, labelKeys ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.cvecs[name]
-	if !ok {
-		v = &CounterVec{
-			core:   newVecCore(name, labelKeys),
-			series: make(map[string]*Counter),
-			names:  make(map[string]string),
-		}
-		r.cvecs[name] = v
-	}
-	return v
-}
-
-// GaugeVec returns the named gauge vector; see CounterVec.
-func (r *Registry) GaugeVec(name string, labelKeys ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gvecs[name]
-	if !ok {
-		v = &GaugeVec{
-			core:   newVecCore(name, labelKeys),
-			series: make(map[string]*Gauge),
-			names:  make(map[string]string),
-		}
-		r.gvecs[name] = v
-	}
-	return v
-}
-
-// HistogramVec returns the named histogram vector with the given bucket
-// bounds; see CounterVec for the interning rules.
-func (r *Registry) HistogramVec(name string, bounds []int64, labelKeys ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.hvecs[name]
-	if !ok {
-		v = &HistogramVec{
-			core:   newVecCore(name, labelKeys),
-			bounds: append([]int64(nil), bounds...),
-			series: make(map[string]*Histogram),
-			names:  make(map[string]string),
-		}
-		r.hvecs[name] = v
-	}
-	return v
+func (v *vec[M]) fold(dst map[string]int64, read func(*M) int64) {
+	v.series.each(func(key string, m *M, overflow bool) {
+		dst[v.rendered(key, overflow)] = read(m)
+	})
 }

@@ -13,8 +13,8 @@ import (
 // series after overflow starts.
 func TestCounterVecOverflow(t *testing.T) {
 	r := NewRegistry()
-	vec := r.CounterVec("tenant_events_total", "tenant")
-	vec.SetLimit(2)
+	vec := newVec[Counter]("tenant_events_total", []string{"tenant"}, 2)
+	r.counters[vec.name] = vec
 
 	vec.With("a").Add(1)
 	vec.With("b").Add(2)
@@ -91,43 +91,15 @@ func TestVecEscapingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHistogramVecOverflow checks histogram vectors share bucket
-// layout, fold into snapshots under rendered names, and conserve
-// observation counts across the cap.
-func TestHistogramVecOverflow(t *testing.T) {
-	r := NewRegistry()
-	vec := r.HistogramVec("latency_ms", []int64{1, 10}, "tenant")
-	vec.SetLimit(1)
-	vec.With("a").Observe(5)
-	vec.With("b").Observe(7) // past cap
-	vec.With("b").Observe(100)
-
-	snap := r.Snapshot()
-	a, ok := snap.Histograms[`latency_ms{tenant="a"}`]
-	if !ok || a.Count != 1 {
-		t.Fatalf("tenant a histogram missing or wrong: %+v", snap.Histograms)
-	}
-	other, ok := snap.Histograms[`latency_ms{tenant="other"}`]
-	if !ok || other.Count != 2 {
-		t.Fatalf("overflow histogram missing or wrong: %+v", snap.Histograms)
-	}
-	if total := a.Count + other.Count; total != 3 {
-		t.Errorf("observations not conserved: %d, want 3", total)
-	}
-	if len(a.Bounds) != 2 || len(other.Bounds) != 2 {
-		t.Errorf("bucket layout not shared: %v vs %v", a.Bounds, other.Bounds)
-	}
-}
-
 // TestVecNilSafety checks the whole nil chain: nil registry -> nil
 // vector -> nil handle, with every method a no-op.
 func TestVecNilSafety(t *testing.T) {
 	var r *Registry
 	r.CounterVec("x", "k").With("v").Inc()
 	r.GaugeVec("x", "k").With("v").Set(1)
-	r.HistogramVec("x", nil, "k").With("v").Observe(1)
+	r.Counter("x").Inc()
+	r.Gauge("x").Set(1)
 	var cv *CounterVec
-	cv.SetLimit(5)
 	if c := cv.With("v"); c != nil {
 		t.Error("nil CounterVec.With returned non-nil")
 	}
@@ -135,18 +107,14 @@ func TestVecNilSafety(t *testing.T) {
 	if g := gv.With("v"); g != nil {
 		t.Error("nil GaugeVec.With returned non-nil")
 	}
-	var hv *HistogramVec
-	if h := hv.With("v"); h != nil {
-		t.Error("nil HistogramVec.With returned non-nil")
-	}
 }
 
 // TestVecConcurrent hammers one vector from many goroutines across more
 // tenants than the cap, under -race in CI, and checks conservation.
 func TestVecConcurrent(t *testing.T) {
 	r := NewRegistry()
-	vec := r.CounterVec("conc_total", "tenant")
-	vec.SetLimit(4)
+	vec := newVec[Counter]("conc_total", []string{"tenant"}, 4)
+	r.counters[vec.name] = vec
 	const workers, perWorker = 16, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

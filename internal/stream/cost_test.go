@@ -84,8 +84,8 @@ func TestLedgerAttributesCostPerTenant(t *testing.T) {
 	if snap.TotalCPUNanos <= 0 {
 		t.Fatalf("total CPU not attributed: %d", snap.TotalCPUNanos)
 	}
-	if got := e.Ledger().TenantCPUNanos("acme") + e.Ledger().TenantCPUNanos("rival") +
-		e.Ledger().TenantCPUNanos("muxowner"); got != snap.TotalCPUNanos {
+	if got := led.TenantCPUNanos("acme") + led.TenantCPUNanos("rival") +
+		led.TenantCPUNanos("muxowner"); got != snap.TotalCPUNanos {
 		t.Fatalf("tenant CPU does not sum to the total: %d vs %d", got, snap.TotalCPUNanos)
 	}
 
@@ -195,8 +195,8 @@ func TestTenantCPUShareSLO(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Queries publish with sampling on, which is where the share check
-	// runs; by now the append has charged CPU to the tenant's scope.
+	// Control messages evaluate the share check; by now the append has
+	// charged CPU to the tenant's scope.
 	if _, err := e.Query("s"); err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +208,47 @@ func TestTenantCPUShareSLO(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("tenant_cpu_share did not fire within 5s")
+	}
+}
+
+// TestTenantCPUShareSLOOnIngestAlone is the same rule with no metrics
+// registry and no control traffic after open: appends alone must reach
+// the check (every 8th batch of the shard), whether or not anything
+// scrapes the engine.
+func TestTenantCPUShareSLOOnIngestAlone(t *testing.T) {
+	breaches := make(chan string, 8)
+	e := NewEngine(Config{
+		Shards: 1, Ledger: obs.NewLedger(),
+		SLO: SLOConfig{
+			TenantCPUShare: 0.5,
+			TenantCPUFloor: time.Nanosecond,
+			OnBreach: func(rule, detail, path string) {
+				if rule == SLOTenantCPUShare {
+					breaches <- detail
+				}
+			},
+		},
+	})
+	defer e.Shutdown()
+
+	if err := e.Open("s", Spec{Pred: "all(x)", Procs: 2, Tenant: "greedy"}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for i := int64(1); ; i++ {
+		if err := e.Append("s", []Event{{Proc: 0, VC: []int64{i, 0}}}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case detail := <-breaches:
+			if !bytes.Contains([]byte(detail), []byte("greedy")) {
+				t.Fatalf("breach detail does not name the tenant: %q", detail)
+			}
+			return
+		case <-deadline:
+			t.Fatalf("tenant_cpu_share did not fire within 5s of ingest (%d frames)", i)
+		default: // keep the shard draining: every 8th batch checks
+		}
 	}
 }
 

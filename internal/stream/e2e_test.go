@@ -570,6 +570,46 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestServerRejectsBadInit sends initial values no core can start from —
+// more of them than processes, and a truth value outside {0,1} — down
+// both routes that carry an init. Truncating the first or starting the
+// true-count at the second would be a silent wrong verdict; each must
+// come back ok:false, and a well-formed init still latches.
+func TestServerRejectsBadInit(t *testing.T) {
+	_, cl := serveLoopback(t, Config{Shards: 1})
+	if err := cl.Open("m", Spec{Mux: true, Procs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		pred string
+		init []int64
+		want string
+	}{
+		{"sum(x) >= 1", []int64{0, 0, 5}, "3 initial values for 2 processes"},
+		{"count(x) >= 1", []int64{0, 0, 1}, "3 initial values for 2 processes"},
+		{"count(x) >= 1", []int64{2}, "not a 0/1 truth value"},
+	} {
+		err := cl.Open("s", Spec{Pred: tc.pred, Procs: 2, Init: tc.init})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("open %s with init %v: got %v, want an error saying %q", tc.pred, tc.init, err, tc.want)
+		}
+		_, err = cl.RegisterPredicate("m", RegisterSpec{ID: "p", Pred: tc.pred, Init: tc.init})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("register %s with init %v: got %v, want an error saying %q", tc.pred, tc.init, err, tc.want)
+		}
+	}
+	if err := cl.Open("s", Spec{Pred: "count(x) >= 1", Procs: 2, Init: []int64{1}}); err != nil {
+		t.Fatalf("open with init [1]: %v", err)
+	}
+	if v, err := cl.CloseSession("s"); err != nil || !v.Possibly {
+		t.Errorf("count(x) >= 1 from init [1]: verdict %+v, err %v", v, err)
+	}
+	ups, err := cl.RegisterPredicate("m", RegisterSpec{ID: "p", Pred: "count(x) >= 1", Init: []int64{1}})
+	if err != nil || len(ups) != 1 || !ups[0].Possibly {
+		t.Errorf("register count(x) >= 1 with init [1]: updates %+v, err %v", ups, err)
+	}
+}
+
 // BenchmarkStreamIngest measures end-to-end engine throughput in
 // events/sec: one session per shard, in-order unit-step streams, batched
 // appends, Backpressure policy.

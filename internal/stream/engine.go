@@ -38,10 +38,11 @@ type Config struct {
 	// Policy selects what a full mailbox does with append traffic.
 	Policy OverflowPolicy
 	// Metrics, when non-nil, receives the engine's operational metrics:
-	// per-shard throughput and mailbox occupancy, shed frames, per-session
-	// delivery lag and holdback depth, verdict latency, and the work done
-	// by close-time Definitely rebuilds. A nil registry costs nothing (all
-	// metric handles are nil no-ops).
+	// per-shard throughput, sessions and shed frames, mux routing economy,
+	// slice compaction, SLO breaches, and the latency and work of
+	// close-time Definitely rebuilds. The per-shard series are the very
+	// counters Snapshot reads; with a nil registry the engine counts on
+	// private ones, so Snapshot works either way.
 	Metrics *obs.Registry
 	// Flight, when non-nil, is the causal flight recorder: every append
 	// frame gets a sequence number at ingress and leaves lifecycle
@@ -111,19 +112,10 @@ type handle struct {
 	sloHoldback bool   // holdback SLO latched for this session
 	sloRetained bool   // retained-events SLO latched for this session
 
-	// Worker-confined slice accounting: the previous published values,
-	// for delta-feeding the engine-wide counter and gauge.
-	lastSliceRetained  int64
-	lastSliceCompacted int64
-
-	// Worker-confined multiplexing state: registration times and tenants
-	// for per-tenant verdict latency, undelivered verdict updates, and
-	// the previous step counters for delta-publishing engine totals.
-	regTimes    map[string]time.Time
-	regTenants  map[string]string
-	pending     []mux.Update
-	lastSteps   int64
-	lastSkipped int64
+	// Worker-confined multiplexing state: each registration's tenant
+	// (to return its slot at unregister) and undelivered verdict updates.
+	regTenants map[string]string
+	pending    []mux.Update
 
 	// Worker-confined step attribution: the mux cost hook reports one
 	// delta per stepped predicate per flush; they are summed here per
@@ -183,29 +175,16 @@ type shard struct {
 
 	sloMailbox bool // mailbox SLO latched for this shard (worker-confined)
 
-	frames        atomic.Uint64
-	events        atomic.Uint64
-	batches       atomic.Uint64
-	droppedFrames atomic.Uint64
-	droppedEvents atomic.Uint64
-	detections    atomic.Uint64
-	gauge         atomic.Int64
+	// One store per fact: stream_*{shard=...} in Config.Metrics (private
+	// when that is nil), read by Snapshot and /metrics alike.
+	frames, events, batches            *obs.Counter
+	shedFrames, shedEvents, detections *obs.Counter
+	open                               *obs.Gauge // stream_sessions
 
 	// baseCtx carries the worker's own pprof labels (subsystem, shard),
 	// restored after each session's labeled window. Set once in run();
 	// nil when Config.ProfileLabels is off. Worker-confined.
 	baseCtx context.Context
-
-	// Interned registry handles (nil no-ops when metrics are off).
-	mFrames     *obs.Counter
-	mEvents     *obs.Counter
-	mBatches    *obs.Counter
-	mShedFrames *obs.Counter
-	mShedEvents *obs.Counter
-	mDetections *obs.Counter
-	mSessions   *obs.Gauge
-	mDepth      *obs.Gauge
-	mOccupancy  *obs.Histogram
 }
 
 // Engine is the multi-tenant streaming detector: a pool of shard workers
@@ -236,22 +215,16 @@ type Engine struct {
 	tenantCounts map[string]int
 	predTotal    int
 
-	// Engine-wide registry handles (nil no-ops when metrics are off).
-	mDeliveryLag    *obs.Histogram
-	mHoldback       *obs.Histogram
-	mVerdictLatency *obs.Histogram
+	// Engine-wide registry handles.
 	mFinalizeMillis *obs.Histogram
-	mBreaches       map[string]*obs.Counter // SLO rule -> breach counter
 	mMuxSteps       *obs.Counter
 	mMuxSkipped     *obs.Counter
 	mSliceCompacted *obs.Counter // slice_compacted_events_total
 	gSliceRetained  *obs.Gauge   // slice_retained_events (engine-wide frontier sum)
-	// Labeled vectors: interning and the cardinality cap live in obs
-	// (the PR-6 name-mangled per-tenant series migrated here; rendered
-	// exposition names are unchanged, so dashboards keep working).
-	vTenantPreds   *obs.GaugeVec     // mux_registered_predicates{tenant=...}
-	vTenantLatency *obs.HistogramVec // mux_verdict_latency_millis{tenant=...}
-	vFinalizeWork  *obs.CounterVec   // stream_finalize_work_total{counter=...}
+	// Labeled vectors: interning and the cardinality cap live in obs.
+	vTenantPreds  *obs.GaugeVec   // mux_registered_predicates{tenant=...}
+	vFinalizeWork *obs.CounterVec // stream_finalize_work_total{counter=...}
+	vBreaches     *obs.CounterVec // slo_breaches_total{rule=...}
 }
 
 // NewEngine starts the shard pool.
@@ -259,50 +232,37 @@ func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{cfg: cfg, flight: cfg.Flight, ledger: cfg.Ledger, tenantCounts: make(map[string]int)}
 	m := cfg.Metrics
-	e.mDeliveryLag = m.Histogram("stream_delivery_lag_events", obs.ExpBuckets(1, 12)...)
-	e.mHoldback = m.Histogram("stream_holdback_depth", obs.ExpBuckets(1, 12)...)
-	e.mVerdictLatency = m.Histogram("stream_verdict_latency_millis", obs.ExpBuckets(1, 16)...)
+	if m == nil {
+		m = obs.NewRegistry() // private: nobody scrapes it, Snapshot still counts
+	}
 	e.mFinalizeMillis = m.Histogram("stream_finalize_millis", obs.ExpBuckets(1, 16)...)
 	e.mMuxSteps = m.Counter("mux_steps_total")
 	e.mMuxSkipped = m.Counter("mux_steps_skipped_total")
 	e.mSliceCompacted = m.Counter("slice_compacted_events_total")
 	e.gSliceRetained = m.Gauge("slice_retained_events")
 	e.vTenantPreds = m.GaugeVec("mux_registered_predicates", "tenant")
-	e.vTenantLatency = m.HistogramVec("mux_verdict_latency_millis", obs.ExpBuckets(1, 16), "tenant")
 	e.vFinalizeWork = m.CounterVec("stream_finalize_work_total", "counter")
 	// Pre-interned so every rule exports an explicit zero before it
 	// first fires (scrapers can always alert on the series).
-	breaches := m.CounterVec("slo_breaches_total", "rule")
-	e.mBreaches = make(map[string]*obs.Counter, len(sloRules))
+	e.vBreaches = m.CounterVec("slo_breaches_total", "rule")
 	for _, rule := range sloRules {
-		e.mBreaches[rule] = breaches.With(rule)
+		e.vBreaches.With(rule)
 	}
-	shardCounters := func(name string) *obs.CounterVec { return m.CounterVec(name, "shard") }
-	frames := shardCounters("stream_frames_total")
-	events := shardCounters("stream_events_total")
-	batches := shardCounters("stream_batches_total")
-	shedFrames := shardCounters("stream_shed_frames_total")
-	shedEvents := shardCounters("stream_shed_events_total")
-	detections := shardCounters("stream_detections_total")
-	sessions := m.GaugeVec("stream_sessions", "shard")
-	depth := m.GaugeVec("stream_mailbox_depth", "shard")
-	occupancy := m.HistogramVec("stream_mailbox_occupancy", obs.ExpBuckets(1, 10), "shard")
 	for i := 0; i < cfg.Shards; i++ {
 		label := strconv.Itoa(i)
+		counter := func(name string) *obs.Counter { return m.CounterVec(name, "shard").With(label) }
 		sh := &shard{
 			idx:      i,
 			mb:       newMailbox(cfg.QueueLen),
 			sessions: make(map[string]*handle),
 
-			mFrames:     frames.With(label),
-			mEvents:     events.With(label),
-			mBatches:    batches.With(label),
-			mShedFrames: shedFrames.With(label),
-			mShedEvents: shedEvents.With(label),
-			mDetections: detections.With(label),
-			mSessions:   sessions.With(label),
-			mDepth:      depth.With(label),
-			mOccupancy:  occupancy.With(label),
+			frames:     counter("stream_frames_total"),
+			events:     counter("stream_events_total"),
+			batches:    counter("stream_batches_total"),
+			shedFrames: counter("stream_shed_frames_total"),
+			shedEvents: counter("stream_shed_events_total"),
+			detections: counter("stream_detections_total"),
+			open:       m.GaugeVec("stream_sessions", "shard").With(label),
 		}
 		e.shards = append(e.shards, sh)
 		e.wg.Add(1)
@@ -349,24 +309,12 @@ func (e *Engine) run(sh *shard) {
 	for {
 		var ok bool
 		batch, ok = sh.mb.drain(batch[:0], e.cfg.BatchSize)
-		// Distribution metrics (mailbox occupancy, delivery lag, holdback
-		// depth) are sampled on every 8th non-empty batch: they describe
-		// steady-state shapes, and sampling keeps the ingest hot path
-		// within the instrumentation overhead budget. Counters stay exact.
-		sample := false
 		for _, m := range batch {
 			e.apply(sh, m, touched)
 		}
 		if len(batch) > 0 {
-			sh.batches.Add(1)
-			sh.mBatches.Inc()
+			sh.batches.Inc()
 			tick++
-			sample = sh.mOccupancy != nil && tick&7 == 0
-			if sample {
-				depth, _ := sh.mb.depth()
-				sh.mOccupancy.Observe(int64(depth))
-				sh.mDepth.Set(int64(depth))
-			}
 			if max := e.cfg.SLO.MailboxDepth; max > 0 && !sh.sloMailbox {
 				if depth, _ := sh.mb.depth(); depth > max {
 					sh.sloMailbox = true
@@ -398,7 +346,13 @@ func (e *Engine) run(sh *shard) {
 				Stage: obs.StageUpdate, Detail: "flush " + strconv.FormatInt(int64(h.sess.Flushes()), 10),
 			})
 			e.drainUpdates(sh, h)
-			e.publish(sh, h, sample)
+			e.publish(sh, h)
+			// The ledger sums behind the noisy-neighbour rule (a mutex plus
+			// a scope scan) stay off the per-batch path: ingest evaluates it
+			// on every 8th non-empty batch, control messages always (apply).
+			if tick&7 == 0 {
+				e.checkTenantCPUShare(h.tenant)
+			}
 		}
 		if !ok {
 			return
@@ -469,22 +423,16 @@ func (e *Engine) costEnd(h *handle, t0 time.Time) {
 	h.scope.AddCPU(int64(time.Since(t0)))
 }
 
-// publish copies a session's state into its handle's atomics and feeds the
-// per-session registry metrics (delivery lag, holdback depth, verdict
-// latency). Runs once per touched session per batch; the lag and holdback
-// histograms are only fed on sampled batches (see run).
-func (e *Engine) publish(sh *shard, h *handle, sample bool) {
+// publish copies a session's state into its handle's atomics, feeds the
+// engine-wide mux and slice series by delta, and evaluates the
+// per-session SLO rules. Runs once per touched session per batch.
+func (e *Engine) publish(sh *shard, h *handle) {
 	s := h.sess
-	delivered := s.Delivered()
 	holdback := int64(s.Holdback())
-	h.delivered.Store(delivered)
+	h.delivered.Store(s.Delivered())
 	h.holdback.Store(holdback)
 	h.window.Store(int64(s.Window()))
 	h.flushes.Store(int64(s.Flushes()))
-	if sample {
-		e.mDeliveryLag.Observe(int64(h.ingested.Load()) - delivered)
-		e.mHoldback.Observe(holdback)
-	}
 	if err := s.Err(); err != nil {
 		h.errStr.Store(err.Error())
 	}
@@ -492,23 +440,17 @@ func (e *Engine) publish(sh *shard, h *handle, sample bool) {
 		ms := s.MuxStats()
 		h.registered.Store(int64(ms.Registered))
 		h.active.Store(int64(ms.Active))
-		h.steps.Store(ms.Steps)
-		h.skipped.Store(ms.Skipped)
-		e.mMuxSteps.Add(ms.Steps - h.lastSteps)
-		e.mMuxSkipped.Add(ms.Skipped - h.lastSkipped)
-		h.lastSteps, h.lastSkipped = ms.Steps, ms.Skipped
+		e.mMuxSteps.Add(ms.Steps - h.steps.Swap(ms.Steps))
+		e.mMuxSkipped.Add(ms.Skipped - h.skipped.Swap(ms.Skipped))
 	}
 	// Slice accounting: publish the frontier and feed the engine-wide
 	// series by delta, so the gauge is the live sum of every session's
 	// retained frontier and the counter is total history freed. Both
 	// reads are O(attached slicers) — zero for unsliced sessions.
-	sr := int64(s.SliceRetained())
-	if sc := s.SliceCompacted(); sr != h.lastSliceRetained || sc != h.lastSliceCompacted {
-		h.sliceRetained.Store(sr)
-		h.sliceCompacted.Store(sc)
-		e.gSliceRetained.Add(sr - h.lastSliceRetained)
-		e.mSliceCompacted.Add(sc - h.lastSliceCompacted)
-		h.lastSliceRetained, h.lastSliceCompacted = sr, sc
+	sr, sc := int64(s.SliceRetained()), s.SliceCompacted()
+	if sr != h.sliceRetained.Load() || sc != h.sliceCompacted.Load() {
+		e.gSliceRetained.Add(sr - h.sliceRetained.Swap(sr))
+		e.mSliceCompacted.Add(sc - h.sliceCompacted.Swap(sc))
 	}
 	if max := e.cfg.SLO.RetainedEvents; max > 0 && !h.sloRetained {
 		if re := s.RetainedEvents(); re > max {
@@ -517,9 +459,6 @@ func (e *Engine) publish(sh *shard, h *handle, sample bool) {
 				strconv.Itoa(re)+" > "+strconv.Itoa(max))
 		}
 	}
-	if sample && e.cfg.SLO.TenantCPUShare > 0 {
-		e.checkTenantCPUShare(h.tenant)
-	}
 	if max := e.cfg.SLO.HoldbackDepth; max > 0 && int(holdback) > max && !h.sloHoldback {
 		h.sloHoldback = true
 		e.breach(SLOHoldbackDepth, h.id+": holdback depth "+
@@ -527,10 +466,8 @@ func (e *Engine) publish(sh *shard, h *handle, sample bool) {
 	}
 	if s.Possibly() && !h.possibly.Load() {
 		h.possibly.Store(true)
-		sh.detections.Add(1)
-		sh.mDetections.Inc()
+		sh.detections.Inc()
 		latency := time.Since(h.opened)
-		e.mVerdictLatency.Observe(latency.Milliseconds())
 		e.flight.Record(obs.FlightRecord{
 			Seq: h.lastSeq, Session: h.id, Shard: sh.idx, Proc: -1,
 			Stage: obs.StageVerdict, Detail: "possibly latched after " + latency.String(),
@@ -544,14 +481,21 @@ func (e *Engine) publish(sh *shard, h *handle, sample bool) {
 
 // apply processes one mailbox message on the worker goroutine.
 func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
-	sh.frames.Add(1)
-	sh.mFrames.Inc()
+	sh.frames.Inc()
+	h := sh.sessions[m.session]
+	switch {
+	case m.kind == msgAppend:
+	case m.kind == msgOpen && h != nil:
+		m.reply <- shardReply{err: fmt.Errorf("%w: %q", ErrSessionExists, m.session)}
+		return
+	case m.kind != msgOpen && h == nil:
+		m.reply <- shardReply{err: fmt.Errorf("%w: %q", ErrUnknownSession, m.session)}
+		return
+	case h != nil:
+		e.checkTenantCPUShare(h.tenant) // control traffic: see run for the ingest cadence
+	}
 	switch m.kind {
 	case msgOpen:
-		if _, exists := sh.sessions[m.session]; exists {
-			m.reply <- shardReply{err: fmt.Errorf("%w: %q", ErrSessionExists, m.session)}
-			return
-		}
 		sess, err := NewSession(m.spec)
 		if err != nil {
 			m.reply <- shardReply{err: err}
@@ -561,9 +505,8 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 		if tenant == "" {
 			tenant = "default"
 		}
-		h := &handle{id: m.session, kind: sess.KindLabel(), tenant: tenant, shard: sh.idx, sess: sess, opened: time.Now()}
+		h = &handle{id: m.session, kind: sess.KindLabel(), tenant: tenant, shard: sh.idx, sess: sess, opened: time.Now()}
 		if sess.Mux() {
-			h.regTimes = make(map[string]time.Time)
 			h.regTenants = make(map[string]string)
 		}
 		h.scope = e.ledger.Scope(tenant, h.kind)
@@ -588,18 +531,15 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 		}
 		sh.sessions[m.session] = h
 		e.registry.Store(m.session, h)
-		sh.gauge.Add(1)
-		sh.mSessions.Add(1)
-		e.publish(sh, h, true) // a satisfied initial cut latches immediately
+		sh.open.Add(1)
+		e.publish(sh, h) // a satisfied initial cut latches immediately
 		m.reply <- shardReply{}
 	case msgAppend:
-		h, exists := sh.sessions[m.session]
-		if !exists {
+		if h == nil {
 			e.accountShed(sh, m.session, m.seq, len(m.events), "unknown session")
 			return
 		}
-		sh.events.Add(uint64(len(m.events)))
-		sh.mEvents.Add(int64(len(m.events)))
+		sh.events.Add(int64(len(m.events)))
 		h.ingested.Add(uint64(len(m.events)))
 		h.scope.AddEvents(int64(len(m.events)))
 		h.lastSeq = m.seq
@@ -616,33 +556,20 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 		e.recordFrame(sh, h, m, deliveredBefore)
 		touched[m.session] = h
 	case msgQuery:
-		h, exists := sh.sessions[m.session]
-		if !exists {
-			m.reply <- shardReply{err: fmt.Errorf("%w: %q", ErrUnknownSession, m.session)}
-			return
-		}
 		h.sess.Flush()
 		h.settleSteps()
 		e.drainUpdates(sh, h)
-		e.publish(sh, h, true)
+		e.publish(sh, h)
 		ups := h.pending
 		h.pending = nil
 		m.reply <- shardReply{stats: h.stats(), updates: ups}
 	case msgRegister:
-		h, exists := sh.sessions[m.session]
-		if !exists {
-			m.reply <- shardReply{err: fmt.Errorf("%w: %q", ErrUnknownSession, m.session)}
-			return
-		}
 		ps, err := pred.Parse(m.reg.Pred)
 		if err != nil {
 			m.reply <- shardReply{err: fmt.Errorf("stream: %w", err)}
 			return
 		}
-		tenant := m.reg.Tenant
-		if tenant == "" {
-			tenant = "default"
-		}
+		tenant := m.reg.Tenant // defaulted by Engine.Register
 		if err := h.sess.Register(mux.Registration{
 			ID:       m.reg.ID,
 			Tenant:   tenant,
@@ -654,7 +581,6 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			m.reply <- shardReply{err: err}
 			return
 		}
-		h.regTimes[m.reg.ID] = time.Now()
 		h.regTenants[m.reg.ID] = tenant
 		e.flight.Record(obs.FlightRecord{
 			Seq: h.lastSeq, Session: m.session, Shard: sh.idx, Proc: -1,
@@ -663,32 +589,18 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 		e.drainUpdates(sh, h) // a satisfied registration cut latches immediately
 		ups := h.pending
 		h.pending = nil
-		e.publish(sh, h, true)
+		e.publish(sh, h)
 		m.reply <- shardReply{updates: ups}
 	case msgUnregister:
-		h, exists := sh.sessions[m.session]
-		if !exists {
-			m.reply <- shardReply{err: fmt.Errorf("%w: %q", ErrUnknownSession, m.session)}
-			return
-		}
 		if err := h.sess.Unregister(m.pred); err != nil {
 			m.reply <- shardReply{err: err}
 			return
 		}
 		tenant := h.regTenants[m.pred]
-		if tenant == "" {
-			tenant = "default"
-		}
-		delete(h.regTimes, m.pred)
 		delete(h.regTenants, m.pred)
-		e.publish(sh, h, true)
+		e.publish(sh, h)
 		m.reply <- shardReply{tenants: map[string]int{tenant: 1}}
 	case msgClose:
-		h, exists := sh.sessions[m.session]
-		if !exists {
-			m.reply <- shardReply{err: fmt.Errorf("%w: %q", ErrUnknownSession, m.session)}
-			return
-		}
 		var tr *obs.Trace
 		if e.cfg.Metrics != nil {
 			tr = obs.NewTrace()
@@ -712,11 +624,10 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			preds = h.sess.PredicateStates()
 			tenants = h.sess.Tenants()
 		}
-		e.publish(sh, h, true)
+		e.publish(sh, h)
 		delete(sh.sessions, m.session)
 		e.registry.Delete(m.session)
-		sh.gauge.Add(-1)
-		sh.mSessions.Add(-1)
+		sh.open.Add(-1)
 		h.sess = nil
 		h.pending = nil
 		delete(touched, m.session)
@@ -730,8 +641,8 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 
 // drainUpdates moves a multiplexed session's freshly queued per-predicate
 // verdict updates into the handle's pending list (delivered by the next
-// query or register reply), leaving a flight record per update and a
-// per-tenant verdict-latency observation per latch. Worker-confined.
+// query or register reply), leaving a flight record per update.
+// Worker-confined.
 // Session-level detection counters are bumped by publish (once per
 // session); per-predicate latches are visible in mux stats and updates.
 func (e *Engine) drainUpdates(sh *shard, h *handle) {
@@ -748,12 +659,6 @@ func (e *Engine) drainUpdates(sh *shard, h *handle) {
 			Seq: h.lastSeq, Session: h.id, Shard: sh.idx, Proc: -1,
 			Stage: obs.StageVerdict, Detail: detail,
 		})
-		if u.Err == "" && u.Possibly {
-			if t0, ok := h.regTimes[u.ID]; ok {
-				e.tenantVerdictLatency(u.Tenant).Observe(time.Since(t0).Milliseconds())
-			}
-		}
-		delete(h.regTimes, u.ID)
 	}
 	h.pending = append(h.pending, ups...)
 }
@@ -890,6 +795,7 @@ func (e *Engine) Register(session string, r RegisterSpec) ([]mux.Update, error) 
 	if tenant == "" {
 		tenant = "default"
 	}
+	r.Tenant = tenant
 	if err := e.reserveTenant(tenant); err != nil {
 		return nil, err
 	}
@@ -963,7 +869,7 @@ func (e *Engine) reserveTenant(tenant string) error {
 	e.predTotal++
 	total := e.predTotal
 	e.predMu.Unlock()
-	e.tenantGauge(tenant).Add(1)
+	e.vTenantPreds.With(tenant).Add(1)
 	if max := e.cfg.SLO.RegisteredPredicates; max > 0 && total > max && !e.sloPredFired.Swap(true) {
 		e.breach(SLORegisteredPredicates, "registered predicates "+
 			strconv.Itoa(total)+" > "+strconv.Itoa(max))
@@ -983,19 +889,7 @@ func (e *Engine) releaseTenant(tenant string, n int) {
 	}
 	e.predTotal -= n
 	e.predMu.Unlock()
-	e.tenantGauge(tenant).Add(int64(-n))
-}
-
-// tenantGauge returns the tenant's registered-predicates gauge;
-// interning and the cardinality cap live in the vector.
-func (e *Engine) tenantGauge(tenant string) *obs.Gauge {
-	return e.vTenantPreds.With(tenant)
-}
-
-// tenantVerdictLatency returns the tenant's register→latch latency
-// histogram.
-func (e *Engine) tenantVerdictLatency(tenant string) *obs.Histogram {
-	return e.vTenantLatency.With(tenant)
+	e.vTenantPreds.With(tenant).Add(int64(-n))
 }
 
 // AttributeBytes charges wire traffic to a session's (tenant, family)
@@ -1011,12 +905,6 @@ func (e *Engine) AttributeBytes(session string, in, out int64) {
 		return
 	}
 	v.(*handle).scope.AddBytes(in, out)
-}
-
-// Ledger returns the engine's cost ledger (nil when cost accounting is
-// off), for stats surfaces that report per-tenant attribution.
-func (e *Engine) Ledger() *obs.Ledger {
-	return e.ledger
 }
 
 // Possibly returns a session's latched verdict without synchronizing with
@@ -1036,15 +924,15 @@ func (e *Engine) Snapshot() Snapshot {
 		depth, hw := sh.mb.depth()
 		st := ShardStats{
 			Shard:          sh.idx,
-			Sessions:       int(sh.gauge.Load()),
-			Frames:         sh.frames.Load(),
-			Events:         sh.events.Load(),
-			Batches:        sh.batches.Load(),
-			DroppedFrames:  sh.droppedFrames.Load(),
-			DroppedEvents:  sh.droppedEvents.Load(),
+			Sessions:       int(sh.open.Value()),
+			Frames:         uint64(sh.frames.Value()),
+			Events:         uint64(sh.events.Value()),
+			Batches:        uint64(sh.batches.Value()),
+			DroppedFrames:  uint64(sh.shedFrames.Value()),
+			DroppedEvents:  uint64(sh.shedEvents.Value()),
 			QueueDepth:     depth,
 			QueueHighWater: hw,
-			Detections:     sh.detections.Load(),
+			Detections:     uint64(sh.detections.Value()),
 		}
 		snap.Shards = append(snap.Shards, st)
 		snap.Events += st.Events

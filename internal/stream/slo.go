@@ -69,8 +69,9 @@ type SLOConfig struct {
 	RegisteredPredicates int
 	// TenantCPUShare is the fraction (0,1] of ledger-attributed CPU one
 	// tenant may hold before the tenant_cpu_share rule fires, at most
-	// once per tenant. Requires Config.Ledger; checked on sampled
-	// publishes, so a breach is detected within a few batches.
+	// once per tenant. Requires Config.Ledger; checked on every control
+	// message and every 8th ingest batch of a shard, so a breach is
+	// detected within a few batches.
 	TenantCPUShare float64
 	// TenantCPUFloor is the minimum total attributed CPU before shares
 	// are evaluated (default 100ms) — with microseconds of history,
@@ -101,7 +102,7 @@ type SLOConfig struct {
 //
 //lint:coldpath
 func (e *Engine) breach(rule, detail string) {
-	e.mBreaches[rule].Inc()
+	e.vBreaches.With(rule).Inc()
 	path := ""
 	if e.cfg.SLO.DumpPath != "" {
 		if _, dumped := e.sloDumped.LoadOrStore(rule, struct{}{}); !dumped {
@@ -120,9 +121,11 @@ func (e *Engine) breach(rule, detail string) {
 // checkTenantCPUShare evaluates the noisy-neighbour rule for one tenant
 // against the ledger: share = tenant CPU / total attributed CPU, gated
 // by the floor so early history cannot fire it, latched once per
-// tenant. Called from sampled publishes only, so the ledger sums (a
-// mutex plus a scope scan) stay off the per-batch path.
+// tenant. A no-op when the rule is off.
 func (e *Engine) checkTenantCPUShare(tenant string) {
+	if e.cfg.SLO.TenantCPUShare <= 0 {
+		return
+	}
 	total := e.ledger.TotalCPUNanos()
 	floor := e.cfg.SLO.TenantCPUFloor
 	if floor <= 0 {
@@ -171,15 +174,11 @@ func (e *Engine) dumpFlight() error {
 }
 
 // accountShed is the single accounting point for a dropped append frame
-// (mailbox overflow or unknown session): shard atomics, shed counters,
-// a flight record, and the shed-frames SLO. The seed bumped the obs
-// counters on the unknown-session path only, so overflow drops were
-// invisible to /metrics; every drop now goes through here.
+// (mailbox overflow or unknown session): shed counters, a flight
+// record, and the shed-frames SLO.
 func (e *Engine) accountShed(sh *shard, session string, seq uint64, events int, reason string) {
-	sh.droppedFrames.Add(1)
-	sh.droppedEvents.Add(uint64(events))
-	sh.mShedFrames.Inc()
-	sh.mShedEvents.Add(int64(events))
+	sh.shedFrames.Inc()
+	sh.shedEvents.Add(int64(events))
 	e.flight.Record(obs.FlightRecord{
 		Seq: seq, Session: session, Shard: sh.idx, Proc: -1,
 		Stage: obs.StageShed, Detail: reason + ", " + strconv.Itoa(events) + " events",

@@ -134,9 +134,6 @@ func (sp Spec) Validate() error {
 			return fmt.Errorf("stream: slice sessions need a regular truth-payload predicate family; %v is not (use all(var))", ps.Family)
 		}
 	}
-	if len(sp.Init) > sp.Procs {
-		return fmt.Errorf("stream: %d initial values for %d processes", len(sp.Init), sp.Procs)
-	}
 	return nil
 }
 
