@@ -248,7 +248,7 @@ type Report struct {
 // The zero options decide Possibly with StrategyBatch. Errors come from
 // a nil or unsealed computation, spec validation (including against the
 // computation's process count), option conflicts, and detector
-// preconditions such as ErrNotUnitStep.
+// preconditions such as ErrNotUnitStep and ErrStepTooLarge.
 func Detect(c *Computation, s Spec, opts ...Option) (Report, error) {
 	o := detectOptions{modality: ModalityPossibly, route: StrategyBatch, strategy: StrategyAuto}
 	for _, opt := range opts {

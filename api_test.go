@@ -8,6 +8,7 @@ package gpd_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -243,6 +244,37 @@ func TestDetectRejectsUnsealed(t *testing.T) {
 						!strings.Contains(err.Error(), "sealed computation") {
 						t.Errorf("%v/%v/%v on a %s computation: err = %v, want the sealed-computation error", f, m, route, name, err)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestDetectRejectsHugeStep: a variable jumping by 2^62 at one event is
+// past what the closure kernels represent — at 2^61 their unbounded
+// arcs become cuttable (this computation's true maximum is 0, the
+// kernel used to say 2^61+1), beyond that the per-event difference
+// wraps. Every sum route must say so, never return a verdict.
+func TestDetectRejectsHugeStep(t *testing.T) {
+	c := gpd.New()
+	p0, p1 := c.AddProcess(), c.AddProcess()
+	down, up := c.AddInternal(p0), c.AddInternal(p1)
+	c.SetVar("x", down, -1<<62)
+	c.SetVar("x", up, 1<<62)
+	if err := c.AddMessage(down, up); err != nil {
+		t.Fatal(err)
+	}
+	c.MustSeal()
+	for _, pred := range []string{"sum(x) >= 1", "sum(x) == 1"} {
+		spec, err := gpd.ParseSpec(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []gpd.Modality{gpd.ModalityPossibly, gpd.ModalityDefinitely} {
+			for _, route := range []gpd.DetectStrategy{gpd.StrategyBatch, gpd.StrategyReplay} {
+				res, err := gpd.Detect(c, spec, gpd.WithModality(m), gpd.WithStrategy(route))
+				if !errors.Is(err, gpd.ErrStepTooLarge) {
+					t.Errorf("%s %v/%v: result %+v, err %v; want ErrStepTooLarge", pred, m, route, res, err)
 				}
 			}
 		}

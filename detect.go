@@ -37,6 +37,10 @@ var (
 	// ErrNotUnitStep reports a variable changing by more than one per
 	// event, outside the scope of the polynomial equality detectors.
 	ErrNotUnitStep = relsum.ErrNotUnitStep
+	// ErrStepTooLarge reports a variable changing at one event by more
+	// than the closure kernels can represent (2^40); every sum route
+	// refuses such a computation instead of answering from it.
+	ErrStepTooLarge = relsum.ErrStepTooLarge
 )
 
 // Relop is a relational operator for sum predicates.

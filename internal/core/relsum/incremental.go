@@ -35,31 +35,28 @@ import (
 // sound and complete online detector for Possibly(S = k).
 
 // RangeTracker maintains min/max of S over the consistent cuts of a
-// growing computation prefix. Not safe for concurrent use.
+// growing computation prefix. The retained window lives in one
+// persistent residual network (maxflow.Network): Observe adds a node and
+// its arcs, Flush tops the two flows up from where the last flush left
+// them, Prune hands back the flow the dropped prefix carried — no flush
+// rebuilds anything. Not safe for concurrent use.
 type RangeTracker struct {
 	baseline int64 // S at the pruned cut P
 	min, max int64 // running extrema over every cut covered so far
-	lo, hi   int64 // extrema over the window of the last closure recomputation
+	lo, hi   int64 // extrema over the window of the last flush that had work
 
-	// Retained window, dense slots.
-	slots   map[int64]int // external event id -> slot
-	ids     []int64       // slot -> external event id
-	weights []int64       // slot -> per-event change of S
-	reqs    [][]int       // slot -> required slots (direct predecessors)
+	net   *maxflow.Network // retained window: node = slot, weight = per-event change of S
+	slots map[int64]int    // external event id -> slot
+	ids   []int64          // slot -> external event id (arena, first net.Len() in use)
+	drop  []bool           // Prune scratch: slot -> pruned by the current Prune
 
-	dirty   bool       // events observed since the last Flush
-	flushes int        // closure recomputations, for stats
-	tr      *obs.Trace // optional work accounting (nil: free)
-
-	// Scratch reused across Flush and Prune calls.
-	pairs [][2]int // closure constraints (v requires u)
-	neg   []int64  // negated weights
-	drop  []bool   // slot -> pruned by the current Prune
-	remap []int    // old slot -> new slot (-1: dropped)
+	dirty bool       // events observed since the last Flush
+	tr    *obs.Trace // optional work accounting (nil: free)
 }
 
 // SetTrace routes the tracker's closure work counters (augmenting paths,
-// closure sizes) into the given trace. A nil trace disables accounting.
+// BFS phases, network sizes) into the given trace. A nil trace disables
+// accounting.
 func (t *RangeTracker) SetTrace(tr *obs.Trace) { t.tr = tr }
 
 // NewRangeTracker starts a tracker with the given baseline — the value of
@@ -71,69 +68,57 @@ func NewRangeTracker(baseline int64) *RangeTracker {
 		max:      baseline,
 		lo:       baseline,
 		hi:       baseline,
+		net:      maxflow.NewNetwork(),
 		slots:    make(map[int64]int),
 	}
 }
 
 // Observe adds one event to the window. id must be unique for the lifetime
-// of the tracker; weight is the change of S caused by the event; requires
-// lists the ids of the event's direct causal predecessors. Predecessors
-// that were already pruned are ignored (they are below every cut the
-// tracker still forms); predecessors never observed are a caller bug and
-// make the closure constraints incomplete.
+// of the tracker; weight is the change of S caused by the event (Step
+// bounds it); requires lists the ids of causal predecessors that, with
+// the requirements already observed, imply every predecessor still in
+// the window — the direct predecessors, or any subset dropping only what
+// the rest implies. Predecessors that were already pruned are ignored
+// (they are below every cut the tracker still forms); predecessors never
+// observed are a caller bug and make the closure constraints incomplete.
 func (t *RangeTracker) Observe(id int64, weight int64, requires []int64) {
 	if _, ok := t.slots[id]; ok {
 		return // duplicate delivery: idempotent
 	}
-	slot := len(t.weights)
-	t.slots[id] = slot
-	//lint:ignore hotalloc the retained window grows by design until the caller prunes it; the backing arrays are reused across prunes
-	t.ids = append(t.ids, id)
-	//lint:ignore hotalloc as above: window growth, backing array reused across prunes
-	t.weights = append(t.weights, weight)
-	rs := make([]int, 0, len(requires))
+	slot := t.net.AddNode(weight)
+	if slot == len(t.ids) {
+		t.grow()
+	}
+	t.slots[id], t.ids[slot] = slot, id
 	for _, r := range requires {
-		if s, ok := t.slots[r]; ok {
-			rs = append(rs, s)
+		if u, ok := t.slots[r]; ok {
+			t.net.Require(slot, u)
 		}
 	}
-	//lint:ignore hotalloc as above: window growth, backing array reused across prunes
-	t.reqs = append(t.reqs, rs)
 	t.dirty = true
 }
 
-// Flush recomputes the extrema over the current window (two max-weight
-// closure computations) and folds them into the running min/max. Cheap
-// when nothing changed since the last call.
+// grow doubles the per-slot arenas.
+//
+//lint:coldpath
+func (t *RangeTracker) grow() {
+	n := max(64, 2*len(t.ids))
+	t.ids, t.drop = append(t.ids, make([]int64, n-len(t.ids))...), make([]bool, n)
+}
+
+// Flush brings the two closures up to date with the events observed
+// since the last call and folds the window's extrema into the running
+// min/max. Free when nothing was observed.
 func (t *RangeTracker) Flush() (min, max int64) {
 	if !t.dirty {
 		return t.min, t.max
 	}
 	t.dirty = false
-	t.flushes++
-	n := len(t.weights)
-	if n == 0 {
-		return t.min, t.max
-	}
-	requires := t.pairs[:0]
-	for v, rs := range t.reqs {
-		for _, u := range rs {
-			requires = append(requires, [2]int{v, u})
-		}
-	}
-	t.pairs = requires
-	best, _ := maxflow.MaxClosureTraced(t.weights, requires, t.tr)
-	t.hi = t.baseline + best
+	best, worst := t.net.Solve(t.tr)
+	t.hi, t.lo = t.baseline+best, t.baseline-worst
 	if t.hi > t.max {
 		t.max = t.hi
 	}
-	neg := t.neg[:0]
-	for _, w := range t.weights {
-		neg = append(neg, -w)
-	}
-	t.neg = neg
-	worst, _ := maxflow.MaxClosureTraced(neg, requires, t.tr)
-	t.lo = t.baseline - worst
 	if t.lo < t.min {
 		t.min = t.lo
 	}
@@ -141,7 +126,7 @@ func (t *RangeTracker) Flush() (min, max int64) {
 }
 
 // WindowRange returns the extrema over the cuts of the window as of the
-// last closure recomputation alone — baseline plus an ideal of the then
+// last flush that had work alone — baseline plus an ideal of the then
 // retained events — before they were folded into the running Range. A
 // consumer that joins the stream late folds these into its own running
 // extrema (folding the same pair twice is harmless).
@@ -154,64 +139,32 @@ func (t *RangeTracker) WindowRange() (lo, hi int64) { return t.lo, t.hi }
 // flushes first so no cut goes uncovered. Unknown ids are ignored.
 func (t *RangeTracker) Prune(ids []int64) {
 	t.Flush()
-	n := len(t.weights)
-	if cap(t.drop) < n {
-		t.drop = make([]bool, n)
-		t.remap = make([]int, n)
-	}
-	drop, remap := t.drop[:n], t.remap[:n]
+	n := t.net.Len()
+	drop := t.drop[:n]
 	clear(drop)
-	dropped := 0
+	dropped := false
 	for _, id := range ids {
-		if s, ok := t.slots[id]; ok && !drop[s] {
-			drop[s] = true
-			dropped++
+		if s, ok := t.slots[id]; ok {
+			drop[s], dropped = true, true
 		}
 	}
-	if dropped == 0 {
+	if !dropped {
 		return
 	}
-	newIDs := t.ids[:0]
-	newW := t.weights[:0]
-	newReqs := t.reqs[:0] // compacts in place: a kept slot never moves up
-	for s := range t.weights {
+	t.baseline += t.net.Prune(drop)
+	kept := 0
+	for s, id := range t.ids[:n] {
 		if drop[s] {
-			t.baseline += t.weights[s]
-			delete(t.slots, t.ids[s])
-			remap[s] = -1
+			delete(t.slots, id)
 			continue
 		}
-		remap[s] = len(newW)
-		newIDs = append(newIDs, t.ids[s])
-		newW = append(newW, t.weights[s])
-	}
-	for s, rs := range t.reqs {
-		if drop[s] {
-			continue
-		}
-		kept := rs[:0]
-		for _, u := range rs {
-			if remap[u] >= 0 {
-				kept = append(kept, remap[u])
-			}
-		}
-		newReqs = append(newReqs, kept)
-	}
-	clear(t.reqs[len(newReqs):n]) // release the dropped slots' requirement lists
-	t.ids, t.weights, t.reqs = newIDs, newW, newReqs
-	for s, id := range t.ids {
-		t.slots[id] = s
+		t.slots[id], t.ids[kept] = kept, id
+		kept++
 	}
 }
 
 // Range returns the running extrema as of the last Flush.
 func (t *RangeTracker) Range() (min, max int64) { return t.min, t.max }
 
-// Baseline returns S at the pruned cut.
-func (t *RangeTracker) Baseline() int64 { return t.baseline }
-
 // Window returns the number of retained (unpruned) events.
-func (t *RangeTracker) Window() int { return len(t.weights) }
-
-// Flushes returns the number of closure recomputations performed.
-func (t *RangeTracker) Flushes() int { return t.flushes }
+func (t *RangeTracker) Window() int { return t.net.Len() }

@@ -1,17 +1,19 @@
 package relsum
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/gen"
+	"github.com/distributed-predicates/gpd/internal/obs"
 )
 
 // feed streams c's non-initial events into a tracker in a random
 // linearization, pruning every pruneEvery deliveries using the
 // vector-clock frontier rule, and returns the tracker.
-func feed(t *testing.T, c *computation.Computation, name string, pruneEvery int, rng *rand.Rand) *RangeTracker {
+func feed(t *testing.T, c *computation.Computation, name string, pruneEvery int, rng *rand.Rand, trace *obs.Trace) *RangeTracker {
 	t.Helper()
 	var baseline int64
 	c.Events(func(e computation.Event) bool {
@@ -21,6 +23,7 @@ func feed(t *testing.T, c *computation.Computation, name string, pruneEvery int,
 		return true
 	})
 	tr := NewRangeTracker(baseline)
+	tr.SetTrace(trace)
 
 	// Random linearization of the topological order.
 	order := randomLinearization(c, rng)
@@ -119,7 +122,7 @@ func TestRangeTrackerAgreesWithSumRange(t *testing.T) {
 		gen.UnitStepVar(seed+1, c, "x")
 		wantMin, wantMax := SumRange(c, "x")
 		for _, pruneEvery := range []int{0, 1, 5} {
-			tr := feed(t, c, "x", pruneEvery, rng)
+			tr := feed(t, c, "x", pruneEvery, rng, nil)
 			gotMin, gotMax := tr.Range()
 			if gotMin != wantMin || gotMax != wantMax {
 				t.Fatalf("seed %d pruneEvery %d: tracker range [%d,%d], SumRange [%d,%d]",
@@ -137,7 +140,7 @@ func TestRangeTrackerArbitrarySteps(t *testing.T) {
 		c := gen.Random(gen.Params{Seed: seed, Procs: 3, Events: 6, MsgFrac: 0.5})
 		gen.ArbitraryStepVar(seed+7, c, "y", 5)
 		wantMin, wantMax := SumRange(c, "y")
-		tr := feed(t, c, "y", 3, rng)
+		tr := feed(t, c, "y", 3, rng, nil)
 		gotMin, gotMax := tr.Range()
 		if gotMin != wantMin || gotMax != wantMax {
 			t.Fatalf("seed %d: tracker range [%d,%d], SumRange [%d,%d]",
@@ -152,12 +155,118 @@ func TestRangeTrackerPruneBoundsWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	c := gen.Random(gen.Params{Seed: 11, Procs: 4, Events: 40, MsgFrac: 2.0})
 	gen.UnitStepVar(3, c, "x")
-	tr := feed(t, c, "x", 8, rng)
+	trace := obs.NewTrace()
+	tr := feed(t, c, "x", 8, rng, trace)
 	if tr.Window() >= c.NumEvents()-c.NumProcs() {
 		t.Fatalf("pruning never shrank the window: %d of %d events retained",
 			tr.Window(), c.NumEvents()-c.NumProcs())
 	}
-	if tr.Flushes() == 0 {
-		t.Fatal("no flushes recorded")
+	if trace.Counter("maxflow.closures") == 0 {
+		t.Fatal("no closure solves recorded")
+	}
+}
+
+// unitStream is an endless synthetic ±1 stream over 8 processes in the
+// id space and reduced requirement form detect's frontier produces: each
+// event requires its local predecessor and, a quarter of the time, the
+// latest event of one other process.
+type unitStream struct {
+	rng    *rand.Rand
+	index  [8]int64 // events emitted per process
+	fifo   []int64  // delivered ids not yet handed to Prune, oldest first
+	absSum int64    // Σ|w| emitted
+	reqs   []int64
+}
+
+func newUnitStream(seed int64) *unitStream {
+	return &unitStream{rng: rand.New(rand.NewSource(seed)), reqs: make([]int64, 0, 2)}
+}
+
+// observe emits k events into the tracker.
+func (s *unitStream) observe(tr *RangeTracker, k int) {
+	const procs = int64(len(s.index))
+	for ; k > 0; k-- {
+		p := s.rng.Int63n(procs)
+		s.index[p]++
+		s.reqs = s.reqs[:0]
+		if s.index[p] >= 2 {
+			s.reqs = append(s.reqs, (s.index[p]-1)*procs+p)
+		}
+		if q := s.rng.Int63n(procs); q != p && s.index[q] >= 1 && s.rng.Intn(4) == 0 {
+			s.reqs = append(s.reqs, s.index[q]*procs+q)
+		}
+		w := int64(s.rng.Intn(3) - 1)
+		s.absSum += max(w, -w)
+		id := s.index[p]*procs + p
+		tr.Observe(id, w, s.reqs)
+		s.fifo = append(s.fifo, id)
+	}
+}
+
+// prune drops all but the newest window deliveries: a prefix of the
+// delivery order, hence downward closed.
+func (s *unitStream) prune(tr *RangeTracker, window int) {
+	if n := len(s.fifo) - window; n > 0 {
+		tr.Prune(s.fifo[:n])
+		s.fifo = s.fifo[:copy(s.fifo, s.fifo[n:])]
+	}
+}
+
+// TestRangeTrackerWorkBound checks the warm start's two promises on a
+// long unit-weight stream flushed every 4 events and pruned to a
+// 64-event window: augmenting paths are bounded by the weight that
+// passed through — every unit of flow is pushed at most once and handed
+// back by a prune at most once (the Theorem 4 unit-weight bound),
+// whatever the window size — and a steady-state cycle allocates nothing.
+func TestRangeTrackerWorkBound(t *testing.T) {
+	trace := obs.NewTrace()
+	tr := NewRangeTracker(0)
+	tr.SetTrace(trace)
+	s := newUnitStream(5)
+	for i := 0; i < 4096/4; i++ {
+		s.observe(tr, 4)
+		tr.Flush()
+		s.prune(tr, 64)
+	}
+	if paths := trace.Counter("maxflow.augmenting_paths"); paths == 0 || paths > 2*s.absSum {
+		t.Fatalf("%d augmenting paths over a stream of total |weight| %d, want 1..%d", paths, s.absSum, 2*s.absSum)
+	}
+	if solves := trace.Counter("maxflow.closures"); solves != 2*4096/4 {
+		t.Fatalf("%d closure solves for %d flushes, want two each", solves, 4096/4)
+	}
+	tr.SetTrace(nil)
+	if allocs := testing.AllocsPerRun(200, func() {
+		s.observe(tr, 4)
+		tr.Flush()
+		s.prune(tr, 64)
+	}); allocs != 0 {
+		t.Fatalf("steady-state observe/flush/prune cycle allocates %.0f times, want 0", allocs)
+	}
+}
+
+// BenchmarkRangeTrackerFlush is the layer-level cost of one cycle —
+// observe the new events, flush, prune back to the window — at two
+// window sizes and two batch sizes.
+func BenchmarkRangeTrackerFlush(b *testing.B) {
+	for _, window := range []int{64, 256} {
+		for _, fresh := range []int{2, 64} {
+			b.Run(fmt.Sprintf("window=%d/new=%d", window, fresh), func(b *testing.B) {
+				trace := obs.NewTrace()
+				tr := NewRangeTracker(0)
+				tr.SetTrace(trace)
+				s := newUnitStream(1)
+				s.observe(tr, window)
+				tr.Flush()
+				before := trace.Counter("maxflow.augmenting_paths")
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.observe(tr, fresh)
+					tr.Flush()
+					s.prune(tr, window)
+				}
+				b.ReportMetric(float64(trace.Counter("maxflow.augmenting_paths")-before)/float64(b.N), "augmentations/flush")
+			})
+		}
 	}
 }

@@ -66,15 +66,20 @@ func maskToCut(c *computation.Computation, mask []bool) computation.Cut {
 	return k
 }
 
-// validateUnit returns ErrNotUnitStep (wrapped, identifying the event)
-// unless every event changes the quantity by at most one.
-func (q quantity) validateUnit(c *computation.Computation) error {
+// validate returns ErrStepTooLarge (wrapped, identifying the event) if
+// an event changes the quantity by more than the kernels' bound and,
+// when unit is set, ErrNotUnitStep unless every event changes it by at
+// most one.
+func (q quantity) validate(c *computation.Computation, unit bool) error {
 	var err error
 	c.Events(func(e computation.Event) bool {
 		if e.IsInitial() {
 			return true
 		}
-		if d := q.w(e); d > 1 || d < -1 {
+		d := q.w(e)
+		if _, serr := Step(d, 0); serr != nil {
+			err = fmt.Errorf("%w: event %v changes %s by %d or more", serr, e, q.what, d)
+		} else if unit && (d > 1 || d < -1) {
 			err = fmt.Errorf("%w: event %v changes %s by %d", ErrNotUnitStep, e, q.what, d)
 		}
 		return err == nil
@@ -95,6 +100,9 @@ func (q quantity) validateUnit(c *computation.Computation) error {
 // cuts come from the worker pool; the walks are linear in the number of
 // events and stay sequential. The other operators return no witness.
 func (q quantity) possibly(c *computation.Computation, r Relop, k int64, workers int, tr *obs.Trace) (holds bool, witness computation.Cut, min, max int64, err error) {
+	if err := q.validate(c, false); err != nil {
+		return false, nil, 0, 0, err
+	}
 	min, max, argmin, argmax := q.rangeWitness(c, workers, tr)
 	switch r {
 	case Lt:
@@ -108,7 +116,7 @@ func (q quantity) possibly(c *computation.Computation, r Relop, k int64, workers
 	case Ne:
 		holds = min != k || max != k
 	case Eq:
-		if err := q.validateUnit(c); err != nil {
+		if err := q.validate(c, true); err != nil {
 			return false, nil, min, max, err
 		}
 		if holds = min <= k && k <= max; !holds {
@@ -184,13 +192,13 @@ func (q quantity) definitely(c *computation.Computation, r Relop, k int64, worke
 		not := func(cc *computation.Computation, cut computation.Cut) bool { return !pred(cc, cut) }
 		return lattice.PathExistsPar(c, c.InitialCut(), c.FinalCut(), not, workers, tr)
 	}
+	if err := q.validate(c, r == Eq); err != nil {
+		return false, err
+	}
 	switch r {
 	case Lt, Le, Ge, Gt, Ne:
 		return !avoidable(r), nil
 	case Eq:
-		if err := q.validateUnit(c); err != nil {
-			return false, err
-		}
 		return !avoidable(Le) && !avoidable(Ge), nil
 	default:
 		return false, fmt.Errorf("relsum: unknown relational operator %v", r)

@@ -25,12 +25,32 @@ import (
 	"strconv"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
+	"github.com/distributed-predicates/gpd/internal/maxflow"
 	"github.com/distributed-predicates/gpd/internal/obs"
 )
 
 // ErrNotUnitStep indicates a variable that changes by more than one at
 // some event, outside the scope of the polynomial equality detectors.
 var ErrNotUnitStep = errors.New("relsum: variable changes by more than one at an event")
+
+// ErrStepTooLarge indicates an event changing the quantity by more than
+// maxflow.MaxWeight: past it the closure kernels' unbounded arcs can be
+// cut and an int64 difference can wrap, so every route refuses the step
+// instead of answering from it.
+var ErrStepTooLarge = errors.New("relsum: per-event change exceeds the supported bound")
+
+// Step returns the change after - before, or ErrStepTooLarge with the
+// change saturated just past the bound (wrapping differences included).
+func Step(after, before int64) (int64, error) {
+	d := after - before
+	switch {
+	case after >= before && (d < 0 || d > maxflow.MaxWeight):
+		return maxflow.MaxWeight + 1, ErrStepTooLarge
+	case after < before && (d >= 0 || d < -maxflow.MaxWeight):
+		return -maxflow.MaxWeight - 1, ErrStepTooLarge
+	}
+	return d, nil
+}
 
 // Relop is a relational operator.
 type Relop int
@@ -121,7 +141,8 @@ func sumOf(c *computation.Computation, name string) quantity {
 			if prev == computation.NoEvent {
 				return 0 // initial events carry the baseline, not a change
 			}
-			return c.Var(name, e.ID) - c.Var(name, prev)
+			d, _ := Step(c.Var(name, e.ID), c.Var(name, prev)) // saturated when out of bounds: validate reports it
+			return d
 		},
 		at:   func(cc *computation.Computation, k computation.Cut) int64 { return cc.SumVar(name, k) },
 		what: strconv.Quote(name),
@@ -135,7 +156,7 @@ func sumOf(c *computation.Computation, name string) quantity {
 // ValidateUnitStep returns ErrNotUnitStep (wrapped, identifying the event)
 // unless every event changes the variable by at most one.
 func ValidateUnitStep(c *computation.Computation, name string) error {
-	return sumOf(c, name).validateUnit(c)
+	return sumOf(c, name).validate(c, true)
 }
 
 // SumRange returns the minimum and maximum of S = sum of the named

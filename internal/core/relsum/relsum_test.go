@@ -3,12 +3,14 @@ package relsum
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/lattice"
+	"github.com/distributed-predicates/gpd/internal/maxflow"
 )
 
 const varName = "x"
@@ -311,5 +313,30 @@ func TestTokenConservationExample(t *testing.T) {
 	def, err := DefinitelyPar(c, varName, Le, 1, 1, nil)
 	if err != nil || !def {
 		t.Errorf("Definitely(S<=1) = %v, %v; every run observes a token in flight", def, err)
+	}
+}
+
+// TestStepBounds: Step is the one place a per-event change is formed,
+// and must flag everything past maxflow.MaxWeight — including the
+// differences that wrap int64 back into range.
+func TestStepBounds(t *testing.T) {
+	const big = maxflow.MaxWeight
+	for _, tc := range []struct {
+		after, before int64
+		ok            bool
+	}{
+		{5, 3, true}, {-big, 0, true}, {big, 0, true}, {big / 2, -big / 2, true},
+		{big + 1, 0, false}, {0, big + 1, false},
+		{math.MaxInt64, math.MinInt64, false}, // wraps to -1
+		{math.MinInt64, math.MaxInt64, false}, // wraps to +1
+		{1 << 62, -1 << 62, false},            // wraps to MinInt64
+	} {
+		d, err := Step(tc.after, tc.before)
+		if tc.ok && (err != nil || d != tc.after-tc.before) {
+			t.Errorf("Step(%d, %d) = %d, %v; want the difference", tc.after, tc.before, d, err)
+		}
+		if !tc.ok && (!errors.Is(err, ErrStepTooLarge) || (d > 0) != (tc.after > tc.before) || (d <= big && d >= -big)) {
+			t.Errorf("Step(%d, %d) = %d, %v; want ErrStepTooLarge and a saturated change of the right sign", tc.after, tc.before, d, err)
+		}
 	}
 }

@@ -102,7 +102,7 @@ func TestPossiblyQuiescentWitness(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		c := gen.Random(gen.Params{Seed: rng.Int63(), Procs: 3, Events: 5, MsgFrac: 0.6})
 		w := InFlightWeight(c)
-		if weighted(0, w).validateUnit(c) != nil {
+		if weighted(0, w).validate(c, true) != nil {
 			continue // multi-message events: out of scope for equality
 		}
 		checked++
@@ -179,7 +179,7 @@ func TestDefinitelyWeightedMatchesLattice(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		c := gen.Random(gen.Params{Seed: rng.Int63(), Procs: 3, Events: 4, MsgFrac: 0.6})
 		w := InFlightWeight(c)
-		unit := weighted(0, w).validateUnit(c) == nil
+		unit := weighted(0, w).validate(c, true) == nil
 		for _, r := range relops {
 			for k := int64(0); k <= 2; k++ {
 				got, err := DefinitelyWeightedPar(c, 0, w, r, k, 1, nil)

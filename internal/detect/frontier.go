@@ -27,6 +27,7 @@ func newFrontier(procs int, cut []int64) *frontier {
 		lastVC:     make([][]int64, procs),
 		prunedUpto: make([]int64, procs),
 		min:        make([]int64, procs),
+		reqs:       make([]int64, procs),
 	}
 	copy(f.prunedUpto, cut)
 	return f
@@ -37,24 +38,28 @@ func (f *frontier) id(proc int, index int64) int64 {
 	return index*int64(f.procs) + int64(proc)
 }
 
-// requires derives the event's direct causal dependencies from its
-// timestamp: its local predecessor and, per other process, the latest
-// event of that process in its causal past. Local chains make the
-// transitive constraints follow.
+// requires derives the event's causal dependencies from its timestamp:
+// its local predecessor and, per other process, the latest event of
+// that process in its causal past — where that component moved since the
+// process's previous delivered clock. An unmoved component names an
+// event already below the local predecessor, which implies it (or was
+// pruned with it: the stable set is downward closed), so the window's
+// ideals are the same without the arc. With no previous clock — the
+// first event after the frontier's cut — every component counts.
 func (f *frontier) requires(ev Event) []int64 {
-	reqs := f.reqs[:0]
+	reqs, n := f.reqs, 0
 	if own := ev.VC[ev.Proc]; own >= 2 {
-		//lint:ignore hotalloc scratch slice: grows to at most one entry per process, then is reused for every event
-		reqs = append(reqs, f.id(ev.Proc, own-1))
+		reqs[n] = f.id(ev.Proc, own-1)
+		n++
 	}
+	prev := f.lastVC[ev.Proc]
 	for q, v := range ev.VC {
-		if q != ev.Proc && v >= 1 {
-			//lint:ignore hotalloc as above: bounded scratch, reused
-			reqs = append(reqs, f.id(q, v))
+		if q != ev.Proc && v >= 1 && (prev == nil || v > prev[q]) {
+			reqs[n] = f.id(q, v)
+			n++
 		}
 	}
-	f.reqs = reqs
-	return reqs
+	return reqs[:n]
 }
 
 // observe records a delivered event's timestamp.

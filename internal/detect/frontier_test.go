@@ -20,6 +20,15 @@ func TestFrontierRequires(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("requires = %v, want %v", got, want)
 	}
+	// Against a previous clock only the components that moved count:
+	// process 1's first event is already below the local predecessor.
+	f.observe(Event{Proc: 0, VC: []int64{2, 1}})
+	if got, want := f.requires(Event{Proc: 0, VC: []int64{3, 1}}), []int64{f.id(0, 2)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("unmoved component: requires = %v, want %v", got, want)
+	}
+	if got, want := f.requires(Event{Proc: 0, VC: []int64{3, 2}}), []int64{f.id(0, 2), f.id(1, 2)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("moved component: requires = %v, want %v", got, want)
+	}
 }
 
 func TestFrontierStable(t *testing.T) {

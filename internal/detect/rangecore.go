@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
@@ -31,6 +32,7 @@ type RangeCore struct {
 	payload Payload
 	lastVal []int64 // value after the last delivered event (PayloadValue, PayloadTruth)
 	sum     int64   // the sum at the cut of everything stepped so far
+	err     error   // sticky: a refused step (relsum.ErrStepTooLarge)
 	// Per-event changes by id, kept for a delta-payload finalizer (the
 	// rebuilt trace has no messages to derive occupancy from) when the
 	// transport retains the trace.
@@ -78,22 +80,31 @@ func NewRangeCore(procs int, payload Payload, init, cut []int64, retain bool) (*
 // Step consumes one causally delivered event. The returned error is
 // non-nil when the event changes the sum by more than one: fatal for
 // the views that need unit steps (==), ignored by the rest — the event
-// is part of the window either way.
+// is part of the window either way — or by more than the kernels
+// support (relsum.ErrStepTooLarge): fatal for every view and sticky,
+// since the refused event leaves the window incomplete.
 //
 //lint:hotpath
 func (c *RangeCore) Step(ev Event) error {
+	if c.err != nil {
+		return c.err
+	}
 	p := ev.Proc
-	change := ev.Val // PayloadDelta
-	if c.payload != PayloadDelta {
-		v := ev.Val
-		if c.payload == PayloadTruth {
-			v = 0
-			if ev.Truth {
-				v = 1
-			}
+	after := ev.Val
+	if c.payload == PayloadTruth {
+		after = 0
+		if ev.Truth {
+			after = 1
 		}
-		change = v - c.lastVal[p]
-		c.lastVal[p] = v
+	}
+	// A delta core's lastVal stays zero: its payload is the change itself.
+	change, err := relsum.Step(after, c.lastVal[p])
+	if err != nil {
+		c.err = fmt.Errorf("%w: process %d event %d", err, p, ev.VC[p])
+		return c.err
+	}
+	if c.payload != PayloadDelta {
+		c.lastVal[p] = after
 	}
 	c.sum += change
 	id := c.fr.id(p, ev.VC[p])
@@ -195,9 +206,12 @@ func (v *RangeView) holds() bool {
 	return rel.Eval(v.min, k) || rel.Eval(v.max, k)
 }
 
-// NeedsUnitSteps reports whether a core step changing the sum by more
-// than one is fatal for this view.
-func (v *RangeView) NeedsUnitSteps() bool { return v.levels == nil && v.spec.Rel == relsum.Eq }
+// Fatal reports whether a core step's error ends this view: a step past
+// the kernels' bound ends every view, one changing the sum by more than
+// one only the views that need unit steps (==).
+func (v *RangeView) Fatal(err error) bool {
+	return errors.Is(err, relsum.ErrStepTooLarge) || v.levels == nil && v.spec.Rel == relsum.Eq
+}
 
 // Fold widens the view's running extrema by one flushed window of its
 // core and returns the latched verdict.
@@ -227,7 +241,7 @@ func (v *RangeView) Attach(core *RangeCore) {
 func (v *RangeView) SetTrace(tr *obs.Trace) { v.core.tracker.SetTrace(tr) }
 
 func (v *RangeView) Step(ev Event) error {
-	if err := v.core.Step(ev); err != nil && v.NeedsUnitSteps() {
+	if err := v.core.Step(ev); err != nil && v.Fatal(err) {
 		return err
 	}
 	return nil

@@ -6,20 +6,21 @@
 // detectors (Chase & Garg's technique for relational predicates).
 package maxflow
 
-import (
-	"math"
+import "math"
 
-	"github.com/distributed-predicates/gpd/internal/obs"
-)
-
-// Graph is a flow network under construction. Nodes are dense ints; add
-// edges with AddEdge and call MaxFlow.
+// Graph is a flow network. Nodes are dense ints; add edges with AddEdge
+// and call MaxFlow. The arrays are arenas of which a prefix is in use, so
+// a long-lived graph (Network) stops allocating once they have reached
+// their working size.
 type Graph struct {
-	n    int
+	n    int   // nodes in use: head[:n]
+	arcs int   // arcs in use: next, to, cap [:arcs]
 	head []int // head[v] = first arc index of v, -1 if none
 	next []int // next arc in v's list
 	to   []int
 	cap  []int64
+
+	level, iter, queue []int // MaxFlow scratch, kept across calls
 
 	augPaths int64 // augmenting paths found by MaxFlow
 	phases   int64 // BFS level graphs built by MaxFlow
@@ -34,66 +35,76 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, head: head}
 }
 
+// grown returns s zero-extended to hold at least n elements, at least
+// doubling so that repeated growth is amortised.
+//
+//lint:coldpath
+func grown[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, max(n, 2*len(s))-len(s))...)
+}
+
+// reserve sizes the arc arenas for at least n arcs.
+//
+//lint:coldpath
+func (g *Graph) reserve(n int) {
+	g.to, g.next, g.cap = grown(g.to, n), grown(g.next, n), grown(g.cap, n)
+}
+
 // AddEdge adds a directed edge u->v with the given capacity (and its
 // residual reverse edge with capacity 0). Capacities must be non-negative.
 func (g *Graph) AddEdge(u, v int, capacity int64) {
+	if g.arcs+2 > len(g.to) {
+		g.reserve(g.arcs + 2)
+	}
 	g.addArc(u, v, capacity)
 	g.addArc(v, u, 0)
 }
 
 func (g *Graph) addArc(u, v int, c int64) {
-	g.to = append(g.to, v)
-	g.cap = append(g.cap, c)
-	g.next = append(g.next, g.head[u])
-	g.head[u] = len(g.to) - 1
+	a := g.arcs
+	g.to[a], g.cap[a], g.next[a] = v, c, g.head[u]
+	g.head[u] = a
+	g.arcs++
 }
 
 // Infinity is a capacity treated as unbounded.
 const Infinity = math.MaxInt64 / 4
 
-// MaxFlow computes the maximum s-t flow with Dinic's algorithm. The graph
-// is consumed: capacities become residual capacities.
-func (g *Graph) MaxFlow(s, t int) int64 {
-	if s == t {
-		return 0
-	}
-	var total int64
-	level := make([]int, g.n)
-	iter := make([]int, g.n)
-	queue := make([]int, 0, g.n)
-	for g.bfs(s, t, level, &queue) {
-		g.phases++
-		copy(iter, g.head)
-		for {
-			f := g.dfs(s, t, Infinity, level, iter)
-			if f == 0 {
-				break
-			}
-			g.augPaths++
-			total += f
-		}
-	}
-	return total
-}
+// MaxWeight bounds the magnitude of a closure node's weight. Infinity
+// is only unbounded while the finite capacities of a network add up to
+// less: past that, cutting a requirement is cheaper than honouring it.
+// Under MaxWeight that takes 2^21 nodes of the largest weight; callers
+// refuse a larger weight instead of answering wrongly.
+const MaxWeight = Infinity >> 21
 
-func (g *Graph) bfs(s, t int, level []int, queue *[]int) bool {
+// MaxFlow computes the maximum s-t flow with Dinic's algorithm. The graph
+// is consumed: capacities become residual capacities. Called again after
+// nodes, edges or capacity were added, it resumes from the flow already
+// routed and returns the increase.
+func (g *Graph) MaxFlow(s, t int) int64 { return g.MaxFlowPar(s, t, 1) }
+
+// bfs labels the residual level graph from s and reports whether it
+// reaches t. It stops once t is labelled: every node of a lower level
+// has its label by then, and no other node is on a shortest path.
+func (g *Graph) bfs(s, t int, level []int) bool {
 	for i := range level {
 		level[i] = -1
 	}
-	q := (*queue)[:0]
-	q = append(q, s)
-	level[s] = 0
-	for len(q) > 0 {
-		v := q[0]
-		q = q[1:]
+	queue := g.queue
+	queue[0], level[s] = s, 0
+	for head, tail := 0, 1; head < tail && level[t] < 0; head++ {
+		v := queue[head]
 		for a := g.head[v]; a != -1; a = g.next[a] {
-			if g.cap[a] > 0 && level[g.to[a]] < 0 {
-				level[g.to[a]] = level[v] + 1
-				q = append(q, g.to[a])
+			if w := g.to[a]; g.cap[a] > 0 && level[w] < 0 {
+				level[w] = level[v] + 1
+				queue[tail] = w
+				tail++
 			}
 		}
 	}
-	*queue = q
 	return level[t] >= 0
 }
 
@@ -121,35 +132,13 @@ func (g *Graph) dfs(v, t int, f int64, level, iter []int) int64 {
 }
 
 // MinCutSide returns, after MaxFlow(s, t) has run, the set of nodes on the
-// source side of a minimum cut (reachable from s in the residual graph) as
-// a boolean mask.
-func (g *Graph) MinCutSide(s int) []bool {
+// source side of a minimum cut as a boolean mask: the nodes its last
+// level graph — the one that no longer reached t — labelled, which are
+// those reachable from s in the residual graph.
+func (g *Graph) MinCutSide() []bool {
 	side := make([]bool, g.n)
-	stack := []int{s}
-	side[s] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for a := g.head[v]; a != -1; a = g.next[a] {
-			if g.cap[a] > 0 && !side[g.to[a]] {
-				side[g.to[a]] = true
-				stack = append(stack, g.to[a])
-			}
-		}
+	for v, l := range g.level[:g.n] {
+		side[v] = l >= 0
 	}
 	return side
-}
-
-// MaxClosureTraced solves the maximum-weight closure problem on a DAG:
-// choose a set S of nodes closed under prerequisites maximizing the sum
-// of weights.
-//
-// Orientation: edges are given as "v requires u" pairs (u must be in S
-// whenever v is), i.e. u is a prerequisite of v. The empty closure is
-// allowed, so the returned value — the best closure weight — is never
-// negative; the mask marks chosen nodes. Work counters (augmenting paths,
-// BFS phases, graph and closure sizes) accumulate into the trace; a nil
-// trace is free.
-func MaxClosureTraced(weights []int64, requires [][2]int, tr *obs.Trace) (int64, []bool) {
-	return maxClosure(weights, requires, 1, tr)
 }

@@ -64,7 +64,7 @@ func TestMinCutSide(t *testing.T) {
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(2, 3, 10)
 	g.MaxFlow(0, 3)
-	side := g.MinCutSide(0)
+	side := g.MinCutSide()
 	if !side[0] || !side[1] || side[2] || side[3] {
 		t.Fatalf("MinCutSide = %v, want {0,1}", side)
 	}
@@ -117,7 +117,7 @@ func TestMaxClosureAgainstBruteForce(t *testing.T) {
 			}
 		}
 		want := bruteClosure(weights, requires)
-		got, mask := MaxClosureTraced(weights, requires, nil)
+		got, mask := maxClosure(weights, requires, 1, nil)
 		if got != want {
 			t.Fatalf("trial %d: MaxClosure = %d, brute = %d (w=%v req=%v)",
 				trial, got, want, weights, requires)
@@ -141,7 +141,7 @@ func TestMaxClosureAgainstBruteForce(t *testing.T) {
 }
 
 func TestMaxClosureAllNegative(t *testing.T) {
-	got, mask := MaxClosureTraced([]int64{-1, -5}, nil, nil)
+	got, mask := maxClosure([]int64{-1, -5}, nil, 1, nil)
 	if got != 0 {
 		t.Fatalf("MaxClosure = %d, want 0 (empty closure)", got)
 	}
@@ -153,7 +153,7 @@ func TestMaxClosureAllNegative(t *testing.T) {
 func TestMaxClosureChain(t *testing.T) {
 	// 2 requires 1 requires 0; weights 5, -3, 4: take all = 6; take {0}
 	// = 5; best 6.
-	got, _ := MaxClosureTraced([]int64{5, -3, 4}, [][2]int{{1, 0}, {2, 1}}, nil)
+	got, _ := maxClosure([]int64{5, -3, 4}, [][2]int{{1, 0}, {2, 1}}, 1, nil)
 	if got != 6 {
 		t.Fatalf("MaxClosure = %d, want 6", got)
 	}

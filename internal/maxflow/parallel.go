@@ -12,17 +12,17 @@ import (
 // so they do not depend on visit order within a level — the level
 // graph, the blocking-flow search over it, and therefore the flow value
 // and all counters are identical for every worker count. workers <= 1
-// runs the exact sequential algorithm.
+// builds the level graphs sequentially.
 func (g *Graph) MaxFlowPar(s, t, workers int) int64 {
-	if workers <= 1 {
-		return g.MaxFlow(s, t)
+	if len(g.level) < g.n {
+		size := len(g.head)
+		g.level, g.iter, g.queue = make([]int, size), make([]int, size), make([]int, size)
 	}
 	if s == t {
 		return 0
 	}
 	var total int64
-	level := make([]int, g.n)
-	iter := make([]int, g.n)
+	level, iter := g.level[:g.n], g.iter[:g.n]
 	for g.bfsPar(s, t, level, workers) {
 		g.phases++
 		copy(iter, g.head)
@@ -42,7 +42,11 @@ func (g *Graph) MaxFlowPar(s, t, workers int) int64 {
 // scan disjoint chunks of the current frontier for unlabelled residual
 // neighbours (pure reads), and a sequential merge labels them in
 // frontier order. Small frontiers run inline via par.Do's chunk floor.
+// One worker is the sequential bfs.
 func (g *Graph) bfsPar(s, t int, level []int, workers int) bool {
+	if workers <= 1 {
+		return g.bfs(s, t, level)
+	}
 	for i := range level {
 		level[i] = -1
 	}
@@ -87,8 +91,8 @@ func MaxClosurePairTraced(weights []int64, requires [][2]int, workers int, tr *o
 		neg[i] = -w
 	}
 	if workers <= 1 {
-		best, bestMask = MaxClosureTraced(weights, requires, tr)
-		negBest, negMask = MaxClosureTraced(neg, requires, tr)
+		best, bestMask = maxClosure(weights, requires, 1, tr)
+		negBest, negMask = maxClosure(neg, requires, 1, tr)
 		return
 	}
 	half := workers / 2
@@ -103,9 +107,13 @@ func MaxClosurePairTraced(weights []int64, requires [][2]int, workers int, tr *o
 	return
 }
 
-// maxClosure is the single implementation behind MaxClosureTraced and
-// MaxClosurePairTraced: the standard min-cut reduction, with the flow
-// run sequentially or with parallel BFS phases depending on workers.
+// maxClosure solves the maximum-weight closure problem on a DAG: choose
+// a set of nodes closed under prerequisites maximizing the sum of
+// weights. requires lists "v requires u" pairs (u must be chosen
+// whenever v is). The empty closure is allowed, so the returned value is
+// never negative; the mask marks chosen nodes. The flow runs
+// sequentially or with parallel BFS phases depending on workers; work
+// counters accumulate into the trace (nil: free).
 func maxClosure(weights []int64, requires [][2]int, workers int, tr *obs.Trace) (int64, []bool) {
 	n := len(weights)
 	// Standard reduction: source -> v with cap w(v) for positive
@@ -114,6 +122,13 @@ func maxClosure(weights []int64, requires [][2]int, workers int, tr *obs.Trace) 
 	// min cut separates the chosen closure (source side) from the rest.
 	g := NewGraph(n + 2)
 	s, t := n, n+1
+	arcs := 2 * len(requires)
+	for _, w := range weights {
+		if w != 0 {
+			arcs += 2
+		}
+	}
+	g.reserve(arcs)
 	var totalPos int64
 	for v, w := range weights {
 		if w > 0 {
@@ -128,9 +143,7 @@ func maxClosure(weights []int64, requires [][2]int, workers int, tr *obs.Trace) 
 		g.AddEdge(v, u, Infinity)
 	}
 	flow := g.MaxFlowPar(s, t, workers)
-	side := g.MinCutSide(s)
-	mask := make([]bool, n)
-	copy(mask, side[:n])
+	mask := g.MinCutSide()[:n]
 	if tr != nil {
 		var size int64
 		for _, in := range mask {
@@ -143,7 +156,7 @@ func maxClosure(weights []int64, requires [][2]int, workers int, tr *obs.Trace) 
 		tr.Add("maxflow.closures", 1)
 		tr.Add("maxflow.closure_size", size)
 		tr.Add("maxflow.graph_nodes", int64(n))
-		tr.Add("maxflow.graph_arcs", int64(len(g.to)))
+		tr.Add("maxflow.graph_arcs", int64(g.arcs))
 	}
 	return totalPos - flow, mask
 }

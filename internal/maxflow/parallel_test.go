@@ -49,7 +49,7 @@ func TestMaxFlowParMatchesSequential(t *testing.T) {
 			if aug != wantAug || phases != wantPhases {
 				t.Fatalf("seed %d w=%d: stats (%d,%d), want (%d,%d)", seed, w, aug, phases, wantAug, wantPhases)
 			}
-			if !reflect.DeepEqual(g.MinCutSide(0), ref.MinCutSide(0)) {
+			if !reflect.DeepEqual(g.MinCutSide(), ref.MinCutSide()) {
 				t.Fatalf("seed %d w=%d: min-cut side differs", seed, w)
 			}
 		}
@@ -78,7 +78,7 @@ func TestMaxClosureParMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		weights, requires := randomClosureInstance(seed, 40)
 		refTr := obs.NewTrace()
-		wantVal, wantMask := MaxClosureTraced(weights, requires, refTr)
+		wantVal, wantMask := maxClosure(weights, requires, 1, refTr)
 		for _, w := range []int{1, 2, 4, 8} {
 			tr := obs.NewTrace()
 			val, mask := maxClosure(weights, requires, w, tr)

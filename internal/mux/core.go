@@ -119,8 +119,9 @@ func (g *Group) leave(p *predicate) {
 
 // stepCores feeds one projected event to every core of its variable and
 // returns the logical detector steps taken: one per subscribed view. A
-// step changing the sum by more than one fails the views that need unit
-// steps (==) and leaves the rest of the core's views running.
+// failed step fails the views it is fatal for — a non-unit step those
+// that need unit steps (==), an out-of-bounds one all of them — and
+// leaves the rest of the core's views running.
 func (g *Group) stepCores(cores []*groupCore, pe detect.Event) int {
 	stepped := 0
 	for i := len(cores) - 1; i >= 0; i-- {
@@ -136,7 +137,7 @@ func (g *Group) stepCores(cores []*groupCore, pe detect.Event) int {
 			continue
 		}
 		c.sift(func(p *predicate) bool {
-			if p.view.NeedsUnitSteps() {
+			if p.view.Fatal(err) {
 				g.failPred(p, err)
 				return false
 			}

@@ -610,6 +610,60 @@ func TestServerRejectsBadInit(t *testing.T) {
 	}
 }
 
+// TestServerRejectsHugeStep streams a variable that jumps by more than
+// the closure kernels can represent (a cuttable "unbounded" arc at
+// 2^61, a wrapping difference beyond) into a plain and a multiplexed
+// session. The only sound answer is none: the plain session fails
+// sticky and closes ok:false, the registered predicate reports an
+// error — neither ever a verdict — while a predicate over another
+// variable of the same mux session is unaffected.
+func TestServerRejectsHugeStep(t *testing.T) {
+	_, cl := serveLoopback(t, Config{Shards: 1})
+	hostile := []Event{
+		{Proc: 0, VC: []int64{1, 0}, Var: "x", Val: -1 << 62},
+		{Proc: 1, VC: []int64{1, 1}, Var: "x", Val: 1 << 62},
+		{Proc: 0, VC: []int64{2, 0}, Var: "y", Val: 1},
+	}
+	const want = "exceeds the supported bound"
+
+	if err := cl.Open("s", Spec{Pred: "sum(x) >= 1", Procs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Append("s", hostile[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cl.Query("s"); err != nil || st.Possibly || !strings.Contains(st.Error, want) {
+		t.Errorf("plain session after a 2^62 step: stats %+v, err %v; want a sticky error saying %q and no verdict", st, err, want)
+	}
+	if v, err := cl.CloseSession("s"); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("close after a 2^62 step: verdict %+v, err %v; want ok:false saying %q", v, err, want)
+	}
+
+	if err := cl.Open("m", Spec{Mux: true, Procs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []RegisterSpec{{ID: "px", Pred: "sum(x) >= 1"}, {ID: "py", Pred: "sum(y) >= 1"}} {
+		if _, err := cl.RegisterPredicate("m", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Append("m", hostile); err != nil {
+		t.Fatal(err)
+	}
+	st, ups, err := cl.QueryUpdates("m")
+	if err != nil || st.Error != "" || len(ups) != 2 {
+		t.Fatalf("mux session after a 2^62 step: stats %+v, updates %+v, err %v; want a healthy session and one update per predicate", st, ups, err)
+	}
+	for _, u := range ups {
+		switch {
+		case u.ID == "px" && (u.Possibly || !strings.Contains(u.Err, want)):
+			t.Errorf("sum(x) >= 1 after a 2^62 step: update %+v, want an error saying %q and no verdict", u, want)
+		case u.ID == "py" && (!u.Possibly || u.Err != ""):
+			t.Errorf("sum(y) >= 1 beside the failed predicate: update %+v, want it latched", u)
+		}
+	}
+}
+
 // BenchmarkStreamIngest measures end-to-end engine throughput in
 // events/sec: one session per shard, in-order unit-step streams, batched
 // appends, Backpressure policy.
