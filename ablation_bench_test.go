@@ -119,9 +119,13 @@ func BenchmarkAblationOnlineVsOffline(b *testing.B) {
 			}
 		}
 	})
+	locals := make(map[computation.ProcID]conjunctive.LocalPredicate, len(truth))
+	for p, row := range truth {
+		locals[computation.ProcID(p)] = func(e computation.Event) bool { return row[e.Index] }
+	}
 	b.Run("offline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			conjunctive.DetectTables(c, truth)
+			conjunctive.DetectTraced(c, locals, nil)
 		}
 	})
 }

@@ -7,42 +7,33 @@ import (
 	"testing"
 )
 
-func TestList(t *testing.T) {
-	if err := run([]string{"-list"}, io.Discard); err != nil {
+// TestRunSingleFastExperiment prints one claim twice: the output is a
+// markdown section for that claim alone, and it repeats byte for byte (E6
+// is the claim whose measure ranges over a map).
+func TestRunSingleFastExperiment(t *testing.T) {
+	var first, second bytes.Buffer
+	if err := run([]string{"-run", "e6"}, &first); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRunSingleFastExperiment(t *testing.T) {
-	// F2 is instantaneous: the Figure 2 relations table.
-	if err := run([]string{"-run", "F2"}, io.Discard); err != nil {
+	if err := run([]string{"-run", "E6"}, &second); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.HasPrefix(first.String(), "### E6 — Section 4.3") || strings.Count(first.String(), "###") != 1 {
+		t.Errorf("-run E6 printed:\n%s", first.String())
+	}
+	if first.String() != second.String() {
+		t.Errorf("two runs differ:\n%s\n---\n%s", first.String(), second.String())
 	}
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-run", "Z9"}, io.Discard); err == nil {
-		t.Fatal("unknown experiment id must error")
+	err := run([]string{"-run", "Z9"}, io.Discard)
+	if err == nil {
+		t.Fatal("unknown claim id must error")
 	}
-}
-
-func TestWorkReport(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-report"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{
-		"Possibly(sum(tokens) == 3)",
-		"Definitely(all(tokens))",
-		"Possibly(cnf(tokens): (0 | 1) & (2 | 3))",
-		"detect:cnf",
-		"maxflow.augmenting_paths",
-		"singular.cpdhb_runs",
-		"conjunctive.tokens_advanced",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report output missing %q:\n%s", want, s)
+	for _, id := range []string{"F1", "E7", "X3"} {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q does not list %s", err, id)
 		}
 	}
 }

@@ -91,16 +91,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			strategySet = true
 		}
 	})
-	// The CLI predates Detect's support for these combinations and keeps
-	// rejecting them so scripted callers see the same behavior as before.
-	if mod == gpd.ModalityDefinitely {
-		switch spec.Family {
-		case gpd.FamilyInFlight:
-			return errors.New("definitely is not supported for inflight predicates")
-		case gpd.FamilyCNF:
-			return errors.New("definitely is not supported for cnf predicates")
-		}
-	}
 
 	var r io.Reader = stdin
 	if *trace != "-" {

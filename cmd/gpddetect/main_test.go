@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -92,11 +93,40 @@ func TestInFlightPredicates(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-trace", trace, "-pred", "inflight == x"},
 		{"-trace", trace, "-pred", "inflight <>"},
-		{"-trace", trace, "-pred", "inflight == 1", "-modality", "definitely"},
 	} {
 		var buf bytes.Buffer
 		if err := run(bad, strings.NewReader(""), &buf); err == nil {
 			t.Errorf("run(%v) should fail", bad)
+		}
+	}
+}
+
+// TestDefinitelyMatchesDetect: the CLI answers every (family, modality)
+// the front door does — inflight and cnf under definitely included, which
+// an old shim used to refuse — with gpd.Detect's own verdict.
+func TestDefinitelyMatchesDetect(t *testing.T) {
+	trace := writeRingTrace(t)
+	f, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c, err := gpd.ReadTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{"inflight == 1", "inflight >= 0", "cnf(tokens): (0)", "cnf(tokens): (0 | 1) & (2 | 3)"} {
+		spec, err := gpd.ParseSpec(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := gpd.Detect(c, spec, gpd.WithModality(gpd.ModalityDefinitely))
+		if err != nil {
+			t.Fatalf("Detect(%s): %v", text, err)
+		}
+		out := detectOut(t, "-trace", trace, "-pred", text, "-modality", "definitely")
+		if want := fmt.Sprintf("Definitely(%s) = %v", spec, rep.Holds); !strings.Contains(out, want) {
+			t.Errorf("CLI printed %q, want %q", out, want)
 		}
 	}
 }
@@ -139,7 +169,6 @@ func TestBadInputs(t *testing.T) {
 		{"-trace", trace, "-pred", "sum(tokens) == 1", "-modality", "never"},
 		{"-trace", trace, "-pred", "cnf(tokens): (a)", "-strategy", "chains"},
 		{"-trace", trace, "-pred", "cnf(tokens): (0)", "-strategy", "warp"},
-		{"-trace", trace, "-pred", "cnf(tokens): (0)", "-modality", "definitely"},
 		{"-trace", "/does/not/exist", "-pred", "sum(tokens) == 1"},
 	} {
 		var out bytes.Buffer

@@ -44,17 +44,12 @@ type Result struct {
 	Eliminated int
 }
 
-// Detect runs the offline CPDHB algorithm on a sealed computation. locals
-// maps each involved process to its local predicate; processes absent from
-// the map are unconstrained. An empty map yields Found with the initial
-// cut.
-func Detect(c *computation.Computation, locals map[computation.ProcID]LocalPredicate) Result {
-	return DetectTraced(c, locals, nil)
-}
-
-// DetectTraced is Detect with work counters accumulated into the trace:
-// candidate (true) events enumerated and tokens advanced (candidate
-// eliminations, the unit of CPDHB progress).
+// DetectTraced runs the offline CPDHB algorithm on a sealed computation.
+// locals maps each involved process to its local predicate; processes
+// absent from the map are unconstrained. An empty map yields Found with
+// the initial cut. Work counters accumulate into the trace: candidate
+// (true) events enumerated and tokens advanced (candidate eliminations,
+// the unit of CPDHB progress).
 func DetectTraced(c *computation.Computation, locals map[computation.ProcID]LocalPredicate, tr *obs.Trace) Result {
 	procs := make([]computation.ProcID, 0, len(locals))
 	for p := range locals {
@@ -154,24 +149,6 @@ func eliminate(
 		witness[i] = queues[i][cur[i]]
 	}
 	return Result{Found: true, Witness: witness, Eliminated: eliminated}
-}
-
-// DetectTables is Detect with the local predicates given as per-process
-// boolean tables indexed by local event index (the representation produced
-// by generators and the simulator). Rows may be nil for unconstrained
-// processes.
-func DetectTables(c *computation.Computation, truth [][]bool) Result {
-	locals := make(map[computation.ProcID]LocalPredicate)
-	for p, row := range truth {
-		if row == nil {
-			continue
-		}
-		row := row
-		locals[computation.ProcID(p)] = func(e computation.Event) bool {
-			return e.Index < len(row) && row[e.Index]
-		}
-	}
-	return Detect(c, locals)
 }
 
 // Checker is the online weak-conjunctive detector. Application processes

@@ -62,7 +62,7 @@ func TestDetectMatchesLatticeOracle(t *testing.T) {
 		c := randomComputation(rng, 2+rng.Intn(3), 5)
 		truth := randomTruth(rng, c, 0.4)
 		want := latticePossibly(c, truth)
-		res := DetectTables(c, truth)
+		res := detectTables(c, truth)
 		if res.Found != want {
 			t.Fatalf("trial %d: Detect = %v, oracle = %v", trial, res.Found, want)
 		}
@@ -99,7 +99,7 @@ func TestDetectUnconstrainedProcesses(t *testing.T) {
 	truth := randomTruth(rng, c, 0.5)
 	truth[1] = nil // unconstrained
 	truth[3] = nil
-	res := DetectTables(c, truth)
+	res := detectTables(c, truth)
 	// Oracle: ignore nil rows.
 	ok, _ := lattice.Possibly(c, func(_ *computation.Computation, k computation.Cut) bool {
 		for p, row := range truth {
@@ -118,7 +118,7 @@ func TestDetectEmptySpec(t *testing.T) {
 	c := computation.New()
 	c.AddProcess()
 	c.MustSeal()
-	res := Detect(c, nil)
+	res := DetectTraced(c, nil, nil)
 	if !res.Found {
 		t.Fatal("empty conjunction must hold")
 	}
@@ -127,14 +127,27 @@ func TestDetectEmptySpec(t *testing.T) {
 	}
 }
 
+// detectTables runs the detector with the local predicates given as
+// per-process boolean tables indexed by local event index (the
+// representation the generators produce). Nil rows are unconstrained.
+func detectTables(c *computation.Computation, truth [][]bool) Result {
+	locals := make(map[computation.ProcID]LocalPredicate)
+	for p, row := range truth {
+		if row != nil {
+			locals[computation.ProcID(p)] = func(e computation.Event) bool { return e.Index < len(row) && row[e.Index] }
+		}
+	}
+	return DetectTraced(c, locals, nil)
+}
+
 func TestDetectNoTrueEvents(t *testing.T) {
 	c := computation.New()
 	p := c.AddProcess()
 	c.AddInternal(p)
 	c.MustSeal()
-	res := Detect(c, map[computation.ProcID]LocalPredicate{
+	res := DetectTraced(c, map[computation.ProcID]LocalPredicate{
 		p: func(computation.Event) bool { return false },
-	})
+	}, nil)
 	if res.Found {
 		t.Fatal("no true events: must not be found")
 	}
@@ -149,10 +162,10 @@ func TestDetectInitialStates(t *testing.T) {
 	c.AddInternal(p0)
 	c.AddInternal(p1)
 	c.MustSeal()
-	res := Detect(c, map[computation.ProcID]LocalPredicate{
+	res := DetectTraced(c, map[computation.ProcID]LocalPredicate{
 		p0: func(e computation.Event) bool { return e.IsInitial() },
 		p1: func(e computation.Event) bool { return e.IsInitial() },
-	})
+	}, nil)
 	if !res.Found {
 		t.Fatal("initial-state conjunction must be found")
 	}
@@ -175,10 +188,10 @@ func TestDetectOrderedTrueEventsEliminated(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.MustSeal()
-	res := Detect(c, map[computation.ProcID]LocalPredicate{
+	res := DetectTraced(c, map[computation.ProcID]LocalPredicate{
 		p0: func(e computation.Event) bool { return e.ID == a },
 		p1: func(e computation.Event) bool { return e.ID == b },
-	})
+	}, nil)
 	if res.Found {
 		t.Fatal("a and b are inconsistent (next(a) -> b): must not be found")
 	}
@@ -199,7 +212,7 @@ func TestCheckerMatchesOffline(t *testing.T) {
 		for p := range truth {
 			truth[p][0] = false
 		}
-		offline := DetectTables(c, truth)
+		offline := detectTables(c, truth)
 
 		procs := make([]int, c.NumProcs())
 		for p := range procs {

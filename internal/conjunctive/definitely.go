@@ -58,14 +58,9 @@ func trueIntervals(c *computation.Computation, p computation.ProcID, pred LocalP
 	return out
 }
 
-// DetectDefinitely reports whether every run of the computation passes
-// through a global state satisfying the conjunction of the local
-// predicates. An empty map is trivially definite.
-func DetectDefinitely(c *computation.Computation, locals map[computation.ProcID]LocalPredicate) bool {
-	return DetectDefinitelyTraced(c, locals, nil)
-}
-
-// DetectDefinitelyTraced is DetectDefinitely with work counters accumulated
+// DetectDefinitelyTraced reports whether every run of the computation
+// passes through a global state satisfying the conjunction of the local
+// predicates. An empty map is trivially definite. Work counters accumulate
 // into the trace: true intervals extracted and intervals eliminated during
 // the selection search.
 func DetectDefinitelyTraced(c *computation.Computation, locals map[computation.ProcID]LocalPredicate, tr *obs.Trace) bool {

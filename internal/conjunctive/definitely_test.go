@@ -34,7 +34,7 @@ func TestDetectDefinitelyMatchesOracle(t *testing.T) {
 				return e.Index < len(row) && row[e.Index]
 			}
 		}
-		got := DetectDefinitely(c, locals)
+		got := DetectDefinitelyTraced(c, locals, nil)
 		want := latticeDefinitely(c, truth)
 		if got != want {
 			t.Fatalf("trial %d: DetectDefinitely = %v, oracle = %v (procs=%d)",
@@ -47,7 +47,7 @@ func TestDetectDefinitelyTrivial(t *testing.T) {
 	c := computation.New()
 	c.AddProcess()
 	c.MustSeal()
-	if !DetectDefinitely(c, nil) {
+	if !DetectDefinitelyTraced(c, nil, nil) {
 		t.Fatal("empty conjunction is trivially definite")
 	}
 }
@@ -60,10 +60,10 @@ func TestDetectDefinitelyInitialStates(t *testing.T) {
 	c.AddInternal(p0)
 	c.AddInternal(p1)
 	c.MustSeal()
-	ok := DetectDefinitely(c, map[computation.ProcID]LocalPredicate{
+	ok := DetectDefinitelyTraced(c, map[computation.ProcID]LocalPredicate{
 		p0: func(e computation.Event) bool { return e.IsInitial() },
 		p1: func(e computation.Event) bool { return e.IsInitial() },
-	})
+	}, nil)
 	if !ok {
 		t.Fatal("initial conjunction must be definite")
 	}
@@ -83,10 +83,10 @@ func TestDetectDefinitelyOrderedFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.MustSeal()
-	ok := DetectDefinitely(c, map[computation.ProcID]LocalPredicate{
+	ok := DetectDefinitelyTraced(c, map[computation.ProcID]LocalPredicate{
 		p0: func(e computation.Event) bool { return e.ID == a },
 		p1: func(e computation.Event) bool { return e.ID == b },
-	})
+	}, nil)
 	if ok {
 		t.Fatal("intervals cannot overlap in any run")
 	}
@@ -109,10 +109,10 @@ func TestDetectDefinitelyOrderedFlips(t *testing.T) {
 		q0: func(e computation.Event) bool { return e.ID == x },
 		q1: func(e computation.Event) bool { return e.ID == y },
 	}
-	if DetectDefinitely(c2, locals) {
+	if DetectDefinitelyTraced(c2, locals, nil) {
 		t.Fatal("a run may schedule x2 before y: not definite")
 	}
-	if !Detect(c2, locals).Found {
+	if !DetectTraced(c2, locals, nil).Found {
 		t.Fatal("but the overlap is possible")
 	}
 	_ = x2
@@ -127,10 +127,10 @@ func TestDetectDefinitelyOpenIntervals(t *testing.T) {
 	a := c.AddInternal(p0)
 	b := c.AddInternal(p1)
 	c.MustSeal()
-	ok := DetectDefinitely(c, map[computation.ProcID]LocalPredicate{
+	ok := DetectDefinitelyTraced(c, map[computation.ProcID]LocalPredicate{
 		p0: func(e computation.Event) bool { return e.ID == a },
 		p1: func(e computation.Event) bool { return e.ID == b },
-	})
+	}, nil)
 	if !ok {
 		t.Fatal("stable conjunction must be definite")
 	}
@@ -141,9 +141,9 @@ func TestDetectDefinitelyNoTrueStates(t *testing.T) {
 	p := c.AddProcess()
 	c.AddInternal(p)
 	c.MustSeal()
-	if DetectDefinitely(c, map[computation.ProcID]LocalPredicate{
+	if DetectDefinitelyTraced(c, map[computation.ProcID]LocalPredicate{
 		p: func(computation.Event) bool { return false },
-	}) {
+	}, nil) {
 		t.Fatal("no true states: cannot be definite")
 	}
 }

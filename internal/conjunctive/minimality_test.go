@@ -20,7 +20,7 @@ func TestWitnessCutIsLeastSatisfying(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		c := randomComputation(rng, 2+rng.Intn(2), 5)
 		truth := randomTruth(rng, c, 0.5)
-		res := DetectTables(c, truth)
+		res := detectTables(c, truth)
 		if !res.Found {
 			continue
 		}

@@ -175,12 +175,6 @@ func SumRangePar(c *computation.Computation, name string, workers int, tr *obs.T
 	return min, max
 }
 
-// Possibly is PossiblyPar run sequentially, untraced, for the verdict alone.
-func Possibly(c *computation.Computation, name string, r Relop, k int64) (bool, error) {
-	holds, _, _, _, err := PossiblyPar(c, name, r, k, 1, nil)
-	return holds, err
-}
-
 // PossiblyPar decides Possibly(S relop k) for the named variable sum from
 // the exact extrema of S over consistent cuts, which it also returns. For
 // = the computation must be unit-step (ErrNotUnitStep otherwise) and,

@@ -17,6 +17,12 @@ const varName = "x"
 
 // unitStepComputation builds a random computation whose variable x changes
 // by -1, 0 or +1 at every event.
+// possibly is PossiblyPar run sequentially, untraced, for the verdict alone.
+func possibly(c *computation.Computation, name string, r Relop, k int64) (bool, error) {
+	holds, _, _, _, err := PossiblyPar(c, name, r, k, 1, nil)
+	return holds, err
+}
+
 func unitStepComputation(rng *rand.Rand, np, me, msgs int) *computation.Computation {
 	c := computation.New()
 	for p := 0; p < np; p++ {
@@ -104,7 +110,7 @@ func TestPossiblyMatchesLattice(t *testing.T) {
 		c := unitStepComputation(rng, 2+rng.Intn(3), 4, 8)
 		k := int64(rng.Intn(9) - 4)
 		for _, r := range relops {
-			got, err := Possibly(c, varName, r, k)
+			got, err := possibly(c, varName, r, k)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, r, err)
 			}
@@ -198,14 +204,14 @@ func TestArbitraryStepEqRejected(t *testing.T) {
 	id := c.AddInternal(p)
 	c.SetVar(varName, id, 5) // jump of 5
 	c.MustSeal()
-	if _, err := Possibly(c, varName, Eq, 3); !errors.Is(err, ErrNotUnitStep) {
+	if _, err := possibly(c, varName, Eq, 3); !errors.Is(err, ErrNotUnitStep) {
 		t.Errorf("Possibly Eq: err = %v, want ErrNotUnitStep", err)
 	}
 	if _, err := DefinitelyPar(c, varName, Eq, 3, 1, nil); !errors.Is(err, ErrNotUnitStep) {
 		t.Errorf("Definitely Eq: err = %v, want ErrNotUnitStep", err)
 	}
 	// Order operators remain exact with arbitrary steps.
-	ok, err := Possibly(c, varName, Ge, 5)
+	ok, err := possibly(c, varName, Ge, 5)
 	if err != nil || !ok {
 		t.Errorf("Possibly Ge = %v, %v; want true", ok, err)
 	}
@@ -306,7 +312,7 @@ func TestTokenConservationExample(t *testing.T) {
 	if min != 1 {
 		t.Errorf("min = %d, want 1 (one token in flight at a time)", min)
 	}
-	ok, err := Possibly(c, varName, Eq, 1)
+	ok, err := possibly(c, varName, Eq, 1)
 	if err != nil || !ok {
 		t.Errorf("Possibly(S=1) = %v, %v", ok, err)
 	}

@@ -92,12 +92,12 @@ func TestTheorem7AgainstDetectors(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		c := unitStepComputation(rng, 2+rng.Intn(2), 4, 6)
 		k := int64(rng.Intn(7) - 3)
-		eq, err := Possibly(c, varName, Eq, k)
+		eq, err := possibly(c, varName, Eq, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		le, _ := Possibly(c, varName, Le, k)
-		ge, _ := Possibly(c, varName, Ge, k)
+		le, _ := possibly(c, varName, Le, k)
+		ge, _ := possibly(c, varName, Ge, k)
 		if eq != (le && ge) {
 			t.Fatalf("trial %d: Theorem 7(1) broken by detectors: eq=%v le=%v ge=%v", trial, eq, le, ge)
 		}

@@ -101,12 +101,6 @@ func withCount(c *computation.Computation, truth Truth) *computation.Computation
 	return cc
 }
 
-// Possibly is PossiblyPar run sequentially, untraced, without the range.
-func Possibly(c *computation.Computation, spec Spec, truth Truth) (bool, computation.Cut, error) {
-	holds, cut, _, _, err := PossiblyPar(c, spec, truth, 1, nil)
-	return holds, cut, err
-}
-
 // PossiblyPar reports whether some consistent cut satisfies the symmetric
 // predicate, returning a witness cut when one exists and the exact range
 // of the true-count over all consistent cuts. Runs in polynomial time: one

@@ -8,6 +8,12 @@ import (
 	"github.com/distributed-predicates/gpd/internal/lattice"
 )
 
+// possibly is PossiblyPar run sequentially, untraced, without the range.
+func possibly(c *computation.Computation, spec Spec, truth Truth) (bool, computation.Cut, error) {
+	holds, cut, _, _, err := PossiblyPar(c, spec, truth, 1, nil)
+	return holds, cut, err
+}
+
 func randomComputation(rng *rand.Rand, np, me, msgs int) *computation.Computation {
 	c := computation.New()
 	for p := 0; p < np; p++ {
@@ -114,7 +120,7 @@ func TestPossiblyMatchesLattice(t *testing.T) {
 			FromFunc(np, func(m int) bool { return rng.Intn(2) == 0 }),
 		}
 		for _, spec := range specs {
-			got, cut, err := Possibly(c, spec, truth)
+			got, cut, err := possibly(c, spec, truth)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, spec, err)
 			}
@@ -160,7 +166,7 @@ func TestEmptyLevels(t *testing.T) {
 	c.AddProcesses(2)
 	c.MustSeal()
 	truth := func(computation.Event) bool { return true }
-	ok, _, err := Possibly(c, Spec{N: 2}, truth)
+	ok, _, err := possibly(c, Spec{N: 2}, truth)
 	if err != nil || ok {
 		t.Errorf("empty levels: Possibly = %v, %v; want false", ok, err)
 	}
@@ -175,7 +181,7 @@ func TestOutOfRangeLevelsIgnored(t *testing.T) {
 	c.AddProcesses(2)
 	c.MustSeal()
 	truth := func(computation.Event) bool { return false }
-	ok, _, err := Possibly(c, Spec{N: 2, Levels: []int{-1, 7}}, truth)
+	ok, _, err := possibly(c, Spec{N: 2, Levels: []int{-1, 7}}, truth)
 	if err != nil || ok {
 		t.Errorf("out-of-range levels: Possibly = %v, %v; want false", ok, err)
 	}
@@ -194,7 +200,7 @@ func TestXorTwoProcessExample(t *testing.T) {
 	}
 	c.MustSeal()
 	truth := func(e computation.Event) bool { return e.ID == a || e.ID == b }
-	ok, cut, err := Possibly(c, Xor(2), truth)
+	ok, cut, err := possibly(c, Xor(2), truth)
 	if err != nil || !ok {
 		t.Fatalf("Possibly(Xor) = %v, %v; want true", ok, err)
 	}

@@ -27,7 +27,11 @@ func TestConjunctiveAgreesWithCPDHB(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		c := gen.Random(gen.Params{Seed: seed, Procs: 3, Events: 5, MsgFrac: 0.6})
 		truth := gen.BoolTables(seed+1000, c, 0.4)
-		want := conjunctive.DetectTables(c, truth)
+		locals := make(map[computation.ProcID]conjunctive.LocalPredicate)
+		for p, local := range localsFromTables(truth) {
+			locals[p] = local
+		}
+		want := conjunctive.DetectTraced(c, locals, nil)
 		cut, got := FindLeast(c, Conjunctive(localsFromTables(truth)), c.InitialCut())
 		if got != want.Found {
 			t.Fatalf("seed %d: linear = %v, CPDHB = %v", seed, got, want.Found)

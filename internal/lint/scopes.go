@@ -55,6 +55,7 @@ var scopes = map[string]trait{
 	"internal/gen":         theoryCore | deterministic,
 	"internal/par":         theoryCore,
 	"internal/simulator":   deterministic,
+	"internal/experiments": deterministic,
 	"internal/detect":      orderSensitive,
 	"internal/obs":         orderSensitive,
 	"internal/lint":        orderSensitive,

@@ -34,7 +34,7 @@ func TestElectionExactlyOneLeader(t *testing.T) {
 			t.Fatalf("seed %d: elected id %d, want max %d", seed, perm[leaderProc], n-1)
 		}
 		// Safety over ALL consistent cuts: never two leaders.
-		two, err := relsum.Possibly(c, VarLeader, relsum.Ge, 2)
+		two, _, _, _, err := relsum.PossiblyPar(c, VarLeader, relsum.Ge, 2, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,9 +55,9 @@ func TestFlawedMutexViolationDetectable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, _, err := symmetric.Possibly(c,
+		ok, _, _, _, err := symmetric.PossiblyPar(c,
 			symmetric.FromFunc(4, func(m int) bool { return m >= 2 }),
-			func(e computation.Event) bool { return c.Var(VarCS, e.ID) != 0 })
+			func(e computation.Event) bool { return c.Var(VarCS, e.ID) != 0 }, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,8 +67,8 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			}
 			j.spec = Spec{Pred: "all(x)", Procs: np, Retain: true}
 			j.events = tableTrace(c, truth)
-			j.wantPos = conjunctive.DetectTables(c, truth).Found
-			j.wantDef = conjunctive.DetectDefinitely(c, locals)
+			j.wantPos = conjunctive.DetectTraced(c, locals, nil).Found
+			j.wantDef = conjunctive.DetectDefinitelyTraced(c, locals, nil)
 		case 1: // sum equality
 			gen.UnitStepVar(seed, c, varName)
 			events, init := SumTrace(c, varName)
@@ -77,7 +77,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			j.spec = Spec{Pred: sumEqPred(k), Procs: np, Init: init, Retain: true}
 			j.events = events
 			var err error
-			if j.wantPos, err = relsum.Possibly(c, varName, relsum.Eq, k); err != nil {
+			if j.wantPos, _, _, _, err = relsum.PossiblyPar(c, varName, relsum.Eq, k, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 			if j.wantDef, err = relsum.DefinitelyPar(c, varName, relsum.Eq, k, 1, nil); err != nil {
@@ -91,7 +91,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			j.spec = Spec{Pred: levelsPred(sp.Levels), Procs: np, Init: init, Retain: true}
 			j.events = events
 			var err error
-			if j.wantPos, _, err = symmetric.Possibly(c, sp, truth); err != nil {
+			if j.wantPos, _, _, _, err = symmetric.PossiblyPar(c, sp, truth, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 			if j.wantDef, err = symmetric.DefinitelyPar(c, sp, truth, 1, nil); err != nil {

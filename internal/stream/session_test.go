@@ -82,7 +82,6 @@ func TestSessionConjunctiveAgreesWithOffline(t *testing.T) {
 		for p := range truth {
 			truth[p][0] = false // online sessions take initial states as false
 		}
-		offPos := conjunctive.DetectTables(c, truth).Found
 		locals := make(map[computation.ProcID]conjunctive.LocalPredicate)
 		for p := range truth {
 			row := truth[p]
@@ -90,7 +89,8 @@ func TestSessionConjunctiveAgreesWithOffline(t *testing.T) {
 				return e.Index < len(row) && row[e.Index]
 			}
 		}
-		offDef := conjunctive.DetectDefinitely(c, locals)
+		offPos := conjunctive.DetectTraced(c, locals, nil).Found
+		offDef := conjunctive.DetectDefinitelyTraced(c, locals, nil)
 
 		spec := Spec{Pred: "all(x)", Procs: c.NumProcs(), Retain: true}
 		v, _ := replay(t, rng, spec, tableTrace(c, truth))
@@ -114,7 +114,7 @@ func TestSessionSumEqAgreesWithOffline(t *testing.T) {
 		events, init := SumTrace(c, varName)
 		lo, hi := relsum.SumRange(c, varName)
 		for _, k := range []int64{lo - 1, lo, (lo + hi) / 2, hi, hi + 1} {
-			offPos, err := relsum.Possibly(c, varName, relsum.Eq, k)
+			offPos, _, _, _, err := relsum.PossiblyPar(c, varName, relsum.Eq, k, 1, nil)
 			if err != nil {
 				t.Fatalf("seed %d: offline Possibly: %v", seed, err)
 			}
@@ -155,7 +155,7 @@ func TestSessionSymmetricAgreesWithOffline(t *testing.T) {
 			if len(sp.Levels) == 0 {
 				continue // unsatisfiable (e.g. NoSimpleMajority with odd n)
 			}
-			offPos, _, err := symmetric.Possibly(c, sp, truth)
+			offPos, _, _, _, err := symmetric.PossiblyPar(c, sp, truth, 1, nil)
 			if err != nil {
 				t.Fatalf("seed %d %v: offline Possibly: %v", seed, sp, err)
 			}
