@@ -62,9 +62,14 @@ func (f *frontier) requires(ev Event) []int64 {
 	return reqs[:n]
 }
 
-// observe records a delivered event's timestamp.
+// observe records a delivered event's timestamp. It is copied, into one
+// slice per process allocated once: the event's clock may share memory
+// with its whole decoded frame, which must not live as long as this.
 func (f *frontier) observe(ev Event) {
-	f.lastVC[ev.Proc] = ev.VC
+	if f.lastVC[ev.Proc] == nil {
+		f.lastVC[ev.Proc] = make([]int64, f.procs, f.procs)
+	}
+	copy(f.lastVC[ev.Proc], ev.VC)
 }
 
 // stable returns the ids that fell below the component-wise minimum of

@@ -31,6 +31,19 @@ func TestFrontierRequires(t *testing.T) {
 	}
 }
 
+// TestFrontierCopiesClocks: the frontier keeps its own copy of each
+// process's last clock, so it neither pins the caller's memory nor sees
+// it change.
+func TestFrontierCopiesClocks(t *testing.T) {
+	f := newFrontier(2, nil)
+	vc := []int64{2, 1}
+	f.observe(Event{Proc: 0, VC: vc})
+	vc[1] = 5
+	if got, want := f.requires(Event{Proc: 0, VC: []int64{3, 2}}), []int64{f.id(0, 2), f.id(1, 2)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after the caller reused its clock: requires = %v, want %v", got, want)
+	}
+}
+
 func TestFrontierStable(t *testing.T) {
 	f := newFrontier(2, nil)
 	if ids := f.stable(); ids != nil {

@@ -411,7 +411,11 @@ func (g *Group) OnCost(fn func(tenant, family, id string, steps int64)) { g.onCo
 
 // deliver routes one causally delivered event.
 func (g *Group) deliver(ev detect.Event) {
-	g.lastVC[ev.Proc] = ev.VC
+	// Copied, not kept: the event's clock may pin a whole decoded frame.
+	if g.lastVC[ev.Proc] == nil {
+		g.lastVC[ev.Proc] = make([]int64, g.procs, g.procs)
+	}
+	copy(g.lastVC[ev.Proc], ev.VC)
 	if g.onDeliver != nil {
 		g.onDeliver(ev)
 	}

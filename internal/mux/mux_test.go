@@ -68,6 +68,20 @@ func TestDeliveryRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestGroupCopiesLastClock: the group's per-process last clock is its own
+// copy, so it does not keep the delivered event's memory alive.
+func TestGroupCopiesLastClock(t *testing.T) {
+	g := NewGroup(2)
+	e := ev(0, 1, 0)
+	if err := g.Step(e); err != nil {
+		t.Fatal(err)
+	}
+	e.VC[0] = 9
+	if got := g.lastVC[0]; got[0] != 1 || &got[0] == &e.VC[0] {
+		t.Errorf("last clock of process 0 = %v, sharing the event's memory", got)
+	}
+}
+
 // --- Projector ---
 
 func TestProjectorClocks(t *testing.T) {

@@ -1,10 +1,12 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
+	"net"
 	"runtime/pprof"
 	"testing"
 	"time"
@@ -163,6 +165,72 @@ func TestLedgerChargesSharedCoreStepsPerTenant(t *testing.T) {
 	for _, p := range led.HotPredicates(10) {
 		if n := map[string]int64{"a1": 16, "a2": 16, "r1": 16, "r2": 6}[p.ID]; p.Steps != n {
 			t.Errorf("predicate %s charged %d steps, want %d", p.ID, p.Steps, n)
+		}
+	}
+}
+
+// TestWireBytesChargedPerFrame: one connection writes 32 append frames
+// of two sessions, alternating and of different sizes, in a single Write
+// — the back-to-back pattern Client.DecodeReply exists for. Each
+// session's scope must be charged exactly its own frames in and its own
+// replies out, however much of the next frame the server's buffered
+// reader pulled in while decoding one.
+func TestWireBytesChargedPerFrame(t *testing.T) {
+	led := obs.NewLedger()
+	srv, _ := serveLoopback(t, Config{Shards: 2, Ledger: led})
+	sessions := []string{"a", "b"}
+	for _, id := range sessions {
+		if err := srv.Engine().Open(id, Spec{Pred: "all(x)", Procs: 1, Tenant: "tenant-" + id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var frames bytes.Buffer
+	wantIn, wantOut := map[string]int64{}, map[string]int64{}
+	clock := map[string]int64{}
+	for i := 0; i < 32; i++ {
+		id := sessions[i%2]
+		events := make([]Event, 1+i%5+3*(i%2))
+		for k := range events {
+			clock[id]++
+			events[k] = Event{Proc: 0, VC: []int64{clock[id]}, Truth: k%2 == 0}
+		}
+		before := frames.Len()
+		if err := EncodeRequest(&frames, Request{V: ProtocolVersion, Type: "append", Session: id, Events: events}); err != nil {
+			t.Fatal(err)
+		}
+		wantIn["tenant-"+id] += int64(frames.Len() - before)
+	}
+	// The server answers a last frame, for a session nobody opened, only
+	// after charging the 32nd; it charges this one to no one.
+	if err := EncodeRequest(&frames, Request{V: ProtocolVersion, Type: "query", Session: "nobody"}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(frames.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	replies := bufio.NewReader(conn)
+	for i := 0; i <= 32; i++ {
+		payload, err := ReadFrame(replies)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if i < 32 {
+			wantOut["tenant-"+sessions[i%2]] += int64(frameHeaderLen + len(payload))
+		}
+	}
+	scopes := led.Snapshot().Scopes
+	if len(scopes) != len(sessions) {
+		t.Fatalf("%d ledger scopes, want one per session: %+v", len(scopes), scopes)
+	}
+	for _, s := range scopes {
+		if s.BytesIn != wantIn[s.Tenant] || s.BytesOut != wantOut[s.Tenant] {
+			t.Errorf("scope %s/%s charged %d bytes in, %d out; its frames are %d in, %d out",
+				s.Tenant, s.Family, s.BytesIn, s.BytesOut, wantIn[s.Tenant], wantOut[s.Tenant])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -362,6 +363,81 @@ func TestServeOneSessionManyConnections(t *testing.T) {
 			t.Errorf("seed %d: verdict %+v, gpd.Detect possibly=%v definitely=%v",
 				seed, verdict, wantPos.Holds, wantDef.Holds)
 		}
+	}
+}
+
+// TestPipelinedAppends writes 256 append frames in one Write before
+// reading any reply, so the serve goroutine decodes each frame into the
+// buffer the previous one came from while the shard may still be
+// applying — or, processes arriving in reverse order (receivers before
+// their senders), holding back — the earlier frames' events. The session
+// must deliver every event and close on gpd.Detect's verdict.
+func TestPipelinedAppends(t *testing.T) {
+	srv, ctl := serveLoopback(t, Config{Shards: 2})
+	ps, err := gpd.ParseSpec("all(" + varName + ")")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := gen.Random(gen.Params{Seed: 5, Procs: 4, Events: 64, MsgFrac: 0.5})
+	rng := rand.New(rand.NewSource(5))
+	for id := 0; id < c.NumEvents(); id++ {
+		e := c.Event(computation.EventID(id))
+		c.SetVar(varName, e.ID, 0)
+		if !e.IsInitial() && rng.Float64() < 0.9 {
+			c.SetVar(varName, e.ID, 1)
+		}
+	}
+	events, _ := BoolTrace(c, varName)
+	const id = "pipelined"
+	if err := ctl.Open(id, Spec{Pred: ps.String(), Procs: c.NumProcs(), Retain: true}); err != nil {
+		t.Fatal(err)
+	}
+	var frames bytes.Buffer
+	for p := c.NumProcs() - 1; p >= 0; p-- {
+		for _, ev := range events {
+			if ev.Proc == p {
+				if err := EncodeRequest(&frames, Request{V: ProtocolVersion, Type: "append", Session: id, Events: []Event{ev}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(frames.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	replies := bufio.NewReader(conn)
+	for i := range events {
+		if resp, err := DecodeResponse(replies); err != nil || !resp.OK {
+			t.Fatalf("reply %d: %+v, %v", i, resp, err)
+		}
+	}
+
+	st, err := ctl.Query(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Delivered != int64(len(events)) || st.Holdback != 0 {
+		t.Errorf("delivered %d of %d events, %d held back", st.Delivered, len(events), st.Holdback)
+	}
+	verdict, err := ctl.CloseSession(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPos, err := gpd.Detect(c, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDef, err := gpd.Detect(c, ps, gpd.WithModality(gpd.ModalityDefinitely))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verdict.Possibly != wantPos.Holds || !verdict.DefinitelyKnown || verdict.Definitely != wantDef.Holds {
+		t.Errorf("verdict %+v, gpd.Detect possibly=%v definitely=%v", verdict, wantPos.Holds, wantDef.Holds)
 	}
 }
 

@@ -172,21 +172,20 @@ func (s *Server) serve(conn net.Conn) {
 		})
 		s.logger.Debug("connection closed", "peer", peer)
 	}()
-	// Byte counters sit under the buffered reader/writer, so attribution
-	// sees framed wire bytes (length prefix included), not payload JSON.
-	// Counts are read on this goroutine only.
-	cr := &countingReader{r: conn}
-	cw := &countingWriter{w: conn}
-	br := bufio.NewReader(cr)
-	bw := bufio.NewWriter(cw)
+	// One decoder per connection: it reuses its frame buffer across
+	// frames. Each request is charged its own framed size and each reply
+	// its encoded size, so frames a client writes back to back are
+	// attributed exactly, whatever the buffered reader prefetched.
+	var dec frameDecoder
+	br := bufio.NewReader(conn)
+	bw := bufio.NewWriter(conn)
 	for {
 		if s.idleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(s.idleTimeout)); err != nil {
 				return // connection already dead; without the deadline a silent peer would hold the goroutine forever
 			}
 		}
-		inBefore, outBefore := cr.n, cw.n
-		req, err := DecodeRequest(br)
+		req, in, err := dec.next(br)
 		if err != nil {
 			// A peer that hung up (between frames or mid-frame) and I/O
 			// errors just drop the connection: nobody is left to read a
@@ -201,17 +200,12 @@ func (s *Server) serve(conn net.Conn) {
 		if req.Type == "close" {
 			// Closing deletes the session's scope; charge the request
 			// bytes while it still exists (the reply goes unattributed).
-			s.eng.AttributeBytes(req.Session, cr.n-inBefore, 0)
+			s.eng.AttributeBytes(req.Session, int64(in), 0)
 		}
 		resp := s.handle(req)
-		ok := s.reply(conn, bw, resp)
+		out, ok := s.reply(conn, bw, resp)
 		if req.Type != "close" {
-			// reply flushes, so cw.n is final for this request. The
-			// buffered reader may have prefetched the next frame's bytes;
-			// they are charged to this request's session — over a
-			// connection's life the totals are exact, and prefetch only
-			// blurs adjacency.
-			s.eng.AttributeBytes(req.Session, cr.n-inBefore, cw.n-outBefore)
+			s.eng.AttributeBytes(req.Session, int64(in), int64(out))
 		}
 		if !ok {
 			return
@@ -219,41 +213,16 @@ func (s *Server) serve(conn net.Conn) {
 	}
 }
 
-// countingReader/countingWriter tap a connection's byte totals for the
-// cost ledger. Confined to the serve goroutine; no atomics needed.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// reply frames one response; returns false when the connection is dead.
-func (s *Server) reply(conn net.Conn, bw *bufio.Writer, resp Response) bool {
+// reply frames one response and returns its size on the wire; ok is
+// false when the connection is dead.
+func (s *Server) reply(conn net.Conn, bw *bufio.Writer, resp Response) (size int, ok bool) {
 	if s.writeTimeout > 0 {
 		if err := conn.SetWriteDeadline(time.Now().Add(s.writeTimeout)); err != nil {
-			return false // connection already dead; an unarmed deadline would let a stalled peer wedge the write
+			return 0, false // connection already dead; an unarmed deadline would let a stalled peer wedge the write
 		}
 	}
-	if err := EncodeResponse(bw, resp); err != nil {
-		return false
-	}
-	return bw.Flush() == nil
+	size, err := encodeResponse(bw, resp)
+	return size, err == nil && bw.Flush() == nil
 }
 
 // handle executes one request against the engine.

@@ -110,22 +110,8 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // lengths error before any payload allocation, so a hostile peer cannot
 // make the reader allocate more than MaxFrame bytes.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, ErrEmptyFrame
-	}
-	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
+	var d frameDecoder
+	return d.read(r)
 }
 
 // EncodeRequest frames a request.
@@ -139,29 +125,28 @@ func EncodeRequest(w io.Writer, req Request) error {
 
 // DecodeRequest reads and decodes one request frame, validating the
 // protocol version. It never panics on malformed input: truncated
-// headers, hostile lengths and invalid JSON all return errors.
+// headers, hostile lengths and invalid JSON all return errors. It is the
+// server's decoder over a fresh buffer; see frameDecoder for what it
+// accepts.
 func DecodeRequest(r io.Reader) (Request, error) {
-	payload, err := ReadFrame(r)
-	if err != nil {
-		return Request{}, err
-	}
-	var req Request
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return Request{}, fmt.Errorf("stream: bad request frame: %w", err)
-	}
-	if req.V != ProtocolVersion {
-		return Request{}, fmt.Errorf("stream: protocol version %d, want %d", req.V, ProtocolVersion)
-	}
-	return req, nil
+	var d frameDecoder
+	req, _, err := d.next(r)
+	return req, err
 }
 
 // EncodeResponse frames a response.
 func EncodeResponse(w io.Writer, resp Response) error {
+	_, err := encodeResponse(w, resp)
+	return err
+}
+
+// encodeResponse frames a response and returns the frame's size.
+func encodeResponse(w io.Writer, resp Response) (int, error) {
 	payload, err := json.Marshal(resp)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return WriteFrame(w, payload)
+	return frameHeaderLen + len(payload), WriteFrame(w, payload)
 }
 
 // DecodeResponse reads and decodes one response frame.

@@ -3,7 +3,9 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -142,9 +144,13 @@ func TestLegacyKindFrameRefused(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame throws arbitrary bytes at the request decoder: it must
-// return an error or a request — never panic — and must refuse to
-// allocate frames beyond MaxFrame no matter what the length prefix says.
+// FuzzDecodeFrame holds the request decoder to its contract with
+// encoding/json: on every frame both accept or both refuse, and an
+// accepted frame decodes to the Request json.Unmarshal produces. The
+// decoder's one refusal of its own is a known field repeated within the
+// request or one of its events, which repeatedField finds independently.
+// Neither may panic, and no length prefix makes either allocate beyond
+// MaxFrame.
 func FuzzDecodeFrame(f *testing.F) {
 	var seed bytes.Buffer
 	EncodeRequest(&seed, Request{V: ProtocolVersion, Type: "open", Session: "s",
@@ -162,14 +168,99 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, '{', '}'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := ReadFrame(bytes.NewReader(data))
-		if err == nil && (len(payload) == 0 || len(payload) > MaxFrame) {
+		payload, frameErr := ReadFrame(bytes.NewReader(data))
+		if frameErr == nil && (len(payload) == 0 || len(payload) > MaxFrame) {
 			t.Fatalf("ReadFrame returned %d bytes without error", len(payload))
 		}
-		req, err := DecodeRequest(bytes.NewReader(data))
-		if err == nil && req.V != ProtocolVersion {
-			t.Fatalf("DecodeRequest accepted version %d", req.V)
-		}
+		got, err := DecodeRequest(bytes.NewReader(data))
 		DecodeResponse(bytes.NewReader(data))
+		if frameErr != nil {
+			if err == nil {
+				t.Fatalf("decoded a frame ReadFrame refuses (%v)", frameErr)
+			}
+			return
+		}
+		var want Request
+		wantErr := json.Unmarshal(payload, &want)
+		if wantErr == nil && want.V != ProtocolVersion {
+			wantErr = fmt.Errorf("protocol version %d", want.V)
+		}
+		switch {
+		case err == nil && wantErr == nil:
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q:\n decoded       %#v\n encoding/json %#v", payload, got, want)
+			}
+		case err == nil:
+			t.Fatalf("accepted %q, which encoding/json refuses: %v", payload, wantErr)
+		case wantErr == nil && !repeatedField(payload):
+			t.Fatalf("refused %q, which encoding/json accepts: %v", payload, err)
+		}
 	})
+}
+
+// repeatedField reports whether a payload json.Unmarshal accepts names
+// one field of Request twice in the request object, or one field of
+// Event twice in one of its events — keys matched as encoding/json
+// matches them.
+func repeatedField(payload []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	delim := func(want json.Delim) bool {
+		tok, err := dec.Token()
+		return err == nil && tok == want
+	}
+	skip := func(string) {
+		var raw json.RawMessage
+		dec.Decode(&raw)
+	}
+	repeated := false
+	// members walks the object whose '{' was just read.
+	members := func(names []string, value func(name string)) {
+		seen := map[string]bool{}
+		for dec.More() {
+			tok, err := dec.Token()
+			key, ok := tok.(string)
+			if err != nil || !ok {
+				return
+			}
+			name := ""
+			for _, n := range names {
+				if strings.EqualFold(key, n) {
+					name = n
+				}
+			}
+			repeated = repeated || name != "" && seen[name]
+			seen[name] = true
+			value(name)
+		}
+		dec.Token() // '}'
+	}
+	if !delim('{') {
+		return false
+	}
+	members(jsonNames(Request{}), func(name string) {
+		if name != "events" {
+			skip(name)
+			return
+		}
+		if !delim('[') {
+			return // null
+		}
+		for dec.More() {
+			if delim('{') {
+				members(jsonNames(Event{}), skip)
+			}
+		}
+		dec.Token() // ']'
+	})
+	return repeated
+}
+
+// jsonNames lists the JSON keys of a struct's fields.
+func jsonNames(v any) []string {
+	t := reflect.TypeOf(v)
+	names := make([]string, t.NumField())
+	for i := range names {
+		names[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+	}
+	return names
 }
