@@ -113,7 +113,7 @@ func BenchmarkAblationOnlineVsOffline(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ch := conjunctive.NewChecker(procs)
 			for _, o := range stream {
-				if ch.Observe(o.proc, o.vc) {
+				if ch.ObserveBatch(o.proc, []vclock.VC{o.vc}) {
 					break
 				}
 			}

@@ -9,7 +9,6 @@ package cnf
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -220,21 +219,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// Vars returns the sorted set of variables actually occurring in the
-// formula.
-func (f *Formula) Vars() []int {
-	set := make(map[int]bool)
-	for _, cl := range f.Clauses {
-		for _, l := range cl {
-			set[l.Var()] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }

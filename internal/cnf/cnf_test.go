@@ -1,7 +1,7 @@
 package cnf
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -131,29 +131,24 @@ func TestToNonMonotoneRejectsLongClauses(t *testing.T) {
 	}
 }
 
-func TestVars(t *testing.T) {
-	f := &Formula{NumVars: 9, Clauses: []Clause{{3, -7}, {-3, 1}}}
-	got := f.Vars()
-	want := []int{1, 3, 7}
-	if len(got) != len(want) {
-		t.Fatalf("Vars = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Vars = %v, want %v", got, want)
+// dimacs prints a formula in the DIMACS CNF format ParseDIMACS reads.
+func dimacs(f *Formula) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "p cnf %d %d\n", f.NumVars, len(f.Clauses))
+	for _, cl := range f.Clauses {
+		for _, l := range cl {
+			fmt.Fprintf(&b, "%d ", int(l))
 		}
+		b.WriteString("0\n")
 	}
+	return b.String()
 }
 
 func TestDIMACSRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 30; trial++ {
 		f := randomFormula(rng, 1+rng.Intn(8), 1+rng.Intn(10), 4)
-		var buf bytes.Buffer
-		if err := WriteDIMACS(&buf, f); err != nil {
-			t.Fatalf("WriteDIMACS: %v", err)
-		}
-		g, err := ParseDIMACS(&buf)
+		g, err := ParseDIMACS(strings.NewReader(dimacs(f)))
 		if err != nil {
 			t.Fatalf("ParseDIMACS: %v", err)
 		}

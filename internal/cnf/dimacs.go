@@ -67,22 +67,3 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 	}
 	return f, nil
 }
-
-// WriteDIMACS writes the formula in DIMACS CNF format.
-func WriteDIMACS(w io.Writer, f *Formula) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, len(f.Clauses)); err != nil {
-		return err
-	}
-	for _, cl := range f.Clauses {
-		for _, l := range cl {
-			if _, err := fmt.Fprintf(bw, "%d ", int(l)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(bw, "0"); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

@@ -110,16 +110,6 @@ func (c *Computation) AddProcess() ProcID {
 	return p
 }
 
-// AddProcesses adds n processes and returns the id of the first one; the
-// rest follow consecutively.
-func (c *Computation) AddProcesses(n int) ProcID {
-	first := ProcID(len(c.procs))
-	for i := 0; i < n; i++ {
-		c.AddProcess()
-	}
-	return first
-}
-
 // AddEvent appends a new event of the given kind to process p and returns
 // its id.
 func (c *Computation) AddEvent(p ProcID, kind Kind) EventID {
@@ -216,12 +206,6 @@ func (c *Computation) EventAt(p ProcID, index int) Event {
 
 // Initial returns the initial event of process p.
 func (c *Computation) Initial(p ProcID) Event { return c.EventAt(p, 0) }
-
-// Final returns the final (last) event of process p.
-func (c *Computation) Final(p ProcID) Event {
-	row := c.procs[int(p)]
-	return c.events[row[len(row)-1]]
-}
 
 // Prev returns the id of the predecessor of the event on its process, or
 // NoEvent if it is the initial event.

@@ -60,8 +60,8 @@ func TestEventNavigation(t *testing.T) {
 	if got := c.Prev(c.Initial(p).ID); got != NoEvent {
 		t.Errorf("Prev(initial) = %d, want NoEvent", got)
 	}
-	if got := c.Final(p).ID; got != b {
-		t.Errorf("Final = %d, want %d", got, b)
+	if got := c.EventAt(p, c.Len(p)-1).ID; got != b {
+		t.Errorf("last event = %d, want %d", got, b)
 	}
 }
 
@@ -536,27 +536,23 @@ func TestKindString(t *testing.T) {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
 		}
 	}
-	if !KindSendReceive.IsSend() || !KindSendReceive.IsReceive() {
-		t.Error("KindSendReceive must be both")
-	}
-	if KindInternal.IsSend() || KindInternal.IsReceive() {
-		t.Error("KindInternal must be neither")
+	if !KindSendReceive.IsReceive() || KindSend.IsReceive() || KindInternal.IsReceive() {
+		t.Error("only receive kinds include a receive")
 	}
 }
 
+// TestPairwiseConsistent checks Observation 1 on the diamond: a
+// consistent pair has a consistent cut through both events.
 func TestPairwiseConsistent(t *testing.T) {
 	c, a, _, d0, d1 := diamond(t)
-	if !c.PairwiseConsistent([]EventID{a, d0}) {
-		t.Error("a,d0 pairwise consistent")
-	}
-	if !c.PairwiseConsistent([]EventID{a, d1}) {
-		t.Error("a,d1 pairwise consistent")
+	for _, d := range []EventID{d0, d1} {
+		k := c.CutThrough(a, d)
+		if !c.ConsistentEvents(a, d) || !k.PassesThrough(c.Event(a)) || !k.PassesThrough(c.Event(d)) {
+			t.Errorf("a,%d: consistent %v, cut %v", d, c.ConsistentEvents(a, d), k)
+		}
 	}
 	// a and its successor are inconsistent.
-	if c.PairwiseConsistent([]EventID{a, c.Next(a)}) {
+	if c.ConsistentEvents(a, c.Next(a)) {
 		t.Error("ordered same-process pair must be inconsistent")
-	}
-	if !c.PairwiseConsistent(nil) {
-		t.Error("empty set is trivially consistent")
 	}
 }

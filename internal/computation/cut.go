@@ -124,6 +124,8 @@ func (c *Computation) CutThrough(ids ...EventID) Cut {
 // CutConsistent reports whether the cut is consistent: closed under the
 // partial order. Using vector clocks this is: for the frontier event e_p of
 // every process p and every process q, clock(e_p)[q] <= frontier(q)+1.
+//
+//lint:ignore testonly witness-cut oracle in TestExploreVisitsConsistentCutsOnce, TestPossiblyEqWitness and the root agreesWithLattice helper
 func (c *Computation) CutConsistent(k Cut) bool {
 	c.requireSealed()
 	for p := range c.procs {

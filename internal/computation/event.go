@@ -55,9 +55,6 @@ func (k Kind) String() string {
 	}
 }
 
-// IsSend reports whether the kind includes a send.
-func (k Kind) IsSend() bool { return k == KindSend || k == KindSendReceive }
-
 // IsReceive reports whether the kind includes a receive.
 func (k Kind) IsReceive() bool { return k == KindReceive || k == KindSendReceive }
 

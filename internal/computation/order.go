@@ -159,22 +159,6 @@ func (c *Computation) ConsistentEvents(a, b EventID) bool {
 	return true
 }
 
-// PairwiseConsistent reports whether every pair of the given events is
-// consistent; per Observation 1 of the paper this is necessary and
-// sufficient for a consistent cut passing through all of them to exist
-// (the events need not cover all processes, but at most one event per
-// process may be supplied).
-func (c *Computation) PairwiseConsistent(ids []EventID) bool {
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			if !c.ConsistentEvents(ids[i], ids[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Topo returns a topological order of all events. The returned slice is a
 // copy.
 func (c *Computation) Topo() []EventID {
@@ -193,19 +177,12 @@ func (c *Computation) DirectPreds(id EventID) []EventID {
 	return out
 }
 
-// DirectSuccs returns the direct successors of the event. The slice is a
-// copy.
-func (c *Computation) DirectSuccs(id EventID) []EventID {
-	c.requireSealed()
-	out := make([]EventID, len(c.succs[id]))
-	copy(out, c.succs[id])
-	return out
-}
-
 // PrecedesSlow answers happened-before by graph search instead of vector
 // clocks. It does not require Seal-computed clocks beyond adjacency and is
 // used to cross-check the vector-clock implementation in tests and
 // micro-benchmarks.
+//
+//lint:ignore testonly graph-search oracle for Precedes in TestVectorClockMatchesGraphSearch and BenchmarkAblationPrecedence
 func (c *Computation) PrecedesSlow(a, b EventID) bool {
 	c.requireSealed()
 	if a == b {

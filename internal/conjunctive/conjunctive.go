@@ -156,7 +156,7 @@ func eliminate(
 // checker reports as soon as a pairwise-consistent set, one true event per
 // involved process, is known.
 //
-// Checker is not safe for concurrent use; serialize calls to Observe
+// Checker is not safe for concurrent use; serialize calls to ObserveBatch
 // (internal/detect wraps it behind the Detector interface, which
 // sessions confine to one goroutine and gpd.Monitor guards with a mutex).
 type Checker struct {
@@ -197,18 +197,13 @@ func (ch *Checker) Witness() []vclock.VC {
 	return out
 }
 
-// Observe feeds the timestamp of a true event of the given process and
-// returns whether the predicate has (now or earlier) been detected.
-// Observations from a process must arrive in that process's local order;
-// observations from different processes may interleave arbitrarily.
-func (ch *Checker) Observe(proc int, vc vclock.VC) bool {
-	return ch.ObserveBatch(proc, []vclock.VC{vc})
-}
-
 // ObserveBatch feeds a batch of true-event timestamps of one process (in
-// local order) and returns whether the predicate has been detected. The
-// elimination sweep runs once per batch rather than once per event, which
-// is how the streaming engine amortises detector steps.
+// local order) and returns whether the predicate has (now or earlier)
+// been detected. Batches from a process must arrive in that process's
+// local order; batches from different processes may interleave
+// arbitrarily. The elimination sweep runs once per batch rather than
+// once per event, which is how the streaming engine amortises detector
+// steps.
 func (ch *Checker) ObserveBatch(proc int, vcs []vclock.VC) bool {
 	if ch.found {
 		return true
@@ -222,11 +217,6 @@ func (ch *Checker) ObserveBatch(proc int, vcs []vclock.VC) bool {
 	}
 	ch.sweep()
 	return ch.found
-}
-
-// Involved returns the involved processes in slot order.
-func (ch *Checker) Involved() []int {
-	return append([]int(nil), ch.procs...)
 }
 
 // Pending returns the total number of queued candidate events.

@@ -9,9 +9,6 @@
 //     computation with one arbitrary-increment integer variable per
 //     process such that the target sum is reachable at a consistent cut
 //     iff the required subset exists.
-//   - Corollary 2: a singular CNF predicate over boolean variables is
-//     re-expressed as a conjunction of clauses over integer inequalities,
-//     showing the intractability transfers to relational clause predicates.
 //
 // The experiment harness uses these constructions with an independent SAT
 // (respectively subset-sum) solver to validate the reductions empirically.
@@ -217,96 +214,4 @@ func RelsumFromSubsetSum(in subsetsum.Instance) *computation.Computation {
 	}
 	c.MustSeal()
 	return c
-}
-
-// SubsetFromCut recovers the chosen subset from a consistent cut of the
-// subset-sum computation: element i is selected iff process i's event is
-// inside the cut.
-func SubsetFromCut(k computation.Cut) []int {
-	var subset []int
-	for p, idx := range k {
-		if idx >= 1 {
-			subset = append(subset, p)
-		}
-	}
-	return subset
-}
-
-// InequalityClause is one clause of a relational singular predicate of the
-// form (x relop k) per literal, per Corollary 2.
-type InequalityClause struct {
-	Terms []InequalityTerm
-}
-
-// InequalityTerm is "variable of process Proc relop K".
-type InequalityTerm struct {
-	Proc computation.ProcID
-	Op   string // ">=" or "<="
-	K    int64
-}
-
-// IneqVar is the variable name used by the Corollary 2 transformation.
-const IneqVar = "u"
-
-// InequalityFromSingular re-expresses a boolean singular predicate as a
-// conjunction of inequality clauses over fresh integer variables
-// (Corollary 2): each boolean b becomes an integer u with u = 1 when b
-// holds and u = 0 otherwise, and the literal b (resp. !b) becomes u >= 1
-// (resp. u <= 0). The integer tables are written into a sealed copy of the
-// computation. Detecting the inequality conjunction is therefore exactly
-// as hard as detecting the boolean predicate.
-func InequalityFromSingular(
-	c *computation.Computation,
-	p *singular.Predicate,
-	truth singular.Truth,
-) (*computation.Computation, []InequalityClause, error) {
-	if err := p.Validate(c); err != nil {
-		return nil, nil, err
-	}
-	cc := c.Clone()
-	cc.Events(func(e computation.Event) bool {
-		if truth(e) {
-			cc.SetVar(IneqVar, e.ID, 1)
-		}
-		return true
-	})
-	if err := cc.Seal(); err != nil {
-		return nil, nil, err
-	}
-	var out []InequalityClause
-	for _, cl := range p.Clauses {
-		var ic InequalityClause
-		for _, l := range cl {
-			t := InequalityTerm{Proc: l.Proc, Op: ">=", K: 1}
-			if l.Negated {
-				t = InequalityTerm{Proc: l.Proc, Op: "<=", K: 0}
-			}
-			ic.Terms = append(ic.Terms, t)
-		}
-		out = append(out, ic)
-	}
-	return cc, out, nil
-}
-
-// HoldsInequalities evaluates the inequality conjunction at a cut.
-func HoldsInequalities(c *computation.Computation, clauses []InequalityClause, k computation.Cut) bool {
-	for _, cl := range clauses {
-		sat := false
-		for _, t := range cl.Terms {
-			v := c.Var(IneqVar, c.EventAt(t.Proc, k[int(t.Proc)]).ID)
-			switch t.Op {
-			case ">=":
-				sat = sat || v >= t.K
-			case "<=":
-				sat = sat || v <= t.K
-			}
-			if sat {
-				break
-			}
-		}
-		if !sat {
-			return false
-		}
-	}
-	return true
 }

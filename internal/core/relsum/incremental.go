@@ -127,7 +127,7 @@ func (t *RangeTracker) Flush() (min, max int64) {
 
 // WindowRange returns the extrema over the cuts of the window as of the
 // last flush that had work alone — baseline plus an ideal of the then
-// retained events — before they were folded into the running Range. A
+// retained events — before they were folded into the running extrema. A
 // consumer that joins the stream late folds these into its own running
 // extrema (folding the same pair twice is harmless).
 func (t *RangeTracker) WindowRange() (lo, hi int64) { return t.lo, t.hi }
@@ -162,9 +162,6 @@ func (t *RangeTracker) Prune(ids []int64) {
 		kept++
 	}
 }
-
-// Range returns the running extrema as of the last Flush.
-func (t *RangeTracker) Range() (min, max int64) { return t.min, t.max }
 
 // Window returns the number of retained (unpruned) events.
 func (t *RangeTracker) Window() int { return t.net.Len() }

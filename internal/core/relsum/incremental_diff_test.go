@@ -117,13 +117,13 @@ func runSchedule(t *testing.T, s schedule) {
 	dirty := false // a flush with nothing observed since the last keeps the old window range
 	check := func(when string) {
 		t.Helper()
-		tr.Flush()
+		gotMin, gotMax := tr.Flush()
 		lo, hi := o.fromScratch()
 		wantMin, wantMax = min(wantMin, lo), max(wantMax, hi)
 		if gotLo, gotHi := tr.WindowRange(); dirty && (gotLo != lo || gotHi != hi) {
 			t.Fatalf("%s: window range [%d,%d], from scratch [%d,%d] (window %d)", when, gotLo, gotHi, lo, hi, len(o.retained))
 		}
-		if gotMin, gotMax := tr.Range(); gotMin != wantMin || gotMax != wantMax {
+		if gotMin != wantMin || gotMax != wantMax {
 			t.Fatalf("%s: range [%d,%d], want [%d,%d]", when, gotMin, gotMax, wantMin, wantMax)
 		}
 		if tr.Window() != len(o.retained) {
@@ -173,7 +173,7 @@ func runSchedule(t *testing.T, s schedule) {
 		}
 	}
 	check("final flush")
-	gotMin, gotMax := tr.Range()
+	gotMin, gotMax := tr.Flush()
 	if lo, hi, _, _ := q.rangeWitness(c, 1, nil); gotMin != lo || gotMax != hi {
 		t.Fatalf("complete stream: range [%d,%d], batch range [%d,%d]", gotMin, gotMax, lo, hi)
 	}

@@ -85,9 +85,14 @@ func pruneFrontier(c *computation.Computation, tr *RangeTracker, last [][]int32,
 func randomLinearization(c *computation.Computation, rng *rand.Rand) []computation.EventID {
 	n := c.NumEvents()
 	indeg := make([]int, n)
+	succs := make([][]computation.EventID, n)
 	var ready []computation.EventID
 	c.Events(func(e computation.Event) bool {
-		indeg[int(e.ID)] = len(c.DirectPreds(e.ID))
+		preds := c.DirectPreds(e.ID)
+		for _, p := range preds {
+			succs[int(p)] = append(succs[int(p)], e.ID)
+		}
+		indeg[int(e.ID)] = len(preds)
 		if indeg[int(e.ID)] == 0 {
 			ready = append(ready, e.ID)
 		}
@@ -102,7 +107,7 @@ func randomLinearization(c *computation.Computation, rng *rand.Rand) []computati
 		if !c.Event(id).IsInitial() {
 			out = append(out, id)
 		}
-		for _, s := range c.DirectSuccs(id) {
+		for _, s := range succs[int(id)] {
 			indeg[int(s)]--
 			if indeg[int(s)] == 0 {
 				ready = append(ready, s)
@@ -123,7 +128,7 @@ func TestRangeTrackerAgreesWithSumRange(t *testing.T) {
 		wantMin, wantMax := SumRange(c, "x")
 		for _, pruneEvery := range []int{0, 1, 5} {
 			tr := feed(t, c, "x", pruneEvery, rng, nil)
-			gotMin, gotMax := tr.Range()
+			gotMin, gotMax := tr.Flush()
 			if gotMin != wantMin || gotMax != wantMax {
 				t.Fatalf("seed %d pruneEvery %d: tracker range [%d,%d], SumRange [%d,%d]",
 					seed, pruneEvery, gotMin, gotMax, wantMin, wantMax)
@@ -141,7 +146,7 @@ func TestRangeTrackerArbitrarySteps(t *testing.T) {
 		gen.ArbitraryStepVar(seed+7, c, "y", 5)
 		wantMin, wantMax := SumRange(c, "y")
 		tr := feed(t, c, "y", 3, rng, nil)
-		gotMin, gotMax := tr.Range()
+		gotMin, gotMax := tr.Flush()
 		if gotMin != wantMin || gotMax != wantMax {
 			t.Fatalf("seed %d: tracker range [%d,%d], SumRange [%d,%d]",
 				seed, gotMin, gotMax, wantMin, wantMax)
@@ -161,7 +166,7 @@ func TestRangeTrackerPruneBoundsWindow(t *testing.T) {
 		t.Fatalf("pruning never shrank the window: %d of %d events retained",
 			tr.Window(), c.NumEvents()-c.NumProcs())
 	}
-	if trace.Counter("maxflow.closures") == 0 {
+	if trace.Report().Counters["maxflow.closures"] == 0 {
 		t.Fatal("no closure solves recorded")
 	}
 }
@@ -228,10 +233,10 @@ func TestRangeTrackerWorkBound(t *testing.T) {
 		tr.Flush()
 		s.prune(tr, 64)
 	}
-	if paths := trace.Counter("maxflow.augmenting_paths"); paths == 0 || paths > 2*s.absSum {
+	if paths := trace.Report().Counters["maxflow.augmenting_paths"]; paths == 0 || paths > 2*s.absSum {
 		t.Fatalf("%d augmenting paths over a stream of total |weight| %d, want 1..%d", paths, s.absSum, 2*s.absSum)
 	}
-	if solves := trace.Counter("maxflow.closures"); solves != 2*4096/4 {
+	if solves := trace.Report().Counters["maxflow.closures"]; solves != 2*4096/4 {
 		t.Fatalf("%d closure solves for %d flushes, want two each", solves, 4096/4)
 	}
 	tr.SetTrace(nil)
@@ -257,7 +262,7 @@ func BenchmarkRangeTrackerFlush(b *testing.B) {
 				s := newUnitStream(1)
 				s.observe(tr, window)
 				tr.Flush()
-				before := trace.Counter("maxflow.augmenting_paths")
+				before := trace.Report().Counters["maxflow.augmenting_paths"]
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -265,7 +270,7 @@ func BenchmarkRangeTrackerFlush(b *testing.B) {
 					tr.Flush()
 					s.prune(tr, window)
 				}
-				b.ReportMetric(float64(trace.Counter("maxflow.augmenting_paths")-before)/float64(b.N), "augmentations/flush")
+				b.ReportMetric(float64(trace.Report().Counters["maxflow.augmenting_paths"]-before)/float64(b.N), "augmentations/flush")
 			})
 		}
 	}

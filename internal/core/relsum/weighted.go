@@ -76,16 +76,11 @@ func InFlightWeight(c *computation.Computation) Weight {
 	return func(e computation.Event) int64 { return delta[int(e.ID)] }
 }
 
-// InFlightRange returns the minimum and maximum number of in-flight
+// InFlightRangePar returns the minimum and maximum number of in-flight
 // messages over all consistent cuts — e.g. max gives the channel-buffer
 // bound the system actually needs, and min == 0 at reachable quiescent
-// states.
-func InFlightRange(c *computation.Computation) (min, max int64) {
-	return InFlightRangePar(c, 1, nil)
-}
-
-// InFlightRangePar is InFlightRange on a bounded worker pool, closure
-// work counters accumulated into the trace.
+// states — on a bounded worker pool, closure work counters accumulated
+// into the trace.
 func InFlightRangePar(c *computation.Computation, workers int, tr *obs.Trace) (min, max int64) {
 	return WeightedRangePar(c, 0, InFlightWeight(c), workers, tr)
 }

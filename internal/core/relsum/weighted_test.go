@@ -42,7 +42,7 @@ func TestInFlightRangeMatchesLattice(t *testing.T) {
 	rng := rand.New(rand.NewSource(409))
 	for trial := 0; trial < 80; trial++ {
 		c := gen.Random(gen.Params{Seed: rng.Int63(), Procs: 3, Events: 5, MsgFrac: 1.0})
-		gotMin, gotMax := InFlightRange(c)
+		gotMin, gotMax := InFlightRangePar(c, 1, nil)
 		wantMin, wantMax := int64(1<<62), int64(-1<<62)
 		lattice.Explore(c, func(k computation.Cut) bool {
 			n := bruteInFlight(c, k)
@@ -55,7 +55,7 @@ func TestInFlightRangeMatchesLattice(t *testing.T) {
 			return true
 		})
 		if gotMin != wantMin || gotMax != wantMax {
-			t.Fatalf("trial %d: InFlightRange = [%d,%d], lattice = [%d,%d]",
+			t.Fatalf("trial %d: InFlightRangePar = [%d,%d], lattice = [%d,%d]",
 				trial, gotMin, gotMax, wantMin, wantMax)
 		}
 	}
@@ -64,7 +64,7 @@ func TestInFlightRangeMatchesLattice(t *testing.T) {
 func TestInFlightMinIsZero(t *testing.T) {
 	// The initial cut has nothing in flight, so min is always 0.
 	c := gen.Random(gen.Params{Seed: 5, Procs: 4, Events: 8, MsgFrac: 0.8})
-	min, _ := InFlightRange(c)
+	min, _ := InFlightRangePar(c, 1, nil)
 	if min != 0 {
 		t.Fatalf("min in-flight = %d, want 0", min)
 	}
@@ -106,7 +106,7 @@ func TestPossiblyQuiescentWitness(t *testing.T) {
 			continue // multi-message events: out of scope for equality
 		}
 		checked++
-		_, max := InFlightRange(c)
+		_, max := InFlightRangePar(c, 1, nil)
 		for k := int64(0); k <= max; k++ {
 			ok, cut, _, _, err := PossiblyWeightedPar(c, 0, w, Eq, k, 1, nil)
 			if err != nil {
@@ -156,7 +156,7 @@ func TestTokenRingChannelBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		min, max := InFlightRange(c)
+		min, max := InFlightRangePar(c, 1, nil)
 		if min != 0 {
 			t.Fatalf("seed %d: min in-flight = %d", seed, min)
 		}

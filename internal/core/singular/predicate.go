@@ -98,17 +98,6 @@ func (p *Predicate) Validate(c *computation.Computation) error {
 	return nil
 }
 
-// K returns the maximum clause size.
-func (p *Predicate) K() int {
-	k := 0
-	for _, cl := range p.Clauses {
-		if len(cl) > k {
-			k = len(cl)
-		}
-	}
-	return k
-}
-
 // trueEvents lists, for each clause, the events on the clause's processes
 // whose literal evaluates true — the candidate representatives of
 // Observation 1. Within each clause the events are in (process, index)

@@ -73,11 +73,15 @@ func verifyWitness(t *testing.T, c *computation.Computation, p *Predicate, truth
 	if len(res.Witness) != len(p.Clauses) {
 		t.Fatalf("witness has %d events for %d clauses", len(res.Witness), len(p.Clauses))
 	}
-	if !c.PairwiseConsistent(res.Witness) {
-		t.Fatalf("witness %v not pairwise consistent", res.Witness)
-	}
 	if !c.CutConsistent(res.Cut) {
 		t.Fatalf("cut %v not consistent", res.Cut)
+	}
+	// A consistent cut through every witness event: the witness is
+	// pairwise consistent (Observation 1).
+	for _, id := range res.Witness {
+		if !res.Cut.PassesThrough(c.Event(id)) {
+			t.Fatalf("cut %v does not pass through witness event %v", res.Cut, c.Event(id))
+		}
 	}
 	if !p.Holds(c, truth, res.Cut) {
 		t.Fatalf("predicate does not hold at witness cut %v", res.Cut)
@@ -86,7 +90,9 @@ func verifyWitness(t *testing.T, c *computation.Computation, p *Predicate, truth
 
 func TestValidate(t *testing.T) {
 	c := computation.New()
-	c.AddProcesses(4)
+	for i := 0; i < 4; i++ {
+		c.AddProcess()
+	}
 	c.MustSeal()
 	good := &Predicate{Clauses: []Clause{
 		{{Proc: 0}, {Proc: 1}},
@@ -386,9 +392,6 @@ func TestPredicateString(t *testing.T) {
 	want := "(x(p0) | !x(p1)) & (x(p2))"
 	if got := p.String(); got != want {
 		t.Errorf("String = %q, want %q", got, want)
-	}
-	if p.K() != 2 {
-		t.Errorf("K = %d, want 2", p.K())
 	}
 }
 

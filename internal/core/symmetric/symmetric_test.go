@@ -163,7 +163,9 @@ func TestDefinitelyMatchesLattice(t *testing.T) {
 
 func TestEmptyLevels(t *testing.T) {
 	c := computation.New()
-	c.AddProcesses(2)
+	for i := 0; i < 2; i++ {
+		c.AddProcess()
+	}
 	c.MustSeal()
 	truth := func(computation.Event) bool { return true }
 	ok, _, err := possibly(c, Spec{N: 2}, truth)
@@ -178,7 +180,9 @@ func TestEmptyLevels(t *testing.T) {
 
 func TestOutOfRangeLevelsIgnored(t *testing.T) {
 	c := computation.New()
-	c.AddProcesses(2)
+	for i := 0; i < 2; i++ {
+		c.AddProcess()
+	}
 	c.MustSeal()
 	truth := func(computation.Event) bool { return false }
 	ok, _, err := possibly(c, Spec{N: 2, Levels: []int{-1, 7}}, truth)

@@ -138,6 +138,7 @@ type Payload int
 
 const (
 	// PayloadNone: the family has no incremental detector.
+	//lint:ignore testonly the zero value batch-only entries carry, which TestRegistryShape checks against Caps.Incremental
 	PayloadNone Payload = iota
 	// PayloadTruth: Event.Truth carries the process's 0/1 variable.
 	PayloadTruth

@@ -49,6 +49,9 @@ func TestRegistryShape(t *testing.T) {
 			if e.Caps.Incremental != (e.Linearize != nil) {
 				t.Errorf("%v/%v: Incremental=%v but Linearize=%v", f, m, e.Caps.Incremental, e.Linearize != nil)
 			}
+			if e.Caps.Incremental == (e.Caps.Payload == PayloadNone) {
+				t.Errorf("%v/%v: Incremental=%v but Payload=%v", f, m, e.Caps.Incremental, e.Caps.Payload)
+			}
 		}
 	}
 

@@ -74,7 +74,7 @@ func TestGroupFunnelSendOrdered(t *testing.T) {
 	const groupSize = 2
 	c := GroupFunnel(Params{Seed: 5, Procs: 6, Events: 8, MsgFrac: 1}, groupSize, false)
 	c.Events(func(e computation.Event) bool {
-		if e.Kind.IsSend() && int(e.Proc)%groupSize != 0 {
+		if (e.Kind == computation.KindSend || e.Kind == computation.KindSendReceive) && int(e.Proc)%groupSize != 0 {
 			t.Fatalf("send on non-first process %d", e.Proc)
 		}
 		return true

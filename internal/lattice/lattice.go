@@ -203,6 +203,8 @@ func PathExistsTraced(c *computation.Computation, from, to computation.Cut, allo
 // computation as sequences of event ids, invoking visit for each. It stops
 // when visit returns false. The number of runs is exponential; use only on
 // small computations (oracle checks and tests).
+//
+//lint:ignore testonly run-enumeration oracle for Definitely in TestDefinitelyMatchesRunEnumeration
 func Runs(c *computation.Computation, visit func([]computation.EventID) bool) {
 	run := make([]computation.EventID, 0, c.NumEvents())
 	k := c.InitialCut()
@@ -238,6 +240,8 @@ func Runs(c *computation.Computation, visit func([]computation.EventID) bool) {
 // sum of the named variable at the cut's frontier, by exhaustive lattice
 // exploration. It is the oracle counterpart of the max-flow computation in
 // core/relsum.
+//
+//lint:ignore testonly exhaustive oracle for relsum.SumRange in TestSumRangeMatchesLattice and TestSumRangeArbitrarySteps
 func SumRange(c *computation.Computation, name string) (min, max int64) {
 	min, max = math.MaxInt64, math.MinInt64
 	Explore(c, func(k computation.Cut) bool {
@@ -251,36 +255,4 @@ func SumRange(c *computation.Computation, name string) (min, max int64) {
 		return true
 	})
 	return min, max
-}
-
-// RunExtremes computes, by exhaustive run enumeration, the two run
-// quantities used for Definitely(sum = k): the maximum over runs of the
-// minimum sum along the run, and the minimum over runs of the maximum sum
-// along the run. Each run is scored over every cut it passes through,
-// including the initial and final cuts.
-func RunExtremes(c *computation.Computation, name string) (maxOfMins, minOfMaxes int64) {
-	maxOfMins, minOfMaxes = math.MinInt64, math.MaxInt64
-	Runs(c, func(run []computation.EventID) bool {
-		k := c.InitialCut()
-		lo := c.SumVar(name, k)
-		hi := lo
-		for _, id := range run {
-			k[int(c.Event(id).Proc)]++
-			s := c.SumVar(name, k)
-			if s < lo {
-				lo = s
-			}
-			if s > hi {
-				hi = s
-			}
-		}
-		if lo > maxOfMins {
-			maxOfMins = lo
-		}
-		if hi < minOfMaxes {
-			minOfMaxes = hi
-		}
-		return true
-	})
-	return maxOfMins, minOfMaxes
 }

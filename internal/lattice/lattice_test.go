@@ -300,24 +300,3 @@ func TestSumRange(t *testing.T) {
 		t.Errorf("SumRange = [%d,%d], want [-1,2]", min, max)
 	}
 }
-
-func TestRunExtremes(t *testing.T) {
-	// Two processes, each flips its variable 0 -> 1. Sum goes 0..2; every
-	// run passes through sum=1: maxOfMins = 0 (initial), minOfMaxes = 2
-	// (final); more interestingly each run's min is 0 and max is 2 here.
-	c := computation.New()
-	p0 := c.AddProcess()
-	p1 := c.AddProcess()
-	a := c.AddInternal(p0)
-	b := c.AddInternal(p1)
-	c.SetVar("x", a, 1)
-	c.SetVar("x", b, 1)
-	c.MustSeal()
-	maxOfMins, minOfMaxes := RunExtremes(c, "x")
-	if maxOfMins != 0 {
-		t.Errorf("maxOfMins = %d, want 0", maxOfMins)
-	}
-	if minOfMaxes != 2 {
-		t.Errorf("minOfMaxes = %d, want 2", minOfMaxes)
-	}
-}

@@ -157,18 +157,25 @@ func funcName(pkgs []*Package, fn *types.Func) string {
 	return fn.Pkg().Name() + "." + name
 }
 
-// declaredWithin reports whether the identifier's object is declared
-// inside the given node's source range — the scope test the loop
-// analyses use to tell loop-local state from escaping state.
-func declaredWithin(pkg *Package, id *ast.Ident, n ast.Node) bool {
-	obj := pkg.Info.Uses[id]
-	if obj == nil {
-		obj = pkg.Info.Defs[id]
+// objOf resolves an identifier's object from uses or defs.
+func objOf(pkg *Package, id *ast.Ident) types.Object {
+	if obj := pkg.Info.Uses[id]; obj != nil {
+		return obj
 	}
-	if obj == nil {
-		return false
+	return pkg.Info.Defs[id]
+}
+
+// builtinName resolves a call to a builtin function's name; "" for any
+// other call.
+func builtinName(pkg *Package, call *ast.CallExpr) string {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
 	}
-	return obj.Pos() >= n.Pos() && obj.Pos() <= n.End()
+	if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
+		return ""
+	}
+	return id.Name
 }
 
 // rootIdent returns the base identifier of a possibly selected/indexed
@@ -190,22 +197,12 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-// mentionsAny reports whether the expression references any of the given
-// objects (used to test whether a value is derived from a loop's
-// key/value variables).
-func mentionsAny(pkg *Package, e ast.Expr, objs map[types.Object]bool) bool {
-	if e == nil || len(objs) == 0 {
-		return false
-	}
+// mentions reports whether the expression references the object.
+func mentions(pkg *Package, e ast.Expr, obj types.Object) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := pkg.Info.Uses[id]; obj != nil && objs[obj] {
-				found = true
-			}
+		if id, ok := n.(*ast.Ident); ok && pkg.Info.Uses[id] == obj {
+			found = true
 		}
 		return !found
 	})

@@ -66,7 +66,7 @@ func checkHotFunc(pass *ModulePass, fi *funcInfo, name, root string) {
 			if !ok || len(call.Args) < 3 {
 				continue
 			}
-			if bn, isB := builtinName(pkg, call); !isB || bn != "make" {
+			if builtinName(pkg, call) != "make" {
 				continue
 			}
 			if root := rootIdent(as.Lhs[i]); root != nil {
@@ -102,7 +102,7 @@ func checkHotFunc(pass *ModulePass, fi *funcInfo, name, root string) {
 				pass.Reportf(n.Pos(), "slice/map literal allocates in %s%s; hoist it out of the hot path", name, where)
 			}
 		case *ast.CallExpr:
-			if bn, ok := builtinName(pkg, n); ok {
+			if bn := builtinName(pkg, n); bn != "" {
 				switch bn {
 				case "make":
 					if len(n.Args) >= 3 {
@@ -140,14 +140,6 @@ func checkHotFunc(pass *ModulePass, fi *funcInfo, name, root string) {
 		}
 		return true
 	})
-}
-
-// objOf resolves an identifier's object from uses or defs.
-func objOf(pkg *Package, id *ast.Ident) types.Object {
-	if obj := pkg.Info.Uses[id]; obj != nil {
-		return obj
-	}
-	return pkg.Info.Defs[id]
 }
 
 // byteStringConversion classifies a conversion between string and

@@ -14,95 +14,54 @@ import (
 // as a standalone comment above it. The reason is mandatory.
 const ignorePrefix = "//lint:ignore "
 
-// directive is one parsed //lint:ignore comment.
-type directive struct {
-	file   string
-	line   int
-	rules  map[string]bool
-	reason string
+// site is one source line.
+type site struct {
+	file string
+	line int
 }
 
-// directives extracts every ignore directive of a package. Directives
-// with a missing reason are returned with reason "" so the runner can
-// report them instead of honouring them.
-func directives(pkg *Package) []directive {
-	var out []directive
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, ignorePrefix) {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				body := strings.TrimPrefix(c.Text, ignorePrefix)
-				fields := strings.Fields(body)
-				d := directive{file: pos.Filename, line: pos.Line}
-				if len(fields) > 0 {
-					d.rules = make(map[string]bool)
-					for _, r := range strings.Split(fields[0], ",") {
-						d.rules[strings.TrimSpace(r)] = true
+// directives parses every ignore directive of the load once. A
+// well-formed one adds its rules to the lines it covers; one without a
+// rule list and a reason suppresses nothing and becomes a finding of the
+// "ignore" rule.
+func directives(pkgs []*Package) (covered map[site]map[string]bool, malformed []Finding) {
+	covered = make(map[site]map[string]bool)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					body, ok := strings.CutPrefix(c.Text, ignorePrefix)
+					if !ok {
+						continue
 					}
-					d.reason = strings.TrimSpace(strings.TrimPrefix(body, fields[0]))
+					pos := pkg.Fset.Position(c.Pos())
+					fields := strings.Fields(body)
+					if len(fields) < 2 {
+						malformed = append(malformed, Finding{Pos: pos, Rule: "ignore",
+							Msg: "lint:ignore directive needs a rule list and a reason: //lint:ignore rule reason"})
+						continue
+					}
+					for _, line := range []int{pos.Line, pos.Line + 1} {
+						k := site{pos.Filename, line}
+						if covered[k] == nil {
+							covered[k] = make(map[string]bool)
+						}
+						for _, r := range strings.Split(fields[0], ",") {
+							covered[k][strings.TrimSpace(r)] = true
+						}
+					}
 				}
-				out = append(out, d)
 			}
 		}
 	}
-	return out
-}
-
-// malformedDirectives reports ignore directives that carry no reason (or
-// no rule list at all); such directives do not suppress anything.
-func malformedDirectives(pkg *Package) []Finding {
-	var out []Finding
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, ignorePrefix) {
-					continue
-				}
-				body := strings.TrimPrefix(c.Text, ignorePrefix)
-				fields := strings.Fields(body)
-				if len(fields) >= 2 {
-					continue
-				}
-				out = append(out, Finding{
-					Pos:  pkg.Fset.Position(c.Pos()),
-					Rule: "ignore",
-					Msg:  "lint:ignore directive needs a rule list and a reason: //lint:ignore rule reason",
-				})
-			}
-		}
-	}
-	return out
+	return covered, malformed
 }
 
 // suppress drops findings covered by a well-formed ignore directive.
-func suppress(pkgs []*Package, findings []Finding) []Finding {
-	type key struct {
-		file string
-		line int
-	}
-	covered := make(map[key]map[string]bool)
-	for _, pkg := range pkgs {
-		for _, d := range directives(pkg) {
-			if d.reason == "" || len(d.rules) == 0 {
-				continue // malformed; reported, never honoured
-			}
-			for _, line := range []int{d.line, d.line + 1} {
-				k := key{d.file, line}
-				if covered[k] == nil {
-					covered[k] = make(map[string]bool)
-				}
-				for r := range d.rules {
-					covered[k][r] = true
-				}
-			}
-		}
-	}
+func suppress(covered map[site]map[string]bool, findings []Finding) []Finding {
 	kept := findings[:0]
 	for _, f := range findings {
-		rules := covered[key{f.Pos.Filename, f.Pos.Line}]
+		rules := covered[site{f.Pos.Filename, f.Pos.Line}]
 		if f.Rule != "ignore" && (rules["*"] || rules[f.Rule]) {
 			continue
 		}

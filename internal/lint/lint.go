@@ -6,8 +6,9 @@
 // on: deterministic replayable computations (no escaping map-iteration
 // order, no wall clock), strict layering between the theory core and
 // the serving stack, no blocking work under mutexes, allocation-free
-// hot paths, and no dropped transport errors. Which packages a rule
-// applies to is declared once, in the scope table (scopes.go).
+// hot paths, no dropped transport errors, and no internal API that only
+// tests reach. Which packages a rule applies to is declared once, in the
+// scope table (scopes.go).
 //
 // Findings print as "file:line: [rule] message". A finding is suppressed
 // by a "//lint:ignore rule1,rule2 reason" comment on the offending line
@@ -138,6 +139,7 @@ func Analyzers() []*Analyzer {
 		AnalyzerMapOrder,
 		AnalyzerHotAlloc,
 		AnalyzerErrDrop,
+		AnalyzerTestOnly,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
 	return as
@@ -184,7 +186,7 @@ func ByName(names string) ([]*Analyzer, error) {
 // Run executes the analyzers over the packages, applies //lint:ignore
 // suppression, and returns the surviving findings sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	var findings []Finding
+	covered, findings := directives(pkgs)
 	var mp *ModulePass // module analyzers share one lazily built index
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -194,7 +196,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 			pass := &Pass{Analyzer: a, Pkg: pkg, findings: &findings}
 			a.Run(pass)
 		}
-		findings = append(findings, malformedDirectives(pkg)...)
 	}
 	for _, a := range analyzers {
 		if a.RunModule == nil {
@@ -206,7 +207,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		mp.Analyzer = a
 		a.RunModule(mp)
 	}
-	findings = suppress(pkgs, findings)
+	findings = suppress(covered, findings)
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -90,6 +90,7 @@ func TestGoldenDetPTime(t *testing.T) { golden(t, AnalyzerDetPTime) }
 func TestGoldenMapOrder(t *testing.T) { golden(t, AnalyzerMapOrder) }
 func TestGoldenHotAlloc(t *testing.T) { golden(t, AnalyzerHotAlloc) }
 func TestGoldenErrDrop(t *testing.T)  { golden(t, AnalyzerErrDrop) }
+func TestGoldenTestOnly(t *testing.T) { golden(t, AnalyzerTestOnly) }
 
 // TestIgnoreSuppression checks the directive semantics end to end: a
 // well-formed directive suppresses, a reason-less one is reported and
@@ -175,8 +176,8 @@ func TestExecSummaryOnFindings(t *testing.T) {
 // TestByName resolves rule subsets and rejects unknown names.
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 6 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 6, nil", len(all), err)
+	if err != nil || len(all) != 7 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 7, nil", len(all), err)
 	}
 	two, err := ByName("lockheld, layering")
 	if err != nil || len(two) != 2 {

@@ -7,7 +7,7 @@ import (
 )
 
 // AnalyzerMapOrder flags map-range loops whose iteration order can
-// escape the loop, in packages whose outputs must be deterministic.
+// escape the loop, in packages whose outputs are compared run for run.
 //
 // A loop escapes order when its body:
 //
@@ -30,40 +30,36 @@ import (
 // exit (sum += v), and deleting the current key are order-independent
 // and pass.
 var AnalyzerMapOrder = &Analyzer{
-	Name: "maporder",
-	Doc:  "map iteration order must not escape into reports, counters, witnesses, or appended slices in deterministic packages",
-	Run:  runMapOrder,
+	Name:      "maporder",
+	Doc:       "map iteration order must not escape into reports, counters, witnesses, or appended slices in order-sensitive packages",
+	RunModule: runMapOrder,
 }
 
-func runMapOrder(pass *Pass) {
-	if !pass.Pkg.has(orderSensitive) {
-		return
-	}
-	for _, f := range pass.Pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok || !isMapType(pass.Pkg, rs.X) {
-					return true
-				}
-				checkMapRange(pass, fd, rs)
-				return true
-			})
+func runMapOrder(pass *ModulePass) {
+	ix := pass.Index()
+	for _, fn := range ix.order {
+		fi := ix.funcs[fn]
+		if !fi.pkg.has(orderSensitive) {
+			continue
 		}
+		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+			if rs, ok := n.(*ast.RangeStmt); ok && isMapType(fi.pkg, rs.X) {
+				checkMapRange(pass, fi, rs)
+			}
+			return true
+		})
 	}
 }
 
 // mapRange carries the per-loop analysis state.
 type mapRange struct {
-	pass *Pass
-	fd   *ast.FuncDecl
+	pass *ModulePass
+	pkg  *Package
+	body *ast.BlockStmt // the enclosing function's, for the later-sort search
 	rs   *ast.RangeStmt
-	// iterObjs are the loop's key/value variables.
+	// iterObjs are the loop's key/value variables; keyObj is the key's.
 	iterObjs map[types.Object]bool
+	keyObj   types.Object
 	// rangedObj is the root of the ranged expression, for the delete-
 	// current-key exemption and the messages.
 	rangedObj types.Object
@@ -72,117 +68,41 @@ type mapRange struct {
 	reported map[token.Pos]bool
 }
 
-func checkMapRange(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) {
-	mr := &mapRange{pass: pass, fd: fd, rs: rs,
+// checkMapRange scans one loop body for order escapes with a source-order
+// walk, so the early-exit check knows which effects precede an exit.
+// Function literals are skipped: they run later or elsewhere, not as
+// this loop's control flow.
+func checkMapRange(pass *ModulePass, fi *funcInfo, rs *ast.RangeStmt) {
+	mr := &mapRange{pass: pass, pkg: fi.pkg, body: fi.decl.Body, rs: rs,
 		iterObjs: make(map[types.Object]bool), reported: make(map[token.Pos]bool)}
 	for _, e := range []ast.Expr{rs.Key, rs.Value} {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := pass.Pkg.Info.Defs[id]; obj != nil {
-				mr.iterObjs[obj] = true
-			} else if obj := pass.Pkg.Info.Uses[id]; obj != nil {
-				mr.iterObjs[obj] = true
-			}
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" && objOf(mr.pkg, id) != nil {
+			mr.iterObjs[objOf(mr.pkg, id)] = true
 		}
+	}
+	if id, ok := rs.Key.(*ast.Ident); ok {
+		mr.keyObj = objOf(mr.pkg, id)
 	}
 	if root := rootIdent(rs.X); root != nil {
-		mr.rangedObj = pass.Pkg.Info.Uses[root]
+		mr.rangedObj = objOf(mr.pkg, root)
 	}
-	mr.walkBody()
-}
-
-// iterDerived reports whether the expression varies with the iteration:
-// it mentions a key/value variable or anything declared inside the loop
-// body.
-func (mr *mapRange) iterDerived(e ast.Expr) bool {
-	if e == nil {
-		return false
-	}
-	if mentionsAny(mr.pass.Pkg, e, mr.iterObjs) {
-		return true
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if declaredWithin(mr.pass.Pkg, id, mr.rs) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// outerRoot resolves the root object of an lvalue or receiver chain and
-// reports whether it lives outside the loop.
-func (mr *mapRange) outerRoot(e ast.Expr) (types.Object, bool) {
-	root := rootIdent(e)
-	if root == nil {
-		return nil, false
-	}
-	obj := mr.pass.Pkg.Info.Uses[root]
-	if obj == nil {
-		obj = mr.pass.Pkg.Info.Defs[root]
-	}
-	if obj == nil || mr.iterObjs[obj] {
-		return nil, false
-	}
-	if obj.Pos() >= mr.rs.Pos() && obj.Pos() <= mr.rs.End() {
-		return nil, false // loop-local
-	}
-	return obj, true
-}
-
-// sortedAfter reports whether obj is handed to a sort call after pos in
-// the enclosing function — the collect-then-sort idiom.
-func (mr *mapRange) sortedAfter(obj types.Object, pos token.Pos) bool {
-	found := false
-	ast.Inspect(mr.fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < pos || !isSortCall(mr.pass.Pkg, call) {
-			return true
-		}
-		for _, arg := range call.Args {
-			if root := rootIdent(arg); root != nil {
-				if o := mr.pass.Pkg.Info.Uses[root]; o == obj {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// walkBody scans the loop body for order escapes, in source order so
-// the early-exit check knows which effects precede an exit.
-func (mr *mapRange) walkBody() {
 	effect := false // an order-dependent effect seen so far
-	var walk func(s ast.Stmt)
-	walkList := func(list []ast.Stmt) {
-		for _, s := range list {
-			walk(s)
-		}
-	}
-	walk = func(s ast.Stmt) {
-		switch s := s.(type) {
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.FuncLit:
+			return false
 		case *ast.AssignStmt:
-			if mr.checkAssign(s) {
-				effect = true
-			}
+			effect = mr.checkAssign(s) || effect
 		case *ast.IncDecStmt:
 			if _, outer := mr.outerRoot(s.X); outer {
 				effect = true // commutative alone; order-dependent under an early exit
 			}
 		case *ast.ExprStmt:
-			if mr.checkCall(s.X, true) {
-				effect = true
-			}
+			effect = mr.checkCall(s.X, true) || effect
+		case *ast.DeferStmt:
+			effect = mr.checkCall(s.Call, true) || effect
+		case *ast.GoStmt:
+			effect = mr.checkCall(s.Call, true) || effect
 		case *ast.BranchStmt:
 			if s.Tok == token.BREAK && effect {
 				mr.reportf(s.Pos(), "early break out of a range over %s after an order-dependent effect; which iterations ran depends on map order — iterate sorted keys instead", mr.ranged())
@@ -197,53 +117,61 @@ func (mr *mapRange) walkBody() {
 			if effect {
 				mr.reportf(s.Pos(), "return from inside a range over %s after an order-dependent effect; which iterations ran depends on map order — iterate sorted keys instead", mr.ranged())
 			}
-		case *ast.IfStmt:
-			if s.Init != nil {
-				walk(s.Init)
+		}
+		return true
+	})
+}
+
+// inLoop reports whether the object is declared inside the loop.
+func (mr *mapRange) inLoop(obj types.Object) bool {
+	return obj.Pos() >= mr.rs.Pos() && obj.Pos() <= mr.rs.End()
+}
+
+// iterDerived reports whether the expression varies with the iteration:
+// it mentions a key/value variable or anything declared inside the loop.
+func (mr *mapRange) iterDerived(e ast.Expr) bool {
+	found := false
+	if e != nil {
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !found {
+				obj := objOf(mr.pkg, id)
+				found = obj != nil && (mr.iterObjs[obj] || mr.inLoop(obj))
 			}
-			walkList(s.Body.List)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *ast.BlockStmt:
-			walkList(s.List)
-		case *ast.ForStmt:
-			if s.Init != nil {
-				walk(s.Init)
-			}
-			walkList(s.Body.List)
-			if s.Post != nil {
-				walk(s.Post)
-			}
-		case *ast.RangeStmt:
-			// Nested loops are analyzed on their own when they range a
-			// map; their statements still count as this loop's effects.
-			walkList(s.Body.List)
-		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkList(cc.Body)
+			return !found
+		})
+	}
+	return found
+}
+
+// outerRoot resolves the root object of an lvalue or receiver chain and
+// reports whether it lives outside the loop.
+func (mr *mapRange) outerRoot(e ast.Expr) (types.Object, bool) {
+	root := rootIdent(e)
+	if root == nil {
+		return nil, false
+	}
+	obj := objOf(mr.pkg, root)
+	if obj == nil || mr.iterObjs[obj] || mr.inLoop(obj) {
+		return nil, false
+	}
+	return obj, true
+}
+
+// sortedAfter reports whether obj is handed to a sort call after the
+// loop in the enclosing function — the collect-then-sort idiom.
+func (mr *mapRange) sortedAfter(obj types.Object) bool {
+	found := false
+	ast.Inspect(mr.body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && !found && call.Pos() >= mr.rs.End() && isSortCall(mr.pkg, call) {
+			for _, arg := range call.Args {
+				if root := rootIdent(arg); root != nil && objOf(mr.pkg, root) == obj {
+					found = true
 				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkList(cc.Body)
-				}
-			}
-		case *ast.LabeledStmt:
-			walk(s.Stmt)
-		case *ast.DeferStmt:
-			if mr.checkCall(s.Call, true) {
-				effect = true
-			}
-		case *ast.GoStmt:
-			if mr.checkCall(s.Call, true) {
-				effect = true
 			}
 		}
-	}
-	walkList(mr.rs.Body.List)
+		return !found
+	})
+	return found
 }
 
 // checkAssign classifies one assignment inside the loop and reports the
@@ -269,32 +197,31 @@ func (mr *mapRange) checkAssign(s *ast.AssignStmt) bool {
 		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && mr.iterDerived(ix.Index) {
 			continue
 		}
+		concat := false
 		switch s.Tok {
 		case token.ASSIGN, token.DEFINE:
-			if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isBuiltinAppend(mr.pass.Pkg, call) {
-				if mr.appendEscapes(obj, call) {
+			if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && builtinName(mr.pkg, call) == "append" {
+				if mr.appendEscapes(call) && !mr.sortedAfter(obj) {
 					mr.reportf(s.Pos(), "range over %s appends iteration-dependent values to %s without a later sort; the slice's element order is map order — sort it (or the keys) before it escapes", mr.ranged(), obj.Name())
 				}
 				effect = true
 				continue
 			}
-			if mr.iterDerived(rhs) {
-				effect = true
-				if isStringType(obj) && s.Tok == token.ASSIGN {
-					// plain reassignment x = x + k handled by ADD below
-					// only when spelled +=; check explicitly here.
-					if bin, ok := ast.Unparen(rhs).(*ast.BinaryExpr); ok && bin.Op == token.ADD && mentionsObj(mr.pass.Pkg, bin, obj) {
-						mr.reportf(s.Pos(), "range over %s concatenates iteration-dependent values onto %s; the result depends on map order — sort the keys first", mr.ranged(), obj.Name())
-					}
-				}
+			if !mr.iterDerived(rhs) {
+				continue
 			}
+			effect = true
+			// x = x + k spells the concatenation out.
+			bin, ok := ast.Unparen(rhs).(*ast.BinaryExpr)
+			concat = s.Tok == token.ASSIGN && ok && bin.Op == token.ADD && mentions(mr.pkg, bin, obj)
 		case token.ADD_ASSIGN:
-			if isStringType(obj) && mr.iterDerived(rhs) {
-				mr.reportf(s.Pos(), "range over %s concatenates iteration-dependent values onto %s; the result depends on map order — sort the keys first", mr.ranged(), obj.Name())
-			}
+			concat = mr.iterDerived(rhs)
 			effect = true
 		default: // other compound assignments accumulate
 			effect = true
+		}
+		if concat && isString(obj.Type().Underlying()) {
+			mr.reportf(s.Pos(), "range over %s concatenates iteration-dependent values onto %s; the result depends on map order — sort the keys first", mr.ranged(), obj.Name())
 		}
 	}
 	return effect
@@ -307,55 +234,38 @@ func (mr *mapRange) checkAssign(s *ast.AssignStmt) bool {
 // consumed is a read (c.EventAt(p, k) in a predicate), not a consumer.
 // Returns whether anything order-dependent was found.
 func (mr *mapRange) checkCall(e ast.Expr, discarded bool) bool {
-	if e == nil {
-		return false
-	}
 	effect := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if fn, isDelete := builtinName(mr.pass.Pkg, call); isDelete && fn == "delete" {
+		if builtinName(mr.pkg, call) == "delete" {
 			// delete(m, k) of the current key from the ranged map is the
 			// sanctioned drain idiom; deleting from any other outer map
 			// (or another key) makes the visit set order-dependent.
 			if len(call.Args) == 2 {
 				root := rootIdent(call.Args[0])
-				sameMap := root != nil && mr.rangedObj != nil && mr.pass.Pkg.Info.Uses[root] == mr.rangedObj
-				keyIsLoopKey := mr.isLoopKey(call.Args[1])
-				if sameMap && keyIsLoopKey {
+				sameMap := root != nil && mr.rangedObj != nil && objOf(mr.pkg, root) == mr.rangedObj
+				if sameMap && mr.isLoopKey(call.Args[1]) {
 					return true
 				}
-				if mr.iterDerived(call.Args[1]) || sameMap {
-					effect = true
-				}
+				effect = effect || sameMap || mr.iterDerived(call.Args[1])
 			}
 			return true
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if isSortCall(mr.pass.Pkg, call) {
+		if !ok || !discarded || isSortCall(mr.pkg, call) {
 			return true
 		}
 		recvRoot := callChainRoot(sel.X)
 		if recvRoot == nil {
 			return true
 		}
+		// Only methods on outer state can retain it; a package qualifier
+		// (strconv.Itoa) is no receiver.
 		obj, outer := mr.outerRoot(recvRoot)
-		if !outer {
-			return true
-		}
-		// Only methods that can retain state matter; skip calls into the
-		// standard library's pure value types via the package qualifier
-		// (e.g. strconv.Itoa — obj is a PkgName, stateless by construction
-		// only for funcs, so require a variable receiver).
-		if _, isPkg := obj.(*types.PkgName); isPkg {
-			return true
-		}
-		if !discarded {
+		if _, isPkg := obj.(*types.PkgName); !outer || isPkg {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -371,41 +281,21 @@ func (mr *mapRange) checkCall(e ast.Expr, discarded bool) bool {
 }
 
 // appendEscapes reports whether the append call pushes iteration-derived
-// values onto obj and no later sort fixes the order.
-func (mr *mapRange) appendEscapes(obj types.Object, call *ast.CallExpr) bool {
-	derived := false
+// values.
+func (mr *mapRange) appendEscapes(call *ast.CallExpr) bool {
 	for _, arg := range call.Args[1:] {
 		if mr.iterDerived(arg) {
-			derived = true
-			break
+			return true
 		}
 	}
-	if !derived {
-		return false
-	}
-	return !mr.sortedAfter(obj, mr.rs.End())
+	return false
 }
 
 // isLoopKey reports whether the expression is exactly the loop's key
 // variable.
 func (mr *mapRange) isLoopKey(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	key, ok := mr.rs.Key.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	obj := mr.pass.Pkg.Info.Uses[id]
-	if obj == nil {
-		obj = mr.pass.Pkg.Info.Defs[id]
-	}
-	keyObj := mr.pass.Pkg.Info.Defs[key]
-	if keyObj == nil {
-		keyObj = mr.pass.Pkg.Info.Uses[key]
-	}
-	return obj != nil && obj == keyObj
+	return ok && mr.keyObj != nil && objOf(mr.pkg, id) == mr.keyObj
 }
 
 // ranged renders the ranged expression for messages.
@@ -417,40 +307,10 @@ func (mr *mapRange) ranged() string {
 }
 
 func (mr *mapRange) reportf(pos token.Pos, format string, args ...any) {
-	if mr.reported[pos] {
-		return
+	if !mr.reported[pos] {
+		mr.reported[pos] = true
+		mr.pass.Reportf(pos, format, args...)
 	}
-	mr.reported[pos] = true
-	mr.pass.Reportf(pos, format, args...)
-}
-
-// mentionsObj reports whether the expression references the object.
-func mentionsObj(pkg *Package, e ast.Expr, obj types.Object) bool {
-	return mentionsAny(pkg, e, map[types.Object]bool{obj: true})
-}
-
-// isBuiltinAppend reports whether the call is the append builtin.
-func isBuiltinAppend(pkg *Package, call *ast.CallExpr) bool {
-	name, ok := builtinName(pkg, call)
-	return ok && name == "append"
-}
-
-// builtinName resolves a call to a builtin function's name.
-func builtinName(pkg *Package, call *ast.CallExpr) (string, bool) {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
-		return "", false
-	}
-	return id.Name, true
-}
-
-// isStringType reports whether the object's type is string-kinded.
-func isStringType(obj types.Object) bool {
-	b, ok := obj.Type().Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
 }
 
 // callChainRoot peels a receiver chain down to the expression whose
@@ -459,11 +319,11 @@ func callChainRoot(e ast.Expr) ast.Expr {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-				e = sel.X
-				continue
+			sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return nil
 			}
-			return nil
+			e = sel.X
 		case *ast.SelectorExpr:
 			if rootIdent(x) != nil {
 				return x

@@ -83,6 +83,44 @@ func selectionLeak(m map[int]bool) int {
 	return -1
 }
 
+// selectLeak returns from a select case: the same selection as under a
+// switch case, one statement kind further down.
+func selectLeak(m map[int]bool, ch chan int) int {
+	for p := range m {
+		select {
+		case <-ch:
+			return p // want `return of an iteration-dependent value`
+		default:
+		}
+	}
+	return -1
+}
+
+// selectAppendLeak collects from a select case with no later sort.
+func selectAppendLeak(m map[string]int, ch chan int) []string {
+	var names []string
+	for name := range m {
+		select {
+		case <-ch:
+			names = append(names, name) // want `appends iteration-dependent values to names without a later sort`
+		default:
+		}
+	}
+	return names
+}
+
+// switchInitLeak feeds the consumer from a switch's init statement.
+func (d *detector) switchInitLeak() int {
+	n := 0
+	for p, vcs := range d.pending {
+		switch d.checker.Observe(p, vcs); len(vcs) { // want `feeds iteration-dependent arguments to d\.Observe`
+		case 0:
+			n++
+		}
+	}
+	return n
+}
+
 // earlyExitLeak breaks after accumulating: the counter's value depends
 // on which iterations ran before the exit landed.
 func earlyExitLeak(m map[string]int, limit int) int {

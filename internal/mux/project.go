@@ -75,12 +75,3 @@ func (pj *projector) prune(mins []int64) {
 		}
 	}
 }
-
-// retained returns the number of retained indices (for stats).
-func (pj *projector) retained() int {
-	n := 0
-	for _, list := range pj.idx {
-		n += len(list)
-	}
-	return n
-}

@@ -43,7 +43,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Histogram("lat").Snapshot().Count; got != workers*iters {
 		t.Errorf("histogram count = %d, want %d", got, workers*iters)
 	}
-	if got := tr.Counter("ops"); got != workers*iters {
+	if got := tr.Report().Counters["ops"]; got != workers*iters {
 		t.Errorf("trace ops = %d, want %d", got, workers*iters)
 	}
 }

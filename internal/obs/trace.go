@@ -97,16 +97,6 @@ func (t *Trace) Note(name, value string) {
 	t.mu.Unlock()
 }
 
-// Counter returns the current value of a work counter.
-func (t *Trace) Counter(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counters[name]
-}
-
 // SpanReport is one span of a run. A span whose closer had not run when
 // the report was taken is marked Open, with Duration measured from Start
 // to the report (it used to read as a silent zero). Start also positions

@@ -22,7 +22,7 @@ func TestElectionExactlyOneLeader(t *testing.T) {
 		leaders := 0
 		leaderProc := -1
 		for p := 0; p < n; p++ {
-			if c.Var(VarLeader, c.Final(computation.ProcID(p)).ID) != 0 {
+			if c.Var(VarLeader, c.EventAt(computation.ProcID(p), c.Len(computation.ProcID(p))-1).ID) != 0 {
 				leaders++
 				leaderProc = p
 			}
@@ -61,7 +61,7 @@ func TestElectionCandidatesShrink(t *testing.T) {
 	// At the end only the winner may still be a candidate.
 	n := 0
 	for p := 0; p < 5; p++ {
-		if c.Var(VarCandidate, c.Final(computation.ProcID(p)).ID) != 0 {
+		if c.Var(VarCandidate, c.EventAt(computation.ProcID(p), c.Len(computation.ProcID(p))-1).ID) != 0 {
 			n++
 		}
 	}

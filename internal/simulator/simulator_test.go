@@ -107,8 +107,8 @@ func TestGossiperShape(t *testing.T) {
 	if err := relsum.ValidateUnitStep(c, VarLevel); err != nil {
 		t.Errorf("level must be unit-step: %v", err)
 	}
-	if len(sim.VarNames()) != 2 {
-		t.Errorf("VarNames = %v", sim.VarNames())
+	if len(c.VarNames()) != 2 {
+		t.Errorf("VarNames = %v", c.VarNames())
 	}
 }
 
@@ -161,7 +161,7 @@ func TestVariablePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := c.Final(0)
+	last := c.EventAt(0, c.Len(0)-1)
 	if got := c.Var("v", last.ID); got != 9 {
 		t.Errorf("final value = %d, want 9 (persisted)", got)
 	}

@@ -36,7 +36,7 @@ func TestTwoPhaseAllYesCommits(t *testing.T) {
 		}
 		// Everyone committed at the end.
 		for p := 0; p < 4; p++ {
-			if c.Var(VarCommitted, c.Final(computation.ProcID(p)).ID) == 0 {
+			if c.Var(VarCommitted, c.EventAt(computation.ProcID(p), c.Len(computation.ProcID(p))-1).ID) == 0 {
 				t.Fatalf("seed %d: process %d did not commit", seed, p)
 			}
 		}
@@ -64,7 +64,7 @@ func TestTwoPhaseOneNoAborts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for p := 0; p < 4; p++ {
-			final := c.Final(computation.ProcID(p)).ID
+			final := c.EventAt(computation.ProcID(p), c.Len(computation.ProcID(p))-1).ID
 			if c.Var(VarCommitted, final) != 0 {
 				t.Fatalf("seed %d: process %d committed despite a no vote", seed, p)
 			}
@@ -72,7 +72,7 @@ func TestTwoPhaseOneNoAborts(t *testing.T) {
 				t.Fatalf("seed %d: process %d did not abort", seed, p)
 			}
 		}
-		if got := c.Var(VarCommitted, c.Final(0).ID); got != 0 {
+		if got := c.Var(VarCommitted, c.EventAt(0, c.Len(0)-1).ID); got != 0 {
 			t.Fatalf("seed %d: coordinator committed", seed)
 		}
 	}
@@ -103,7 +103,7 @@ func TestTwoPhaseQuiescence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, max := relsum.InFlightRange(c)
+	min, max := relsum.InFlightRangePar(c, 1, nil)
 	if min != 0 {
 		t.Fatalf("min in-flight = %d", min)
 	}

@@ -59,10 +59,7 @@ type IncrementalSlicer struct {
 	// irreducible — the greatest cut the slice represents so far.
 	top []int
 
-	irreducibles int64
-	compacted    int64
-	excluded     int64
-	sealed       bool
+	sealed bool
 
 	// OnIrreducible, when set before the first Observe, is called once
 	// per completed join-irreducible with the event's process, its
@@ -82,19 +79,9 @@ type procLog struct {
 	jnext int   // 1-based index of the oldest event with unknown J_B
 	jcut  []int // active advancement cut for event jnext; nil if idle
 	prevJ []int // last completed J_B on this process
-	// exclFrom is set by Seal: the smallest index on this process whose
-	// J_B does not exist (total+1 when every event has one).
-	exclFrom int
 }
 
 func (l *procLog) total() int { return l.base + len(l.truth) }
-
-// Span is one process's retained suffix: the events with 1-based
-// indices in [Start, End] are still held; Start > End means the whole
-// log has been compacted away.
-type Span struct {
-	Start, End int
-}
 
 // NewIncrementalSlicer builds a slicer for a computation of procs
 // processes. initial gives the per-process truth of the local predicate
@@ -197,7 +184,6 @@ func (s *IncrementalSlicer) completeJ(p int) {
 	l := &s.logs[p]
 	j := l.jcut
 	l.jcut = nil
-	s.irreducibles++
 	s.joinTop(j)
 	if s.OnIrreducible != nil {
 		out := make([]int, len(j))
@@ -269,7 +255,7 @@ func (s *IncrementalSlicer) joinTop(k []int) {
 // Seal marks the stream complete. Advancements still stalled can never
 // complete — every failing process has run out of events — so their
 // events are excluded from the slice, exactly the events the offline
-// constructor reports via Excluded. After Seal, Possibly reporting
+// constructor finds no join-irreducible for. After Seal, Possibly reporting
 // false means the slice is empty (no consistent cut ever satisfied the
 // predicate).
 func (s *IncrementalSlicer) Seal() {
@@ -280,13 +266,10 @@ func (s *IncrementalSlicer) Seal() {
 	s.sealed = true
 	for p := range s.logs {
 		l := &s.logs[p]
-		l.exclFrom = l.total() + 1
 		if l.jcut != nil || l.jnext <= l.total() {
 			// The head is stalled with every event present, so no
 			// satisfying cut contains event jnext — nor any later event
 			// of the process, whose cuts all contain jnext.
-			l.exclFrom = l.jnext
-			s.excluded += int64(l.total() - l.jnext + 1)
 			l.jcut = nil
 			l.jnext = l.total() + 1
 		}
@@ -363,19 +346,7 @@ func (s *IncrementalSlicer) Compact() int64 {
 		l.base += n
 		dropped += int64(n)
 	}
-	s.compacted += dropped
 	return dropped
-}
-
-// Frontier reports the retained suffix of every process — the minimal
-// window the slicer still needs, which is what a streaming session
-// keeps instead of unbounded history.
-func (s *IncrementalSlicer) Frontier() []Span {
-	out := make([]Span, s.procs)
-	for p := range s.logs {
-		out[p] = Span{Start: s.logs[p].base + 1, End: s.logs[p].total()}
-	}
-	return out
 }
 
 // Retained returns the number of events currently held across all
@@ -388,50 +359,10 @@ func (s *IncrementalSlicer) Retained() int {
 	return n
 }
 
-// Compacted returns the cumulative number of events freed by Compact.
-func (s *IncrementalSlicer) Compacted() int64 { return s.compacted }
-
-// Irreducibles returns the number of completed join-irreducibles.
-func (s *IncrementalSlicer) Irreducibles() int64 { return s.irreducibles }
-
-// Excluded returns the number of events excluded from the slice. It is
-// meaningful after Seal; before that, exclusion cannot be concluded.
-func (s *IncrementalSlicer) Excluded() int64 { return s.excluded }
-
-// ExcludedFrom returns, after Seal, the smallest 1-based index on
-// process p whose event is excluded from the slice (total+1 when every
-// event of the process has a join-irreducible).
-func (s *IncrementalSlicer) ExcludedFrom(p int) int { return s.logs[p].exclFrom }
-
-// Pending returns the number of advancements that have not completed:
-// queued irreducibles plus the bottom while unfound.
-func (s *IncrementalSlicer) Pending() int {
-	n := 0
-	if !s.possibly {
-		n++
-	}
-	for p := range s.logs {
-		l := &s.logs[p]
-		if l.jnext <= l.total() {
-			n += l.total() - l.jnext + 1
-		}
-	}
-	return n
-}
-
 // Possibly reports whether some consistent cut of the observed prefix
 // satisfies the predicate — equivalently, whether the slice bottom has
-// been found. Once true it stays true, and Bottom is final.
+// been found. Once true it stays true, and the bottom is final.
 func (s *IncrementalSlicer) Possibly() bool { return s.possibly }
-
-// Bottom returns the slice bottom — the least satisfying cut — valid
-// once Possibly reports true. Before that it returns the advancement's
-// current floor.
-func (s *IncrementalSlicer) Bottom() []int {
-	out := make([]int, s.procs)
-	copy(out, s.bottomK)
-	return out
-}
 
 // Top returns the running join of the bottom and every completed
 // irreducible — after Seal, the greatest cut of the slice.
@@ -440,6 +371,3 @@ func (s *IncrementalSlicer) Top() []int {
 	copy(out, s.top)
 	return out
 }
-
-// Procs returns the number of processes the slicer was built for.
-func (s *IncrementalSlicer) Procs() int { return s.procs }

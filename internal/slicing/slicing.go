@@ -62,6 +62,9 @@ func (e *NotRegularError) Error() string {
 // Unwrap makes errors.Is(err, ErrNotRegular) hold.
 func (e *NotRegularError) Unwrap() error { return ErrNotRegular }
 
+// errors.Is and errors.As reach Unwrap through this interface.
+var _ interface{ Unwrap() error } = (*NotRegularError)(nil)
+
 // ErrEmpty indicates that no consistent cut satisfies the predicate, so
 // the slice is empty.
 var ErrEmpty = errors.New("slicing: no consistent cut satisfies the predicate")
@@ -147,35 +150,6 @@ func (s *Slice) Bottom() computation.Cut { return s.bottom.Clone() }
 // all join-irreducibles).
 func (s *Slice) Top() computation.Cut { return s.top.Clone() }
 
-// Excluded reports whether no satisfying cut contains the event.
-func (s *Slice) Excluded(o Oracle, e computation.Event) bool {
-	return s.leastContaining(o, e) == nil
-}
-
-// Contains reports whether a cut belongs to the slice: it must be the
-// join of the join-irreducibles of its events (and lie above Bottom).
-// For a regular predicate this is equivalent to satisfying the predicate.
-func (s *Slice) Contains(o Oracle, k computation.Cut) bool {
-	if !s.bottom.Leq(k) {
-		return false
-	}
-	join := s.bottom.Clone()
-	for p := 0; p < s.c.NumProcs(); p++ {
-		for i := 1; i <= k[p]; i++ {
-			j := s.leastContaining(o, s.c.EventAt(computation.ProcID(p), i))
-			if j == nil {
-				return false // an excluded event inside the cut
-			}
-			for q := range join {
-				if j[q] > join[q] {
-					join[q] = j[q]
-				}
-			}
-		}
-	}
-	return join.Equal(k)
-}
-
 // Ideals enumerates every cut of the slice (every satisfying cut of a
 // regular predicate) exactly once, via BFS over the restricted lattice:
 // from the slice's bottom, an event may execute only if the resulting cut
@@ -231,6 +205,8 @@ func (s *Slice) Count(o Oracle) *big.Int {
 
 // Verify exhaustively checks (exponential; for tests and small
 // computations) that the slice's cuts are exactly the satisfying cuts.
+//
+//lint:ignore testonly exhaustive oracle for the slice constructors in TestSliceExactOnConjunctive, TestQuiescentSliceExact and TestNotRegularErrorNamesWitness
 func (s *Slice) Verify(o Oracle) error {
 	want := make(map[string]bool)
 	lattice.Explore(s.c, func(k computation.Cut) bool {

@@ -107,28 +107,6 @@ func TestSliceCountMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestSliceContains(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 40; trial++ {
-		c := gen.Random(gen.Params{Seed: rng.Int63(), Procs: 3, Events: 4, MsgFrac: 0.4})
-		truth := gen.BoolTables(rng.Int63(), c, 0.7)
-		o := ConjunctiveOracle(localsFromTables(truth))
-		s, err := Compute(c, o)
-		if errors.Is(err, ErrEmpty) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		lattice.Explore(c, func(k computation.Cut) bool {
-			if got := s.Contains(o, k); got != o.Holds(c, k) {
-				t.Fatalf("trial %d: Contains(%v) = %v, Holds = %v", trial, k, got, o.Holds(c, k))
-			}
-			return true
-		})
-	}
-}
-
 func TestEmptySlice(t *testing.T) {
 	c := gen.Random(gen.Params{Seed: 1, Procs: 2, Events: 3, MsgFrac: 0})
 	o := ConjunctiveOracle(map[computation.ProcID]func(computation.Event) bool{
@@ -167,10 +145,10 @@ func TestExcludedEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Excluded(o, c.Event(a)) {
+	if s.leastContaining(o, c.Event(a)) != nil {
 		t.Error("a must be excluded")
 	}
-	if s.Excluded(o, c.Initial(p0)) {
+	if s.leastContaining(o, c.Initial(p0)) == nil {
 		t.Error("the initial event is in every satisfying cut")
 	}
 	if err := s.Verify(o); err != nil {

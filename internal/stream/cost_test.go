@@ -44,10 +44,10 @@ func TestLedgerAttributesCostPerTenant(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CloseSession("a"); err != nil {
+	if _, _, err := e.ClosePredicates("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CloseSession("b"); err != nil {
+	if _, _, err := e.ClosePredicates("b"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,7 +180,7 @@ func TestWireBytesChargedPerFrame(t *testing.T) {
 	srv, _ := serveLoopback(t, Config{Shards: 2, Ledger: led})
 	sessions := []string{"a", "b"}
 	for _, id := range sessions {
-		if err := srv.Engine().Open(id, Spec{Pred: "all(x)", Procs: 1, Tenant: "tenant-" + id}); err != nil {
+		if err := srv.eng.Open(id, Spec{Pred: "all(x)", Procs: 1, Tenant: "tenant-" + id}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,7 +265,7 @@ func TestTenantCPUShareSLO(t *testing.T) {
 	}
 	// Control messages evaluate the share check; by now the append has
 	// charged CPU to the tenant's scope.
-	if _, err := e.Query("s"); err != nil {
+	if _, _, err := e.QueryUpdates("s"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -393,7 +393,7 @@ func TestCPUProfileCarriesTenantLabels(t *testing.T) {
 		if err := e.Append(id, batch); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.CloseSession(id); err != nil {
+		if _, _, err := e.ClosePredicates(id); err != nil {
 			t.Fatal(err)
 		}
 	}

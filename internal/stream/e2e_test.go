@@ -102,7 +102,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			k := 1 + seed%2
 			j.spec = Spec{Pred: fmt.Sprintf("inflight >= %d", k), Procs: np, Retain: true}
 			j.events = InFlightTrace(c)
-			min, max := relsum.InFlightRange(c)
+			min, max := relsum.InFlightRangePar(c, 1, nil)
 			j.wantPos = min >= k || max >= k
 			var err error
 			if j.wantDef, err = relsum.DefinitelyWeightedPar(c, 0, relsum.InFlightWeight(c), relsum.Ge, k, 1, nil); err != nil {
@@ -190,7 +190,7 @@ func TestServe64ConcurrentSessions(t *testing.T) {
 		t.Error(err)
 	}
 
-	snap := srv.Engine().Snapshot()
+	snap := srv.eng.Snapshot()
 	if snap.Detections == 0 {
 		t.Error("no detections recorded across 64 sessions")
 	}
@@ -805,7 +805,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 		sent += len(evs)
 	}
 	for _, id := range ids { // drain the mailboxes before stopping the clock
-		if _, err := eng.Query(id); err != nil {
+		if _, _, err := eng.QueryUpdates(id); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -768,16 +768,9 @@ func (e *Engine) Append(id string, events []Event) error {
 	return nil
 }
 
-// Query flushes a session and returns its counters. On a multiplexed
-// session any pending verdict updates are discarded — use QueryUpdates
-// there.
-func (e *Engine) Query(id string) (SessionStats, error) {
-	st, _, err := e.QueryUpdates(id)
-	return st, err
-}
-
-// QueryUpdates is Query plus the multiplexed fan-out: the per-predicate
-// verdict updates queued since the previous drain.
+// QueryUpdates flushes a session and returns its counters plus, on a
+// multiplexed session, the per-predicate verdict updates queued since
+// the previous drain.
 func (e *Engine) QueryUpdates(id string) (SessionStats, []mux.Update, error) {
 	r, err := e.sync(id, shardMsg{kind: msgQuery})
 	if err != nil {
@@ -837,16 +830,10 @@ func releaseTenants(e *Engine, tenants map[string]int) {
 	}
 }
 
-// CloseSession finalizes a session and returns its verdict (including
-// Definitely when the spec retained the trace). A multiplexed session's
-// remaining registrations are returned to their tenants.
-func (e *Engine) CloseSession(id string) (Verdict, error) {
-	v, _, err := e.ClosePredicates(id)
-	return v, err
-}
-
-// ClosePredicates is CloseSession plus the multiplexed fan-out: the
-// final state of every still-registered predicate.
+// ClosePredicates finalizes a session and returns its verdict (including
+// Definitely when the spec retained the trace) plus, on a multiplexed
+// session, the final state of every still-registered predicate, whose
+// registrations are returned to their tenants.
 func (e *Engine) ClosePredicates(id string) (Verdict, []mux.Update, error) {
 	r, err := e.sync(id, shardMsg{kind: msgClose})
 	if err != nil {

@@ -24,7 +24,7 @@ func TestEngineLifecycle(t *testing.T) {
 	if err := e.Open("a", spec); !errors.Is(err, ErrSessionExists) {
 		t.Fatalf("second open: got %v, want ErrSessionExists", err)
 	}
-	if _, err := e.Query("nope"); !errors.Is(err, ErrUnknownSession) {
+	if _, _, err := e.QueryUpdates("nope"); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("query unknown: got %v, want ErrUnknownSession", err)
 	}
 
@@ -35,7 +35,7 @@ func TestEngineLifecycle(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.Query("a")
+	st, _, err := e.QueryUpdates("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +46,14 @@ func TestEngineLifecycle(t *testing.T) {
 		t.Fatalf("Possibly(a) = %v, %v", pos, ok)
 	}
 
-	verdict, err := e.CloseSession("a")
+	verdict, _, err := e.ClosePredicates("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !verdict.Possibly || !verdict.DefinitelyKnown {
 		t.Fatalf("verdict: %+v", verdict)
 	}
-	if _, err := e.CloseSession("a"); !errors.Is(err, ErrUnknownSession) {
+	if _, _, err := e.ClosePredicates("a"); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("double close: got %v, want ErrUnknownSession", err)
 	}
 }
@@ -96,7 +96,7 @@ func TestEngineDropOldestSheds(t *testing.T) {
 		t.Fatalf("no frames dropped under DropOldest with queue=2: %+v", snap.Shards)
 	}
 	// Control traffic still goes through, and the gaps are detected.
-	if _, err := e.CloseSession("a"); err == nil {
+	if _, _, err := e.ClosePredicates("a"); err == nil {
 		t.Fatal("close after shedding should report stream gaps")
 	}
 }
@@ -115,7 +115,7 @@ func TestEngineBackpressureLossless(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := e.Query("a")
+	st, _, err := e.QueryUpdates("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestEngineBackpressureLossless(t *testing.T) {
 	if snap := e.Snapshot(); snap.Dropped != 0 {
 		t.Fatalf("backpressure dropped %d frames", snap.Dropped)
 	}
-	verdict, err := e.CloseSession("a")
+	verdict, _, err := e.ClosePredicates("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestEngineSnapshotAggregates(t *testing.T) {
 		}
 	}
 	for i := 0; i < sessions; i++ { // Query synchronizes with each worker
-		if _, err := e.Query(fmt.Sprintf("s%02d", i)); err != nil {
+		if _, _, err := e.QueryUpdates(fmt.Sprintf("s%02d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestEngineManyConcurrentSessions(t *testing.T) {
 					}
 					evs = evs[n:]
 				}
-				verdict, err := e.CloseSession(j.id)
+				verdict, _, err := e.ClosePredicates(j.id)
 				if err != nil {
 					errs <- fmt.Errorf("%s: %w", j.id, err)
 					return

@@ -220,7 +220,7 @@ func TestServeMultiPredicateSession(t *testing.T) {
 	}
 
 	// Every slot returned to its tenant at close.
-	snap := srv.Engine().Snapshot()
+	snap := srv.eng.Snapshot()
 	if snap.Predicates != 0 || len(snap.Tenants) != 0 {
 		t.Errorf("predicates leaked after close: total=%d tenants=%v", snap.Predicates, snap.Tenants)
 	}

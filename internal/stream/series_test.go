@@ -74,12 +74,12 @@ func TestExportedSeriesSet(t *testing.T) {
 	must(err)
 	for _, id := range []string{"plain", "sliced", "mux"} {
 		must(e.Append(id, truth))
-		_, err := e.Query(id)
+		_, _, err := e.QueryUpdates(id)
 		must(err)
 	}
 	must(e.Append("nobody", truth)) // shed: unknown session
 	for _, id := range []string{"plain", "sliced", "mux"} {
-		_, err := e.CloseSession(id)
+		_, _, err := e.ClosePredicates(id)
 		must(err)
 	}
 

@@ -101,9 +101,6 @@ func ListenAndServe(addr string, eng *Engine, opts ...ServerOption) (*Server, er
 // Addr returns the listener address to hand to clients.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Engine returns the served engine (for stats endpoints).
-func (s *Server) Engine() *Engine { return s.eng }
-
 // Close stops accepting and closes every connection. Idempotent.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {

@@ -8,6 +8,7 @@ import (
 	"github.com/distributed-predicates/gpd/internal/conjunctive"
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/core/symmetric"
+	"github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/gen"
 )
 
@@ -54,7 +55,7 @@ func replay(t *testing.T, rng *rand.Rand, spec Spec, events []Event) (Verdict, *
 // rows' index-0 entries are ignored — matching the online convention that
 // probes report events, not initial states.
 func tableTrace(c *computation.Computation, truth [][]bool) []Event {
-	return Trace(c, func(e computation.Event, ev *Event) {
+	return detect.LinearizeEvents(c, func(e computation.Event, ev *Event) {
 		row := truth[int(e.Proc)]
 		ev.Truth = e.Index < len(row) && row[e.Index]
 	})

@@ -277,14 +277,14 @@ func TestEngineSliceMetrics(t *testing.T) {
 	if err := e.Append("a", evs); err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.Query("a")
+	st, _, err := e.QueryUpdates("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.SliceRetained == 0 && st.SliceCompacted == 0 {
 		t.Fatalf("mid-stream stats show no slice activity: %+v", st)
 	}
-	v, err := e.CloseSession("a")
+	v, _, err := e.ClosePredicates("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestEngineRetainedEventsSLO(t *testing.T) {
 	if err := e.Append("a", evs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query("a"); err != nil { // forces a publish
+	if _, _, err := e.QueryUpdates("a"); err != nil { // forces a publish
 		t.Fatal(err)
 	}
 	select {

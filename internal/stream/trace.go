@@ -14,15 +14,6 @@ import (
 // in the detector kernel (detect.LinearizeEvents), shared with the
 // StrategyReplay route of gpd.Detect.
 
-// Trace linearizes the non-initial events of a sealed computation in
-// topological order, filling each wire event's payload via fill (set
-// Truth or Val from the event's variables). Sessions re-establish causal
-// order themselves, so any permutation of the result is also a valid
-// input stream.
-func Trace(c *computation.Computation, fill func(e computation.Event, ev *Event)) []Event {
-	return detect.LinearizeEvents(c, fill)
-}
-
 // linearize replays c through the registry's own linearization for the
 // family (the one StrategyReplay uses), so sessions, replay and tests
 // cannot drift apart on what an event of a payload carries.

@@ -59,6 +59,8 @@ func Solve(in Instance) (bool, []int) {
 }
 
 // Sum returns the total of the sizes at the given indices.
+//
+//lint:ignore testonly checks the subsets Solve returns (TestRandomAgainstBruteForce) and the ones TestTheorem3Reduction recovers from witness cuts
 func Sum(sizes []int64, indices []int) int64 {
 	var s int64
 	for _, i := range indices {

@@ -94,16 +94,16 @@ func TestClockProtocol(t *testing.T) {
 	s := c0.Send()
 	r := c1.Receive(s)
 	e0 := c0.Event()
-	if !s.Before(r) {
+	if s.Compare(r) != Before {
 		t.Errorf("send %v must precede receive %v", s, r)
 	}
-	if !e1.Before(r) {
+	if e1.Compare(r) != Before {
 		t.Errorf("local predecessor %v must precede receive %v", e1, r)
 	}
-	if !e1.Concurrent(s) {
+	if e1.Compare(s) != Concurrent {
 		t.Errorf("%v and %v should be concurrent", e1, s)
 	}
-	if !e0.Concurrent(r) {
+	if e0.Compare(r) != Concurrent {
 		t.Errorf("%v and %v should be concurrent", e0, r)
 	}
 	if c0.Self() != 0 || c1.Self() != 1 {
@@ -178,7 +178,7 @@ func TestClockSimulationMatchesTruth(t *testing.T) {
 					continue
 				}
 				want := reach[i][j]
-				got := events[i].vc.Before(events[j].vc)
+				got := events[i].vc.Compare(events[j].vc) == Before
 				if got != want {
 					t.Fatalf("trial %d: before(%d,%d) = %v, want %v", trial, i, j, got, want)
 				}
