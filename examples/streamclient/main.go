@@ -19,9 +19,7 @@
 // compacting frontier instead of retained history, its verdict checked
 // against both the offline batch detector and the offline slice strategy
 // (gpd.StrategySlice), and its compaction ledger checked to have freed
-// the whole stream. The multiplexed session additionally registers its
-// all(var) predicates with RegisterSpec.Slice, exercising the shared
-// per-variable slicers.
+// the whole stream.
 //
 // With -debug pointing at the server's stats listener, the client ends
 // the run by scraping /debug/tenants, printing the per-tenant cost
@@ -244,9 +242,7 @@ func driveMux(addr string, procs, npreds int, seed int64) error {
 		}
 		pid := fmt.Sprintf("p%04d", i)
 		texts[pid] = text
-		// Conjunctive registrations ride the shared per-variable slicers;
-		// registration precedes the first event, as slicing requires.
-		r := stream.RegisterSpec{ID: pid, Tenant: fmt.Sprintf("tenant-%d", i%4), Pred: text, Slice: i%5 == 0}
+		r := stream.RegisterSpec{ID: pid, Tenant: fmt.Sprintf("tenant-%d", i%4), Pred: text}
 		if _, err := cl.RegisterPredicate(id, r); err != nil {
 			return fmt.Errorf("register %s (%s): %w", pid, text, err)
 		}

@@ -29,11 +29,10 @@ var layerRules = []layerRule{
 	},
 	{
 		// The slicing theory builds on the computation model alone: the
-		// detector kernel and the multiplexer import it (mux shares
-		// per-variable slicers across predicates), never the other way
-		// round. Keeping the edge one-directional is what lets the slice
-		// constructor be checked against the lattice oracle with no
-		// serving machinery in scope.
+		// detector kernel and the serving stack import it, never the
+		// other way round. Keeping the edge one-directional is what lets
+		// the slice constructor be checked against the lattice oracle
+		// with no serving machinery in scope.
 		Layers: []string{"internal/slicing"},
 		Forbid: []string{"internal/detect", "internal/mux"},
 		Why:    "the slicing theory stays kernel- and multiplexer-free",

@@ -3,11 +3,11 @@ package mux
 // Shared range cores. The range-based families decide from the
 // [min, max] of one sum over consistent cuts, which depends on the
 // variable and the payload but not on the predicate, so the group keeps
-// one detect.RangeCore per (route variable, payload, registration cut)
-// — the pattern of the shared slicers — steps it once per delivered
-// event and flushes it once per group flush; each predicate over it is
-// a detect.RangeView folding the flushed extrema. DESIGN.md carries the
-// argument that moving a view onto an older core (absorb) is exact.
+// one detect.RangeCore per (route variable, payload, registration cut),
+// steps it once per delivered event and flushes it once per group
+// flush; each predicate over it is a detect.RangeView folding the
+// flushed extrema. DESIGN.md carries the argument that moving a view
+// onto an older core (absorb) is exact.
 
 import (
 	"fmt"

@@ -7,7 +7,6 @@ import (
 
 	"github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/pred"
-	"github.com/distributed-predicates/gpd/internal/slicing"
 )
 
 // Registration attaches one predicate to a Group.
@@ -36,12 +35,10 @@ type Registration struct {
 	// registration bypasses the relevance index, is never latch-stopped
 	// and keeps exact pre-multiplexer session semantics.
 	AllEvents bool
-	// Slice maintains the predicate's incremental slice alongside its
-	// detector: the group feeds relevance-filtered events into a shared
-	// per-variable slicer whose compacting frontier replaces unbounded
-	// history. Regular truth-payload families only (the registry's
-	// Sliceable capability); the registration must precede the group's
-	// first event.
+	// Slice is accepted and ignored: a group keeps no slicers, and the
+	// verdict always comes from the registration's own detector. It
+	// stays only because bench/ still sets it; ROADMAP's black-box
+	// bench/ item deletes it.
 	Slice bool
 }
 
@@ -70,9 +67,6 @@ type Stats struct {
 	// range-based predicates of one variable share a core (core.go).
 	Cores       int   // live shared range cores
 	CoreFlushes int64 // core flushes performed (two closures each)
-
-	SliceRetained  int   // events held across the shared slicers' frontiers
-	SliceCompacted int64 // cumulative events freed by slice compaction
 }
 
 // predicate is one registered detector and its routing state.
@@ -85,7 +79,6 @@ type predicate struct {
 	routeVar   string // "" for all-events registrations
 	procSet    []bool // nil = all processes
 	all        bool
-	sliced     bool // holds a reference on the routeVar's shared slicer
 
 	seq      int64
 	possibly bool
@@ -133,10 +126,6 @@ type Group struct {
 	ncores      int
 	coreFlushes int64
 
-	slicers        map[string]*groupSlicer // shared per-variable slicers (slicer.go)
-	sliceCompacted int64                   // cumulative events freed by compaction
-	sliceErr       error                   // sticky slice-maintenance failure
-
 	tenants   map[string]int
 	active    int
 	latched   int // registered predicates whose verdict has latched
@@ -180,10 +169,6 @@ func (g *Group) Register(r Registration) error {
 	if !ok || !entry.Caps.Incremental {
 		return fmt.Errorf("mux: predicate family %v has no incremental detector", r.Spec.Family)
 	}
-	if r.Slice && (!entry.Caps.Sliceable || entry.Caps.Payload != detect.PayloadTruth) {
-		return fmt.Errorf("mux: predicate %q cannot maintain a slice: %w", r.ID,
-			&slicing.NotRegularError{Detail: fmt.Sprintf("family %v is not a regular truth-payload family", r.Spec.Family)})
-	}
 	routeVar := ""
 	if !r.AllEvents {
 		routeVar = r.Spec.Var
@@ -213,11 +198,6 @@ func (g *Group) Register(r Registration) error {
 	if err != nil {
 		return fmt.Errorf("mux: %w", err)
 	}
-	if r.Slice {
-		if err := g.AttachSlicer(routeVar, r.Involved); err != nil {
-			return err
-		}
-	}
 	tenant := r.Tenant
 	if tenant == "" {
 		tenant = "default"
@@ -231,7 +211,6 @@ func (g *Group) Register(r Registration) error {
 		core:     core,
 		routeVar: routeVar,
 		all:      r.AllEvents,
-		sliced:   r.Slice,
 		active:   true,
 	}
 	// The relevance hint narrows the process set (conjunctive predicates
@@ -302,9 +281,6 @@ func (g *Group) Unregister(id string) error {
 	}
 	if p.possibly {
 		g.latched--
-	}
-	if p.sliced {
-		g.DetachSlicer(p.routeVar)
 	}
 	g.tenants[p.tenant]--
 	if g.tenants[p.tenant] == 0 {
@@ -418,9 +394,6 @@ func (g *Group) deliver(ev detect.Event) {
 	if g.onDeliver != nil {
 		g.onDeliver(ev)
 	}
-	if g.slicers != nil {
-		g.observeSlicers(ev)
-	}
 	if ev.Var != "" {
 		g.recordVar(ev)
 	}
@@ -506,7 +479,6 @@ func (g *Group) Flush() bool {
 	}
 	g.dirtyCores = g.dirtyCores[:0]
 	g.pruneProjections()
-	g.compactSlicers()
 	return g.latched > 0
 }
 
@@ -630,8 +602,5 @@ func (g *Group) Stats() Stats {
 
 		Cores:       g.ncores,
 		CoreFlushes: g.coreFlushes,
-
-		SliceRetained:  g.SliceRetained(),
-		SliceCompacted: g.sliceCompacted,
 	}
 }

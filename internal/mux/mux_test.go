@@ -1,14 +1,17 @@
 package mux
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/pred"
+	"github.com/distributed-predicates/gpd/internal/slicing"
 )
 
 // --- Delivery ---
@@ -466,5 +469,135 @@ func TestRejectsNonIncremental(t *testing.T) {
 	}
 	if err := g.Register(Registration{ID: "bad", Spec: pred.Spec{Family: pred.Sum}}); err == nil {
 		t.Fatal("invalid spec accepted")
+	}
+}
+
+// --- Slice (accepted and ignored) ---
+
+// The three tests below keep the names they had when a group ran shared
+// per-variable slicers. A group keeps no slicers now: Registration.Slice
+// is accepted and ignored, and the verdict comes from the registration's
+// own detector. Each test pins what is left of its old contract.
+
+func conjReg(id, v string) Registration {
+	return Registration{ID: id, Spec: pred.Spec{Family: pred.Conjunctive, Var: v}, Slice: true}
+}
+
+// slicedTwins registers regs on one group as given and on a second group
+// with Slice cleared, steps both through evs (flushing every flushEvery
+// events and at the end), and fails unless the two fan out the same
+// updates and hold the same detector windows.
+func slicedTwins(t *testing.T, procs int, regs []Registration, evs []detect.Event, flushEvery int) (sliced, plain *Group) {
+	t.Helper()
+	sliced, plain = NewGroup(procs), NewGroup(procs)
+	for _, r := range regs {
+		if err := sliced.Register(r); err != nil {
+			t.Fatalf("sliced register %q: %v", r.ID, err)
+		}
+		r.Slice = false
+		if err := plain.Register(r); err != nil {
+			t.Fatalf("plain register %q: %v", r.ID, err)
+		}
+	}
+	var gotS, gotP []Update
+	for i, e := range evs {
+		for _, g := range []*Group{sliced, plain} {
+			if err := g.Step(e); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+		if (i+1)%flushEvery == 0 {
+			sliced.Flush()
+			plain.Flush()
+			gotS = append(gotS, sliced.Drain()...)
+			gotP = append(gotP, plain.Drain()...)
+		}
+	}
+	sliced.Flush()
+	plain.Flush()
+	gotS = append(gotS, sliced.Drain()...)
+	gotP = append(gotP, plain.Drain()...)
+	if !slices.Equal(gotS, gotP) {
+		t.Fatalf("sliced updates %+v, unsliced %+v", gotS, gotP)
+	}
+	if ws, wp := sliced.Window(), plain.Window(); ws != wp {
+		t.Fatalf("sliced window %d, unsliced %d", ws, wp)
+	}
+	return sliced, plain
+}
+
+// TestSlicerSharedAcrossPredicates: two sliced predicates on one
+// variable each latch the satisfying cut from their own detector, exactly
+// as their unsliced twins do, and detaching one leaves the other intact.
+func TestSlicerSharedAcrossPredicates(t *testing.T) {
+	evs := []detect.Event{
+		{Proc: 0, VC: []int64{1, 0}, Var: "x", Truth: true},
+		{Proc: 1, VC: []int64{0, 1}, Var: "x", Truth: true},
+	}
+	g, _ := slicedTwins(t, 2, []Registration{conjReg("a", "x"), conjReg("b", "x")}, evs, 1)
+	if !g.Possibly("a") || !g.Possibly("b") {
+		t.Fatalf("a sharer missed the satisfying cut: a=%v b=%v", g.Possibly("a"), g.Possibly("b"))
+	}
+	if err := g.Unregister("a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Stats().Registered; got != 1 || !g.Possibly("b") {
+		t.Fatalf("after detaching a: registered=%d, b possibly=%v; want 1, true", got, g.Possibly("b"))
+	}
+	if err := g.Unregister("b"); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Stats().Registered; got != 0 {
+		t.Fatalf("registered = %d after the last sharer detached, want 0", got)
+	}
+}
+
+// TestSlicerRejectsNonRegular: a non-regular family still cannot be
+// sliced, and the kernel's slice route says so via the sentinel. The
+// group no longer refuses a sliced non-regular registration: it admits
+// it and verdicts exactly as the unsliced one and the batch oracle do.
+func TestSlicerRejectsNonRegular(t *testing.T) {
+	spec := pred.Spec{Family: pred.Sum, Var: "x", Rel: relsum.Eq, K: 1}
+	c, stream := randomComputation(rand.New(rand.NewSource(1)), 3, 60, []string{"x"})
+	_, err := detect.Slice(c, spec, detect.ModalityPossibly, detect.Options{}, nil)
+	if err == nil {
+		t.Fatal("sum sliced by the kernel")
+	}
+	if !errors.Is(err, slicing.ErrNotRegular) {
+		t.Fatalf("error %v does not unwrap to ErrNotRegular", err)
+	}
+	g, _ := slicedTwins(t, 3, []Registration{{ID: "s", Spec: spec, Slice: true}}, stream, 8)
+	res, err := detect.Batch(c, spec, detect.ModalityPossibly, detect.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Possibly("s"); got != res.Holds {
+		t.Fatalf("sliced sum possibly=%v, oracle=%v", got, res.Holds)
+	}
+}
+
+// TestSlicerSealCompactsEverything: a sliced registration pins nothing
+// beyond what its unsliced twin holds — no events stay held back, the
+// detector windows agree — and the delivery ledger accounts every
+// appended event exactly once.
+func TestSlicerSealCompactsEverything(t *testing.T) {
+	var evs []detect.Event
+	for i := int64(1); i <= 6; i++ {
+		evs = append(evs,
+			detect.Event{Proc: 0, VC: []int64{i, 0}, Var: "x", Truth: i%2 == 0},
+			detect.Event{Proc: 1, VC: []int64{0, i}, Var: "x", Truth: i%2 == 1})
+	}
+	g, plain := slicedTwins(t, 2, []Registration{conjReg("a", "x")}, evs, 2)
+	if h := g.Holdback(); h != 0 {
+		t.Fatalf("%d events held back after the stream, want 0", h)
+	}
+	if got, want := g.Delivered(), int64(len(evs)); got != want {
+		t.Fatalf("delivery ledger %d, want every appended event (%d)", got, want)
+	}
+	if gs, ps := g.Stats(), plain.Stats(); gs != ps {
+		t.Fatalf("sliced stats %+v, unsliced %+v", gs, ps)
+	}
+	if !g.Possibly("a") {
+		t.Fatal("satisfying cut missed")
 	}
 }

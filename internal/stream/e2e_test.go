@@ -587,8 +587,9 @@ func TestShutdownReturnsGoroutines(t *testing.T) {
 // TestServerRejectsBadSpecs sends the specs that used to open (or
 // register) fine and then silently never latch: an involved set naming
 // a process twice or outside the session, on both routes that carry
-// one, and a legacy frame spelling its predicate as a numeric kind.
-// Each must come back ok:false with nothing opened or registered.
+// one, and a legacy frame spelling its predicate as a numeric kind —
+// plus a process count no frame could feed. Each must come back ok:false
+// with nothing opened or registered.
 func TestServerRejectsBadSpecs(t *testing.T) {
 	srv, cl := serveLoopback(t, Config{Shards: 1})
 	if err := cl.Open("m", Spec{Mux: true, Procs: 2}); err != nil {
@@ -643,6 +644,26 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := cl.Query("legacy"); err == nil {
 		t.Error("legacy kind frame opened a session")
+	}
+
+	// A session wider than a frame can carry a clock for is refused, for
+	// both spec shapes, and the connection keeps serving.
+	for _, spec := range []Spec{{Pred: "all(x)", Procs: 1 << 22}, {Mux: true, Procs: 1 << 22}} {
+		if err := cl.Open("wide", spec); err == nil || !strings.Contains(err.Error(), "procs <= 524288") {
+			t.Errorf("open %+v: got %v, want ok:false naming the procs bound", spec, err)
+		}
+	}
+	if _, err := cl.Query("wide"); err == nil {
+		t.Error("a refused wide spec opened a session")
+	}
+	if err := cl.Open("narrow", Spec{Pred: "all(x)", Procs: 2}); err != nil {
+		t.Fatalf("open after the refused wide spec: %v", err)
+	}
+	if _, err := cl.Append("narrow", []Event{{Proc: 0, VC: []int64{1, 0}, Truth: true}, {Proc: 1, VC: []int64{0, 1}, Truth: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cl.CloseSession("narrow"); err != nil || !v.Possibly {
+		t.Errorf("narrow session after the refused wide spec: verdict %+v, err %v", v, err)
 	}
 }
 

@@ -446,7 +446,7 @@ func (e *Engine) publish(sh *shard, h *handle) {
 	// Slice accounting: publish the frontier and feed the engine-wide
 	// series by delta, so the gauge is the live sum of every session's
 	// retained frontier and the counter is total history freed. Both
-	// reads are O(attached slicers) — zero for unsliced sessions.
+	// reads walk a sliced session's processes and cost nothing otherwise.
 	sr, sc := int64(s.SliceRetained()), s.SliceCompacted()
 	if sr != h.sliceRetained.Load() || sc != h.sliceCompacted.Load() {
 		e.gSliceRetained.Add(sr - h.sliceRetained.Swap(sr))
@@ -576,7 +576,6 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			Spec:     ps,
 			Involved: m.reg.Involved,
 			Init:     m.reg.Init,
-			Slice:    m.reg.Slice,
 		}); err != nil {
 			m.reply <- shardReply{err: err}
 			return

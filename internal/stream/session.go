@@ -8,6 +8,7 @@ import (
 	"github.com/distributed-predicates/gpd/internal/mux"
 	"github.com/distributed-predicates/gpd/internal/obs"
 	"github.com/distributed-predicates/gpd/internal/pred"
+	"github.com/distributed-predicates/gpd/internal/slicing"
 )
 
 // varName is the variable name a retained trace is rebuilt under at
@@ -28,7 +29,8 @@ const sessionPred = "_session"
 //     all-events registration with exactly the pre-multiplexer
 //     semantics: the detector sees every event under raw timestamps, a
 //     detector error kills the session, and Close can decide Definitely
-//     from the retained trace.
+//     from the retained trace or, for a sliced session, from the one
+//     incremental slicer the session owns.
 //   - A multiplexed session (Spec.Mux) starts empty; predicates are
 //     registered and unregistered mid-stream, each stepped only on the
 //     events its relevance set touches, under projected timestamps.
@@ -46,9 +48,11 @@ type Session struct {
 	group   *mux.Group     // causal delivery + routing, owns the detectors
 	err     error          // sticky failure; the session is dead once set
 
-	retained []Event // full delivered trace when spec.Retain
-	possibly bool    // latched verdict as of the last Flush
-	flushes  int
+	retained  []Event                    // full delivered trace when spec.Retain
+	slicer    *slicing.IncrementalSlicer // the predicate's incremental slice when spec.Slice
+	compacted int64                      // events freed by slice compaction so far
+	possibly  bool                       // latched verdict as of the last Flush
+	flushes   int
 }
 
 // NewSession validates the spec and builds the session. For
@@ -62,9 +66,6 @@ func NewSession(spec Spec) (*Session, error) {
 	s := &Session{
 		spec:  spec,
 		group: mux.NewGroup(spec.Procs),
-	}
-	if spec.Retain {
-		s.group.OnDeliver(func(ev Event) { s.retained = append(s.retained, ev) })
 	}
 	if spec.Mux {
 		s.mux = true
@@ -88,9 +89,14 @@ func NewSession(spec Spec) (*Session, error) {
 		Init:      spec.Init,
 		Retain:    spec.Retain,
 		AllEvents: true,
-		Slice:     spec.Slice,
 	}); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
+	}
+	switch { // Validate makes the two exclusive: one delivery hook at most
+	case spec.Retain:
+		s.group.OnDeliver(func(ev Event) { s.retained = append(s.retained, ev) })
+	case spec.Slice:
+		s.startSlice()
 	}
 	s.possibly = s.group.Possibly(sessionPred) // a satisfied initial cut latches immediately
 	return s, nil
@@ -179,13 +185,13 @@ func (s *Session) Step(ev Event) error {
 	if err := s.group.Step(ev); err != nil {
 		return s.fail(err)
 	}
+	if s.err != nil { // the slicer refused a delivered event
+		return s.err
+	}
 	if !s.mux {
 		if perr := s.group.PredicateErr(sessionPred); perr != nil {
 			return s.fail(fmt.Errorf("stream: %w", perr))
 		}
-	}
-	if serr := s.group.SliceErr(); serr != nil {
-		return s.fail(fmt.Errorf("stream: %w", serr))
 	}
 	if s.spec.MaxWindow > 0 {
 		if hb := s.group.Holdback(); hb > s.spec.MaxWindow {
@@ -204,6 +210,29 @@ func (s *Session) fail(err error) error {
 	return err
 }
 
+// startSlice builds the session's incremental slice and feeds it every
+// delivered event. Processes outside a strict Involved subset carry no
+// conjunct: they start true and stay true whatever their events say.
+func (s *Session) startSlice() {
+	var uninvolved []bool
+	if len(s.spec.Involved) > 0 {
+		uninvolved = make([]bool, s.spec.Procs)
+		for p := range uninvolved {
+			uninvolved[p] = true
+		}
+		for _, p := range s.spec.Involved { // in range: the detector checked
+			uninvolved[p] = false
+		}
+	}
+	s.slicer = slicing.NewIncrementalSlicer(s.spec.Procs, uninvolved)
+	s.group.OnDeliver(func(ev Event) {
+		truth := ev.Truth || uninvolved != nil && uninvolved[ev.Proc]
+		if err := s.slicer.Observe(ev.Proc, ev.VC, truth); err != nil && s.err == nil {
+			s.err = fmt.Errorf("stream: slice maintenance: %w", err)
+		}
+	})
+}
+
 // Flush advances every detector stepped since the last flush (one
 // elimination sweep or closure recomputation per detector, however many
 // events arrived), prunes detector windows and projections below the
@@ -216,6 +245,9 @@ func (s *Session) Flush() bool {
 	s.flushes++
 	if s.group.Flush() {
 		s.possibly = true
+	}
+	if s.slicer != nil {
+		s.compacted += s.slicer.Compact()
 	}
 	return s.possibly
 }
@@ -248,20 +280,26 @@ func (s *Session) Window() int {
 // Flushes returns the number of detector flushes performed.
 func (s *Session) Flushes() int { return s.flushes }
 
-// SliceRetained returns the events currently held in the slicers'
-// frontiers — the window a sliced session keeps instead of the trace.
-func (s *Session) SliceRetained() int { return s.group.SliceRetained() }
+// SliceRetained returns the events currently held in a sliced
+// session's frontier — the window it keeps instead of the trace; 0 for
+// every other session.
+func (s *Session) SliceRetained() int {
+	if s.slicer == nil {
+		return 0
+	}
+	return s.slicer.Retained()
+}
 
 // SliceCompacted returns the cumulative events freed by slice
 // compaction.
-func (s *Session) SliceCompacted() int64 { return s.group.SliceCompacted() }
+func (s *Session) SliceCompacted() int64 { return s.compacted }
 
 // RetainedEvents reports the session's held history, whatever form it
-// takes: the slice frontiers of a sliced session (or of a mux
-// session's sliced registrations) plus the full delivered trace of a
-// retaining one. The engine's retained-events SLO watches this.
+// takes: the slice frontier of a sliced session or the full delivered
+// trace of a retaining one. Every other session, mux sessions included,
+// holds none. The engine's retained-events SLO watches this.
 func (s *Session) RetainedEvents() int {
-	return s.group.SliceRetained() + len(s.retained)
+	return s.SliceRetained() + len(s.retained)
 }
 
 // Finalize seals the stream: it flushes the detectors, verifies the
@@ -291,17 +329,10 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	if hb := s.group.Holdback(); hb > 0 {
 		return v, s.fail(fmt.Errorf("stream: %d events undeliverable at close (gaps in the stream)", hb))
 	}
-	if s.spec.Slice {
+	if s.slicer != nil {
 		return s.finalizeSliced(v, tr)
 	}
-	if s.mux {
-		// Seal any sliced registrations' shared slicers so their final
-		// compaction releases the frontiers (and the engine's retained
-		// gauge walks back to zero at close).
-		s.group.SealSlicers()
-		return v, nil
-	}
-	if !s.spec.Retain {
+	if !s.spec.Retain { // mux sessions never retain
 		return v, nil
 	}
 	fin, ok := s.group.Detector(sessionPred).(detect.Finalizer)
@@ -335,13 +366,11 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 // against the token checker; a mismatch is a detector bug and kills
 // the session rather than ship a wrong answer.
 func (s *Session) finalizeSliced(v Verdict, tr *obs.Trace) (Verdict, error) {
-	sl := s.group.Slicer("")
-	if sl == nil {
-		return v, s.fail(fmt.Errorf("stream: sliced session has no slicer attached"))
-	}
-	v.SliceRetained = s.group.SliceRetained()
-	s.group.SealSlicers()
-	v.SliceCompacted = s.group.SliceCompacted()
+	sl := s.slicer
+	v.SliceRetained = sl.Retained()
+	sl.Seal()
+	s.compacted += sl.Compact()
+	v.SliceCompacted = s.compacted
 	tr.Add("stream.slice_retained", int64(v.SliceRetained))
 	tr.Add("stream.slice_compacted", v.SliceCompacted)
 	if sl.Possibly() != s.possibly {

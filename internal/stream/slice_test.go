@@ -1,7 +1,8 @@
 package stream
 
 import (
-	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,42 +12,58 @@ import (
 	"github.com/distributed-predicates/gpd/internal/mux"
 	"github.com/distributed-predicates/gpd/internal/obs"
 	"github.com/distributed-predicates/gpd/internal/pred"
-	"github.com/distributed-predicates/gpd/internal/slicing"
 )
 
 // TestSlicedSessionAgreesWithRetain replays random computations through a
 // sliced session and a retaining control and pins their agreement: same
 // Possibly always; and whenever the sealed slice claims Definitely, it
-// must match the control's exact offline answer.
+// must match the control's exact offline answer. The second arm involves
+// only the even processes: the odd ones carry no conjunct and report
+// false on every event, so a slice that read their flags would miss the
+// cuts past their events.
 func TestSlicedSessionAgreesWithRetain(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		c := randomComputation(seed)
-		truth := gen.BoolTables(seed, c, 0.25+rng.Float64()*0.5)
-		for p := range truth {
-			truth[p][0] = false // online sessions take initial states as false
-		}
-		events := tableTrace(c, truth)
+	for _, arm := range []struct {
+		name string
+		step int // every step-th process is involved
+	}{
+		{"all", 1},
+		{"even", 2},
+	} {
+		for seed := int64(0); seed < 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := randomComputation(seed)
+			truth := gen.BoolTables(seed, c, 0.25+rng.Float64()*0.5)
+			var involved []int
+			for p := range truth {
+				truth[p][0] = false // online sessions take initial states as false
+				if p%arm.step != 0 {
+					clear(truth[p])
+				} else if arm.step > 1 {
+					involved = append(involved, p)
+				}
+			}
+			events := tableTrace(c, truth)
 
-		ctrl, _ := replay(t, rand.New(rand.NewSource(seed)),
-			Spec{Pred: "all(x)", Procs: c.NumProcs(), Retain: true}, events)
-		v, s := replay(t, rand.New(rand.NewSource(seed)),
-			Spec{Pred: "all(x)", Procs: c.NumProcs(), Slice: true}, events)
+			ctrl, _ := replay(t, rand.New(rand.NewSource(seed)),
+				Spec{Pred: "all(x)", Procs: c.NumProcs(), Involved: involved, Retain: true}, events)
+			v, s := replay(t, rand.New(rand.NewSource(seed)),
+				Spec{Pred: "all(x)", Procs: c.NumProcs(), Involved: involved, Slice: true}, events)
 
-		if v.Possibly != ctrl.Possibly {
-			t.Errorf("seed %d: Possibly: sliced=%v retain=%v", seed, v.Possibly, ctrl.Possibly)
-		}
-		if v.DefinitelyKnown && v.Definitely != ctrl.Definitely {
-			t.Errorf("seed %d: slice decided Definitely=%v, offline says %v", seed, v.Definitely, ctrl.Definitely)
-		}
-		if !v.Possibly && !v.DefinitelyKnown {
-			t.Errorf("seed %d: empty slice must decide Definitely false", seed)
-		}
-		if v.SliceCompacted != int64(len(events)) {
-			t.Errorf("seed %d: compaction ledger %d, want every event (%d)", seed, v.SliceCompacted, len(events))
-		}
-		if s.SliceRetained() != 0 {
-			t.Errorf("seed %d: %d events retained after the sealed finalize", seed, s.SliceRetained())
+			if v.Possibly != ctrl.Possibly {
+				t.Errorf("%s seed %d: Possibly: sliced=%v retain=%v", arm.name, seed, v.Possibly, ctrl.Possibly)
+			}
+			if v.DefinitelyKnown && v.Definitely != ctrl.Definitely {
+				t.Errorf("%s seed %d: slice decided Definitely=%v, offline says %v", arm.name, seed, v.Definitely, ctrl.Definitely)
+			}
+			if !v.Possibly && !v.DefinitelyKnown {
+				t.Errorf("%s seed %d: empty slice must decide Definitely false", arm.name, seed)
+			}
+			if v.SliceCompacted != int64(len(events)) {
+				t.Errorf("%s seed %d: compaction ledger %d, want every event (%d)", arm.name, seed, v.SliceCompacted, len(events))
+			}
+			if s.SliceRetained() != 0 {
+				t.Errorf("%s seed %d: %d events retained after the sealed finalize", arm.name, seed, s.SliceRetained())
+			}
 		}
 	}
 }
@@ -96,7 +113,8 @@ func TestSlicedSessionDefinitely(t *testing.T) {
 }
 
 // TestSliceSpecValidate pins the spec-level gates: slicing composes with
-// nothing that contradicts its memory promise or its regularity premise.
+// nothing that contradicts its memory promise or its regularity premise,
+// and no session is wider than a frame can carry a clock for.
 func TestSliceSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -108,6 +126,14 @@ func TestSliceSpecValidate(t *testing.T) {
 		{"sum", Spec{Pred: "sum(x) == 1", Procs: 2, Slice: true}, "regular truth-payload"},
 		{"inflight", Spec{Pred: "inflight == 0", Procs: 2, Slice: true}, "regular truth-payload"},
 		{"mux", Spec{Mux: true, Procs: 2, Slice: true}, "register time"},
+		{"procs 2^19", Spec{Pred: "all(x)", Procs: 1 << 19}, ""},
+		{"procs 2^19+1", Spec{Pred: "all(x)", Procs: 1<<19 + 1}, "procs <= 524288"},
+		{"procs 2^22", Spec{Pred: "sum(x) >= 1", Procs: 1 << 22}, "procs <= 524288"},
+		{"procs MaxInt32", Spec{Pred: "all(x)", Procs: math.MaxInt32}, "procs <= 524288"},
+		{"mux procs 2^19", Spec{Mux: true, Procs: 1 << 19}, ""},
+		{"mux procs 2^19+1", Spec{Mux: true, Procs: 1<<19 + 1}, "procs <= 524288"},
+		{"mux procs 2^22", Spec{Mux: true, Procs: 1 << 22}, "procs <= 524288"},
+		{"mux procs MaxInt32", Spec{Mux: true, Procs: math.MaxInt32}, "procs <= 524288"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()
@@ -195,69 +221,111 @@ func TestSlicedSessionBoundsMemory(t *testing.T) {
 	}
 }
 
-// TestMuxSlicedRegistrations drives sliced registrations through the
-// stream session surface: sharing, validation errors, and the close-time
-// seal releasing the frontier.
+// TestMuxSlicedRegistrations pins what "slice": true on register means:
+// nothing. Over a live engine, sliced registrations of a regular and
+// a non-regular predicate are admitted before and after the first append,
+// each latches exactly as its unsliced twin does, and no history is held
+// anywhere: not in the session (RetainedEvents, on an in-process twin
+// fed the same requests), its stats, or the gpd_slice_retained_events
+// gauge. The benchmark's mux_fanout workload relies on this contract.
 func TestMuxSlicedRegistrations(t *testing.T) {
-	ps, err := pred.Parse("all(x)")
+	reg := obs.NewRegistry()
+	_, cl := serveLoopback(t, Config{Shards: 1, Metrics: reg})
+	local, err := NewSession(Spec{Mux: true, Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	s, err := NewSession(Spec{Mux: true, Procs: 2})
-	if err != nil {
+	if err := cl.Open("m", Spec{Mux: true, Procs: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Register(mux.Registration{ID: "a", Spec: ps, Slice: true}); err != nil {
-		t.Fatal(err)
+	updates := make(map[string][]mux.Update)
+	record := func(ups []mux.Update) {
+		for _, u := range ups {
+			updates[u.ID] = append(updates[u.ID], u)
+		}
 	}
-	if err := s.Register(mux.Registration{ID: "b", Spec: ps, Slice: true}); err != nil {
-		t.Fatal(err)
+	preds := []string{"all(v)", "sum(v) >= 1"}
+	id := func(stage string, i int, slice bool) string { return fmt.Sprintf("%s-%d-%v", stage, i, slice) }
+	register := func(stage string) {
+		for i, text := range preds {
+			ps, err := pred.Parse(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, slice := range []bool{true, false} {
+				ups, err := cl.RegisterPredicate("m", RegisterSpec{ID: id(stage, i, slice), Pred: text, Slice: slice})
+				if err != nil {
+					t.Fatalf("%s register %s (slice %v): %v", stage, text, slice, err)
+				}
+				record(ups)
+				if err := local.Register(mux.Registration{ID: id(stage, i, slice), Spec: ps, Slice: slice}); err != nil {
+					t.Fatalf("%s in-process register %s (slice %v): %v", stage, text, slice, err)
+				}
+			}
+		}
 	}
-	sum, err := pred.Parse("sum(x) == 1")
-	if err != nil {
-		t.Fatal(err)
+	check := func(when string) {
+		st, ups, err := cl.QueryUpdates("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(ups)
+		if st.SliceRetained != 0 || st.SliceCompacted != 0 {
+			t.Errorf("%s: session stats report slice state %d/%d", when, st.SliceRetained, st.SliceCompacted)
+		}
+		if got := reg.Gauge("slice_retained_events").Value(); got != 0 {
+			t.Errorf("%s: gpd_slice_retained_events = %d, want 0", when, got)
+		}
+		if got := local.RetainedEvents(); got != 0 {
+			t.Errorf("%s: RetainedEvents = %d, want 0", when, got)
+		}
 	}
-	if err := s.Register(mux.Registration{ID: "s", Spec: sum, Slice: true}); !errors.Is(err, slicing.ErrNotRegular) {
-		t.Fatalf("sliced sum registration: error %v, want ErrNotRegular", err)
-	}
-
-	for i := int64(1); i <= 8; i++ {
-		evs := []Event{
-			{Proc: 0, VC: []int64{i, 0}, Var: "x", Truth: i%2 == 0},
-			{Proc: 1, VC: []int64{0, i}, Var: "x", Truth: i%2 == 0},
+	appendRound := func(evs ...Event) {
+		if _, err := cl.Append("m", evs); err != nil {
+			t.Fatal(err)
 		}
 		for _, ev := range evs {
-			if err := s.Step(ev); err != nil {
+			if err := local.Step(ev); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s.Flush()
-	}
-	st := s.MuxStats()
-	if st.SliceRetained == 0 {
-		t.Fatal("mux stats report no slice frontier while the stream is open")
-	}
-	if _, err := s.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.RetainedEvents(); got != 0 {
-		t.Fatalf("finalized mux session still holds %d events; seal did not release the frontier", got)
-	}
-	if s.SliceCompacted() != 16 {
-		t.Fatalf("compaction ledger %d, want 16", s.SliceCompacted())
+		local.Flush()
 	}
 
-	// Sliced registrations are only legal before the first event.
-	late, err := NewSession(Spec{Mux: true, Procs: 2})
-	if err != nil {
-		t.Fatal(err)
+	register("early")
+	check("before the first append")
+	appendRound(Event{Proc: 0, VC: []int64{1, 0}, Var: "v"}, Event{Proc: 1, VC: []int64{0, 1}, Var: "v"})
+	check("after the first append")
+	register("late")
+	check("after the late registrations")
+	appendRound(Event{Proc: 0, VC: []int64{2, 0}, Var: "v", Val: 1, Truth: true}) // sum(v) >= 1 holds
+	check("after the second append")
+	appendRound(Event{Proc: 1, VC: []int64{0, 2}, Var: "v", Val: 1, Truth: true}) // all(v) holds
+	check("after the third append")
+	if _, final, err := cl.ClosePredicates("m"); err != nil || len(final) != 8 {
+		t.Fatalf("close: %d final states, err %v; want all 8 registrations", len(final), err)
 	}
-	if err := late.Step(Event{Proc: 0, VC: []int64{1, 0}, Var: "x", Truth: true}); err != nil {
-		t.Fatal(err)
+	if got := reg.Gauge("slice_retained_events").Value(); got != 0 {
+		t.Errorf("after close: gpd_slice_retained_events = %d, want 0", got)
 	}
-	if err := late.Register(mux.Registration{ID: "late", Spec: ps, Slice: true}); err == nil {
-		t.Fatal("mid-stream sliced registration accepted")
+
+	for _, stage := range []string{"early", "late"} {
+		for i, text := range preds {
+			sliced, plain := updates[id(stage, i, true)], updates[id(stage, i, false)]
+			if len(plain) == 0 {
+				t.Errorf("%s %s: the unsliced registration never latched", stage, text)
+			}
+			if len(sliced) != len(plain) {
+				t.Errorf("%s %s: %d updates with slice, %d without", stage, text, len(sliced), len(plain))
+				continue
+			}
+			for k := range plain {
+				a, b := sliced[k], plain[k]
+				if a.Seq != b.Seq || a.Possibly != b.Possibly || a.Err != b.Err {
+					t.Errorf("%s %s: update %d with slice %+v, without %+v", stage, text, k, a, b)
+				}
+			}
+		}
 	}
 }
 

@@ -66,7 +66,8 @@ type Spec struct {
 	// and "unregister"), each stepped only on the events its relevance
 	// set touches. Events must tag the variable they update (Event.Var).
 	// Mutually exclusive with Pred and the per-predicate fields
-	// (Involved, Init, Retain, Slice).
+	// (Involved, Init, Retain, Slice). A mux session retains no history
+	// and keeps no slice: it decides Possibly only.
 	Mux bool `json:"mux,omitempty"`
 	// Tenant names the session's owning tenant for cost attribution and
 	// per-tenant metrics; "" means "default". Predicates registered on a
@@ -91,6 +92,11 @@ func (sp Spec) Canonical() (pred.Spec, error) {
 	return ps, nil
 }
 
+// maxProcs is the widest session a frame can feed: a clock of n
+// components takes at least 2n+1 bytes ("[0,0,…]"), so no event of a
+// wider session fits in MaxFrame.
+const maxProcs = MaxFrame / 2
+
 // Validate checks the spec for structural errors. Predicate-shape rules
 // (e.g. a non-empty symmetric level set) are enforced by converting to the
 // canonical pred.Spec and validating that, so the wire protocol and the
@@ -99,6 +105,9 @@ func (sp Spec) Canonical() (pred.Spec, error) {
 func (sp Spec) Validate() error {
 	if sp.Procs < 1 {
 		return fmt.Errorf("stream: spec needs procs >= 1, got %d", sp.Procs)
+	}
+	if sp.Procs > maxProcs {
+		return fmt.Errorf("stream: spec needs procs <= %d, got %d (a wider clock cannot fit in one %d-byte frame)", maxProcs, sp.Procs, MaxFrame)
 	}
 	if sp.MaxWindow < 0 {
 		return fmt.Errorf("stream: negative max window %d", sp.MaxWindow)

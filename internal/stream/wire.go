@@ -67,11 +67,10 @@ type RegisterSpec struct {
 	// variable; boolean families: 0/1 truth). nil seeds from the last
 	// delivered values at the registration cut.
 	Init []int64 `json:"init,omitempty"`
-	// Slice maintains the predicate's incremental slice alongside its
-	// detector: predicates sharing a variable share one compacting
-	// frontier instead of unbounded history. Regular truth-payload
-	// families only (all(var)); must be registered before the session's
-	// first event.
+	// Slice is accepted and ignored: a mux session keeps no slice and no
+	// history, and every verdict comes from the registration's own
+	// detector. It stays only because bench/ still sends it; ROADMAP's
+	// black-box bench/ item deletes it.
 	Slice bool `json:"slice,omitempty"`
 }
 
