@@ -17,8 +17,9 @@
 // counters mux_steps_total / mux_steps_skipped_total (/metrics).
 //
 // The wire protocol is length-prefixed JSON frames (see internal/stream);
-// examples/streamclient is a ready-made load generator and correctness
-// checker. The -stats listener serves expvar-style JSON at /debug/vars
+// stream.Client speaks it, and bench/ drives a gpdserver it builds and
+// starts over TCP, checking every verdict against gpd.Detect. The -stats
+// listener serves expvar-style JSON at /debug/vars
 // with per-shard and per-session counters, Prometheus text exposition at
 // /metrics (the same per-shard counters as gpd_stream_*{shard=...} — one
 // store, two renderings — plus runtime self-telemetry under

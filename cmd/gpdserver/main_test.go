@@ -199,14 +199,19 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("pprof cmdline endpoint not serving")
 	}
 
-	// Flight endpoint: the session's lifecycle is in the ring, and the
-	// chrome view parses as trace-event JSON.
+	// Flight endpoint: the session's lifecycle, from its recv records
+	// on, is in the ring, and the chrome view parses as trace-event JSON
+	// whose every event carries a phase.
 	var fs obs.FlightSnapshot
 	if err := json.Unmarshal([]byte(httpGet(t, flightURL)), &fs); err != nil {
 		t.Fatalf("/debug/flight does not parse: %v", err)
 	}
-	if len(fs.Records) == 0 {
-		t.Error("/debug/flight has no records after a session ran")
+	recv := false
+	for _, r := range fs.Records {
+		recv = recv || r.Stage == obs.StageRecv
+	}
+	if !recv {
+		t.Errorf("/debug/flight has no recv record after a session ran: %+v", fs.Records)
 	}
 	var chrome struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
@@ -216,6 +221,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if len(chrome.TraceEvents) == 0 {
 		t.Error("/debug/flight?format=chrome has no events")
+	}
+	for _, ev := range chrome.TraceEvents {
+		if ev["ph"] == nil {
+			t.Errorf("/debug/flight?format=chrome event without a phase: %v", ev)
+			break
+		}
 	}
 	if resp, err := http.Get(flightURL + "?format=bogus"); err != nil {
 		t.Fatal(err)
@@ -237,17 +248,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestTenantsEndpoint boots the server with -profile-labels, drives two
-// sessions under distinct tenants, and checks the /debug/tenants views:
-// JSON scopes carry the right per-tenant event counts, the text table
-// renders, the runtime self-telemetry gauges are in /metrics, and bad
-// query parameters get a 400.
+// TestTenantsEndpoint boots the server with -profile-labels and
+// -max-predicates-per-tenant 1, drives two sessions under distinct
+// tenants plus a mux session with one registrant per tenant, and checks
+// the /debug/tenants views: JSON scopes carry the right per-tenant event
+// counts and each registrant's detector steps under its own tenant, the
+// text table renders, /metrics carries the runtime self-telemetry and
+// per-tenant registration gauges, and bad query parameters get a 400.
+// A second registration for the same tenant is refused by the cap.
 func TestTenantsEndpoint(t *testing.T) {
 	pr, pw := io.Pipe()
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		err := run([]string{"-addr", "127.0.0.1:0", "-stats", "127.0.0.1:0", "-profile-labels"}, pw, stop)
+		err := run([]string{"-addr", "127.0.0.1:0", "-stats", "127.0.0.1:0", "-profile-labels",
+			"-max-predicates-per-tenant", "1"}, pw, stop)
 		pw.CloseWithError(err)
 		done <- err
 	}()
@@ -308,6 +323,30 @@ func TestTenantsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The mux session itself carries no tenant, so its events count
+	// under "default"; its registrants' steps go to acme and rival.
+	if err := cl.Open("m", stream.Spec{Mux: true, Procs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RegisterPredicate("m", stream.RegisterSpec{ID: "p", Tenant: "acme", Pred: "sum(x) >= 1"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RegisterPredicate("m", stream.RegisterSpec{ID: "q", Tenant: "acme", Pred: "sum(x) >= 2"}); err == nil || !strings.Contains(err.Error(), "limit 1") {
+		t.Fatalf("second acme registration under -max-predicates-per-tenant 1: err %v, want the limit named", err)
+	}
+	if _, err := cl.RegisterPredicate("m", stream.RegisterSpec{ID: "r", Tenant: "rival", Pred: "sum(x) >= 2"}); err != nil {
+		t.Fatalf("rival registration refused: %v", err)
+	}
+	if _, err := cl.Append("m", []stream.Event{
+		{Proc: 0, VC: []int64{1, 0}, Var: "x", Val: 1},
+		{Proc: 1, VC: []int64{0, 1}, Var: "x", Val: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cl.ClosePredicates("m"); err != nil {
+		t.Fatal(err)
+	}
+
 	var view struct {
 		TotalCPUNanos int64           `json:"total_cpu_nanos"`
 		Scopes        []obs.ScopeCost `json:"scopes"`
@@ -316,11 +355,20 @@ func TestTenantsEndpoint(t *testing.T) {
 		t.Fatalf("/debug/tenants does not parse: %v", err)
 	}
 	events := map[string]int64{}
+	// Only the mux registrants are sum predicates; the plain sessions
+	// step in their tenants' conjunctive scopes.
+	sumSteps := map[string]int64{}
 	for _, s := range view.Scopes {
 		events[s.Tenant] += s.Events
+		if s.Family == "sum" {
+			sumSteps[s.Tenant] += s.Steps
+		}
 	}
 	if events["acme"] != 4 || events["rival"] != 2 {
 		t.Fatalf("per-tenant events: got %v, want acme=4 rival=2", events)
+	}
+	if sumSteps["acme"] <= 0 || sumSteps["rival"] <= 0 {
+		t.Errorf("mux registrants' steps not attributed to their tenants: %v", sumSteps)
 	}
 	if view.TotalCPUNanos <= 0 {
 		t.Errorf("total CPU not attributed: %d", view.TotalCPUNanos)
@@ -341,8 +389,12 @@ func TestTenantsEndpoint(t *testing.T) {
 		}
 	}
 
-	if body := httpGet(t, metricsURL); !strings.Contains(body, "gpd_runtime_goroutines") {
+	body := httpGet(t, metricsURL)
+	if !strings.Contains(body, "gpd_runtime_goroutines") {
 		t.Error("metrics missing runtime self-telemetry (gpd_runtime_goroutines)")
+	}
+	if !strings.Contains(body, `gpd_mux_registered_predicates{tenant="rival"}`) {
+		t.Error("metrics missing the per-tenant registration gauge for rival")
 	}
 
 	stop <- os.Interrupt

@@ -44,7 +44,8 @@ func levelsPred(levels []int) string {
 }
 
 // makeJobs builds n jobs cycling through the four streaming predicate
-// families, computing oracle verdicts with the offline detectors.
+// families plus a sliced conjunctive session, computing oracle verdicts
+// with the offline detectors.
 func makeJobs(t *testing.T, n int) []e2eJob {
 	t.Helper()
 	jobs := make([]e2eJob, 0, n)
@@ -53,8 +54,8 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 		c := randomComputation(seed)
 		np := c.NumProcs()
 		j := e2eJob{id: fmt.Sprintf("app-%03d", i), checkDef: true}
-		switch i % 4 {
-		case 0: // conjunctive
+		switch i % 5 {
+		case 0, 4: // conjunctive, retained or sliced
 			truth := gen.BoolTables(seed, c, 0.4)
 			for p := range truth {
 				truth[p][0] = false
@@ -67,6 +68,11 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 				}
 			}
 			j.spec = Spec{Pred: "all(x)", Procs: np, Retain: true}
+			if i%5 == 4 {
+				// A sliced session decides Definitely only when its
+				// sealed slice does.
+				j.spec.Retain, j.spec.Slice, j.checkDef = false, true, false
+			}
 			j.events = tableTrace(c, truth)
 			j.wantPos = conjunctive.DetectTraced(c, locals, nil).Found
 			j.wantDef = conjunctive.DetectDefinitelyTraced(c, locals, nil)
@@ -135,7 +141,8 @@ func serveLoopback(t *testing.T, cfg Config, opts ...ServerOption) (*Server, *Cl
 
 // TestServe64ConcurrentSessions is the acceptance e2e: 64 sessions
 // streamed concurrently over real TCP connections, each verdict checked
-// against the offline oracles for its predicate family.
+// against the offline oracles for its predicate family, and each sliced
+// session's close reply checked to have compacted every event sent.
 func TestServe64ConcurrentSessions(t *testing.T) {
 	srv, _ := serveLoopback(t, Config{Shards: 4, QueueLen: 64, BatchSize: 16})
 	jobs := makeJobs(t, 64)
@@ -178,9 +185,13 @@ func TestServe64ConcurrentSessions(t *testing.T) {
 				errs <- fmt.Errorf("%s (%s): Possibly=%v, oracle=%v",
 					j.id, j.spec.Pred, verdict.Possibly, j.wantPos)
 			}
-			if j.checkDef && (!verdict.DefinitelyKnown || verdict.Definitely != j.wantDef) {
+			if (j.checkDef && !verdict.DefinitelyKnown) || (verdict.DefinitelyKnown && verdict.Definitely != j.wantDef) {
 				errs <- fmt.Errorf("%s (%s): Definitely=%v (known=%v), oracle=%v",
 					j.id, j.spec.Pred, verdict.Definitely, verdict.DefinitelyKnown, j.wantDef)
+			}
+			if j.spec.Slice && verdict.SliceCompacted != int64(len(j.events)) {
+				errs <- fmt.Errorf("%s (%s, sliced): compaction ledger %d, want every event sent (%d)",
+					j.id, j.spec.Pred, verdict.SliceCompacted, len(j.events))
 			}
 		}(jobs[i], int64(i))
 	}

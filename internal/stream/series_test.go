@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -12,28 +14,29 @@ import (
 // exportedSeries is the /metrics contract: every base name the engine
 // (plus the runtime bridge gpdserver binds) exports, with the consumer
 // that reads its value. A series with no consumer is deleted, not
-// listed; a new one must name its reader here.
+// listed; a new one must name its reader here, and a reader named as a
+// Test function must be one some _test.go file declares.
 var exportedSeries = map[string]string{
-	"stream_events_total":          "bench/ events_per_s and the CI metrics grep; ShardStats.Events on /debug/vars",
-	"stream_frames_total":          "cmd/gpdserver TestStatsEndpoints; ShardStats.Frames on /debug/vars",
+	"stream_events_total":          "bench/ events_per_s; ShardStats.Events on /debug/vars",
+	"stream_frames_total":          "cmd/gpdserver TestMetricsEndpoint; ShardStats.Frames on /debug/vars",
 	"stream_batches_total":         "ShardStats.Batches on /debug/vars (frames per drain; checked below)",
 	"stream_shed_frames_total":     "TestSLOShedFramesBreach; ShardStats.DroppedFrames (bench/ engine.dropped_frames)",
 	"stream_shed_events_total":     "ShardStats.DroppedEvents on /debug/vars (checked below)",
-	"stream_detections_total":      "cmd/gpdserver TestStatsEndpoints; ShardStats.Detections on /debug/vars",
+	"stream_detections_total":      "cmd/gpdserver TestMetricsEndpoint; ShardStats.Detections on /debug/vars",
 	"stream_sessions":              "ShardStats.Sessions on /debug/vars (TestEngineSnapshotAggregates, TestProfileLabelsOnShardGoroutines)",
-	"stream_finalize_millis":       "cmd/gpdserver TestStatsEndpoints (close-time Definitely rebuild latency)",
-	"stream_finalize_work_total":   "cmd/gpdserver TestStatsEndpoints (stream.rebuilt_events)",
+	"stream_finalize_millis":       "cmd/gpdserver TestMetricsEndpoint (close-time Definitely rebuild latency)",
+	"stream_finalize_work_total":   "cmd/gpdserver TestMetricsEndpoint (stream.rebuilt_events)",
 	"mux_steps_total":              "README multi-predicate recipe",
-	"mux_steps_skipped_total":      "CI metrics grep; README multi-predicate recipe",
-	"mux_registered_predicates":    "CI metrics grep; README multi-predicate recipe",
-	"slice_compacted_events_total": "CI metrics grep; TestEngineSliceMetrics",
-	"slice_retained_events":        "CI metrics grep; TestEngineSliceMetrics",
-	"slo_breaches_total":           "the SLO watchdog's own output: slo_test.go, CI metrics grep, README SLO section",
+	"mux_steps_skipped_total":      "README multi-predicate recipe; the scripted run below",
+	"mux_registered_predicates":    "README multi-predicate recipe; cmd/gpdserver TestTenantsEndpoint",
+	"slice_compacted_events_total": "TestEngineSliceMetrics",
+	"slice_retained_events":        "TestEngineSliceMetrics",
+	"slo_breaches_total":           "the SLO watchdog's own output: slo_test.go, README SLO section",
 
 	"runtime_heap_live_bytes":         "TestBindRuntimeMetrics; README runtime self-telemetry recipe",
 	"runtime_heap_objects":            "README runtime self-telemetry recipe",
 	"runtime_alloc_bytes_total":       "bench/ alloc_bytes_per_event",
-	"runtime_goroutines":              "CI metrics grep; cmd/gpdserver TestStatsEndpoints",
+	"runtime_goroutines":              "cmd/gpdserver TestTenantsEndpoint",
 	"runtime_gc_cycles":               "bench/ server.gc_cycles",
 	"runtime_gc_pause_p50_nanos":      "TestBindRuntimeMetrics; README runtime self-telemetry recipe",
 	"runtime_gc_pause_p99_nanos":      "TestBindRuntimeMetrics; README runtime self-telemetry recipe",
@@ -47,8 +50,9 @@ var exportedSeries = map[string]string{
 // through open, append, query and close (plus one shed frame) on an
 // engine with a registry and requires the registry's base names to be
 // exactly the table above — and the docs to mention no gpd_<series> the
-// table lacks. The counters a scripted run pins are checked too, so
-// "one store per fact" cannot drift from what Snapshot reports.
+// table lacks, and the table to name no test the module lacks. The
+// counters a scripted run pins are checked too, so "one store per fact"
+// cannot drift from what Snapshot reports.
 func TestExportedSeriesSet(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.BindRuntimeMetrics(reg)
@@ -144,6 +148,35 @@ func TestExportedSeriesSet(t *testing.T) {
 		for _, tok := range token.FindAllString(string(text), -1) {
 			if !exported(strings.TrimPrefix(tok, "gpd_")) {
 				t.Errorf("%s mentions %s, which is not an exported series", doc, tok)
+			}
+		}
+	}
+
+	// Consumers: every Test function the table names is declared in
+	// some _test.go file of the module.
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	must(filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "../.." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		for _, m := range decl.FindAllStringSubmatch(string(text), -1) {
+			declared[m[1]] = true
+		}
+		return err
+	}))
+	named := regexp.MustCompile(`\bTest\w+`)
+	for series, consumer := range exportedSeries {
+		for _, test := range named.FindAllString(consumer, -1) {
+			if !declared[test] {
+				t.Errorf("series %s names consumer %s, which no _test.go file declares", series, test)
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 // Bridging a sealed offline computation into the streaming world: replay
 // its events as the wire Events an instrumented application would have
-// produced. Used by the e2e drivers and the agreement tests, which replay
+// produced. Used by the e2e and agreement tests, which replay
 // generator/simulator traces through a Session and cross-check the
 // verdicts against the offline detectors. The linearization itself lives
 // in the detector kernel (detect.LinearizeEvents), shared with the
