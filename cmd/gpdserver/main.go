@@ -7,7 +7,7 @@
 //
 //	gpdserver -addr 127.0.0.1:7400 -stats 127.0.0.1:7401
 //	gpdserver -shards 8 -queue 512 -batch 128 -policy drop-oldest
-//	gpdserver -max-predicates-per-tenant 1000 -slo-registered 50000
+//	gpdserver -max-predicates-per-tenant 1000
 //
 // Multiplexed sessions (Spec.Mux) carry many registered predicates over
 // one causally ordered stream; -max-predicates-per-tenant caps how many
@@ -91,11 +91,10 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	sloHoldback := fs.Int("slo-holdback", 0, "SLO: max per-session holdback depth in events (0: off)")
 	sloMailbox := fs.Int("slo-mailbox", 0, "SLO: max per-shard mailbox backlog in frames (0: off)")
 	sloShed := fs.Uint64("slo-shed", 0, "SLO: max shed frames engine-wide (0: off)")
-	sloRegistered := fs.Int("slo-registered", 0, "SLO: max registered predicates engine-wide (0: off)")
 	sloRetained := fs.Int("slo-retained", 0, "SLO: max per-session held history in events — slice frontier or retained trace (0: off)")
 	sloDump := fs.String("slo-dump", "", "file to dump the flight ring to on SLO breach (once per rule)")
 	sloDumpFormat := fs.String("slo-dump-format", "json", "breach dump encoding: json or chrome")
-	sloCPUShare := fs.Float64("slo-tenant-cpu-share", 0, "SLO: max fraction of detector CPU one tenant may hold, 0..1 (0: off)")
+	sloCPUShare := fs.Float64("slo-tenant-cpu-share", 0, "SLO: max fraction of detector CPU one tenant may hold, below 1 (0: off)")
 	sloCPUFloor := fs.Duration("slo-tenant-cpu-floor", 0, "ignore tenants below this much total CPU when checking -slo-tenant-cpu-share (0: 100ms default)")
 	profileLabels := fs.Bool("profile-labels", false, "attach pprof labels (tenant, family, shard) to detector work for CPU-profile attribution")
 	if err := fs.Parse(args); err != nil {
@@ -121,6 +120,26 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	if *sloDumpFormat != "json" && *sloDumpFormat != "chrome" {
 		return fmt.Errorf("unknown -slo-dump-format %q (want json or chrome)", *sloDumpFormat)
 	}
+	// A negative budget, cap or floor would silently read as "off" (the
+	// floor: as its 100ms default).
+	for _, f := range []struct {
+		name string
+		bad  bool
+	}{
+		{"max-predicates-per-tenant", *maxPreds < 0},
+		{"slo-verdict-latency", *sloVerdict < 0},
+		{"slo-holdback", *sloHoldback < 0},
+		{"slo-mailbox", *sloMailbox < 0},
+		{"slo-retained", *sloRetained < 0},
+		{"slo-tenant-cpu-floor", *sloCPUFloor < 0},
+	} {
+		if f.bad {
+			return fmt.Errorf("bad -%s %s (want 0 or more)", f.name, fs.Lookup(f.name).Value)
+		}
+	}
+	if *sloCPUShare < 0 || *sloCPUShare >= 1 { // no tenant's share can exceed 1
+		return fmt.Errorf("bad -slo-tenant-cpu-share %v (want 0 for off, or a fraction below 1)", *sloCPUShare)
+	}
 
 	metrics := obs.NewRegistry()
 	obs.BindRuntimeMetrics(metrics)
@@ -135,16 +154,15 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		ProfileLabels:          *profileLabels,
 		MaxPredicatesPerTenant: *maxPreds,
 		SLO: stream.SLOConfig{
-			VerdictLatency:       *sloVerdict,
-			HoldbackDepth:        *sloHoldback,
-			MailboxDepth:         *sloMailbox,
-			ShedFrames:           *sloShed,
-			RegisteredPredicates: *sloRegistered,
-			RetainedEvents:       *sloRetained,
-			TenantCPUShare:       *sloCPUShare,
-			TenantCPUFloor:       *sloCPUFloor,
-			DumpPath:             *sloDump,
-			DumpFormat:           *sloDumpFormat,
+			VerdictLatency: *sloVerdict,
+			HoldbackDepth:  *sloHoldback,
+			MailboxDepth:   *sloMailbox,
+			ShedFrames:     *sloShed,
+			RetainedEvents: *sloRetained,
+			TenantCPUShare: *sloCPUShare,
+			TenantCPUFloor: *sloCPUFloor,
+			DumpPath:       *sloDump,
+			DumpFormat:     *sloDumpFormat,
 			OnBreach: func(rule, detail, path string) {
 				logger.Warn("slo breach", "rule", rule, "detail", detail, "dump", path)
 			},
@@ -247,11 +265,8 @@ func statsHandler(eng *stream.Engine, metrics *obs.Registry, flight *obs.Flight,
 			}
 			k = n
 		}
-		view := tenantsView{
-			LedgerSnapshot: ledger.Snapshot(),
-			HotPredicates:  ledger.HotPredicates(k),
-			Registered:     eng.Snapshot().Tenants,
-		}
+		view := ledger.Snapshot()
+		view.HotPredicates = ledger.HotPredicates(k)
 		switch format := r.URL.Query().Get("format"); format {
 		case "", "json":
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -281,20 +296,10 @@ func statsHandler(eng *stream.Engine, metrics *obs.Registry, flight *obs.Flight,
 	return mux
 }
 
-// tenantsView is the /debug/tenants payload: the cost ledger ranked by
-// CPU, the hottest predicates by steps, and the control plane's
-// per-tenant registration counts, joined so one scrape answers "who is
-// expensive and what are they running".
-type tenantsView struct {
-	obs.LedgerSnapshot
-	HotPredicates []obs.PredCost `json:"hot_predicates,omitempty"`
-	Registered    map[string]int `json:"registered,omitempty"`
-}
-
 // writeTenantsText renders the ledger as a fixed-width table for humans
 // (curl without jq). Scopes arrive ranked; the share column repeats the
 // JSON cpu_share rounded to a tenth of a percent.
-func writeTenantsText(w io.Writer, v tenantsView) {
+func writeTenantsText(w io.Writer, v obs.LedgerSnapshot) {
 	fmt.Fprintf(w, "total detector CPU: %s\n\n", time.Duration(v.TotalCPUNanos))
 	fmt.Fprintf(w, "%-16s %-12s %10s %7s %12s %10s %10s %10s\n",
 		"TENANT", "FAMILY", "CPU", "SHARE", "STEPS", "EVENTS", "BYTES-IN", "BYTES-OUT")

@@ -113,6 +113,27 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-slo-dump-format", "pcap"}, io.Discard, nil); err == nil {
 		t.Fatal("want error for unknown dump format")
 	}
+	// Values that would switch a check off or leave it unable to fire.
+	// The stop channel already holds a signal, so a run that accepted
+	// them would return nil instead of blocking.
+	for _, bad := range [][]string{
+		{"-max-predicates-per-tenant", "-1"},
+		{"-slo-verdict-latency", "-1s"},
+		{"-slo-holdback", "-1"},
+		{"-slo-mailbox", "-1"},
+		{"-slo-retained", "-1"},
+		{"-slo-tenant-cpu-floor", "-1ms"},
+		{"-slo-tenant-cpu-share", "1.5"},
+		{"-slo-tenant-cpu-share", "1"},
+		{"-slo-tenant-cpu-share", "-0.5"},
+	} {
+		stop := make(chan os.Signal, 1)
+		stop <- os.Interrupt
+		err := run(append([]string{"-addr", "127.0.0.1:0"}, bad...), io.Discard, stop)
+		if err == nil || !strings.Contains(err.Error(), bad[0]+" ") {
+			t.Errorf("run %v: err %v, want a refusal naming %s", bad, err, bad[0])
+		}
+	}
 }
 
 // slogValue extracts a key=value attribute from a slog text-format line
@@ -350,6 +371,7 @@ func TestTenantsEndpoint(t *testing.T) {
 	var view struct {
 		TotalCPUNanos int64           `json:"total_cpu_nanos"`
 		Scopes        []obs.ScopeCost `json:"scopes"`
+		HotPredicates []obs.PredCost  `json:"hot_predicates"`
 	}
 	if err := json.Unmarshal([]byte(httpGet(t, tenantsURL)), &view); err != nil {
 		t.Fatalf("/debug/tenants does not parse: %v", err)
@@ -372,6 +394,19 @@ func TestTenantsEndpoint(t *testing.T) {
 	}
 	if view.TotalCPUNanos <= 0 {
 		t.Errorf("total CPU not attributed: %d", view.TotalCPUNanos)
+	}
+	// The hot-predicate table names each registrant under its own tenant;
+	// the registration the cap refused never stepped.
+	hot := map[string]obs.PredCost{}
+	for _, p := range view.HotPredicates {
+		hot[p.ID] = p
+	}
+	if p, r := hot["p"], hot["r"]; p.Tenant != "acme" || r.Tenant != "rival" ||
+		p.Family != "sum" || r.Family != "sum" || p.Steps <= 0 || r.Steps <= 0 {
+		t.Errorf("hot predicates p=%+v r=%+v, want sum registrants of acme and rival with steps", p, r)
+	}
+	if _, ok := hot["q"]; ok {
+		t.Errorf("refused registration q in the hot predicates: %v", view.HotPredicates)
 	}
 
 	text := httpGet(t, tenantsURL+"?format=text&k=5")

@@ -62,8 +62,8 @@ func (d *Delivery) Step(ev detect.Event) error {
 		return d.fail(fmt.Errorf("mux: event timestamp has %d components, want %d", len(ev.VC), d.procs))
 	}
 	own := ev.VC[ev.Proc]
-	if own <= d.delivered[ev.Proc] && !d.heldBack(ev.Proc, own) {
-		return nil // duplicate
+	if own <= d.delivered[ev.Proc] || d.heldBack(ev.Proc, own) {
+		return nil // duplicate of a delivered or a held event
 	}
 	//lint:ignore hotalloc the holdback buffer grows by design — it absorbs causal reordering and is bounded by the session layer's MaxWindow policy, and the backing array is reused across drains
 	d.holdback = append(d.holdback, ev)

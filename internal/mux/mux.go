@@ -126,7 +126,6 @@ type Group struct {
 	ncores      int
 	coreFlushes int64
 
-	tenants   map[string]int
 	active    int
 	latched   int // registered predicates whose verdict has latched
 	steps     int64
@@ -137,14 +136,13 @@ type Group struct {
 // NewGroup builds an empty group over procs processes.
 func NewGroup(procs int) *Group {
 	g := &Group{
-		procs:   procs,
-		lastVC:  make([][]int64, procs),
-		preds:   make(map[string]*predicate),
-		byVar:   make(map[string][]*predicate),
-		cores:   make(map[string][]*groupCore),
-		projs:   make(map[string]*projector),
-		vars:    make(map[string]*varState),
-		tenants: make(map[string]int),
+		procs:  procs,
+		lastVC: make([][]int64, procs),
+		preds:  make(map[string]*predicate),
+		byVar:  make(map[string][]*predicate),
+		cores:  make(map[string][]*groupCore),
+		projs:  make(map[string]*projector),
+		vars:   make(map[string]*varState),
 	}
 	g.delivery = NewDelivery(procs, g.deliver)
 	return g
@@ -224,7 +222,6 @@ func (g *Group) Register(r Registration) error {
 		}
 	}
 	g.preds[r.ID] = p
-	g.tenants[tenant]++
 	g.active++
 	switch {
 	case p.all:
@@ -281,10 +278,6 @@ func (g *Group) Unregister(id string) error {
 	}
 	if p.possibly {
 		g.latched--
-	}
-	g.tenants[p.tenant]--
-	if g.tenants[p.tenant] == 0 {
-		delete(g.tenants, p.tenant)
 	}
 	delete(g.preds, id)
 	return nil
@@ -577,13 +570,13 @@ func (g *Group) DeliveredOn(p int) int64 { return g.delivery.DeliveredOn(p) }
 // Holdback returns the number of buffered undeliverable events.
 func (g *Group) Holdback() int { return g.delivery.Holdback() }
 
-// Tenants returns a copy of the per-tenant registration counts.
-func (g *Group) Tenants() map[string]int {
-	out := make(map[string]int, len(g.tenants))
-	for t, n := range g.tenants {
-		out[t] = n
+// Tenant returns the tenant holding a registration ("" when id is not
+// registered).
+func (g *Group) Tenant(id string) string {
+	if p := g.preds[id]; p != nil {
+		return p.tenant
 	}
-	return out
+	return ""
 }
 
 // Window returns the summed detector windows as of the last Flush.

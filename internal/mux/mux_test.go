@@ -33,6 +33,7 @@ func TestDeliveryReordersAndDedupes(t *testing.T) {
 		}
 	}
 	must(ev(1, 1, 2)) // needs (1,1) and (0,1)
+	must(ev(1, 1, 2)) // duplicate of a held event: idempotent too
 	if len(got) != 0 || d.Holdback() != 1 {
 		t.Fatalf("premature delivery: %d delivered, %d held", len(got), d.Holdback())
 	}
@@ -369,9 +370,18 @@ func TestLatchStopsStepping(t *testing.T) {
 	}
 }
 
-// TestUnregisterAndTenants checks registration bookkeeping.
+// TestUnregisterAndTenants checks registration bookkeeping: the tenant
+// each record holds (the engine returns an unregistered predicate's slot
+// to it) and the per-tenant counts of the close-time fan-out.
 func TestUnregisterAndTenants(t *testing.T) {
 	g := NewGroup(1)
+	tenants := func() map[string]int {
+		out := map[string]int{}
+		for _, u := range g.States() {
+			out[u.Tenant]++
+		}
+		return out
+	}
 	reg := func(id, tenant string) {
 		t.Helper()
 		if err := g.Register(Registration{ID: id, Tenant: tenant,
@@ -386,8 +396,11 @@ func TestUnregisterAndTenants(t *testing.T) {
 	if err := g.Register(Registration{ID: "a1", Spec: pred.Spec{Family: pred.Xor, Var: "x"}}); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
-	if tc := g.Tenants(); tc["a"] != 2 || tc["b"] != 1 || tc["default"] != 1 {
-		t.Fatalf("tenant counts: %v", g.Tenants())
+	if tc := tenants(); tc["a"] != 2 || tc["b"] != 1 || tc["default"] != 1 {
+		t.Fatalf("tenant counts: %v", tenants())
+	}
+	if g.Tenant("a2") != "a" || g.Tenant("d1") != "default" || g.Tenant("nope") != "" {
+		t.Fatalf("record tenants: a2=%q d1=%q nope=%q", g.Tenant("a2"), g.Tenant("d1"), g.Tenant("nope"))
 	}
 	if err := g.Unregister("a2"); err != nil {
 		t.Fatal(err)
@@ -395,19 +408,22 @@ func TestUnregisterAndTenants(t *testing.T) {
 	if err := g.Unregister("a2"); err == nil {
 		t.Fatal("double unregister accepted")
 	}
-	if st := g.Stats(); g.Tenants()["a"] != 1 || st.Registered != 3 || st.Active != 3 {
-		t.Fatalf("after unregister: tenants=%v registered=%d active=%d", g.Tenants(), st.Registered, st.Active)
+	if g.Tenant("a2") != "" {
+		t.Fatalf("unregistered a2 still held by %q", g.Tenant("a2"))
+	}
+	if st := g.Stats(); tenants()["a"] != 1 || st.Registered != 3 || st.Active != 3 {
+		t.Fatalf("after unregister: tenants=%v registered=%d active=%d", tenants(), st.Registered, st.Active)
 	}
 	if err := g.Unregister("b1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.Tenants()["b"]; ok {
-		t.Fatalf("tenant b should be gone: %v", g.Tenants())
+	if _, ok := tenants()["b"]; ok {
+		t.Fatalf("tenant b should be gone: %v", tenants())
 	}
 	// The id is free again.
 	reg("a2", "a")
-	if g.Tenants()["a"] != 2 {
-		t.Fatalf("re-register: %v", g.Tenants())
+	if tenants()["a"] != 2 {
+		t.Fatalf("re-register: %v", tenants())
 	}
 }
 

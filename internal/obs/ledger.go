@@ -170,10 +170,13 @@ type ScopeCost struct {
 }
 
 // LedgerSnapshot is a point-in-time cost report, scopes ranked by
-// attributed CPU, then steps, then (tenant, family) for determinism.
+// attributed CPU, then steps, then (tenant, family) for determinism. It
+// is the /debug/tenants payload, whose handler joins in HotPredicates(k)
+// (Snapshot leaves it nil).
 type LedgerSnapshot struct {
 	TotalCPUNanos int64       `json:"total_cpu_nanos"`
 	Scopes        []ScopeCost `json:"scopes"`
+	HotPredicates []PredCost  `json:"hot_predicates,omitempty"`
 }
 
 // Snapshot copies every scope. Concurrent recording may land between

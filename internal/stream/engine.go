@@ -112,10 +112,8 @@ type handle struct {
 	sloHoldback bool   // holdback SLO latched for this session
 	sloRetained bool   // retained-events SLO latched for this session
 
-	// Worker-confined multiplexing state: each registration's tenant
-	// (to return its slot at unregister) and undelivered verdict updates.
-	regTenants map[string]string
-	pending    []mux.Update
+	// Worker-confined multiplexing state: undelivered verdict updates.
+	pending []mux.Update
 
 	// Worker-confined step attribution: the mux cost hook reports one
 	// delta per stepped predicate per flush; they are summed here per
@@ -204,7 +202,6 @@ type Engine struct {
 	sloDumped    sync.Map // rule -> struct{}: rules that already dumped
 	shedTotal    atomic.Uint64
 	sloShedFired atomic.Bool
-	sloPredFired atomic.Bool
 	sloCPUFired  sync.Map // tenant -> struct{}: CPU-share rule latched
 
 	// Control-plane predicate accounting: registrations minus
@@ -213,7 +210,6 @@ type Engine struct {
 	// traffic, never the ingest hot path).
 	predMu       sync.Mutex
 	tenantCounts map[string]int
-	predTotal    int
 
 	// Engine-wide registry handles.
 	mFinalizeMillis *obs.Histogram
@@ -506,9 +502,6 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			tenant = "default"
 		}
 		h = &handle{id: m.session, kind: sess.KindLabel(), tenant: tenant, shard: sh.idx, sess: sess, opened: time.Now()}
-		if sess.Mux() {
-			h.regTenants = make(map[string]string)
-		}
 		h.scope = e.ledger.Scope(tenant, h.kind)
 		if e.ledger != nil {
 			// Steps flow through the mux cost hook so multiplexed
@@ -580,7 +573,6 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			m.reply <- shardReply{err: err}
 			return
 		}
-		h.regTenants[m.reg.ID] = tenant
 		e.flight.Record(obs.FlightRecord{
 			Seq: h.lastSeq, Session: m.session, Shard: sh.idx, Proc: -1,
 			Stage: obs.StageUpdate, Detail: "register " + m.reg.ID + " (" + tenant + ")",
@@ -591,14 +583,13 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 		e.publish(sh, h)
 		m.reply <- shardReply{updates: ups}
 	case msgUnregister:
-		if err := h.sess.Unregister(m.pred); err != nil {
+		tenant, err := h.sess.Unregister(m.pred)
+		if err != nil {
 			m.reply <- shardReply{err: err}
 			return
 		}
-		tenant := h.regTenants[m.pred]
-		delete(h.regTenants, m.pred)
 		e.publish(sh, h)
-		m.reply <- shardReply{tenants: map[string]int{tenant: 1}}
+		m.reply <- shardReply{preds: []mux.Update{{ID: m.pred, Tenant: tenant}}}
 	case msgClose:
 		var tr *obs.Trace
 		if e.cfg.Metrics != nil {
@@ -618,10 +609,8 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 		h.settleSteps()
 		e.drainUpdates(sh, h)
 		var preds []mux.Update
-		var tenants map[string]int
 		if h.sess.Mux() {
 			preds = h.sess.PredicateStates()
-			tenants = h.sess.Tenants()
 		}
 		e.publish(sh, h)
 		delete(sh.sessions, m.session)
@@ -634,7 +623,7 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			Seq: h.lastSeq, Session: m.session, Shard: sh.idx, Proc: -1,
 			Stage: obs.StageDisconnect, Detail: "session closed",
 		})
-		m.reply <- shardReply{verdict: verdict, err: err, preds: preds, tenants: tenants}
+		m.reply <- shardReply{verdict: verdict, err: err, preds: preds}
 	}
 }
 
@@ -796,7 +785,7 @@ func (e *Engine) Register(session string, r RegisterSpec) ([]mux.Update, error) 
 		err = rep.err
 	}
 	if err != nil {
-		e.releaseTenant(tenant, 1)
+		e.releaseTenants([]mux.Update{{Tenant: tenant}})
 		return nil, err
 	}
 	return rep.updates, nil
@@ -812,21 +801,8 @@ func (e *Engine) Unregister(session, predID string) error {
 	if err != nil {
 		return err
 	}
-	releaseTenants(e, rep.tenants)
+	e.releaseTenants(rep.preds)
 	return nil
-}
-
-// releaseTenants returns slots to tenants in sorted name order, so the
-// per-tenant gauges move identically run to run.
-func releaseTenants(e *Engine, tenants map[string]int) {
-	names := make([]string, 0, len(tenants))
-	for t := range tenants {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	for _, t := range names {
-		e.releaseTenant(t, tenants[t])
-	}
 }
 
 // ClosePredicates finalizes a session and returns its verdict (including
@@ -838,12 +814,12 @@ func (e *Engine) ClosePredicates(id string) (Verdict, []mux.Update, error) {
 	if err != nil {
 		return Verdict{}, nil, err
 	}
-	releaseTenants(e, r.tenants)
+	e.releaseTenants(r.preds)
 	return r.verdict, r.preds, r.err
 }
 
-// reserveTenant admits one registration against the tenant's cap,
-// updating the per-tenant gauge and the registered-predicates SLO.
+// reserveTenant admits one registration against the tenant's cap and
+// updates the per-tenant gauge.
 func (e *Engine) reserveTenant(tenant string) error {
 	e.predMu.Lock()
 	if max := e.cfg.MaxPredicatesPerTenant; max > 0 && e.tenantCounts[tenant] >= max {
@@ -852,30 +828,26 @@ func (e *Engine) reserveTenant(tenant string) error {
 		return fmt.Errorf("stream: tenant %q holds %d registered predicates (limit %d)", tenant, n, max)
 	}
 	e.tenantCounts[tenant]++
-	e.predTotal++
-	total := e.predTotal
 	e.predMu.Unlock()
 	e.vTenantPreds.With(tenant).Add(1)
-	if max := e.cfg.SLO.RegisteredPredicates; max > 0 && total > max && !e.sloPredFired.Swap(true) {
-		e.breach(SLORegisteredPredicates, "registered predicates "+
-			strconv.Itoa(total)+" > "+strconv.Itoa(max))
-	}
 	return nil
 }
 
-// releaseTenant returns n registrations to the tenant.
-func (e *Engine) releaseTenant(tenant string, n int) {
-	if n <= 0 {
-		return
-	}
+// releaseTenants returns the registrations' slots to their tenants in
+// the order given (a close's fan-out is sorted by id), so the per-tenant
+// gauges move identically run to run.
+func (e *Engine) releaseTenants(regs []mux.Update) {
 	e.predMu.Lock()
-	e.tenantCounts[tenant] -= n
-	if e.tenantCounts[tenant] <= 0 {
-		delete(e.tenantCounts, tenant)
+	for _, r := range regs {
+		e.tenantCounts[r.Tenant]--
+		if e.tenantCounts[r.Tenant] <= 0 {
+			delete(e.tenantCounts, r.Tenant)
+		}
 	}
-	e.predTotal -= n
 	e.predMu.Unlock()
-	e.vTenantPreds.With(tenant).Add(int64(-n))
+	for _, r := range regs {
+		e.vTenantPreds.With(r.Tenant).Add(-1)
+	}
 }
 
 // AttributeBytes charges wire traffic to a session's (tenant, family)
@@ -907,7 +879,7 @@ func (e *Engine) Possibly(id string) (possibly, exists bool) {
 func (e *Engine) Snapshot() Snapshot {
 	var snap Snapshot
 	for _, sh := range e.shards {
-		depth, hw := sh.mb.depth()
+		_, hw := sh.mb.depth()
 		st := ShardStats{
 			Shard:          sh.idx,
 			Sessions:       int(sh.open.Value()),
@@ -916,7 +888,6 @@ func (e *Engine) Snapshot() Snapshot {
 			Batches:        uint64(sh.batches.Value()),
 			DroppedFrames:  uint64(sh.shedFrames.Value()),
 			DroppedEvents:  uint64(sh.shedEvents.Value()),
-			QueueDepth:     depth,
 			QueueHighWater: hw,
 			Detections:     uint64(sh.detections.Value()),
 		}
@@ -933,11 +904,11 @@ func (e *Engine) Snapshot() Snapshot {
 	// and scraped by CI, so present sessions in id order.
 	sort.Slice(snap.Sessions, func(i, j int) bool { return snap.Sessions[i].ID < snap.Sessions[j].ID })
 	e.predMu.Lock()
-	snap.Predicates = e.predTotal
 	if len(e.tenantCounts) > 0 {
 		snap.Tenants = make(map[string]int, len(e.tenantCounts))
 		for t, n := range e.tenantCounts {
 			snap.Tenants[t] = n
+			snap.Predicates += n
 		}
 	}
 	e.predMu.Unlock()

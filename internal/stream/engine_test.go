@@ -142,7 +142,7 @@ func TestEngineSnapshotAggregates(t *testing.T) {
 	const sessions = 12
 	for i := 0; i < sessions; i++ {
 		id := fmt.Sprintf("s%02d", i)
-		if err := e.Open(id, Spec{Pred: "all(x)", Procs: 1}); err != nil {
+		if err := e.Open(id, Spec{Pred: "all(x)", Procs: 1, Tenant: fmt.Sprintf("t%d", i%3)}); err != nil {
 			t.Fatal(err)
 		}
 		// Even sessions get a true event (a detection), odd ones a false.
@@ -165,9 +165,21 @@ func TestEngineSnapshotAggregates(t *testing.T) {
 	if snap.Detections != sessions/2 {
 		t.Fatalf("snapshot detections = %d, want %d", snap.Detections, sessions/2)
 	}
+	// Rows come in id order, under their tenant and shard; a one-process
+	// conjunctive window holds at most the frontier event.
+	rows := make([]int, len(snap.Shards))
+	for i, st := range snap.Sessions {
+		if st.ID != fmt.Sprintf("s%02d", i) || st.Tenant != fmt.Sprintf("t%d", i%3) || st.Window > 1 {
+			t.Fatalf("session row %d: %+v", i, st)
+		}
+		rows[st.Shard]++
+	}
 	total := 0
 	for _, sh := range snap.Shards {
 		total += sh.Sessions
+		if rows[sh.Shard] != sh.Sessions {
+			t.Fatalf("shard %d: %d session rows, gauge %d", sh.Shard, rows[sh.Shard], sh.Sessions)
+		}
 		if sh.QueueHighWater == 0 && sh.Frames > 0 {
 			t.Fatalf("shard %d processed %d frames with zero high water", sh.Shard, sh.Frames)
 		}

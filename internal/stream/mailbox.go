@@ -59,9 +59,8 @@ type shardReply struct {
 	err     error
 	verdict Verdict
 	stats   SessionStats
-	updates []mux.Update   // drained verdict updates (query/register on mux sessions)
-	preds   []mux.Update   // close-time per-predicate fan-out
-	tenants map[string]int // per-tenant registrations released by a close
+	updates []mux.Update // drained verdict updates (query/register on mux sessions)
+	preds   []mux.Update // close-time per-predicate fan-out; unregister: the one released
 }
 
 // mailbox is a bounded MPSC ring buffer with explicit overflow policy and

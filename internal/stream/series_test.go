@@ -1,9 +1,7 @@
 package stream
 
 import (
-	"io/fs"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -13,9 +11,7 @@ import (
 
 // exportedSeries is the /metrics contract: every base name the engine
 // (plus the runtime bridge gpdserver binds) exports, with the consumer
-// that reads its value. A series with no consumer is deleted, not
-// listed; a new one must name its reader here, and a reader named as a
-// Test function must be one some _test.go file declares.
+// that reads its value, checked by checkConsumers (signals_test.go).
 var exportedSeries = map[string]string{
 	"stream_events_total":          "bench/ events_per_s; ShardStats.Events on /debug/vars",
 	"stream_frames_total":          "cmd/gpdserver TestMetricsEndpoint; ShardStats.Frames on /debug/vars",
@@ -50,9 +46,8 @@ var exportedSeries = map[string]string{
 // through open, append, query and close (plus one shed frame) on an
 // engine with a registry and requires the registry's base names to be
 // exactly the table above — and the docs to mention no gpd_<series> the
-// table lacks, and the table to name no test the module lacks. The
-// counters a scripted run pins are checked too, so "one store per fact"
-// cannot drift from what Snapshot reports.
+// table lacks. The counters a scripted run pins are checked too, so
+// "one store per fact" cannot drift from what Snapshot reports.
 func TestExportedSeriesSet(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.BindRuntimeMetrics(reg)
@@ -82,32 +77,27 @@ func TestExportedSeriesSet(t *testing.T) {
 		must(err)
 	}
 	must(e.Append("nobody", truth)) // shed: unknown session
+	// The registration counts are summed when the snapshot is built.
+	if snap := e.Snapshot(); snap.Predicates != 2 || len(snap.Tenants) != 1 || snap.Tenants["acme"] != 2 {
+		t.Errorf("before close: predicates=%d tenants=%v, want 2 and acme=2", snap.Predicates, snap.Tenants)
+	}
 	for _, id := range []string{"plain", "sliced", "mux"} {
 		_, _, err := e.ClosePredicates(id)
 		must(err)
 	}
 
 	snap := reg.Snapshot()
-	got := map[string]bool{}
+	var got []string
 	for name := range snap.Counters {
-		got[baseOf(name)] = true
+		got = append(got, baseOf(name))
 	}
 	for name := range snap.Gauges {
-		got[baseOf(name)] = true
+		got = append(got, baseOf(name))
 	}
 	for name := range snap.Histograms {
-		got[baseOf(name)] = true
+		got = append(got, baseOf(name))
 	}
-	for name := range got {
-		if exportedSeries[name] == "" {
-			t.Errorf("series %s is exported but names no consumer in exportedSeries", name)
-		}
-	}
-	for name := range exportedSeries {
-		if !got[name] {
-			t.Errorf("series %s is in exportedSeries but the scripted run did not export it", name)
-		}
-	}
+	checkConsumers(t, "series", got, exportedSeries)
 
 	// Deterministic counters of the script, and the Snapshot view of the
 	// same stores.
@@ -124,6 +114,10 @@ func TestExportedSeriesSet(t *testing.T) {
 		if snap.Counters[name] != want {
 			t.Errorf("%s = %d, want %d", name, snap.Counters[name], want)
 		}
+	}
+	if es := e.Snapshot(); es.Predicates != 0 || len(es.Tenants) != 0 || snap.Gauges[`mux_registered_predicates{tenant="acme"}`] != 0 {
+		t.Errorf("after close: predicates=%d tenants=%v, gauge %d", es.Predicates, es.Tenants,
+			snap.Gauges[`mux_registered_predicates{tenant="acme"}`])
 	}
 	sh := e.Snapshot().Shards[0]
 	if sh.Events != 6 || sh.Frames != 15 || sh.DroppedFrames != 1 || sh.DroppedEvents != 2 || sh.Detections != 3 || sh.Sessions != 0 ||
@@ -148,35 +142,6 @@ func TestExportedSeriesSet(t *testing.T) {
 		for _, tok := range token.FindAllString(string(text), -1) {
 			if !exported(strings.TrimPrefix(tok, "gpd_")) {
 				t.Errorf("%s mentions %s, which is not an exported series", doc, tok)
-			}
-		}
-	}
-
-	// Consumers: every Test function the table names is declared in
-	// some _test.go file of the module.
-	declared := map[string]bool{}
-	decl := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
-	must(filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "../.." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		text, err := os.ReadFile(path)
-		for _, m := range decl.FindAllStringSubmatch(string(text), -1) {
-			declared[m[1]] = true
-		}
-		return err
-	}))
-	named := regexp.MustCompile(`\bTest\w+`)
-	for series, consumer := range exportedSeries {
-		for _, test := range named.FindAllString(consumer, -1) {
-			if !declared[test] {
-				t.Errorf("series %s names consumer %s, which no _test.go file declares", series, test)
 			}
 		}
 	}

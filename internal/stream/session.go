@@ -142,12 +142,14 @@ func (s *Session) Register(r mux.Registration) error {
 	return s.group.Register(r)
 }
 
-// Unregister detaches a predicate from a multiplexed session.
-func (s *Session) Unregister(id string) error {
+// Unregister detaches a predicate from a multiplexed session and
+// returns the tenant that held it.
+func (s *Session) Unregister(id string) (string, error) {
 	if !s.mux {
-		return fmt.Errorf("stream: session is not multiplexed; open it with mux")
+		return "", fmt.Errorf("stream: session is not multiplexed; open it with mux")
 	}
-	return s.group.Unregister(id)
+	tenant := s.group.Tenant(id)
+	return tenant, s.group.Unregister(id)
 }
 
 // Updates drains the verdict updates queued since the last call:
@@ -167,9 +169,6 @@ func (s *Session) MuxStats() mux.Stats { return s.group.Stats() }
 // delta, keyed by tenant, family and registration id. The engine feeds
 // the cost ledger through it.
 func (s *Session) OnCost(fn func(tenant, family, id string, steps int64)) { s.group.OnCost(fn) }
-
-// Tenants returns the per-tenant registered-predicate counts.
-func (s *Session) Tenants() map[string]int { return s.group.Tenants() }
 
 // Step ingests one event. Events of one process must arrive in local
 // order; arbitrary interleaving (even causal reordering) across processes

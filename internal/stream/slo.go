@@ -24,10 +24,6 @@ const (
 	// SLOShedFrames fires when the engine has shed more frames than the
 	// threshold (mailbox overflow plus unknown-session drops).
 	SLOShedFrames = "shed_frames"
-	// SLORegisteredPredicates fires when the engine-wide count of
-	// registered predicates (across every multiplexed session) exceeds
-	// the threshold.
-	SLORegisteredPredicates = "registered_predicates"
 	// SLOTenantCPUShare fires when one tenant's share of the
 	// ledger-attributed CPU exceeds the threshold — the noisy-neighbour
 	// alarm for a multi-tenant engine. Needs Config.Ledger.
@@ -43,7 +39,7 @@ const (
 
 // sloRules lists every rule so NewEngine can pre-intern the breach
 // counters — a rule that never fires still exports an explicit zero.
-var sloRules = []string{SLOVerdictLatency, SLOHoldbackDepth, SLOMailboxDepth, SLOShedFrames, SLORegisteredPredicates, SLOTenantCPUShare, SLORetainedEvents}
+var sloRules = []string{SLOVerdictLatency, SLOHoldbackDepth, SLOMailboxDepth, SLOShedFrames, SLOTenantCPUShare, SLORetainedEvents}
 
 // SLOConfig is the engine's latency/backlog watchdog. A zero threshold
 // disables its rule; a zero config disables the watchdog entirely. On
@@ -64,10 +60,7 @@ type SLOConfig struct {
 	MailboxDepth int
 	// ShedFrames is the engine-wide shed frame budget.
 	ShedFrames uint64
-	// RegisteredPredicates is the engine-wide registered-predicate
-	// budget across multiplexed sessions. Fires at most once per engine.
-	RegisteredPredicates int
-	// TenantCPUShare is the fraction (0,1] of ledger-attributed CPU one
+	// TenantCPUShare is the fraction (0,1) of ledger-attributed CPU one
 	// tenant may hold before the tenant_cpu_share rule fires, at most
 	// once per tenant. Requires Config.Ledger; checked on every control
 	// message and every 8th ingest batch of a shard, so a breach is

@@ -1,9 +1,12 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -76,7 +79,7 @@ func TestSLOVerdictLatencyBreach(t *testing.T) {
 	}
 	// The other rules must exist as explicit zeros (scrape-able before
 	// they first fire).
-	for _, r := range []string{SLOHoldbackDepth, SLOMailboxDepth, SLOShedFrames} {
+	for _, r := range []string{SLOHoldbackDepth, SLOMailboxDepth, SLOShedFrames, SLOTenantCPUShare, SLORetainedEvents} {
 		name := `slo_breaches_total{rule="` + r + `"}`
 		if n, ok := snap.Counters[name]; !ok || n != 0 {
 			t.Errorf("%s = %d (present %v), want explicit 0", name, n, ok)
@@ -178,10 +181,13 @@ func TestSLOBreachDumpChromeFormat(t *testing.T) {
 func TestSLOShedFramesBreach(t *testing.T) {
 	reg := obs.NewRegistry()
 	breached := make(chan string, 8)
+	// Room for every record of the run: recv per frame, then shed or
+	// delivered, plus at most one update per applied frame.
+	flight := obs.NewFlight(8192)
 	e := NewEngine(Config{
 		Shards: 1, QueueLen: 2, BatchSize: 1, Policy: DropOldest,
 		Metrics: reg,
-		Flight:  obs.NewFlight(64),
+		Flight:  flight,
 		SLO: SLOConfig{
 			ShedFrames: 1,
 			OnBreach:   func(rule, detail, path string) { breached <- rule + "|" + path },
@@ -210,5 +216,153 @@ func TestSLOShedFramesBreach(t *testing.T) {
 	shed := `stream_shed_frames_total{shard="0"}`
 	if n := reg.Snapshot().Counters[shed]; uint64(n) != snap.Dropped {
 		t.Errorf("%s = %d, want %d (same as shard atomics)", shed, n, snap.Dropped)
+	}
+	// Every shed frame left its shed record in the flight ring.
+	var records uint64
+	for _, r := range flight.Snapshot() {
+		if r.Stage == obs.StageShed {
+			records++
+			if r.Session != "a" || !strings.HasPrefix(r.Detail, "mailbox overflow") {
+				t.Errorf("shed record %+v, want session a and a mailbox overflow", r)
+			}
+		}
+	}
+	if records != snap.Dropped {
+		t.Errorf("%d shed records, want one per shed frame (%d)", records, snap.Dropped)
+	}
+}
+
+// TestSLOHoldbackDepthBreach streams process 0's events last first,
+// one frame each and a query after each: the first two frames are held,
+// the rule fires once the holdback passes its one-event budget, and the
+// flight ring records the episode as a held record under the frame that
+// opened it and a "holdback drained" delivered record under the same
+// seq, which the Chrome export pairs into one holdback slice.
+func TestSLOHoldbackDepthBreach(t *testing.T) {
+	reg := obs.NewRegistry()
+	flight := obs.NewFlight(64)
+	breached := make(chan string, 8)
+	e := NewEngine(Config{
+		Shards: 1, Metrics: reg, Flight: flight,
+		SLO: SLOConfig{
+			HoldbackDepth: 1,
+			OnBreach:      func(rule, detail, path string) { breached <- rule + "|" + path },
+		},
+	})
+	defer e.Shutdown()
+	if err := e.Open("rev", Spec{Pred: "all(x)", Procs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var holdback []int
+	for i := int64(3); i >= 1; i-- {
+		if err := e.Append("rev", []Event{{Proc: 0, VC: []int64{i, 0}}}); err != nil {
+			t.Fatal(err)
+		}
+		st, _, err := e.QueryUpdates("rev")
+		if err != nil {
+			t.Fatal(err)
+		}
+		holdback = append(holdback, st.Holdback)
+	}
+	if holdback[0] != 1 || holdback[1] != 2 || holdback[2] != 0 {
+		t.Fatalf("holdback after each frame = %v, want [1 2 0]", holdback)
+	}
+	waitBreach(t, breached, SLOHoldbackDepth, "")
+	rule := `slo_breaches_total{rule="` + SLOHoldbackDepth + `"}`
+	if n := reg.Snapshot().Counters[rule]; n != 1 {
+		t.Errorf("%s = %d, want 1", rule, n)
+	}
+
+	var recvs []uint64
+	held, drained := map[uint64]int{}, map[uint64]int{}
+	for _, r := range flight.Snapshot() {
+		switch {
+		case r.Stage == obs.StageRecv:
+			recvs = append(recvs, r.Seq)
+		case r.Stage == obs.StageHeld:
+			held[r.Seq]++
+		case r.Stage == obs.StageDelivered && r.Detail == "holdback drained":
+			drained[r.Seq]++
+		}
+	}
+	if len(recvs) != 3 {
+		t.Fatalf("recv seqs %v, want three frames", recvs)
+	}
+	opening := recvs[0]
+	if len(held) != 1 || held[opening] != 1 || len(drained) != 1 || drained[opening] != 1 {
+		t.Fatalf("held %v, drained %v: want one of each under the opening frame's seq %d", held, drained, opening)
+	}
+
+	var buf bytes.Buffer
+	if err := flight.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	slices := 0
+	for _, ev := range doc.TraceEvents {
+		if ev["name"] == "holdback" {
+			slices++
+			args := ev["args"].(map[string]any)
+			if ev["ph"] != "X" || args["seq"] != float64(opening) || args["session"] != "rev" {
+				t.Errorf("holdback slice %v, want a duration event for seq %d of rev", ev, opening)
+			}
+		}
+	}
+	if slices != 1 {
+		t.Errorf("%d holdback slices in the Chrome export, want 1", slices)
+	}
+}
+
+// TestSLOMailboxDepthBreach holds the shard worker inside an OnBreach
+// callback (a 1ns verdict-latency budget, breached by the latching
+// frame) while five more frames queue behind it. Released, the worker
+// drains one frame per batch and finds four still queued, past the
+// two-frame budget: the rule fires, once for the shard.
+func TestSLOMailboxDepthBreach(t *testing.T) {
+	reg := obs.NewRegistry()
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	var releaseOnce sync.Once
+	breached := make(chan string, 8)
+	e := NewEngine(Config{
+		Shards: 1, BatchSize: 1, Metrics: reg,
+		SLO: SLOConfig{
+			VerdictLatency: time.Nanosecond,
+			MailboxDepth:   2,
+			OnBreach: func(rule, detail, path string) {
+				if rule == SLOVerdictLatency {
+					entered <- struct{}{}
+					<-release
+				}
+				breached <- rule + "|" + path
+			},
+		},
+	})
+	defer e.Shutdown()
+	defer releaseOnce.Do(func() { close(release) }) // runs before Shutdown
+	latchVerdict(t, e, "hold")
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the verdict-latency breach never held the worker")
+	}
+	for i := int64(2); i <= 6; i++ {
+		if err := e.Append("hold", []Event{{Proc: 0, VC: []int64{i, 0}, Truth: true}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	releaseOnce.Do(func() { close(release) })
+	waitBreach(t, breached, SLOVerdictLatency, "")
+	waitBreach(t, breached, SLOMailboxDepth, "")
+	if _, _, err := e.QueryUpdates("hold"); err != nil { // every queued frame applied
+		t.Fatal(err)
+	}
+	rule := `slo_breaches_total{rule="` + SLOMailboxDepth + `"}`
+	if n := reg.Snapshot().Counters[rule]; n != 1 {
+		t.Errorf("%s = %d, want exactly 1 (latched per shard)", rule, n)
 	}
 }

@@ -38,7 +38,6 @@ type ShardStats struct {
 	Batches        uint64 `json:"batches"`          // mailbox drains
 	DroppedFrames  uint64 `json:"dropped_frames"`   // frames shed under overload
 	DroppedEvents  uint64 `json:"dropped_events"`   // events inside shed frames
-	QueueDepth     int    `json:"queue_depth"`      // mailbox depth now
 	QueueHighWater int    `json:"queue_high_water"` // deepest the mailbox has been
 	Detections     uint64 `json:"detections"`       // sessions whose verdict latched true
 }
