@@ -6,7 +6,7 @@
 // Usage:
 //
 //	gpdserver -addr 127.0.0.1:7400 -stats 127.0.0.1:7401
-//	gpdserver -shards 8 -queue 512 -batch 128 -policy drop-oldest
+//	gpdserver -shards 8 -queue 512 -batch 128
 //	gpdserver -max-predicates-per-tenant 1000
 //
 // Multiplexed sessions (Spec.Mux) carry many registered predicates over
@@ -79,7 +79,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	shards := fs.Int("shards", 4, "worker shards (sessions are hashed onto shards)")
 	queue := fs.Int("queue", 256, "per-shard mailbox capacity, in frames")
 	batch := fs.Int("batch", 64, "max frames drained per worker iteration")
-	policy := fs.String("policy", "backpressure", "mailbox overflow policy: backpressure or drop-oldest")
 	maxPreds := fs.Int("max-predicates-per-tenant", 0, "cap on registered predicates per tenant across mux sessions (0: uncapped)")
 	idle := fs.Duration("idle-timeout", 5*time.Minute, "disconnect peers silent for this long (0: never)")
 	write := fs.Duration("write-timeout", 30*time.Second, "per-reply write deadline (0: none)")
@@ -168,15 +167,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 			},
 		},
 	}
-	switch *policy {
-	case "backpressure":
-		cfg.Policy = stream.Backpressure
-	case "drop-oldest":
-		cfg.Policy = stream.DropOldest
-	default:
-		return fmt.Errorf("unknown -policy %q (want backpressure or drop-oldest)", *policy)
-	}
-
 	eng := stream.NewEngine(cfg)
 	defer eng.Shutdown()
 	srv, err := stream.ListenAndServe(*addr, eng,
@@ -187,7 +177,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	}
 	defer srv.Close()
 	logger.Info("listening",
-		"addr", srv.Addr(), "shards", cfg.Shards, "policy", cfg.Policy.String(),
+		"addr", srv.Addr(), "shards", cfg.Shards,
 		"flight", *flightCap)
 
 	var stats *http.Server

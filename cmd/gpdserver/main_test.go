@@ -95,8 +95,8 @@ func TestRunServesAndShutsDown(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-policy", "nope"}, io.Discard, nil); err == nil {
-		t.Fatal("want error for unknown policy")
+	if err := run([]string{"-policy", "backpressure"}, io.Discard, nil); err == nil {
+		t.Fatal("want error for the deleted -policy flag (a full mailbox always blocks)")
 	}
 	if err := run([]string{"-addr", "256.0.0.1:bad"}, io.Discard, nil); err == nil {
 		t.Fatal("want error for unusable address")

@@ -87,8 +87,9 @@ type predicate struct {
 	dirty    bool // on the group's dirty list: stepped, or retired with owed steps, since the last flush
 	window   int  // own detector's window as of the last flush (views: see groupCore.window)
 
-	owed int64 // detector steps not yet reported through the cost hook
-	seen int64 // views: the core's step count already charged to this predicate
+	owed int64             // detector steps not yet charged to cost
+	seen int64             // views: the core's step count already charged to this predicate
+	cost func(steps int64) // the predicate's cost sink (nil: no resolver installed)
 }
 
 // varState is the last delivered value of one variable per process,
@@ -113,7 +114,7 @@ type Group struct {
 	lastVC    [][]int64 // raw timestamp of the last delivered event per process
 
 	preds  map[string]*predicate
-	onCost func(tenant, family, id string, steps int64)
+	onCost func(tenant, family, id string) func(steps int64)
 	byVar  map[string][]*predicate // active var-routed predicates with a detector of their own
 	all    []*predicate            // active all-events predicates
 	cores  map[string][]*groupCore // shared range cores per variable, oldest first (core.go)
@@ -222,6 +223,7 @@ func (g *Group) Register(r Registration) error {
 		}
 	}
 	g.preds[r.ID] = p
+	g.resolveCost(p)
 	g.active++
 	switch {
 	case p.all:
@@ -368,14 +370,29 @@ func (g *Group) Step(ev detect.Event) error {
 // close-time finalizers.
 func (g *Group) OnDeliver(fn func(detect.Event)) { g.onDeliver = fn }
 
-// OnCost installs a hook invoked at every Flush with each stepped
-// predicate's step delta since its last report, keyed by tenant, family
-// and predicate id. Batched per flush, so the per-event routing path
-// pays nothing; the hook runs on the group's goroutine and must be
-// cheap. The stream engine uses it to feed the cost ledger; mux itself
-// stays metrics-free (the plain signature keeps the layering rule that
-// mux imports no observability machinery).
-func (g *Group) OnCost(fn func(tenant, family, id string, steps int64)) { g.onCost = fn }
+// OnCost installs a cost resolver: it is called once per registration
+// — at Register, and here for every predicate already registered — with
+// the predicate's tenant, family and id, and returns the sink that
+// predicate's step deltas are charged to at every Flush (including the
+// final steps of a predicate retired since the last one). The sink runs
+// on the group's goroutine and must be cheap. The stream engine uses it
+// to feed the cost ledger; mux itself stays metrics-free (the plain
+// signature keeps the layering rule that mux imports no observability
+// machinery).
+func (g *Group) OnCost(resolve func(tenant, family, id string) func(steps int64)) {
+	g.onCost = resolve
+	for _, u := range g.States() { // id order: a deterministic resolver sequence
+		g.resolveCost(g.preds[u.ID])
+	}
+}
+
+// resolveCost fixes a predicate's cost sink through the installed
+// resolver.
+func (g *Group) resolveCost(p *predicate) {
+	if g.onCost != nil {
+		p.cost = g.onCost(p.tenant, p.spec.Family.String(), p.id)
+	}
+}
 
 // deliver routes one causally delivered event.
 func (g *Group) deliver(ev detect.Event) {
@@ -475,10 +492,10 @@ func (g *Group) Flush() bool {
 	return g.latched > 0
 }
 
-// charge reports a predicate's owed steps through the cost hook.
+// charge moves a predicate's owed steps into its cost sink.
 func (g *Group) charge(p *predicate) {
-	if g.onCost != nil && p.owed > 0 {
-		g.onCost(p.tenant, p.spec.Family.String(), p.id, p.owed)
+	if p.cost != nil && p.owed > 0 {
+		p.cost(p.owed)
 	}
 	p.owed = 0
 }

@@ -50,8 +50,7 @@ const (
 	StageUpdate FlightStage = "update"
 	// StageVerdict: the session's verdict latched (or was finalized).
 	StageVerdict FlightStage = "verdict"
-	// StageShed: the frame was dropped (mailbox overflow, unknown
-	// session).
+	// StageShed: the frame was dropped (its session is unknown).
 	StageShed FlightStage = "shed"
 	// StageDisconnect: the session closed or its transport connection
 	// dropped.

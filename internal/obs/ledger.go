@@ -74,8 +74,7 @@ func (s *Scope) AddBytes(in, out int64) {
 	}
 }
 
-// predKey identifies one registered predicate in the hot table. A plain
-// struct key keeps the hit-path lookup allocation-free.
+// predKey identifies one registered predicate in the hot table.
 type predKey struct {
 	id     string
 	tenant string
@@ -86,9 +85,9 @@ type predKey struct {
 // wire bytes — to (tenant, family) scopes, plus a bounded per-predicate
 // step table for the top-K hot-predicates view. Both tables are capped
 // interners with an "other" overflow, mirroring the vector cardinality
-// cap. Scope handles are interned once (at session open) and then
-// recorded to via atomics; the per-event record path takes one mutex
-// and does no allocation on the hit path. All methods are nil-safe.
+// cap. Scope and predicate handles are interned once and then recorded
+// to via atomics, so the serving path takes no lock. All methods are
+// nil-safe.
 type Ledger struct {
 	scopes interner[ScopeKey, Scope]
 	preds  interner[predKey, Counter]
@@ -114,17 +113,16 @@ func (l *Ledger) Scope(tenant, family string) *Scope {
 	return l.scopes.get(ScopeKey{Tenant: tenant, Family: family}, true)
 }
 
-// RecordPredicate charges steps to one registered predicate's row in
-// the hot table, keyed by (id, tenant, family). This is the per-event
-// record path of the mux fan-out, so the hit path is one mutex and a
-// struct-keyed map lookup with no allocation.
-//
-//lint:hotpath
-func (l *Ledger) RecordPredicate(id, tenant, family string, steps int64) {
-	if l == nil || steps <= 0 {
-		return
+// Predicate interns and returns one registered predicate's row in the
+// hot table, keyed by (id, tenant, family): the counter its detector
+// steps are charged to. Callers resolve it once and then add to it
+// with one atomic; past the cap new keys share the "other" row.
+// Nil-safe: a nil ledger returns a nil (no-op) counter.
+func (l *Ledger) Predicate(id, tenant, family string) *Counter {
+	if l == nil {
+		return nil
 	}
-	l.preds.get(predKey{id: id, tenant: tenant, family: family}, true).Add(steps)
+	return l.preds.get(predKey{id: id, tenant: tenant, family: family}, true)
 }
 
 // cpuNanos sums the attributed CPU over every scope (overflow included)

@@ -77,10 +77,10 @@ func TestLedgerScopeOverflow(t *testing.T) {
 
 func TestLedgerHotPredicates(t *testing.T) {
 	l := NewLedger()
-	l.RecordPredicate("p-cold", "a", "conjunctive", 1)
-	l.RecordPredicate("p-hot", "a", "conjunctive", 50)
-	l.RecordPredicate("p-warm", "b", "sumeq", 10)
-	l.RecordPredicate("p-hot", "a", "conjunctive", 50)
+	l.Predicate("p-cold", "a", "conjunctive").Add(1)
+	l.Predicate("p-hot", "a", "conjunctive").Add(50)
+	l.Predicate("p-warm", "b", "sumeq").Add(10)
+	l.Predicate("p-hot", "a", "conjunctive").Add(50)
 
 	top := l.HotPredicates(2)
 	if len(top) != 2 || top[0].ID != "p-hot" || top[0].Steps != 100 || top[1].ID != "p-warm" {
@@ -95,11 +95,11 @@ func TestLedgerHotPredicates(t *testing.T) {
 // remainder into an "other" row with steps conserved.
 func TestLedgerPredicateOverflow(t *testing.T) {
 	l := newLedger(DefaultMaxScopes, 2)
-	l.RecordPredicate("p1", "a", "f", 1)
-	l.RecordPredicate("p2", "a", "f", 2)
-	l.RecordPredicate("p3", "a", "f", 4)
-	l.RecordPredicate("p4", "a", "f", 8)
-	l.RecordPredicate("p1", "a", "f", 16) // interned row still accumulates
+	l.Predicate("p1", "a", "f").Add(1)
+	l.Predicate("p2", "a", "f").Add(2)
+	l.Predicate("p3", "a", "f").Add(4)
+	l.Predicate("p4", "a", "f").Add(8)
+	l.Predicate("p1", "a", "f").Add(16) // interned row still accumulates
 	all := l.HotPredicates(10)
 	var sum int64
 	var other int64
@@ -127,7 +127,7 @@ func TestLedgerNilSafety(t *testing.T) {
 	s.AddSteps(1)
 	s.AddEvents(1)
 	s.AddBytes(1, 1)
-	l.RecordPredicate("p", "a", "f", 1)
+	l.Predicate("p", "a", "f").Add(1)
 	if l.TotalCPUNanos() != 0 || l.TenantCPUNanos("a") != 0 {
 		t.Error("nil ledger reported cost")
 	}
@@ -152,7 +152,7 @@ func TestLedgerConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				tenant := fmt.Sprintf("t%d", (w+i)%6)
 				l.Scope(tenant, "f").AddCPU(1)
-				l.RecordPredicate(fmt.Sprintf("p%d", i%8), tenant, "f", 1)
+				l.Predicate(fmt.Sprintf("p%d", i%8), tenant, "f").Add(1)
 			}
 		}(w)
 	}

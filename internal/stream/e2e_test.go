@@ -520,6 +520,37 @@ func TestServerLifecycle(t *testing.T) {
 	}
 }
 
+// TestServerRefusesAppendToUnknownSession: an append to a session that
+// was never opened, or is already closed, comes back ok:false naming the
+// session, instead of an ok whose events the shard silently sheds; the
+// connection stays usable.
+func TestServerRefusesAppendToUnknownSession(t *testing.T) {
+	_, cl := serveLoopback(t, Config{Shards: 1})
+	ev := []Event{{Proc: 0, VC: []int64{1}, Truth: true}}
+	if err := cl.Open("gone", Spec{Pred: "all(x)", Procs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.CloseSession("gone"); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"never", "gone"} {
+		_, err := cl.Append(id, ev)
+		if err == nil || !strings.Contains(err.Error(), ErrUnknownSession.Error()) ||
+			!strings.Contains(err.Error(), `"`+id+`"`) {
+			t.Fatalf("append to %s: %v, want an unknown-session error naming it", id, err)
+		}
+	}
+	if err := cl.Open("live", Spec{Pred: "all(x)", Procs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Append("live", ev); err != nil {
+		t.Fatalf("append to an open session after a refusal: %v", err)
+	}
+	if v, err := cl.CloseSession("live"); err != nil || !v.Possibly {
+		t.Fatalf("close live: %+v, %v", v, err)
+	}
+}
+
 // waitGoroutines fails the test unless the process is back at (or below)
 // its starting goroutine count within a few seconds.
 func waitGoroutines(t *testing.T, start int) {
@@ -774,7 +805,7 @@ func TestServerRejectsHugeStep(t *testing.T) {
 
 // BenchmarkStreamIngest measures end-to-end engine throughput in
 // events/sec: one session per shard, in-order unit-step streams, batched
-// appends, Backpressure policy.
+// appends.
 func BenchmarkStreamIngest(b *testing.B) {
 	const (
 		procs    = 8

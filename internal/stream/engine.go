@@ -35,8 +35,6 @@ type Config struct {
 	// each session touched in a batch gets exactly one detector flush,
 	// amortising closure recomputation over the whole drain. Default 64.
 	BatchSize int
-	// Policy selects what a full mailbox does with append traffic.
-	Policy OverflowPolicy
 	// Metrics, when non-nil, receives the engine's operational metrics:
 	// per-shard throughput, sessions and shed frames, mux routing economy,
 	// slice compaction, SLO breaches, and the latency and work of
@@ -115,13 +113,6 @@ type handle struct {
 	// Worker-confined multiplexing state: undelivered verdict updates.
 	pending []mux.Update
 
-	// Worker-confined step attribution: the mux cost hook reports one
-	// delta per stepped predicate per flush; they are summed here per
-	// (tenant, family) — scope handles interned on first sight — and
-	// charged once per scope after the flush (settleSteps).
-	stepAccs  map[obs.ScopeKey]*stepAcc
-	stepOrder []*stepAcc // first-sight order: settling must not depend on map order
-
 	ingested   atomic.Uint64
 	delivered  atomic.Int64
 	holdback   atomic.Int64
@@ -187,7 +178,7 @@ type shard struct {
 
 // Engine is the multi-tenant streaming detector: a pool of shard workers
 // behind bounded mailboxes. Open/Query/CloseSession are synchronous;
-// Append is asynchronous and subject to the overflow policy.
+// Append is asynchronous and blocks while its shard's mailbox is full.
 type Engine struct {
 	cfg      Config
 	shards   []*shard
@@ -336,7 +327,6 @@ func (e *Engine) run(sh *shard) {
 			t0 := e.costStart()
 			e.withLabels(sh, h, func() { h.sess.Flush() })
 			e.costEnd(h, t0)
-			h.settleSteps()
 			e.flight.Record(obs.FlightRecord{
 				Seq: h.lastSeq, Session: id, Shard: sh.idx, Proc: -1,
 				Stage: obs.StageUpdate, Detail: "flush " + strconv.FormatInt(int64(h.sess.Flushes()), 10),
@@ -372,31 +362,28 @@ func (e *Engine) withLabels(sh *shard, h *handle, fn func()) {
 	pprof.SetGoroutineLabels(sh.baseCtx)
 }
 
-// stepAcc is one scope's detector steps accumulated within a flush.
-type stepAcc struct {
-	scope *obs.Scope
-	steps int64
+// predCost is one registered predicate's cost sink, resolved when the
+// predicate registers: its (tenant, family) scope and its hot-table
+// row, interned on the first charge so a predicate that never steps
+// leaves no row. Worker-confined.
+type predCost struct {
+	ledger             *obs.Ledger
+	id, tenant, family string
+	scope              *obs.Scope
+	steps              *obs.Counter
 }
 
-// addSteps accumulates steps reported by the mux cost hook.
-func (h *handle) addSteps(l *obs.Ledger, tenant, family string, steps int64) {
-	k := obs.ScopeKey{Tenant: tenant, Family: family}
-	a := h.stepAccs[k]
-	if a == nil {
-		a = &stepAcc{scope: l.Scope(tenant, family)}
-		h.stepAccs[k] = a
-		h.stepOrder = append(h.stepOrder, a)
+// charge adds the steps one flush owes the predicate: after the first
+// call, two atomic adds.
+//
+//lint:hotpath
+func (c *predCost) charge(steps int64) {
+	if c.steps == nil {
+		c.scope = c.ledger.Scope(c.tenant, c.family)
+		c.steps = c.ledger.Predicate(c.id, c.tenant, c.family)
 	}
-	a.steps += steps
-}
-
-// settleSteps charges the steps accumulated since the last call, one
-// atomic add per scope the flush touched.
-func (h *handle) settleSteps() {
-	for _, a := range h.stepOrder {
-		a.scope.AddSteps(a.steps)
-		a.steps = 0
-	}
+	c.scope.AddSteps(steps)
+	c.steps.Add(steps)
 }
 
 // costStart opens a CPU-attribution window: the wall clock on the
@@ -504,18 +491,16 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 		h = &handle{id: m.session, kind: sess.KindLabel(), tenant: tenant, shard: sh.idx, sess: sess, opened: time.Now()}
 		h.scope = e.ledger.Scope(tenant, h.kind)
 		if e.ledger != nil {
-			// Steps flow through the mux cost hook so multiplexed
-			// sessions attribute to each registration's own tenant and
+			// Each predicate charges its own sink, so multiplexed
+			// sessions attribute steps to each registration's tenant and
 			// family; the session's built-in all-events predicate maps
 			// back to the session id.
 			id := m.session
-			h.stepAccs = make(map[obs.ScopeKey]*stepAcc)
-			sess.OnCost(func(tenant, family, pid string, steps int64) {
-				h.addSteps(e.ledger, tenant, family, steps)
+			sess.OnCost(func(tenant, family, pid string) func(int64) {
 				if pid == sessionPred {
 					pid = id
 				}
-				e.ledger.RecordPredicate(pid, tenant, family, steps)
+				return (&predCost{ledger: e.ledger, id: pid, tenant: tenant, family: family}).charge
 			})
 		}
 		if e.cfg.ProfileLabels {
@@ -550,7 +535,6 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 		touched[m.session] = h
 	case msgQuery:
 		h.sess.Flush()
-		h.settleSteps()
 		e.drainUpdates(sh, h)
 		e.publish(sh, h)
 		ups := h.pending
@@ -606,7 +590,6 @@ func (e *Engine) apply(sh *shard, m shardMsg, touched map[string]*handle) {
 			h.scope.AddCPU(int64(time.Since(start)))
 		}
 		e.foldFinalizeWork(tr)
-		h.settleSteps()
 		e.drainUpdates(sh, h)
 		var preds []mux.Update
 		if h.sess.Mux() {
@@ -709,7 +692,7 @@ func (e *Engine) sync(id string, m shardMsg) (shardReply, error) {
 	}
 	m.session = id
 	m.reply = make(chan shardReply, 1)
-	if _, ok := e.shardFor(id).mb.put(m, e.cfg.Policy); !ok {
+	if !e.shardFor(id).mb.put(m) {
 		return shardReply{}, ErrEngineClosed
 	}
 	return <-m.reply, nil
@@ -724,10 +707,10 @@ func (e *Engine) Open(id string, spec Spec) error {
 	return r.err
 }
 
-// Append enqueues events for a session. It is asynchronous: delivery and
-// detection happen on the owning shard worker; under the DropOldest
-// policy an overloaded mailbox sheds its oldest append frame, which is
-// counted in the shard's dropped counters.
+// Append enqueues events for a session, blocking while the owning
+// shard's mailbox is full. It is asynchronous: delivery and detection
+// happen on the owning shard worker, which sheds (and counts in the
+// shard's dropped counters) a frame for a session it does not hold.
 //
 //lint:hotpath
 func (e *Engine) Append(id string, events []Event) error {
@@ -746,11 +729,7 @@ func (e *Engine) Append(id string, events []Event) error {
 			Stage: obs.StageRecv, Detail: strconv.Itoa(len(events)) + " events",
 		})
 	}
-	dropped, ok := sh.mb.put(shardMsg{kind: msgAppend, session: id, seq: seq, events: events}, e.cfg.Policy)
-	for _, d := range dropped {
-		e.accountShed(sh, d.session, d.seq, len(d.events), "mailbox overflow")
-	}
-	if !ok {
+	if !sh.mb.put(shardMsg{kind: msgAppend, session: id, seq: seq, events: events}) {
 		return ErrEngineClosed
 	}
 	return nil

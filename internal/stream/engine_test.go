@@ -77,34 +77,10 @@ func TestEngineShutdownRejectsAndIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestEngineDropOldestSheds fills a tiny mailbox faster than the worker
-// drains it and checks that shed append frames are counted, control
-// messages survive, and the session fails loudly at close (gaps).
-func TestEngineDropOldestSheds(t *testing.T) {
-	e := NewEngine(Config{Shards: 1, QueueLen: 2, BatchSize: 1, Policy: DropOldest})
-	defer e.Shutdown()
-	if err := e.Open("a", Spec{Pred: "sum(x) == 5", Procs: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 2000; i++ {
-		if err := e.Append("a", []Event{{Proc: 0, VC: []int64{i}, Val: i % 2}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := e.Snapshot()
-	if snap.Dropped == 0 {
-		t.Fatalf("no frames dropped under DropOldest with queue=2: %+v", snap.Shards)
-	}
-	// Control traffic still goes through, and the gaps are detected.
-	if _, _, err := e.ClosePredicates("a"); err == nil {
-		t.Fatal("close after shedding should report stream gaps")
-	}
-}
-
-// TestEngineBackpressureLossless floods a tiny mailbox under the blocking
-// policy: every event must arrive.
+// TestEngineBackpressureLossless floods a tiny mailbox, which blocks
+// the producer while it is full: every event must arrive.
 func TestEngineBackpressureLossless(t *testing.T) {
-	e := NewEngine(Config{Shards: 1, QueueLen: 2, BatchSize: 4, Policy: Backpressure})
+	e := NewEngine(Config{Shards: 1, QueueLen: 2, BatchSize: 4})
 	defer e.Shutdown()
 	const n = 2000
 	if err := e.Open("a", Spec{Pred: sumEqPred(n), Procs: 1}); err != nil {
@@ -263,27 +239,12 @@ func TestEngineManyConcurrentSessions(t *testing.T) {
 	}
 }
 
-func TestMailboxDropOldestSparesControl(t *testing.T) {
-	mb := newMailbox(2)
-	mb.put(shardMsg{kind: msgClose, session: "ctl"}, DropOldest)
-	mb.put(shardMsg{kind: msgAppend, session: "a"}, DropOldest)
-	dropped, ok := mb.put(shardMsg{kind: msgAppend, session: "b"}, DropOldest)
-	if !ok || len(dropped) != 1 || dropped[0].session != "a" {
-		t.Fatalf("dropped %+v, ok=%v; want the oldest append (a)", dropped, ok)
-	}
-	var got []shardMsg
-	got, _ = mb.drain(got, 10)
-	if len(got) != 2 || got[0].session != "ctl" || got[1].session != "b" {
-		t.Fatalf("drained %+v; want [ctl b]", got)
-	}
-}
-
 func TestMailboxBackpressureBlocks(t *testing.T) {
 	mb := newMailbox(1)
-	mb.put(shardMsg{kind: msgAppend, session: "a"}, Backpressure)
+	mb.put(shardMsg{kind: msgAppend, session: "a"})
 	unblocked := make(chan struct{})
 	go func() {
-		mb.put(shardMsg{kind: msgAppend, session: "b"}, Backpressure)
+		mb.put(shardMsg{kind: msgAppend, session: "b"})
 		close(unblocked)
 	}()
 	select {

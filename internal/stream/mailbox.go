@@ -6,30 +6,6 @@ import (
 	"github.com/distributed-predicates/gpd/internal/mux"
 )
 
-// OverflowPolicy selects what a full shard mailbox does with new append
-// traffic.
-type OverflowPolicy int
-
-const (
-	// Backpressure blocks the producer until the worker drains room —
-	// lossless, and the TCP connection naturally propagates the stall to
-	// the monitored application.
-	Backpressure OverflowPolicy = iota
-	// DropOldest sheds the oldest queued append frame to admit the new
-	// one — bounded latency for monitoring traffic that tolerates loss
-	// (a session whose stream gaps will fail loudly at Close). Control
-	// messages (open/close/query) are never shed and always block.
-	DropOldest
-)
-
-// String names the policy (also the flag/wire encoding).
-func (p OverflowPolicy) String() string {
-	if p == DropOldest {
-		return "drop-oldest"
-	}
-	return "backpressure"
-}
-
 // msgKind discriminates shard mailbox messages.
 type msgKind int
 
@@ -63,7 +39,7 @@ type shardReply struct {
 	preds   []mux.Update // close-time per-predicate fan-out; unregister: the one released
 }
 
-// mailbox is a bounded MPSC ring buffer with explicit overflow policy and
+// mailbox is a bounded MPSC ring buffer with backpressure and
 // high-water tracking. Producers are server connections; the single
 // consumer is the shard worker.
 type mailbox struct {
@@ -84,28 +60,17 @@ func newMailbox(capacity int) *mailbox {
 	return mb
 }
 
-// put enqueues a message. Control messages always block until there is
-// room; append messages follow the policy — under DropOldest, the oldest
-// queued append frame is shed and returned so the caller can account for
-// it. ok is false when the mailbox is closed.
-func (mb *mailbox) put(m shardMsg, policy OverflowPolicy) (dropped []shardMsg, ok bool) {
+// put enqueues a message, blocking until there is room: backpressure is
+// lossless, and the TCP connection propagates the stall to the
+// monitored application. ok is false when the mailbox is closed.
+func (mb *mailbox) put(m shardMsg) (ok bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for {
-		if mb.closed {
-			return dropped, false
-		}
-		if mb.count < len(mb.buf) {
-			break
-		}
-		if m.kind == msgAppend && policy == DropOldest {
-			if d, found := mb.dropOldestAppendLocked(); found {
-				//lint:ignore hotalloc sheds happen only when the mailbox is already overflowing — the allocation is confined to the overload path, where dropping beats stalling
-				dropped = append(dropped, d)
-				continue
-			}
-		}
+	for mb.count == len(mb.buf) && !mb.closed {
 		mb.notFull.Wait()
+	}
+	if mb.closed {
+		return false
 	}
 	mb.buf[(mb.head+mb.count)%len(mb.buf)] = m
 	mb.count++
@@ -113,27 +78,7 @@ func (mb *mailbox) put(m shardMsg, policy OverflowPolicy) (dropped []shardMsg, o
 		mb.highWater = mb.count
 	}
 	mb.notEmpty.Signal()
-	return dropped, true
-}
-
-// dropOldestAppendLocked removes the oldest append message from the ring,
-// compacting the remaining messages in order.
-func (mb *mailbox) dropOldestAppendLocked() (shardMsg, bool) {
-	n := len(mb.buf)
-	for i := 0; i < mb.count; i++ {
-		idx := (mb.head + i) % n
-		if mb.buf[idx].kind != msgAppend {
-			continue
-		}
-		victim := mb.buf[idx]
-		for j := i; j+1 < mb.count; j++ {
-			mb.buf[(mb.head+j)%n] = mb.buf[(mb.head+j+1)%n]
-		}
-		mb.buf[(mb.head+mb.count-1)%n] = shardMsg{}
-		mb.count--
-		return victim, true
-	}
-	return shardMsg{}, false
+	return true
 }
 
 // drain blocks until at least one message is queued (or the mailbox

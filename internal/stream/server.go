@@ -240,6 +240,12 @@ func (s *Server) handle(req Request) Response {
 		resp.OK = true
 		resp.Possibly, _ = s.eng.Possibly(req.Session)
 	case "append":
+		// Refused before it is queued: the worker would shed the frame,
+		// and an ok reply would hide the loss from the client.
+		possibly, open := s.eng.Possibly(req.Session)
+		if !open {
+			return fail(fmt.Errorf("%w: %q", ErrUnknownSession, req.Session))
+		}
 		if err := s.eng.Append(req.Session, req.Events); err != nil {
 			return fail(err)
 		}
@@ -247,7 +253,7 @@ func (s *Server) handle(req Request) Response {
 		// Detection is asynchronous; the latched flag may trail the
 		// events just appended, but a true answer is always final and a
 		// lagging false is refined by the next append or a query.
-		resp.Possibly, _ = s.eng.Possibly(req.Session)
+		resp.Possibly = possibly
 	case "query":
 		st, updates, err := s.eng.QueryUpdates(req.Session)
 		if err != nil {

@@ -114,19 +114,6 @@ func (s *Session) KindLabel() string {
 // Mux reports whether the session is multiplexed.
 func (s *Session) Mux() bool { return s.mux }
 
-// SetTrace routes the session's incremental-detector work counters
-// (closure recomputations of the sum-family trackers) into the given
-// trace. A nil trace disables accounting; multiplexed sessions are not
-// traced. Finalize work is accounted separately via FinalizeTraced.
-func (s *Session) SetTrace(tr *obs.Trace) {
-	if s.mux {
-		return
-	}
-	if t, ok := s.group.Detector(sessionPred).(detect.Traceable); ok {
-		t.SetTrace(tr)
-	}
-}
-
 // Register attaches a predicate to a multiplexed session. The predicate
 // observes the stream from the registration cut onward; its variable is
 // seeded with the last delivered values unless Init is given.
@@ -164,11 +151,11 @@ func (s *Session) PredicateStates() []mux.Update { return s.group.States() }
 // MuxStats returns the group's multiplexing counters.
 func (s *Session) MuxStats() mux.Stats { return s.group.Stats() }
 
-// OnCost installs the per-predicate step-cost hook on the underlying
-// group: invoked at every flush with each stepped predicate's step
-// delta, keyed by tenant, family and registration id. The engine feeds
-// the cost ledger through it.
-func (s *Session) OnCost(fn func(tenant, family, id string, steps int64)) { s.group.OnCost(fn) }
+// OnCost installs the cost resolver on the underlying group (see
+// mux.Group.OnCost). The engine feeds the cost ledger through it.
+func (s *Session) OnCost(resolve func(tenant, family, id string) func(steps int64)) {
+	s.group.OnCost(resolve)
+}
 
 // Step ingests one event. Events of one process must arrive in local
 // order; arbitrary interleaving (even causal reordering) across processes

@@ -50,7 +50,7 @@ var debugVarsKeys = map[string]string{
 	"shards":     "bench/ engine.queue_high_water, engine.dropped_frames",
 	"sessions":   "TestEngineSnapshotAggregates; TestServe64ConcurrentSessions (no row left after close)",
 	"events":     "cmd/gpdserver TestRunServesAndShutsDown; bench/ server.bytes_in_per_event",
-	"dropped":    "TestEngineDropOldestSheds; TestSLOShedFramesBreach",
+	"dropped":    "TestSLOShedFramesBreach",
 	"detections": "cmd/gpdserver TestRunServesAndShutsDown; TestEngineSnapshotAggregates",
 	"predicates": "TestExportedSeriesSet; TestServeMultiPredicateSession (leak check)",
 	"tenants":    "TestExportedSeriesSet; TestServeMultiPredicateSession (leak check)",

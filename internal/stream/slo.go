@@ -21,8 +21,8 @@ const (
 	// SLOMailboxDepth fires when a shard mailbox backs up past the
 	// threshold.
 	SLOMailboxDepth = "mailbox_depth"
-	// SLOShedFrames fires when the engine has shed more frames than the
-	// threshold (mailbox overflow plus unknown-session drops).
+	// SLOShedFrames fires when the engine has shed more append frames
+	// for unknown sessions than the threshold.
 	SLOShedFrames = "shed_frames"
 	// SLOTenantCPUShare fires when one tenant's share of the
 	// ledger-attributed CPU exceeds the threshold — the noisy-neighbour
@@ -167,7 +167,7 @@ func (e *Engine) dumpFlight() error {
 }
 
 // accountShed is the single accounting point for a dropped append frame
-// (mailbox overflow or unknown session): shed counters, a flight
+// (one for a session the shard does not hold): shed counters, a flight
 // record, and the shed-frames SLO.
 func (e *Engine) accountShed(sh *shard, session string, seq uint64, events int, reason string) {
 	sh.shedFrames.Inc()

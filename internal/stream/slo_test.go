@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -175,17 +176,15 @@ func TestSLOBreachDumpChromeFormat(t *testing.T) {
 	}
 }
 
-// TestSLOShedFramesBreach floods a tiny DropOldest mailbox past a
+// TestSLOShedFramesBreach appends to a session nobody opened past a
 // one-frame shed budget: the rule must fire exactly once (engine-wide
 // latch) no matter how many more frames shed.
 func TestSLOShedFramesBreach(t *testing.T) {
 	reg := obs.NewRegistry()
 	breached := make(chan string, 8)
-	// Room for every record of the run: recv per frame, then shed or
-	// delivered, plus at most one update per applied frame.
-	flight := obs.NewFlight(8192)
+	flight := obs.NewFlight(256)
 	e := NewEngine(Config{
-		Shards: 1, QueueLen: 2, BatchSize: 1, Policy: DropOldest,
+		Shards: 1, QueueLen: 2, BatchSize: 1,
 		Metrics: reg,
 		Flight:  flight,
 		SLO: SLOConfig{
@@ -194,25 +193,26 @@ func TestSLOShedFramesBreach(t *testing.T) {
 		},
 	})
 	defer e.Shutdown()
-	if err := e.Open("a", Spec{Pred: "sum(x) == 5", Procs: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 2000; i++ {
-		if err := e.Append("a", []Event{{Proc: 0, VC: []int64{i}, Val: i % 2}}); err != nil {
+	const frames = 20
+	for i := int64(1); i <= frames; i++ {
+		if err := e.Append("ghost", []Event{{Proc: 0, VC: []int64{i}, Val: i % 2}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitBreach(t, breached, SLOShedFrames, "")
+	// One shard drains in order: once a control message for the same id
+	// is answered, every append before it has been applied.
+	if _, _, err := e.QueryUpdates("ghost"); !errors.Is(err, ErrUnknownSession) {
+		t.Fatalf("query of a never-opened session: %v, want ErrUnknownSession", err)
+	}
 	snap := e.Snapshot()
-	if snap.Dropped < 2 {
-		t.Fatalf("expected many shed frames, got %d", snap.Dropped)
+	if snap.Dropped != frames {
+		t.Fatalf("shed %d frames, want every one of the %d", snap.Dropped, frames)
 	}
 	rule := `slo_breaches_total{rule="` + SLOShedFrames + `"}`
 	if n := reg.Snapshot().Counters[rule]; n != 1 {
 		t.Errorf("%s = %d, want exactly 1 (latched)", rule, n)
 	}
-	// Shed accounting now reaches the obs counters on the overflow path
-	// too (the seed only counted unknown-session drops there).
 	shed := `stream_shed_frames_total{shard="0"}`
 	if n := reg.Snapshot().Counters[shed]; uint64(n) != snap.Dropped {
 		t.Errorf("%s = %d, want %d (same as shard atomics)", shed, n, snap.Dropped)
@@ -222,8 +222,8 @@ func TestSLOShedFramesBreach(t *testing.T) {
 	for _, r := range flight.Snapshot() {
 		if r.Stage == obs.StageShed {
 			records++
-			if r.Session != "a" || !strings.HasPrefix(r.Detail, "mailbox overflow") {
-				t.Errorf("shed record %+v, want session a and a mailbox overflow", r)
+			if r.Session != "ghost" || !strings.HasPrefix(r.Detail, "unknown session") {
+				t.Errorf("shed record %+v, want session ghost and an unknown session", r)
 			}
 		}
 	}

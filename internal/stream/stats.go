@@ -36,7 +36,7 @@ type ShardStats struct {
 	Frames         uint64 `json:"frames"`           // mailbox messages processed
 	Events         uint64 `json:"events"`           // events ingested
 	Batches        uint64 `json:"batches"`          // mailbox drains
-	DroppedFrames  uint64 `json:"dropped_frames"`   // frames shed under overload
+	DroppedFrames  uint64 `json:"dropped_frames"`   // append frames shed for an unknown session
 	DroppedEvents  uint64 `json:"dropped_events"`   // events inside shed frames
 	QueueHighWater int    `json:"queue_high_water"` // deepest the mailbox has been
 	Detections     uint64 `json:"detections"`       // sessions whose verdict latched true
