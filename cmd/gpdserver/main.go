@@ -90,7 +90,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	sloHoldback := fs.Int("slo-holdback", 0, "SLO: max per-session holdback depth in events (0: off)")
 	sloMailbox := fs.Int("slo-mailbox", 0, "SLO: max per-shard mailbox backlog in frames (0: off)")
 	sloShed := fs.Uint64("slo-shed", 0, "SLO: max shed frames engine-wide (0: off)")
-	sloRetained := fs.Int("slo-retained", 0, "SLO: max per-session held history in events — slice frontier or retained trace (0: off)")
+	sloRetained := fs.Int("slo-retained", 0, "SLO: max per-session held history in events — a retaining session's trace (0: off)")
 	sloDump := fs.String("slo-dump", "", "file to dump the flight ring to on SLO breach (once per rule)")
 	sloDumpFormat := fs.String("slo-dump-format", "json", "breach dump encoding: json or chrome")
 	sloCPUShare := fs.Float64("slo-tenant-cpu-share", 0, "SLO: max fraction of detector CPU one tenant may hold, below 1 (0: off)")

@@ -69,8 +69,14 @@ type conjDetector struct {
 // detector crosses (session open, mux register, replay, the in-process
 // monitor), so the involved set is checked here: the checker allocates
 // a queue per entry, and a duplicate's or stranger's queue is never fed
-// — the conjunction would silently never latch.
+// — the conjunction would silently never latch. The initial values are
+// checked here too: the checker takes every involved process as false
+// at the start, so an involved process given a true initial state would
+// be silently read as false.
 func newConjDetector(s pred.Spec, cfg Config) (Detector, error) {
+	if len(cfg.Init) > cfg.Procs {
+		return nil, fmt.Errorf("detect: %d initial values for %d processes", len(cfg.Init), cfg.Procs)
+	}
 	involved := cfg.Involved
 	if len(involved) == 0 {
 		involved = make([]int, cfg.Procs)
@@ -87,6 +93,12 @@ func newConjDetector(s pred.Spec, cfg Config) (Detector, error) {
 				return nil, fmt.Errorf("detect: involved process %d listed twice", p)
 			}
 			seen[p] = true
+		}
+	}
+	for _, p := range involved {
+		if p < len(cfg.Init) && cfg.Init[p] != 0 {
+			return nil, fmt.Errorf("detect: %v requires involved processes to start false, but initial value %d is given for process %d",
+				s, cfg.Init[p], p)
 		}
 	}
 	return &conjDetector{

@@ -266,8 +266,9 @@ type Caps struct {
 	// Sliceable reports whether the family is regular under this
 	// modality's truth conventions, so detection can go through the
 	// predicate's slice (Entry.Slice is set) — the precondition for
-	// StrategySlice and for a streaming session swapping retained
-	// history for the slice frontier.
+	// StrategySlice and for a sliced streaming session, which reads the
+	// two facts a slice gives at close (empty; top at the final cut)
+	// from the endpoints instead.
 	Sliceable bool
 	// Payload declares the Event field the incremental detector
 	// consumes.

@@ -24,7 +24,8 @@ type Registration struct {
 	// from the registration cut": the group fills in the last delivered
 	// value of the predicate's variable on each process, so the
 	// detector observes the computation's suffix with the correct
-	// starting state.
+	// starting state. A conjunction refuses a true initial state on an
+	// involved process, seeded or given: its checker takes them false.
 	Init []int64
 	// Retain tells the detector to record per-event state for a
 	// close-time finalizer (all-events registrations of retaining
@@ -187,10 +188,14 @@ func (g *Group) Register(r Registration) error {
 			det = view
 		}
 	} else {
+		init := r.Init
+		if init == nil && routeVar != "" && entry.Caps.Payload == detect.PayloadTruth {
+			init = g.seedInit(routeVar, detect.PayloadTruth) // the state at the registration cut
+		}
 		det, err = entry.New(r.Spec, detect.Config{
 			Procs:    g.procs,
 			Involved: r.Involved,
-			Init:     r.Init,
+			Init:     init,
 			Retain:   r.Retain,
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
@@ -332,6 +333,48 @@ func TestMidStreamRegistration(t *testing.T) {
 	}
 	if g.Drain() != nil {
 		t.Fatal("second drain should be empty")
+	}
+}
+
+// TestMidStreamConjunctionOnTrueVariable: a conjunction registered
+// mid-stream is seeded with the variable's truth at the registration
+// cut, and its checker takes every involved process as false there. So
+// a registration over a variable some involved process currently holds
+// true is refused (it would never see that truth and could miss the
+// satisfying cut), while one over an untouched variable, or over a
+// variable true only outside its involved set, is accepted.
+func TestMidStreamConjunctionOnTrueVariable(t *testing.T) {
+	g := NewGroup(2)
+	if err := g.Step(detect.Event{Proc: 0, VC: []int64{1, 0}, Var: "x", Val: 1, Truth: true}); err != nil {
+		t.Fatal(err)
+	}
+	g.Flush()
+	all := func(v string) pred.Spec { return pred.Spec{Family: pred.Conjunctive, Var: v} }
+
+	err := g.Register(Registration{ID: "x", Spec: all("x")})
+	if err == nil || !strings.Contains(err.Error(), "process 0") {
+		t.Fatalf("all(x) with x true on process 0: got %v, want an error naming process 0", err)
+	}
+	if g.Possibly("x") || g.Stats().Registered != 0 {
+		t.Fatalf("the refused registration left a predicate behind: %+v", g.Stats())
+	}
+	if err := g.Register(Registration{ID: "x1", Spec: all("x"), Involved: []int{1}}); err != nil {
+		t.Fatalf("all(x) over process 1 only: %v", err)
+	}
+	if err := g.Register(Registration{ID: "y", Spec: all("y")}); err != nil {
+		t.Fatalf("all(y) on an untouched variable: %v", err)
+	}
+	for _, e := range []detect.Event{
+		{Proc: 1, VC: []int64{1, 1}, Var: "y", Val: 1, Truth: true},
+		{Proc: 0, VC: []int64{2, 1}, Var: "y", Val: 1, Truth: true},
+	} {
+		if err := g.Step(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Flush()
+	if !g.Possibly("y") {
+		t.Fatal("all(y) should latch once both processes set y")
 	}
 }
 

@@ -38,8 +38,12 @@ import (
 // again: advancement only moves up, and events not yet observed start
 // at their own causal past joined with the bottom. Compact exploits
 // that to drop the dominated prefix of each process log, which is what
-// bounds a streaming session's memory to O(slice frontier) instead of
-// O(history).
+// bounds the slicer's memory to O(slice frontier) instead of O(history).
+//
+// No serving path runs it: a sliced stream session reads the two facts
+// it needs at close (empty slice, top at the final cut) from its
+// endpoints instead, and TestSlicedSessionMatchesSlicer holds that rule
+// to this slicer.
 //
 // An IncrementalSlicer is confined to one goroutine.
 type IncrementalSlicer struct {
@@ -362,10 +366,14 @@ func (s *IncrementalSlicer) Retained() int {
 // Possibly reports whether some consistent cut of the observed prefix
 // satisfies the predicate — equivalently, whether the slice bottom has
 // been found. Once true it stays true, and the bottom is final.
+//
+//lint:ignore testonly oracle for a sliced stream session's close-time verdicts in TestSlicedSessionMatchesSlicer
 func (s *IncrementalSlicer) Possibly() bool { return s.possibly }
 
 // Top returns the running join of the bottom and every completed
 // irreducible — after Seal, the greatest cut of the slice.
+//
+//lint:ignore testonly oracle for a sliced stream session's close-time verdicts in TestSlicedSessionMatchesSlicer
 func (s *IncrementalSlicer) Top() []int {
 	out := make([]int, s.procs)
 	copy(out, s.top)

@@ -141,8 +141,7 @@ func serveLoopback(t *testing.T, cfg Config, opts ...ServerOption) (*Server, *Cl
 
 // TestServe64ConcurrentSessions is the acceptance e2e: 64 sessions
 // streamed concurrently over real TCP connections, each verdict checked
-// against the offline oracles for its predicate family, and each sliced
-// session's close reply checked to have compacted every event sent.
+// against the offline oracles for its predicate family.
 func TestServe64ConcurrentSessions(t *testing.T) {
 	srv, _ := serveLoopback(t, Config{Shards: 4, QueueLen: 64, BatchSize: 16})
 	jobs := makeJobs(t, 64)
@@ -188,10 +187,6 @@ func TestServe64ConcurrentSessions(t *testing.T) {
 			if (j.checkDef && !verdict.DefinitelyKnown) || (verdict.DefinitelyKnown && verdict.Definitely != j.wantDef) {
 				errs <- fmt.Errorf("%s (%s): Definitely=%v (known=%v), oracle=%v",
 					j.id, j.spec.Pred, verdict.Definitely, verdict.DefinitelyKnown, j.wantDef)
-			}
-			if j.spec.Slice && verdict.SliceCompacted != int64(len(j.events)) {
-				errs <- fmt.Errorf("%s (%s, sliced): compaction ledger %d, want every event sent (%d)",
-					j.id, j.spec.Pred, verdict.SliceCompacted, len(j.events))
 			}
 		}(jobs[i], int64(i))
 	}
@@ -667,6 +662,18 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	if _, err := cl.RegisterPredicate("m", RegisterSpec{ID: "p", Pred: "all(x)", Involved: []int{1}}); err != nil {
 		t.Errorf("register with involved [1]: %v", err)
 	}
+	// Registered mid-stream while x is true on process 0, all(x) would
+	// take that process as false and could miss the satisfying cut: it is
+	// refused. A variable nobody has set is accepted.
+	if _, err := cl.Append("m", []Event{{Proc: 0, VC: []int64{1, 0}, Var: "x", Val: 1, Truth: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if ups, err := cl.RegisterPredicate("m", RegisterSpec{ID: "q", Pred: "all(x)"}); err == nil || !strings.Contains(err.Error(), "process 0") {
+		t.Errorf("mid-stream all(x) on a true x: updates %+v, err %v; want ok:false naming process 0", ups, err)
+	}
+	if _, err := cl.RegisterPredicate("m", RegisterSpec{ID: "q", Pred: "all(y)"}); err != nil {
+		t.Errorf("mid-stream all(y) on an untouched y: %v", err)
+	}
 
 	// The legacy frame goes out raw: the Spec type can no longer spell it.
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -709,9 +716,10 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// TestServerRejectsBadInit sends initial values no core can start from —
-// more of them than processes, and a truth value outside {0,1} — down
-// both routes that carry an init. Truncating the first or starting the
+// TestServerRejectsBadInit sends initial values no detector can start
+// from — more of them than processes, a truth value outside {0,1}, and
+// any nonzero value for a process of a conjunction — down both routes
+// that carry an init. Truncating the first or starting the
 // true-count at the second would be a silent wrong verdict; each must
 // come back ok:false, and a well-formed init still latches.
 func TestServerRejectsBadInit(t *testing.T) {
@@ -727,6 +735,10 @@ func TestServerRejectsBadInit(t *testing.T) {
 		{"sum(x) >= 1", []int64{0, 0, 5}, "3 initial values for 2 processes"},
 		{"count(x) >= 1", []int64{0, 0, 1}, "3 initial values for 2 processes"},
 		{"count(x) >= 1", []int64{2}, "not a 0/1 truth value"},
+		{"all(x)", []int64{0, 0, 0}, "3 initial values for 2 processes"},
+		{"all(x)", []int64{1, 1}, "for process 0"}, // the checker takes involved processes as false
+		{"all(x)", []int64{0, 1}, "for process 1"},
+		{"all(x)", []int64{5, -3}, "for process 0"},
 	} {
 		err := cl.Open("s", Spec{Pred: tc.pred, Procs: 2, Init: tc.init})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -735,6 +747,9 @@ func TestServerRejectsBadInit(t *testing.T) {
 		_, err = cl.RegisterPredicate("m", RegisterSpec{ID: "p", Pred: tc.pred, Init: tc.init})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("register %s with init %v: got %v, want an error saying %q", tc.pred, tc.init, err, tc.want)
+		}
+		if _, err := cl.Query("s"); err == nil {
+			t.Errorf("open %s with init %v opened a session", tc.pred, tc.init)
 		}
 	}
 	if err := cl.Open("s", Spec{Pred: "count(x) >= 1", Procs: 2, Init: []int64{1}}); err != nil {

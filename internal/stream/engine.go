@@ -37,7 +37,7 @@ type Config struct {
 	BatchSize int
 	// Metrics, when non-nil, receives the engine's operational metrics:
 	// per-shard throughput, sessions and shed frames, mux routing economy,
-	// slice compaction, SLO breaches, and the latency and work of
+	// SLO breaches, and the latency and work of
 	// close-time Definitely rebuilds. The per-shard series are the very
 	// counters Snapshot reads; with a nil registry the engine counts on
 	// private ones, so Snapshot works either way.
@@ -124,9 +124,6 @@ type handle struct {
 	skipped    atomic.Int64 // mux sessions: detector steps avoided by routing
 	possibly   atomic.Bool
 	errStr     atomic.Value // string
-
-	sliceRetained  atomic.Int64 // sliced sessions: frontier size
-	sliceCompacted atomic.Int64 // sliced sessions: cumulative freed events
 }
 
 func (h *handle) stats() SessionStats {
@@ -146,9 +143,6 @@ func (h *handle) stats() SessionStats {
 		Active:     int(h.active.Load()),
 		Steps:      h.steps.Load(),
 		Skipped:    h.skipped.Load(),
-
-		SliceRetained:  int(h.sliceRetained.Load()),
-		SliceCompacted: h.sliceCompacted.Load(),
 	}
 	if e, _ := h.errStr.Load().(string); e != "" {
 		st.Error = e
@@ -206,8 +200,6 @@ type Engine struct {
 	mFinalizeMillis *obs.Histogram
 	mMuxSteps       *obs.Counter
 	mMuxSkipped     *obs.Counter
-	mSliceCompacted *obs.Counter // slice_compacted_events_total
-	gSliceRetained  *obs.Gauge   // slice_retained_events (engine-wide frontier sum)
 	// Labeled vectors: interning and the cardinality cap live in obs.
 	vTenantPreds  *obs.GaugeVec   // mux_registered_predicates{tenant=...}
 	vFinalizeWork *obs.CounterVec // stream_finalize_work_total{counter=...}
@@ -225,8 +217,6 @@ func NewEngine(cfg Config) *Engine {
 	e.mFinalizeMillis = m.Histogram("stream_finalize_millis", obs.ExpBuckets(1, 16)...)
 	e.mMuxSteps = m.Counter("mux_steps_total")
 	e.mMuxSkipped = m.Counter("mux_steps_skipped_total")
-	e.mSliceCompacted = m.Counter("slice_compacted_events_total")
-	e.gSliceRetained = m.Gauge("slice_retained_events")
 	e.vTenantPreds = m.GaugeVec("mux_registered_predicates", "tenant")
 	e.vFinalizeWork = m.CounterVec("stream_finalize_work_total", "counter")
 	// Pre-interned so every rule exports an explicit zero before it
@@ -407,7 +397,7 @@ func (e *Engine) costEnd(h *handle, t0 time.Time) {
 }
 
 // publish copies a session's state into its handle's atomics, feeds the
-// engine-wide mux and slice series by delta, and evaluates the
+// engine-wide mux series by delta, and evaluates the
 // per-session SLO rules. Runs once per touched session per batch.
 func (e *Engine) publish(sh *shard, h *handle) {
 	s := h.sess
@@ -425,15 +415,6 @@ func (e *Engine) publish(sh *shard, h *handle) {
 		h.active.Store(int64(ms.Active))
 		e.mMuxSteps.Add(ms.Steps - h.steps.Swap(ms.Steps))
 		e.mMuxSkipped.Add(ms.Skipped - h.skipped.Swap(ms.Skipped))
-	}
-	// Slice accounting: publish the frontier and feed the engine-wide
-	// series by delta, so the gauge is the live sum of every session's
-	// retained frontier and the counter is total history freed. Both
-	// reads walk a sliced session's processes and cost nothing otherwise.
-	sr, sc := int64(s.SliceRetained()), s.SliceCompacted()
-	if sr != h.sliceRetained.Load() || sc != h.sliceCompacted.Load() {
-		e.gSliceRetained.Add(sr - h.sliceRetained.Swap(sr))
-		e.mSliceCompacted.Add(sc - h.sliceCompacted.Swap(sc))
 	}
 	if max := e.cfg.SLO.RetainedEvents; max > 0 && !h.sloRetained {
 		if re := s.RetainedEvents(); re > max {

@@ -13,21 +13,19 @@ import (
 // (plus the runtime bridge gpdserver binds) exports, with the consumer
 // that reads its value, checked by checkConsumers (signals_test.go).
 var exportedSeries = map[string]string{
-	"stream_events_total":          "bench/ events_per_s; ShardStats.Events on /debug/vars",
-	"stream_frames_total":          "cmd/gpdserver TestMetricsEndpoint; ShardStats.Frames on /debug/vars",
-	"stream_batches_total":         "ShardStats.Batches on /debug/vars (frames per drain; checked below)",
-	"stream_shed_frames_total":     "TestSLOShedFramesBreach; ShardStats.DroppedFrames (bench/ engine.dropped_frames)",
-	"stream_shed_events_total":     "ShardStats.DroppedEvents on /debug/vars (checked below)",
-	"stream_detections_total":      "cmd/gpdserver TestMetricsEndpoint; ShardStats.Detections on /debug/vars",
-	"stream_sessions":              "ShardStats.Sessions on /debug/vars (TestEngineSnapshotAggregates, TestProfileLabelsOnShardGoroutines)",
-	"stream_finalize_millis":       "cmd/gpdserver TestMetricsEndpoint (close-time Definitely rebuild latency)",
-	"stream_finalize_work_total":   "cmd/gpdserver TestMetricsEndpoint (stream.rebuilt_events)",
-	"mux_steps_total":              "README multi-predicate recipe",
-	"mux_steps_skipped_total":      "README multi-predicate recipe; the scripted run below",
-	"mux_registered_predicates":    "README multi-predicate recipe; cmd/gpdserver TestTenantsEndpoint",
-	"slice_compacted_events_total": "TestEngineSliceMetrics",
-	"slice_retained_events":        "TestEngineSliceMetrics",
-	"slo_breaches_total":           "the SLO watchdog's own output: slo_test.go, README SLO section",
+	"stream_events_total":        "bench/ events_per_s; ShardStats.Events on /debug/vars",
+	"stream_frames_total":        "cmd/gpdserver TestMetricsEndpoint; ShardStats.Frames on /debug/vars",
+	"stream_batches_total":       "ShardStats.Batches on /debug/vars (frames per drain; checked below)",
+	"stream_shed_frames_total":   "TestSLOShedFramesBreach; ShardStats.DroppedFrames (bench/ engine.dropped_frames)",
+	"stream_shed_events_total":   "ShardStats.DroppedEvents on /debug/vars (checked below)",
+	"stream_detections_total":    "cmd/gpdserver TestMetricsEndpoint; ShardStats.Detections on /debug/vars",
+	"stream_sessions":            "ShardStats.Sessions on /debug/vars (TestEngineSnapshotAggregates, TestProfileLabelsOnShardGoroutines)",
+	"stream_finalize_millis":     "cmd/gpdserver TestMetricsEndpoint (close-time Definitely rebuild latency)",
+	"stream_finalize_work_total": "cmd/gpdserver TestMetricsEndpoint (stream.rebuilt_events)",
+	"mux_steps_total":            "README multi-predicate recipe",
+	"mux_steps_skipped_total":    "README multi-predicate recipe; the scripted run below",
+	"mux_registered_predicates":  "README multi-predicate recipe; cmd/gpdserver TestTenantsEndpoint",
+	"slo_breaches_total":         "the SLO watchdog's own output: slo_test.go, README SLO section",
 
 	"runtime_heap_live_bytes":         "TestBindRuntimeMetrics; README runtime self-telemetry recipe",
 	"runtime_heap_objects":            "README runtime self-telemetry recipe",
@@ -109,7 +107,6 @@ func TestExportedSeriesSet(t *testing.T) {
 		`stream_detections_total{shard="0"}`:  3, // every session latches (mux: on its first predicate)
 		"mux_steps_total":                     2,
 		"mux_steps_skipped_total":             2,
-		"slice_compacted_events_total":        2,
 	} {
 		if snap.Counters[name] != want {
 			t.Errorf("%s = %d, want %d", name, snap.Counters[name], want)

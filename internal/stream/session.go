@@ -2,13 +2,13 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/mux"
 	"github.com/distributed-predicates/gpd/internal/obs"
 	"github.com/distributed-predicates/gpd/internal/pred"
-	"github.com/distributed-predicates/gpd/internal/slicing"
 )
 
 // varName is the variable name a retained trace is rebuilt under at
@@ -29,8 +29,8 @@ const sessionPred = "_session"
 //     all-events registration with exactly the pre-multiplexer
 //     semantics: the detector sees every event under raw timestamps, a
 //     detector error kills the session, and Close can decide Definitely
-//     from the retained trace or, for a sliced session, from the one
-//     incremental slicer the session owns.
+//     from the retained trace or, for a sliced session, from the
+//     endpoints of every run.
 //   - A multiplexed session (Spec.Mux) starts empty; predicates are
 //     registered and unregistered mid-stream, each stepped only on the
 //     events its relevance set touches, under projected timestamps.
@@ -48,11 +48,10 @@ type Session struct {
 	group   *mux.Group     // causal delivery + routing, owns the detectors
 	err     error          // sticky failure; the session is dead once set
 
-	retained  []Event                    // full delivered trace when spec.Retain
-	slicer    *slicing.IncrementalSlicer // the predicate's incremental slice when spec.Slice
-	compacted int64                      // events freed by slice compaction so far
-	possibly  bool                       // latched verdict as of the last Flush
-	flushes   int
+	retained []Event // full delivered trace when spec.Retain
+	frontier []bool  // per-process truth at the delivered frontier when spec.Slice
+	possibly bool    // latched verdict as of the last Flush
+	flushes  int
 }
 
 // NewSession validates the spec and builds the session. For
@@ -96,7 +95,7 @@ func NewSession(spec Spec) (*Session, error) {
 	case spec.Retain:
 		s.group.OnDeliver(func(ev Event) { s.retained = append(s.retained, ev) })
 	case spec.Slice:
-		s.startSlice()
+		s.watchFrontier()
 	}
 	s.possibly = s.group.Possibly(sessionPred) // a satisfied initial cut latches immediately
 	return s, nil
@@ -171,9 +170,6 @@ func (s *Session) Step(ev Event) error {
 	if err := s.group.Step(ev); err != nil {
 		return s.fail(err)
 	}
-	if s.err != nil { // the slicer refused a delivered event
-		return s.err
-	}
 	if !s.mux {
 		if perr := s.group.PredicateErr(sessionPred); perr != nil {
 			return s.fail(fmt.Errorf("stream: %w", perr))
@@ -196,27 +192,24 @@ func (s *Session) fail(err error) error {
 	return err
 }
 
-// startSlice builds the session's incremental slice and feeds it every
-// delivered event. Processes outside a strict Involved subset carry no
-// conjunct: they start true and stay true whatever their events say.
-func (s *Session) startSlice() {
-	var uninvolved []bool
-	if len(s.spec.Involved) > 0 {
-		uninvolved = make([]bool, s.spec.Procs)
-		for p := range uninvolved {
-			uninvolved[p] = true
-		}
-		for _, p := range s.spec.Involved { // in range: the detector checked
-			uninvolved[p] = false
-		}
+// watchFrontier keeps one truth bit per process at the delivered
+// frontier, fed from every delivered event. Involved processes start
+// false, as the online checker takes them; processes outside a strict
+// Involved subset carry no conjunct and count as true whatever their
+// events say.
+func (s *Session) watchFrontier() {
+	involved := make([]bool, s.spec.Procs)
+	for p := range involved {
+		involved[p] = len(s.spec.Involved) == 0
 	}
-	s.slicer = slicing.NewIncrementalSlicer(s.spec.Procs, uninvolved)
-	s.group.OnDeliver(func(ev Event) {
-		truth := ev.Truth || uninvolved != nil && uninvolved[ev.Proc]
-		if err := s.slicer.Observe(ev.Proc, ev.VC, truth); err != nil && s.err == nil {
-			s.err = fmt.Errorf("stream: slice maintenance: %w", err)
-		}
-	})
+	for _, p := range s.spec.Involved { // in range: the detector checked
+		involved[p] = true
+	}
+	s.frontier = make([]bool, s.spec.Procs)
+	for p := range s.frontier {
+		s.frontier[p] = !involved[p]
+	}
+	s.group.OnDeliver(func(ev Event) { s.frontier[ev.Proc] = ev.Truth || !involved[ev.Proc] })
 }
 
 // Flush advances every detector stepped since the last flush (one
@@ -231,9 +224,6 @@ func (s *Session) Flush() bool {
 	s.flushes++
 	if s.group.Flush() {
 		s.possibly = true
-	}
-	if s.slicer != nil {
-		s.compacted += s.slicer.Compact()
 	}
 	return s.possibly
 }
@@ -266,27 +256,11 @@ func (s *Session) Window() int {
 // Flushes returns the number of detector flushes performed.
 func (s *Session) Flushes() int { return s.flushes }
 
-// SliceRetained returns the events currently held in a sliced
-// session's frontier — the window it keeps instead of the trace; 0 for
-// every other session.
-func (s *Session) SliceRetained() int {
-	if s.slicer == nil {
-		return 0
-	}
-	return s.slicer.Retained()
-}
-
-// SliceCompacted returns the cumulative events freed by slice
-// compaction.
-func (s *Session) SliceCompacted() int64 { return s.compacted }
-
-// RetainedEvents reports the session's held history, whatever form it
-// takes: the slice frontier of a sliced session or the full delivered
-// trace of a retaining one. Every other session, mux sessions included,
-// holds none. The engine's retained-events SLO watches this.
-func (s *Session) RetainedEvents() int {
-	return s.SliceRetained() + len(s.retained)
-}
+// RetainedEvents reports the session's held history: the full
+// delivered trace of a retaining session. Every other session, sliced
+// and mux sessions included, holds none. The engine's retained-events
+// SLO watches this.
+func (s *Session) RetainedEvents() int { return len(s.retained) }
 
 // Finalize seals the stream: it flushes the detectors, verifies the
 // stream was gapless, and — when a single-predicate spec retained the
@@ -305,8 +279,6 @@ func (s *Session) Finalize() (Verdict, error) {
 // invisible to observability; the engine now routes it into the metrics
 // registry.
 func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
-	doneAll := tr.Span("stream.finalize")
-	defer doneAll()
 	s.Flush()
 	v := Verdict{Possibly: s.possibly}
 	if s.err != nil {
@@ -315,8 +287,8 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	if hb := s.group.Holdback(); hb > 0 {
 		return v, s.fail(fmt.Errorf("stream: %d events undeliverable at close (gaps in the stream)", hb))
 	}
-	if s.slicer != nil {
-		return s.finalizeSliced(v, tr)
+	if s.spec.Slice {
+		return s.finalizeSliced(v), nil
 	}
 	if !s.spec.Retain { // mux sessions never retain
 		return v, nil
@@ -325,9 +297,7 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	if !ok {
 		return v, nil // the detector cannot decide Definitely; Possibly stands
 	}
-	doneRebuild := tr.Span("stream.rebuild")
 	c, err := s.buildComputation()
-	doneRebuild()
 	if err != nil {
 		return v, s.fail(err)
 	}
@@ -340,44 +310,20 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	return v, nil
 }
 
-// finalizeSliced seals the session's incremental slice and answers
-// from it. The frontier size is captured before the seal (the seal's
-// final compaction drops everything — the stream is over). The sealed
-// slice decides Definitely in two of three outcomes with no retained
-// trace: an empty slice means no consistent cut ever satisfied the
-// predicate (Definitely false), and a slice whose top is the final cut
-// means the final cut satisfies it — every run ends there (Definitely
-// true). In between, Definitely needs the full trace the session chose
-// not to keep. The slicer's own verdict doubles as a cross-check
-// against the token checker; a mismatch is a detector bug and kills
-// the session rather than ship a wrong answer.
-func (s *Session) finalizeSliced(v Verdict, tr *obs.Trace) (Verdict, error) {
-	sl := s.slicer
-	v.SliceRetained = sl.Retained()
-	sl.Seal()
-	s.compacted += sl.Compact()
-	v.SliceCompacted = s.compacted
-	tr.Add("stream.slice_retained", int64(v.SliceRetained))
-	tr.Add("stream.slice_compacted", v.SliceCompacted)
-	if sl.Possibly() != s.possibly {
-		return v, s.fail(fmt.Errorf("stream: slice verdict %v disagrees with detector verdict %v", sl.Possibly(), s.possibly))
-	}
-	if !s.possibly {
-		v.Definitely, v.DefinitelyKnown = false, true
-		return v, nil
-	}
-	top := sl.Top()
-	atFinal := true
-	for p := 0; p < s.spec.Procs; p++ {
-		if int64(top[p]) != s.group.DeliveredOn(p) {
-			atFinal = false
-			break
-		}
-	}
-	if atFinal {
+// finalizeSliced decides Definitely from the endpoints every run
+// shares: each starts at the initial cut and ends at the final cut. A
+// predicate no consistent cut satisfies (Possibly never latched) is
+// Definitely false, and one the final cut satisfies is Definitely true.
+// In between, Definitely needs the full trace the session chose not to
+// keep.
+func (s *Session) finalizeSliced(v Verdict) Verdict {
+	switch {
+	case !s.possibly:
+		v.DefinitelyKnown = true
+	case !slices.Contains(s.frontier, false):
 		v.Definitely, v.DefinitelyKnown = true, true
 	}
-	return v, nil
+	return v
 }
 
 // traceVar returns the variable name of the rebuilt computation: the

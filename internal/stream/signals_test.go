@@ -65,23 +65,21 @@ var debugVarsKeys = map[string]string{
 	"shards[].queue_high_water": "TestEngineSnapshotAggregates; bench/ engine.queue_high_water",
 	"shards[].detections":       "TestExportedSeriesSet (one store with stream_detections_total)",
 
-	"sessions[].id":              "TestEngineSnapshotAggregates",
-	"sessions[].kind":            "TestServeMultiPredicateSession",
-	"sessions[].tenant":          "TestEngineSnapshotAggregates",
-	"sessions[].shard":           "TestEngineSnapshotAggregates",
-	"sessions[].ingested":        "TestEngineLifecycle",
-	"sessions[].delivered":       "TestEngineLifecycle; bench/ delivery check",
-	"sessions[].holdback":        "TestSLOHoldbackDepthBreach; bench/ delivery check",
-	"sessions[].window":          "TestEngineSnapshotAggregates",
-	"sessions[].flushes":         "bench/ flush economy (flushes per frame)",
-	"sessions[].possibly":        "TestEngineLifecycle; bench/ verdict check",
-	"sessions[].error":           "TestServerRejectsHugeStep",
-	"sessions[].registered":      "TestServeMultiPredicateSession; bench/ mux.active_share_end",
-	"sessions[].active":          "bench/ mux.active_share_end",
-	"sessions[].steps":           "bench/ mux steps per event",
-	"sessions[].skipped":         "TestServeMultiPredicateSession",
-	"sessions[].slice_retained":  "TestEngineSliceMetrics; TestMuxSlicedRegistrations",
-	"sessions[].slice_compacted": "TestMuxSlicedRegistrations",
+	"sessions[].id":         "TestEngineSnapshotAggregates",
+	"sessions[].kind":       "TestServeMultiPredicateSession",
+	"sessions[].tenant":     "TestEngineSnapshotAggregates",
+	"sessions[].shard":      "TestEngineSnapshotAggregates",
+	"sessions[].ingested":   "TestEngineLifecycle",
+	"sessions[].delivered":  "TestEngineLifecycle; bench/ delivery check",
+	"sessions[].holdback":   "TestSLOHoldbackDepthBreach; bench/ delivery check",
+	"sessions[].window":     "TestEngineSnapshotAggregates",
+	"sessions[].flushes":    "bench/ flush economy (flushes per frame)",
+	"sessions[].possibly":   "TestEngineLifecycle; bench/ verdict check",
+	"sessions[].error":      "TestServerRejectsHugeStep",
+	"sessions[].registered": "TestServeMultiPredicateSession; bench/ mux.active_share_end",
+	"sessions[].active":     "bench/ mux.active_share_end",
+	"sessions[].steps":      "bench/ mux steps per event",
+	"sessions[].skipped":    "TestServeMultiPredicateSession",
 }
 
 // debugTenantsKeys is every JSON key of the /debug/tenants view.

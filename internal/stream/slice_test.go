@@ -4,23 +4,24 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/gen"
 	"github.com/distributed-predicates/gpd/internal/mux"
-	"github.com/distributed-predicates/gpd/internal/obs"
 	"github.com/distributed-predicates/gpd/internal/pred"
+	"github.com/distributed-predicates/gpd/internal/slicing"
 )
 
 // TestSlicedSessionAgreesWithRetain replays random computations through a
 // sliced session and a retaining control and pins their agreement: same
-// Possibly always; and whenever the sealed slice claims Definitely, it
+// Possibly always; and whenever the sliced session claims Definitely, it
 // must match the control's exact offline answer. The second arm involves
 // only the even processes: the odd ones carry no conjunct and report
-// false on every event, so a slice that read their flags would miss the
-// cuts past their events.
+// false on every event, so a session that read their flags would miss
+// the cuts past their events.
 func TestSlicedSessionAgreesWithRetain(t *testing.T) {
 	for _, arm := range []struct {
 		name string
@@ -46,7 +47,7 @@ func TestSlicedSessionAgreesWithRetain(t *testing.T) {
 
 			ctrl, _ := replay(t, rand.New(rand.NewSource(seed)),
 				Spec{Pred: "all(x)", Procs: c.NumProcs(), Involved: involved, Retain: true}, events)
-			v, s := replay(t, rand.New(rand.NewSource(seed)),
+			v, _ := replay(t, rand.New(rand.NewSource(seed)),
 				Spec{Pred: "all(x)", Procs: c.NumProcs(), Involved: involved, Slice: true}, events)
 
 			if v.Possibly != ctrl.Possibly {
@@ -58,18 +59,12 @@ func TestSlicedSessionAgreesWithRetain(t *testing.T) {
 			if !v.Possibly && !v.DefinitelyKnown {
 				t.Errorf("%s seed %d: empty slice must decide Definitely false", arm.name, seed)
 			}
-			if v.SliceCompacted != int64(len(events)) {
-				t.Errorf("%s seed %d: compaction ledger %d, want every event (%d)", arm.name, seed, v.SliceCompacted, len(events))
-			}
-			if s.SliceRetained() != 0 {
-				t.Errorf("%s seed %d: %d events retained after the sealed finalize", arm.name, seed, s.SliceRetained())
-			}
 		}
 	}
 }
 
-// TestSlicedSessionDefinitely pins the two close-time outcomes the sealed
-// slice can decide without a retained trace.
+// TestSlicedSessionDefinitely pins the two close-time outcomes a sliced
+// session decides from the endpoints without a retained trace.
 func TestSlicedSessionDefinitely(t *testing.T) {
 	build := func(truthAt func(p, i int) bool) ([]Event, int) {
 		c := computation.New()
@@ -89,14 +84,14 @@ func TestSlicedSessionDefinitely(t *testing.T) {
 	}
 
 	// Every event true: the final cut satisfies, so every run ends in a
-	// satisfying cut — Definitely true straight from the slice top.
+	// satisfying cut — Definitely true.
 	evs, procs := build(func(p, i int) bool { return true })
 	v, _ := replay(t, rand.New(rand.NewSource(1)), Spec{Pred: "all(x)", Procs: procs, Slice: true}, evs)
 	if !v.Possibly || !v.DefinitelyKnown || !v.Definitely {
 		t.Fatalf("all-true trace: verdict %+v, want Definitely true (known)", v)
 	}
 
-	// No event ever true on process 1: the slice is empty — Definitely false.
+	// No event ever true on process 1: no cut satisfies — Definitely false.
 	evs, procs = build(func(p, i int) bool { return p == 0 })
 	v, _ = replay(t, rand.New(rand.NewSource(2)), Spec{Pred: "all(x)", Procs: procs, Slice: true}, evs)
 	if v.Possibly || !v.DefinitelyKnown || v.Definitely {
@@ -109,6 +104,70 @@ func TestSlicedSessionDefinitely(t *testing.T) {
 	v, _ = replay(t, rand.New(rand.NewSource(3)), Spec{Pred: "all(x)", Procs: procs, Slice: true}, evs)
 	if !v.Possibly || v.DefinitelyKnown {
 		t.Fatalf("mid-stream trace: verdict %+v, want Possibly true, Definitely unknown", v)
+	}
+}
+
+// TestSlicedSessionMatchesSlicer is the reference for the endpoint rule a
+// sliced session closes with. Random computations go through a sliced
+// session and through an incremental slicer (cs/0303010) fed the same
+// delivered stream, with the involved processes all, every 2nd or every
+// 3rd, and random truth on the uninvolved ones (which the session must
+// ignore and the slicer is told to treat as true). Possibly must agree,
+// and Definitely must be the slicer's: an empty slice is Definitely
+// false, a slice whose top is the final cut is Definitely true, and any
+// other slice leaves it unknown.
+func TestSlicedSessionMatchesSlicer(t *testing.T) {
+	outcomes := map[string]int{}
+	for _, step := range []int{1, 2, 3} {
+		for seed := int64(0); seed < 1000; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := randomComputation(seed)
+			truth := gen.BoolTables(seed, c, 0.25+rng.Float64()*0.5)
+			procs := c.NumProcs()
+			var involved []int
+			uninvolved := make([]bool, procs)
+			for p := range truth {
+				truth[p][0] = false // online sessions take initial states as false
+				if p%step != 0 {
+					uninvolved[p] = true
+				} else if step > 1 {
+					involved = append(involved, p)
+				}
+			}
+			events := tableTrace(c, truth)
+			v, _ := replay(t, rand.New(rand.NewSource(seed)),
+				Spec{Pred: "all(x)", Procs: procs, Involved: involved, Slice: true}, events)
+
+			sl := slicing.NewIncrementalSlicer(procs, uninvolved)
+			final := make([]int, procs)
+			for _, ev := range events { // tableTrace is a causal order
+				if err := sl.Observe(ev.Proc, ev.VC, ev.Truth || uninvolved[ev.Proc]); err != nil {
+					t.Fatalf("step %d seed %d: slicer: %v", step, seed, err)
+				}
+				final[ev.Proc]++
+			}
+			sl.Seal()
+			var want Verdict
+			switch {
+			case !sl.Possibly():
+				want.DefinitelyKnown = true
+				outcomes["false"]++
+			case slices.Equal(sl.Top(), final):
+				want.Definitely, want.DefinitelyKnown = true, true
+				outcomes["true"]++
+			default:
+				outcomes["unknown"]++
+			}
+			if v.Possibly != sl.Possibly() || v.Definitely != want.Definitely || v.DefinitelyKnown != want.DefinitelyKnown {
+				t.Errorf("step %d seed %d: session %+v, slicer possibly=%v definitely=%v known=%v",
+					step, seed, v, sl.Possibly(), want.Definitely, want.DefinitelyKnown)
+			}
+		}
+	}
+	for _, o := range []string{"false", "true", "unknown"} {
+		if outcomes[o] == 0 {
+			t.Errorf("no seed produced the %s outcome: %v", o, outcomes)
+		}
 	}
 }
 
@@ -151,8 +210,8 @@ func TestSliceSpecValidate(t *testing.T) {
 
 // ringTrace builds a causally chained trace: event i happens on process
 // i%procs and receives from event i-1, so the computation is one total
-// order and compaction can always keep up. Truth follows i%5 != 0 —
-// satisfying cuts recur, so the slice bottom keeps advancing.
+// order and the detector window stays small. Truth follows i%5 != 0, so
+// satisfying cuts recur.
 func ringTrace(procs, n int) []Event {
 	counts := make([]int64, procs)
 	prev := make([]int64, procs)
@@ -171,8 +230,8 @@ func ringTrace(procs, n int) []Event {
 
 // TestSlicedSessionBoundsMemory is the memory-economy contract at test
 // scale (the 1M-event version is BenchmarkLongSession): over a long
-// causally chained stream the sliced session's held history stays flat
-// while the retaining control grows linearly.
+// causally chained stream the sliced session holds no history while the
+// retaining control grows linearly.
 func TestSlicedSessionBoundsMemory(t *testing.T) {
 	const procs, n = 4, 4000
 	evs := ringTrace(procs, n)
@@ -200,11 +259,8 @@ func TestSlicedSessionBoundsMemory(t *testing.T) {
 	if !v.Possibly {
 		t.Fatal("ring trace has satisfying cuts; Possibly is false")
 	}
-	if maxRetained > n/10 {
-		t.Fatalf("sliced session held %d events at peak (%d streamed); compaction is not keeping up", maxRetained, n)
-	}
-	if v.SliceCompacted != int64(n) {
-		t.Fatalf("compaction ledger %d, want %d", v.SliceCompacted, n)
+	if maxRetained != 0 {
+		t.Fatalf("sliced session held %d events at peak (%d streamed); it must hold none", maxRetained, n)
 	}
 
 	ctrl, err := NewSession(Spec{Pred: "all(x)", Procs: procs, Retain: true})
@@ -225,12 +281,10 @@ func TestSlicedSessionBoundsMemory(t *testing.T) {
 // nothing. Over a live engine, sliced registrations of a regular and
 // a non-regular predicate are admitted before and after the first append,
 // each latches exactly as its unsliced twin does, and no history is held
-// anywhere: not in the session (RetainedEvents, on an in-process twin
-// fed the same requests), its stats, or the gpd_slice_retained_events
-// gauge. The benchmark's mux_fanout workload relies on this contract.
+// in the session (RetainedEvents, on an in-process twin fed the same
+// requests). The benchmark's mux_fanout workload relies on this contract.
 func TestMuxSlicedRegistrations(t *testing.T) {
-	reg := obs.NewRegistry()
-	_, cl := serveLoopback(t, Config{Shards: 1, Metrics: reg})
+	_, cl := serveLoopback(t, Config{Shards: 1})
 	local, err := NewSession(Spec{Mux: true, Procs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -265,17 +319,11 @@ func TestMuxSlicedRegistrations(t *testing.T) {
 		}
 	}
 	check := func(when string) {
-		st, ups, err := cl.QueryUpdates("m")
+		_, ups, err := cl.QueryUpdates("m")
 		if err != nil {
 			t.Fatal(err)
 		}
 		record(ups)
-		if st.SliceRetained != 0 || st.SliceCompacted != 0 {
-			t.Errorf("%s: session stats report slice state %d/%d", when, st.SliceRetained, st.SliceCompacted)
-		}
-		if got := reg.Gauge("slice_retained_events").Value(); got != 0 {
-			t.Errorf("%s: gpd_slice_retained_events = %d, want 0", when, got)
-		}
 		if got := local.RetainedEvents(); got != 0 {
 			t.Errorf("%s: RetainedEvents = %d, want 0", when, got)
 		}
@@ -305,9 +353,6 @@ func TestMuxSlicedRegistrations(t *testing.T) {
 	if _, final, err := cl.ClosePredicates("m"); err != nil || len(final) != 8 {
 		t.Fatalf("close: %d final states, err %v; want all 8 registrations", len(final), err)
 	}
-	if got := reg.Gauge("slice_retained_events").Value(); got != 0 {
-		t.Errorf("after close: gpd_slice_retained_events = %d, want 0", got)
-	}
 
 	for _, stage := range []string{"early", "late"} {
 		for i, text := range preds {
@@ -329,45 +374,49 @@ func TestMuxSlicedRegistrations(t *testing.T) {
 	}
 }
 
-// TestEngineSliceMetrics drives a sliced session through the engine and
-// checks the metrics contract: the compaction counter accumulates and the
-// retained gauge walks back to zero when the close-time seal releases the
-// frontier.
+// TestEngineSliceMetrics closes sliced sessions through the engine and
+// checks the endpoint verdicts on the close reply: known-true when the
+// final cut satisfies the predicate, known-false when Possibly never
+// latched, and unknown when only some intermediate cut satisfies it.
 func TestEngineSliceMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := NewEngine(Config{Shards: 1, Metrics: reg})
+	e := NewEngine(Config{Shards: 1})
 	defer e.Shutdown()
 
-	if err := e.Open("a", Spec{Pred: "all(x)", Procs: 2, Slice: true}); err != nil {
-		t.Fatal(err)
-	}
-	evs := ringTrace(2, 400)
-	if err := e.Append("a", evs); err != nil {
-		t.Fatal(err)
-	}
-	st, _, err := e.QueryUpdates("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SliceRetained == 0 && st.SliceCompacted == 0 {
-		t.Fatalf("mid-stream stats show no slice activity: %+v", st)
-	}
-	v, _, err := e.ClosePredicates("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Possibly {
-		t.Fatalf("verdict: %+v", v)
-	}
-	if got := reg.Counter("slice_compacted_events_total").Value(); got != int64(len(evs)) {
-		t.Fatalf("slice_compacted_events_total = %d, want %d", got, len(evs))
-	}
-	if got := reg.Gauge("slice_retained_events").Value(); got != 0 {
-		t.Fatalf("slice_retained_events = %d after close, want 0", got)
+	for _, tc := range []struct {
+		name                        string
+		evs                         []Event
+		possibly, definitely, known bool
+	}{
+		{"final cut satisfies", ringTrace(2, 400), true, true, true}, // event 399 is true, and so is 398
+		{"never satisfied", []Event{
+			{Proc: 0, VC: []int64{1, 0}, Truth: true},
+			{Proc: 1, VC: []int64{1, 1}},
+			{Proc: 0, VC: []int64{2, 1}},
+		}, false, false, true},
+		{"satisfied mid-stream only", []Event{
+			{Proc: 0, VC: []int64{1, 0}, Truth: true},
+			{Proc: 1, VC: []int64{0, 1}, Truth: true},
+			{Proc: 1, VC: []int64{0, 2}},
+		}, true, false, false},
+	} {
+		if err := e.Open(tc.name, Spec{Pred: "all(x)", Procs: 2, Slice: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Append(tc.name, tc.evs); err != nil {
+			t.Fatal(err)
+		}
+		v, _, err := e.ClosePredicates(tc.name)
+		if err != nil {
+			t.Fatalf("%s: close: %v", tc.name, err)
+		}
+		if v.Possibly != tc.possibly || v.Definitely != tc.definitely || v.DefinitelyKnown != tc.known {
+			t.Errorf("%s: verdict %+v, want possibly=%v definitely=%v known=%v",
+				tc.name, v, tc.possibly, tc.definitely, tc.known)
+		}
 	}
 }
 
-// TestEngineRetainedEventsSLO: a sliced session whose frontier outgrows
+// TestEngineRetainedEventsSLO: a retaining session whose trace outgrows
 // the budget fires the retained_events rule.
 func TestEngineRetainedEventsSLO(t *testing.T) {
 	breaches := make(chan string, 4)
@@ -377,20 +426,10 @@ func TestEngineRetainedEventsSLO(t *testing.T) {
 	}})
 	defer e.Shutdown()
 
-	// No communication and alternating truth: the conjunction is never
-	// satisfied, the slice bottom cannot advance, and the frontier grows
-	// past the budget.
-	if err := e.Open("a", Spec{Pred: "all(x)", Procs: 2, Slice: true}); err != nil {
+	if err := e.Open("a", Spec{Pred: "all(x)", Procs: 2, Retain: true}); err != nil {
 		t.Fatal(err)
 	}
-	var evs []Event
-	for i := int64(1); i <= 32; i++ {
-		evs = append(evs,
-			Event{Proc: 0, VC: []int64{i, 0}, Truth: false},
-			Event{Proc: 1, VC: []int64{0, i}, Truth: true},
-		)
-	}
-	if err := e.Append("a", evs); err != nil {
+	if err := e.Append("a", ringTrace(2, 9)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := e.QueryUpdates("a"); err != nil { // forces a publish
@@ -408,9 +447,9 @@ func TestEngineRetainedEventsSLO(t *testing.T) {
 
 // BenchmarkLongSession is the memory-economy benchmark the CI gate
 // parses: a million-event causally chained stream through a sliced
-// session versus a retaining control. The retained-events/max metric
-// must stay flat (O(slice)) for the sliced variant while the control
-// reports the full stream length.
+// session versus a retaining control. The retained-events-max metric
+// must read 0 for the sliced variant (it holds no history) while the
+// control reports the full stream length.
 func BenchmarkLongSession(b *testing.B) {
 	const procs, n = 4, 1_200_000
 	b.Run("sliced", func(b *testing.B) { benchLongSession(b, true, procs, n) })
@@ -457,7 +496,6 @@ func benchLongSession(b *testing.B, sliced bool, procs, n int) {
 			if !v.Possibly {
 				b.Fatal("sliced session missed the satisfying cuts")
 			}
-			b.ReportMetric(float64(v.SliceCompacted), "compacted-events")
 		}
 		// The retaining control skips Finalize: its close-time Definitely
 		// rebuild is a different (and much bigger) cost than the memory

@@ -28,12 +28,9 @@ const (
 	// ledger-attributed CPU exceeds the threshold — the noisy-neighbour
 	// alarm for a multi-tenant engine. Needs Config.Ledger.
 	SLOTenantCPUShare = "tenant_cpu_share"
-	// SLORetainedEvents fires when a session's held history — the slice
-	// frontier of a sliced session, the full delivered trace of a
-	// retaining one — exceeds the threshold. For sliced sessions this is
-	// the O(slice) memory-bound promise; a breach means the predicate's
-	// slice itself is growing (e.g. a never-true conjunct pinning the
-	// bottom advancement).
+	// SLORetainedEvents fires when a session's held history — the full
+	// delivered trace of a retaining session — exceeds the threshold:
+	// the close-time Definitely rebuild it feeds grows with it.
 	SLORetainedEvents = "retained_events"
 )
 
@@ -71,8 +68,7 @@ type SLOConfig struct {
 	// whichever tenant spoke first holds 100% of nothing.
 	TenantCPUFloor time.Duration
 	// RetainedEvents is the per-session held-history budget in events
-	// (slice frontier or retained trace). Fires at most once per
-	// session.
+	// (the retained trace). Fires at most once per session.
 	RetainedEvents int
 	// DumpPath is the file the flight ring is dumped to on breach (""
 	// disables dumping). The write is atomic: a temp file in the same

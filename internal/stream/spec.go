@@ -44,18 +44,19 @@ type Spec struct {
 	Involved []int `json:"involved,omitempty"`
 	// Init gives the initial per-process variable values (sum: the
 	// variable; boolean families: 0/1 truth). nil means all zero/false.
+	// all(var) takes its involved processes as false and refuses a
+	// nonzero value for one.
 	Init []int64 `json:"init,omitempty"`
 	// Retain keeps the full delivered trace so Close can also decide the
 	// Definitely modality offline. Costs O(events) memory.
 	Retain bool `json:"retain,omitempty"`
-	// Slice swaps unbounded per-session history for the predicate's
-	// incremental slice: the session maintains the join-irreducibles of
-	// the satisfying sublattice online and retains only the compacting
-	// frontier — O(slice) memory however long the stream runs. Regular
-	// truth-payload predicate families only (all(var)); mutually
-	// exclusive with Retain. At close the slice also decides Definitely
-	// when it can: an empty slice is Definitely false, a slice topping
-	// at the final cut is Definitely true.
+	// Slice decides Definitely at close without retained history, from
+	// the endpoints every run shares: the session keeps only the
+	// detector window plus one truth bit per process at the delivered
+	// frontier. A predicate that never latched Possibly is Definitely
+	// false; one the final cut satisfies is Definitely true; otherwise
+	// Definitely stays unknown. Regular truth-payload predicate families
+	// only (all(var)); mutually exclusive with Retain.
 	Slice bool `json:"slice,omitempty"`
 	// MaxWindow bounds retained-window and holdback sizes; a session
 	// exceeding it fails rather than grow without bound (a silent or
@@ -136,7 +137,7 @@ func (sp Spec) Validate() error {
 	}
 	if sp.Slice {
 		if sp.Retain {
-			return fmt.Errorf("stream: slice and retain are mutually exclusive; the slice frontier replaces retained history")
+			return fmt.Errorf("stream: slice and retain are mutually exclusive; a sliced session decides Definitely without retained history")
 		}
 		entry, ok := detect.Lookup(ps.Family, detect.ModalityPossibly)
 		if !ok || !entry.Caps.Sliceable || entry.Caps.Payload != detect.PayloadTruth {
@@ -166,15 +167,7 @@ type Verdict struct {
 	Definitely bool `json:"definitely,omitempty"`
 	// DefinitelyKnown is set when the session retained the trace and
 	// could run the offline Definitely detector at Close — or when a
-	// sliced session's sealed slice decided it (an empty slice is
-	// Definitely false; a slice topping at the final cut is Definitely
-	// true).
+	// sliced session's endpoints decided it (Possibly never latched:
+	// Definitely false; the final cut satisfies: Definitely true).
 	DefinitelyKnown bool `json:"definitely_known,omitempty"`
-	// SliceRetained is the slice frontier size at close (sliced
-	// sessions only): the ceiling of what the session ever had to keep.
-	SliceRetained int `json:"slice_retained,omitempty"`
-	// SliceCompacted is the total events freed by slice compaction over
-	// the session's lifetime — the history a retaining session would
-	// have held.
-	SliceCompacted int64 `json:"slice_compacted,omitempty"`
 }

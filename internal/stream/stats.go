@@ -23,10 +23,6 @@ type SessionStats struct {
 	Active     int   `json:"active,omitempty"`     // predicates still stepping
 	Steps      int64 `json:"steps,omitempty"`      // detector steps taken
 	Skipped    int64 `json:"skipped,omitempty"`    // steps avoided by relevance routing
-
-	// Sliced sessions only: incremental-slice memory economy.
-	SliceRetained  int   `json:"slice_retained,omitempty"`  // frontier events held now
-	SliceCompacted int64 `json:"slice_compacted,omitempty"` // history events freed so far
 }
 
 // ShardStats is the per-shard counter block.

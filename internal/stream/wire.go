@@ -65,7 +65,9 @@ type RegisterSpec struct {
 	Involved []int `json:"involved,omitempty"`
 	// Init overrides the seeded initial per-process values (sum: the
 	// variable; boolean families: 0/1 truth). nil seeds from the last
-	// delivered values at the registration cut.
+	// delivered values at the registration cut. all(var) takes its
+	// involved processes as false at the start and refuses a nonzero
+	// value for one, seeded or given.
 	Init []int64 `json:"init,omitempty"`
 	// Slice is accepted and ignored: a mux session keeps no slice and no
 	// history, and every verdict comes from the registration's own
