@@ -192,9 +192,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := cl.Open("m", stream.Spec{Pred: "all(x)", Procs: 2, Retain: true}); err != nil {
 		t.Fatal(err)
 	}
+	// Satisfied mid-stream but not at the final cut: the endpoints leave
+	// Definitely open, so the close rebuilds the retained trace.
 	if _, err := cl.Append("m", []stream.Event{
 		{Proc: 0, VC: []int64{1, 0}, Truth: true},
 		{Proc: 1, VC: []int64{0, 1}, Truth: true},
+		{Proc: 1, VC: []int64{0, 2}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE gpd_stream_frames_total counter",
 		"# TYPE gpd_stream_detections_total counter",
 		"gpd_stream_finalize_millis_count 1",
-		`gpd_stream_finalize_work_total{counter="stream.rebuilt_events"} 4`,
+		`gpd_stream_finalize_work_total{counter="stream.rebuilt_events"} 5`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)

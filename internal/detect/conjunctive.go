@@ -62,6 +62,7 @@ type conjDetector struct {
 	varName  string
 	checker  *conjunctive.Checker
 	pending  map[int][]vclock.VC // per-process true events awaiting a batch
+	truth    []bool              // per-process truth at the delivered frontier; initial states are false
 	possibly bool
 }
 
@@ -106,10 +107,12 @@ func newConjDetector(s pred.Spec, cfg Config) (Detector, error) {
 		varName:  s.Var,
 		checker:  conjunctive.NewChecker(involved),
 		pending:  make(map[int][]vclock.VC),
+		truth:    make([]bool, cfg.Procs),
 	}, nil
 }
 
 func (d *conjDetector) Step(ev Event) error {
+	d.truth[ev.Proc] = ev.Truth
 	if ev.Truth {
 		d.pending[ev.Proc] = append(d.pending[ev.Proc], vclock.VC(ev.VC))
 	}
@@ -159,6 +162,23 @@ func (d *conjDetector) Window() int {
 
 func (d *conjDetector) Snapshot() Snapshot {
 	return Snapshot{Possibly: d.possibly, Window: d.Window()}
+}
+
+// EndpointDefinitely decides Definitely from the endpoints: a
+// conjunction no cut satisfies is Definitely false, and one the final
+// cut satisfies (every involved process last reported true) is
+// Definitely true. The initial cut never satisfies it, since involved
+// processes start false.
+func (d *conjDetector) EndpointDefinitely() (holds, known bool) {
+	if !d.possibly {
+		return false, true
+	}
+	for _, p := range d.involved {
+		if !d.truth[p] {
+			return false, false
+		}
+	}
+	return true, true
 }
 
 // FinalizeDefinitely decides Definitely over the complete computation.

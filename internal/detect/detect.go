@@ -177,10 +177,20 @@ type Detector interface {
 }
 
 // Finalizer is implemented by detectors that can decide the Definitely
-// modality once the stream is complete, given the (rebuilt or original)
-// sealed computation. The computation must carry the family's payload
-// as the variable named in the spec the detector was built from.
+// modality once the stream is complete.
+//
+// EndpointDefinitely decides it without a trace, from the endpoints
+// every run shares: each starts at the initial cut and ends at the
+// final cut (the cut of everything stepped), and a unit-step quantity
+// passes through every value between the two. It is called after the
+// last Flush; known is false when the endpoints alone cannot decide.
+//
+// FinalizeDefinitely decides it exactly, given the (rebuilt or
+// original) sealed computation. The computation must carry the
+// family's payload as the variable named in the spec the detector was
+// built from.
 type Finalizer interface {
+	EndpointDefinitely() (holds, known bool)
 	FinalizeDefinitely(c *computation.Computation, tr *obs.Trace) (bool, error)
 }
 
@@ -266,9 +276,9 @@ type Caps struct {
 	// Sliceable reports whether the family is regular under this
 	// modality's truth conventions, so detection can go through the
 	// predicate's slice (Entry.Slice is set) — the precondition for
-	// StrategySlice and for a sliced streaming session, which reads the
-	// two facts a slice gives at close (empty; top at the final cut)
-	// from the endpoints instead.
+	// StrategySlice. Streaming sessions do not consult it: every session
+	// reads the two facts a slice gives at close (empty; top at the
+	// final cut) from its detector's endpoints (Finalizer).
 	Sliceable bool
 	// Payload declares the Event field the incremental detector
 	// consumes.

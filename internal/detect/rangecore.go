@@ -160,14 +160,15 @@ type RangeView struct {
 	levels *symmetric.Spec // count, xor, levels: the satisfying true-counts; nil for sum, inflight
 	off    int64           // core sum − view sum (a view re-attached to an older delta core counts from its own cut)
 
+	first    int64 // the sum at the view's first cut
 	min, max int64
 	possibly bool
 }
 
 func newRangeView(s pred.Spec, levels *symmetric.Spec, core *RangeCore) *RangeView {
-	v := &RangeView{core: core, spec: s, levels: levels, min: core.sum, max: core.sum}
+	v := &RangeView{core: core, spec: s, levels: levels, first: core.sum, min: core.sum, max: core.sum}
 	// The first cut is a consistent cut: latch it right away.
-	v.possibly = v.holds()
+	v.possibly = v.holdsOn(v.min, v.max)
 	return v
 }
 
@@ -183,17 +184,18 @@ func ownCore(payload Payload, view func(pred.Spec, *RangeCore) *RangeView) func(
 	}
 }
 
-// holds decides Possibly from the exact extrema of the sum over the
-// consistent cuts covered so far. For the order operators and != the
-// extrema suffice with no step assumption; for = and for level sets
-// the sum must move by unit steps (enforced for =, inherent in 0/1
-// variables), under which every integer in [min, max] is attained —
-// the intermediate-value property of Theorem 4 lifted to the streaming
-// setting.
-func (v *RangeView) holds() bool {
+// holdsOn reports whether the predicate holds at some value the sum
+// takes on its way between lo and hi, both attained. For the order
+// operators and != the two values suffice with no step assumption; for
+// = and for level sets the sum must move by unit steps (enforced for =,
+// inherent in 0/1 variables), under which every integer in [lo, hi] is
+// attained — the intermediate-value property of Theorem 4 lifted to
+// the streaming setting. Over the exact extrema of the consistent cuts
+// covered so far it decides Possibly.
+func (v *RangeView) holdsOn(lo, hi int64) bool {
 	if v.levels != nil {
 		for _, m := range v.levels.Levels {
-			if m >= 0 && m <= v.levels.N && int64(m) >= v.min && int64(m) <= v.max {
+			if m >= 0 && m <= v.levels.N && int64(m) >= lo && int64(m) <= hi {
 				return true
 			}
 		}
@@ -201,9 +203,9 @@ func (v *RangeView) holds() bool {
 	}
 	rel, k := v.spec.Rel, v.spec.K
 	if rel == relsum.Eq {
-		return v.min <= k && k <= v.max
+		return lo <= k && k <= hi
 	}
-	return rel.Eval(v.min, k) || rel.Eval(v.max, k)
+	return rel.Eval(lo, k) || rel.Eval(hi, k)
 }
 
 // Fatal reports whether a core step's error ends this view: a step past
@@ -222,7 +224,7 @@ func (v *RangeView) Fold(lo, hi int64) bool {
 	if hi -= v.off; hi > v.max {
 		v.max = hi
 	}
-	if !v.possibly && v.holds() {
+	if !v.possibly && v.holdsOn(v.min, v.max) {
 		v.possibly = true
 	}
 	return v.possibly
@@ -265,6 +267,22 @@ func (v *RangeView) Window() int { return v.core.Window() }
 
 func (v *RangeView) Snapshot() Snapshot {
 	return Snapshot{Possibly: v.possibly, Window: v.core.Window(), Min: v.min, Max: v.max, HasRange: true}
+}
+
+// EndpointDefinitely decides Definitely from the endpoints: a
+// predicate no cut satisfies is Definitely false, and one satisfied at
+// a value every run passes through is Definitely true. Every run starts
+// at the view's first cut and ends at the final cut; under unit steps
+// (see holdsOn) it also passes through every value between the two.
+func (v *RangeView) EndpointDefinitely() (holds, known bool) {
+	if !v.possibly {
+		return false, true
+	}
+	final := v.core.sum - v.off
+	if v.holdsOn(min(v.first, final), max(v.first, final)) {
+		return true, true
+	}
+	return false, false
 }
 
 // FinalizeDefinitely decides Definitely over the complete computation:

@@ -18,7 +18,7 @@ type Registration struct {
 	// Spec is the predicate.
 	Spec pred.Spec
 	// Involved restricts a conjunctive predicate to the listed
-	// processes; nil means all.
+	// processes; nil means all. Other families refuse one.
 	Involved []int
 	// Init gives per-process initial variable values. nil means "seed
 	// from the registration cut": the group fills in the last delivered
@@ -164,6 +164,11 @@ func (g *Group) Register(r Registration) error {
 	}
 	if err := r.Spec.Validate(g.procs); err != nil {
 		return err
+	}
+	// Only a conjunction reads an involved set; anywhere else it would
+	// be dropped and the verdict would cover every process.
+	if len(r.Involved) > 0 && r.Spec.Family != pred.Conjunctive {
+		return fmt.Errorf("mux: involved processes apply only to conjunctions, not %v", r.Spec.Family)
 	}
 	entry, ok := detect.Lookup(r.Spec.Family, detect.ModalityPossibly)
 	if !ok || !entry.Caps.Incremental {

@@ -40,8 +40,8 @@ import (
 // that to drop the dominated prefix of each process log, which is what
 // bounds the slicer's memory to O(slice frontier) instead of O(history).
 //
-// No serving path runs it: a sliced stream session reads the two facts
-// it needs at close (empty slice, top at the final cut) from its
+// No serving path runs it: a conjunctive stream session reads the two
+// facts it needs at close (empty slice, top at the final cut) from its
 // endpoints instead, and TestSlicedSessionMatchesSlicer holds that rule
 // to this slicer.
 //
@@ -367,13 +367,13 @@ func (s *IncrementalSlicer) Retained() int {
 // satisfies the predicate — equivalently, whether the slice bottom has
 // been found. Once true it stays true, and the bottom is final.
 //
-//lint:ignore testonly oracle for a sliced stream session's close-time verdicts in TestSlicedSessionMatchesSlicer
+//lint:ignore testonly oracle for a conjunctive stream session's close-time verdicts in TestSlicedSessionMatchesSlicer
 func (s *IncrementalSlicer) Possibly() bool { return s.possibly }
 
 // Top returns the running join of the bottom and every completed
 // irreducible — after Seal, the greatest cut of the slice.
 //
-//lint:ignore testonly oracle for a sliced stream session's close-time verdicts in TestSlicedSessionMatchesSlicer
+//lint:ignore testonly oracle for a conjunctive stream session's close-time verdicts in TestSlicedSessionMatchesSlicer
 func (s *IncrementalSlicer) Top() []int {
 	out := make([]int, s.procs)
 	copy(out, s.top)

@@ -44,8 +44,10 @@ func levelsPred(levels []int) string {
 }
 
 // makeJobs builds n jobs cycling through the four streaming predicate
-// families plus a sliced conjunctive session, computing oracle verdicts
-// with the offline detectors.
+// families plus a conjunctive session that keeps no trace, computing
+// oracle verdicts with the offline detectors. Every job's close must
+// match the oracle whenever it decides Definitely; checkDef jobs
+// (retaining sessions) must always decide it.
 func makeJobs(t *testing.T, n int) []e2eJob {
 	t.Helper()
 	jobs := make([]e2eJob, 0, n)
@@ -55,7 +57,7 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 		np := c.NumProcs()
 		j := e2eJob{id: fmt.Sprintf("app-%03d", i), checkDef: true}
 		switch i % 5 {
-		case 0, 4: // conjunctive, retained or sliced
+		case 0, 4: // conjunctive, retained or plain
 			truth := gen.BoolTables(seed, c, 0.4)
 			for p := range truth {
 				truth[p][0] = false
@@ -69,9 +71,9 @@ func makeJobs(t *testing.T, n int) []e2eJob {
 			}
 			j.spec = Spec{Pred: "all(x)", Procs: np, Retain: true}
 			if i%5 == 4 {
-				// A sliced session decides Definitely only when its
-				// sealed slice does.
-				j.spec.Retain, j.spec.Slice, j.checkDef = false, true, false
+				// A plain session decides Definitely only when its
+				// endpoints do.
+				j.spec.Retain, j.checkDef = false, false
 			}
 			j.events = tableTrace(c, truth)
 			j.wantPos = conjunctive.DetectTraced(c, locals, nil).Found
@@ -622,11 +624,13 @@ func TestShutdownReturnsGoroutines(t *testing.T) {
 }
 
 // TestServerRejectsBadSpecs sends the specs that used to open (or
-// register) fine and then silently never latch: an involved set naming
-// a process twice or outside the session, on both routes that carry
-// one, and a legacy frame spelling its predicate as a numeric kind —
-// plus a process count no frame could feed. Each must come back ok:false
-// with nothing opened or registered.
+// register) fine and then silently never latch or cover the wrong
+// processes: an involved set naming a process twice or outside the
+// session, or given to a predicate that is not a conjunction, on both
+// routes that carry one; initial values for channel occupancy; and a
+// legacy frame spelling its predicate as a numeric kind — plus a
+// process count no frame could feed. Each must come back ok:false with
+// nothing opened or registered.
 func TestServerRejectsBadSpecs(t *testing.T) {
 	srv, cl := serveLoopback(t, Config{Shards: 1})
 	if err := cl.Open("m", Spec{Mux: true, Procs: 2}); err != nil {
@@ -648,6 +652,19 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("register with involved %v: got %v, want an error saying %q", tc.involved, err, tc.want)
 		}
+	}
+	// Only a conjunction reads an involved set; a sum given one would
+	// silently cover every process.
+	const onlyConj = "involved processes apply only to conjunctions"
+	if err := cl.Open("s", Spec{Pred: "sum(x) >= 1", Procs: 2, Involved: []int{0}}); err == nil || !strings.Contains(err.Error(), onlyConj) {
+		t.Errorf("open sum(x) >= 1 with involved [0]: got %v, want an error saying %q", err, onlyConj)
+	}
+	if _, err := cl.RegisterPredicate("m", RegisterSpec{ID: "p", Pred: "sum(x) >= 1", Involved: []int{0}}); err == nil || !strings.Contains(err.Error(), onlyConj) {
+		t.Errorf("register sum(x) >= 1 with involved [0]: got %v, want an error saying %q", err, onlyConj)
+	}
+	// Channel occupancy starts at zero: it takes no initial values.
+	if err := cl.Open("s", Spec{Pred: "inflight >= 1", Procs: 2, Init: []int64{1, 0}}); err == nil || !strings.Contains(err.Error(), "no initial values") {
+		t.Errorf("open inflight >= 1 with init [1,0]: got %v, want an error saying %q", err, "no initial values")
 	}
 	// A well-formed subset still opens, registers and latches.
 	if err := cl.Open("s", Spec{Pred: "all(x)", Procs: 2, Involved: []int{1}}); err != nil {

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/detect"
@@ -28,9 +27,9 @@ const sessionPred = "_session"
 //   - A single-predicate session (Spec.Pred) carries one
 //     all-events registration with exactly the pre-multiplexer
 //     semantics: the detector sees every event under raw timestamps, a
-//     detector error kills the session, and Close can decide Definitely
-//     from the retained trace or, for a sliced session, from the
-//     endpoints of every run.
+//     detector error kills the session, and Close decides Definitely
+//     from the endpoints every run shares when they suffice, and
+//     otherwise from the retained trace when the session keeps one.
 //   - A multiplexed session (Spec.Mux) starts empty; predicates are
 //     registered and unregistered mid-stream, each stepped only on the
 //     events its relevance set touches, under projected timestamps.
@@ -49,7 +48,6 @@ type Session struct {
 	err     error          // sticky failure; the session is dead once set
 
 	retained []Event // full delivered trace when spec.Retain
-	frontier []bool  // per-process truth at the delivered frontier when spec.Slice
 	possibly bool    // latched verdict as of the last Flush
 	flushes  int
 }
@@ -91,11 +89,8 @@ func NewSession(spec Spec) (*Session, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
-	switch { // Validate makes the two exclusive: one delivery hook at most
-	case spec.Retain:
+	if spec.Retain {
 		s.group.OnDeliver(func(ev Event) { s.retained = append(s.retained, ev) })
-	case spec.Slice:
-		s.watchFrontier()
 	}
 	s.possibly = s.group.Possibly(sessionPred) // a satisfied initial cut latches immediately
 	return s, nil
@@ -192,26 +187,6 @@ func (s *Session) fail(err error) error {
 	return err
 }
 
-// watchFrontier keeps one truth bit per process at the delivered
-// frontier, fed from every delivered event. Involved processes start
-// false, as the online checker takes them; processes outside a strict
-// Involved subset carry no conjunct and count as true whatever their
-// events say.
-func (s *Session) watchFrontier() {
-	involved := make([]bool, s.spec.Procs)
-	for p := range involved {
-		involved[p] = len(s.spec.Involved) == 0
-	}
-	for _, p := range s.spec.Involved { // in range: the detector checked
-		involved[p] = true
-	}
-	s.frontier = make([]bool, s.spec.Procs)
-	for p := range s.frontier {
-		s.frontier[p] = !involved[p]
-	}
-	s.group.OnDeliver(func(ev Event) { s.frontier[ev.Proc] = ev.Truth || !involved[ev.Proc] })
-}
-
 // Flush advances every detector stepped since the last flush (one
 // elimination sweep or closure recomputation per detector, however many
 // events arrived), prunes detector windows and projections below the
@@ -257,27 +232,25 @@ func (s *Session) Window() int {
 func (s *Session) Flushes() int { return s.flushes }
 
 // RetainedEvents reports the session's held history: the full
-// delivered trace of a retaining session. Every other session, sliced
-// and mux sessions included, holds none. The engine's retained-events
+// delivered trace of a retaining session. Every other session, mux
+// sessions included, holds none. The engine's retained-events
 // SLO watches this.
 func (s *Session) RetainedEvents() int { return len(s.retained) }
 
 // Finalize seals the stream: it flushes the detectors, verifies the
-// stream was gapless, and — when a single-predicate spec retained the
-// trace — rebuilds the computation and decides Definitely with the
-// detector's finalizer. The Possibly verdict in the returned Verdict is
-// exact for the complete computation.
+// stream was gapless, and — for a single-predicate session — decides
+// Definitely from the endpoints every run shares, or, when they leave
+// it open and the session retained the trace, rebuilds the computation
+// and decides it with the detector's finalizer. The Possibly verdict in
+// the returned Verdict is exact for the complete computation.
 func (s *Session) Finalize() (Verdict, error) {
 	return s.FinalizeTraced(nil)
 }
 
-// FinalizeTraced is Finalize with the close-time work accounted into the
-// trace: the rebuild size and the full work counters of the offline
-// Definitely detectors (region cuts explored, interval eliminations, ...).
-// Before this existed, the close-time Definitely rebuild — the most
-// expensive step a session ever runs, worst-case exponential — was
-// invisible to observability; the engine now routes it into the metrics
-// registry.
+// FinalizeTraced is Finalize with the close-time rebuild accounted into
+// the trace, for the closes the endpoints leave open: the rebuild size
+// and the work counters of the offline Definitely detectors (region
+// cuts explored, interval eliminations, ...).
 func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	s.Flush()
 	v := Verdict{Possibly: s.possibly}
@@ -287,15 +260,16 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	if hb := s.group.Holdback(); hb > 0 {
 		return v, s.fail(fmt.Errorf("stream: %d events undeliverable at close (gaps in the stream)", hb))
 	}
-	if s.spec.Slice {
-		return s.finalizeSliced(v), nil
-	}
-	if !s.spec.Retain { // mux sessions never retain
+	if s.mux { // mux sessions decide Possibly only
 		return v, nil
 	}
 	fin, ok := s.group.Detector(sessionPred).(detect.Finalizer)
 	if !ok {
 		return v, nil // the detector cannot decide Definitely; Possibly stands
+	}
+	if def, known := fin.EndpointDefinitely(); known || !s.spec.Retain {
+		v.Definitely, v.DefinitelyKnown = def, known
+		return v, nil
 	}
 	c, err := s.buildComputation()
 	if err != nil {
@@ -308,22 +282,6 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	}
 	v.Definitely, v.DefinitelyKnown = def, true
 	return v, nil
-}
-
-// finalizeSliced decides Definitely from the endpoints every run
-// shares: each starts at the initial cut and ends at the final cut. A
-// predicate no consistent cut satisfies (Possibly never latched) is
-// Definitely false, and one the final cut satisfies is Definitely true.
-// In between, Definitely needs the full trace the session chose not to
-// keep.
-func (s *Session) finalizeSliced(v Verdict) Verdict {
-	switch {
-	case !s.possibly:
-		v.DefinitelyKnown = true
-	case !slices.Contains(s.frontier, false):
-		v.Definitely, v.DefinitelyKnown = true, true
-	}
-	return v
 }
 
 // traceVar returns the variable name of the rebuilt computation: the

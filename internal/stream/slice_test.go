@@ -16,12 +16,12 @@ import (
 )
 
 // TestSlicedSessionAgreesWithRetain replays random computations through a
-// sliced session and a retaining control and pins their agreement: same
-// Possibly always; and whenever the sliced session claims Definitely, it
-// must match the control's exact offline answer. The second arm involves
-// only the even processes: the odd ones carry no conjunct and report
-// false on every event, so a session that read their flags would miss
-// the cuts past their events.
+// session that keeps no trace and a retaining control and pins their
+// agreement: same Possibly always; and whenever the endpoints decide
+// Definitely, it must match the control's exact offline answer. The
+// second arm involves only the even processes: the odd ones carry no
+// conjunct and report false on every event, so a session that read
+// their flags would miss the cuts past their events.
 func TestSlicedSessionAgreesWithRetain(t *testing.T) {
 	for _, arm := range []struct {
 		name string
@@ -48,7 +48,7 @@ func TestSlicedSessionAgreesWithRetain(t *testing.T) {
 			ctrl, _ := replay(t, rand.New(rand.NewSource(seed)),
 				Spec{Pred: "all(x)", Procs: c.NumProcs(), Involved: involved, Retain: true}, events)
 			v, _ := replay(t, rand.New(rand.NewSource(seed)),
-				Spec{Pred: "all(x)", Procs: c.NumProcs(), Involved: involved, Slice: true}, events)
+				Spec{Pred: "all(x)", Procs: c.NumProcs(), Involved: involved}, events)
 
 			if v.Possibly != ctrl.Possibly {
 				t.Errorf("%s seed %d: Possibly: sliced=%v retain=%v", arm.name, seed, v.Possibly, ctrl.Possibly)
@@ -63,8 +63,8 @@ func TestSlicedSessionAgreesWithRetain(t *testing.T) {
 	}
 }
 
-// TestSlicedSessionDefinitely pins the two close-time outcomes a sliced
-// session decides from the endpoints without a retained trace.
+// TestSlicedSessionDefinitely pins the two close-time outcomes a session
+// decides from the endpoints without a retained trace.
 func TestSlicedSessionDefinitely(t *testing.T) {
 	build := func(truthAt func(p, i int) bool) ([]Event, int) {
 		c := computation.New()
@@ -86,14 +86,14 @@ func TestSlicedSessionDefinitely(t *testing.T) {
 	// Every event true: the final cut satisfies, so every run ends in a
 	// satisfying cut — Definitely true.
 	evs, procs := build(func(p, i int) bool { return true })
-	v, _ := replay(t, rand.New(rand.NewSource(1)), Spec{Pred: "all(x)", Procs: procs, Slice: true}, evs)
+	v, _ := replay(t, rand.New(rand.NewSource(1)), Spec{Pred: "all(x)", Procs: procs}, evs)
 	if !v.Possibly || !v.DefinitelyKnown || !v.Definitely {
 		t.Fatalf("all-true trace: verdict %+v, want Definitely true (known)", v)
 	}
 
 	// No event ever true on process 1: no cut satisfies — Definitely false.
 	evs, procs = build(func(p, i int) bool { return p == 0 })
-	v, _ = replay(t, rand.New(rand.NewSource(2)), Spec{Pred: "all(x)", Procs: procs, Slice: true}, evs)
+	v, _ = replay(t, rand.New(rand.NewSource(2)), Spec{Pred: "all(x)", Procs: procs}, evs)
 	if v.Possibly || !v.DefinitelyKnown || v.Definitely {
 		t.Fatalf("never-true trace: verdict %+v, want Definitely false (known)", v)
 	}
@@ -101,18 +101,19 @@ func TestSlicedSessionDefinitely(t *testing.T) {
 	// Satisfied mid-stream but not at the final cut: Possibly true, and
 	// the session honestly reports it cannot decide Definitely.
 	evs, procs = build(func(p, i int) bool { return i == 1 })
-	v, _ = replay(t, rand.New(rand.NewSource(3)), Spec{Pred: "all(x)", Procs: procs, Slice: true}, evs)
+	v, _ = replay(t, rand.New(rand.NewSource(3)), Spec{Pred: "all(x)", Procs: procs}, evs)
 	if !v.Possibly || v.DefinitelyKnown {
 		t.Fatalf("mid-stream trace: verdict %+v, want Possibly true, Definitely unknown", v)
 	}
 }
 
 // TestSlicedSessionMatchesSlicer is the reference for the endpoint rule a
-// sliced session closes with. Random computations go through a sliced
-// session and through an incremental slicer (cs/0303010) fed the same
-// delivered stream, with the involved processes all, every 2nd or every
-// 3rd, and random truth on the uninvolved ones (which the session must
-// ignore and the slicer is told to treat as true). Possibly must agree,
+// conjunctive session closes with. Random computations go through a
+// session that keeps no trace and through an incremental slicer
+// (cs/0303010) fed the same delivered stream, with the involved
+// processes all, every 2nd or every 3rd, and random truth on the
+// uninvolved ones (which the session must ignore and the slicer is told
+// to treat as true). Possibly must agree,
 // and Definitely must be the slicer's: an empty slice is Definitely
 // false, a slice whose top is the final cut is Definitely true, and any
 // other slice leaves it unknown.
@@ -136,7 +137,7 @@ func TestSlicedSessionMatchesSlicer(t *testing.T) {
 			}
 			events := tableTrace(c, truth)
 			v, _ := replay(t, rand.New(rand.NewSource(seed)),
-				Spec{Pred: "all(x)", Procs: procs, Involved: involved, Slice: true}, events)
+				Spec{Pred: "all(x)", Procs: procs, Involved: involved}, events)
 
 			sl := slicing.NewIncrementalSlicer(procs, uninvolved)
 			final := make([]int, procs)
@@ -171,9 +172,10 @@ func TestSlicedSessionMatchesSlicer(t *testing.T) {
 	}
 }
 
-// TestSliceSpecValidate pins the spec-level gates: slicing composes with
-// nothing that contradicts its memory promise or its regularity premise,
-// and no session is wider than a frame can carry a clock for.
+// TestSliceSpecValidate pins the spec-level gates. "slice" is accepted
+// and ignored: a spec carrying it opens wherever the same spec without
+// it does, and closes with the same verdict. No session is wider than a
+// frame can carry a clock for.
 func TestSliceSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -181,10 +183,10 @@ func TestSliceSpecValidate(t *testing.T) {
 		want string // "" = valid
 	}{
 		{"regular", Spec{Pred: "all(x)", Procs: 2, Slice: true}, ""},
-		{"retain", Spec{Pred: "all(x)", Procs: 2, Slice: true, Retain: true}, "mutually exclusive"},
-		{"sum", Spec{Pred: "sum(x) == 1", Procs: 2, Slice: true}, "regular truth-payload"},
-		{"inflight", Spec{Pred: "inflight == 0", Procs: 2, Slice: true}, "regular truth-payload"},
-		{"mux", Spec{Mux: true, Procs: 2, Slice: true}, "register time"},
+		{"retain", Spec{Pred: "all(x)", Procs: 2, Slice: true, Retain: true}, ""},
+		{"sum", Spec{Pred: "sum(x) == 1", Procs: 2, Slice: true}, ""},
+		{"inflight", Spec{Pred: "inflight == 0", Procs: 2, Slice: true}, ""},
+		{"mux", Spec{Mux: true, Procs: 2, Slice: true}, ""},
 		{"procs 2^19", Spec{Pred: "all(x)", Procs: 1 << 19}, ""},
 		{"procs 2^19+1", Spec{Pred: "all(x)", Procs: 1<<19 + 1}, "procs <= 524288"},
 		{"procs 2^22", Spec{Pred: "sum(x) >= 1", Procs: 1 << 22}, "procs <= 524288"},
@@ -194,11 +196,23 @@ func TestSliceSpecValidate(t *testing.T) {
 		{"mux procs 2^22", Spec{Mux: true, Procs: 1 << 22}, "procs <= 524288"},
 		{"mux procs MaxInt32", Spec{Mux: true, Procs: math.MaxInt32}, "procs <= 524288"},
 	}
+	evs := []Event{
+		{Proc: 0, VC: []int64{1, 0}, Var: "x", Val: 1, Truth: true},
+		{Proc: 1, VC: []int64{0, 1}, Var: "x", Val: 1, Truth: true},
+		{Proc: 0, VC: []int64{2, 0}, Var: "x", Val: 0},
+	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error: %v", tc.name, err)
+			}
+			if tc.spec.Slice {
+				plain := tc.spec
+				plain.Slice = false
+				if got, want := sliceVerdict(t, tc.spec, evs), sliceVerdict(t, plain, evs); got != want {
+					t.Errorf("%s: verdict %+v with slice, %+v without", tc.name, got, want)
+				}
 			}
 			continue
 		}
@@ -206,6 +220,31 @@ func TestSliceSpecValidate(t *testing.T) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// sliceVerdict opens a session (registering all(x) on a mux one), steps
+// evs in order and returns the close verdict.
+func sliceVerdict(t *testing.T, spec Spec, evs []Event) Verdict {
+	t.Helper()
+	s, err := NewSession(spec)
+	if err != nil {
+		t.Fatalf("%+v: %v", spec, err)
+	}
+	if spec.Mux {
+		if err := s.Register(mux.Registration{ID: "p", Spec: pred.Spec{Family: pred.Conjunctive, Var: "x"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ev := range evs {
+		if err := s.Step(ev); err != nil {
+			t.Fatalf("%+v: step: %v", spec, err)
+		}
+	}
+	v, err := s.Finalize()
+	if err != nil {
+		t.Fatalf("%+v: close: %v", spec, err)
+	}
+	return v
 }
 
 // ringTrace builds a causally chained trace: event i happens on process
@@ -230,13 +269,13 @@ func ringTrace(procs, n int) []Event {
 
 // TestSlicedSessionBoundsMemory is the memory-economy contract at test
 // scale (the 1M-event version is BenchmarkLongSession): over a long
-// causally chained stream the sliced session holds no history while the
-// retaining control grows linearly.
+// causally chained stream a session without retain holds no history
+// while the retaining control grows linearly.
 func TestSlicedSessionBoundsMemory(t *testing.T) {
 	const procs, n = 4, 4000
 	evs := ringTrace(procs, n)
 
-	s, err := NewSession(Spec{Pred: "all(x)", Procs: procs, Slice: true})
+	s, err := NewSession(Spec{Pred: "all(x)", Procs: procs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +299,7 @@ func TestSlicedSessionBoundsMemory(t *testing.T) {
 		t.Fatal("ring trace has satisfying cuts; Possibly is false")
 	}
 	if maxRetained != 0 {
-		t.Fatalf("sliced session held %d events at peak (%d streamed); it must hold none", maxRetained, n)
+		t.Fatalf("session held %d events at peak (%d streamed); it must hold none", maxRetained, n)
 	}
 
 	ctrl, err := NewSession(Spec{Pred: "all(x)", Procs: procs, Retain: true})
@@ -374,8 +413,8 @@ func TestMuxSlicedRegistrations(t *testing.T) {
 	}
 }
 
-// TestEngineSliceMetrics closes sliced sessions through the engine and
-// checks the endpoint verdicts on the close reply: known-true when the
+// TestEngineSliceMetrics closes sessions without retain through the
+// engine and checks the endpoint verdicts on the close reply: known-true when the
 // final cut satisfies the predicate, known-false when Possibly never
 // latched, and unknown when only some intermediate cut satisfies it.
 func TestEngineSliceMetrics(t *testing.T) {
@@ -399,7 +438,7 @@ func TestEngineSliceMetrics(t *testing.T) {
 			{Proc: 1, VC: []int64{0, 2}},
 		}, true, false, false},
 	} {
-		if err := e.Open(tc.name, Spec{Pred: "all(x)", Procs: 2, Slice: true}); err != nil {
+		if err := e.Open(tc.name, Spec{Pred: "all(x)", Procs: 2}); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Append(tc.name, tc.evs); err != nil {
@@ -446,20 +485,20 @@ func TestEngineRetainedEventsSLO(t *testing.T) {
 }
 
 // BenchmarkLongSession is the memory-economy benchmark the CI gate
-// parses: a million-event causally chained stream through a sliced
+// parses: a million-event causally chained stream through a plain
 // session versus a retaining control. The retained-events-max metric
-// must read 0 for the sliced variant (it holds no history) while the
+// must read 0 for the plain variant (it holds no history) while the
 // control reports the full stream length.
 func BenchmarkLongSession(b *testing.B) {
 	const procs, n = 4, 1_200_000
-	b.Run("sliced", func(b *testing.B) { benchLongSession(b, true, procs, n) })
-	b.Run("control", func(b *testing.B) { benchLongSession(b, false, procs, n) })
+	b.Run("plain", func(b *testing.B) { benchLongSession(b, false, procs, n) })
+	b.Run("control", func(b *testing.B) { benchLongSession(b, true, procs, n) })
 }
 
-func benchLongSession(b *testing.B, sliced bool, procs, n int) {
+func benchLongSession(b *testing.B, retain bool, procs, n int) {
 	b.ReportAllocs()
 	for iter := 0; iter < b.N; iter++ {
-		spec := Spec{Pred: "all(x)", Procs: procs, Slice: sliced, Retain: !sliced}
+		spec := Spec{Pred: "all(x)", Procs: procs, Retain: retain}
 		s, err := NewSession(spec)
 		if err != nil {
 			b.Fatal(err)
@@ -488,13 +527,13 @@ func benchLongSession(b *testing.B, sliced bool, procs, n int) {
 		if r := s.RetainedEvents(); r > maxRetained {
 			maxRetained = r
 		}
-		if sliced {
+		if !retain {
 			v, err := s.Finalize()
 			if err != nil {
 				b.Fatal(err)
 			}
 			if !v.Possibly {
-				b.Fatal("sliced session missed the satisfying cuts")
+				b.Fatal("plain session missed the satisfying cuts")
 			}
 		}
 		// The retaining control skips Finalize: its close-time Definitely

@@ -48,15 +48,13 @@ type Spec struct {
 	// nonzero value for one.
 	Init []int64 `json:"init,omitempty"`
 	// Retain keeps the full delivered trace so Close can also decide the
-	// Definitely modality offline. Costs O(events) memory.
+	// Definitely modality offline when the endpoints every run shares
+	// leave it open. Costs O(events) memory.
 	Retain bool `json:"retain,omitempty"`
-	// Slice decides Definitely at close without retained history, from
-	// the endpoints every run shares: the session keeps only the
-	// detector window plus one truth bit per process at the delivered
-	// frontier. A predicate that never latched Possibly is Definitely
-	// false; one the final cut satisfies is Definitely true; otherwise
-	// Definitely stays unknown. Regular truth-payload predicate families
-	// only (all(var)); mutually exclusive with Retain.
+	// Slice is accepted and ignored: every single-predicate session
+	// decides Definitely from its endpoints at close, and none keeps a
+	// slice. It stays only because bench/ still sets it; ROADMAP's
+	// black-box bench/ item deletes it.
 	Slice bool `json:"slice,omitempty"`
 	// MaxWindow bounds retained-window and holdback sizes; a session
 	// exceeding it fails rather than grow without bound (a silent or
@@ -67,8 +65,8 @@ type Spec struct {
 	// and "unregister"), each stepped only on the events its relevance
 	// set touches. Events must tag the variable they update (Event.Var).
 	// Mutually exclusive with Pred and the per-predicate fields
-	// (Involved, Init, Retain, Slice). A mux session retains no history
-	// and keeps no slice: it decides Possibly only.
+	// (Involved, Init, Retain). A mux session retains no history: it
+	// decides Possibly only.
 	Mux bool `json:"mux,omitempty"`
 	// Tenant names the session's owning tenant for cost attribution and
 	// per-tenant metrics; "" means "default". Predicates registered on a
@@ -81,7 +79,9 @@ type Spec struct {
 // Canonical parses Pred into the canonical predicate specification
 // shared with gpd.Detect and gpddetect (internal/pred). Stream-transport
 // fields (Procs, Involved, Init, Retain, MaxWindow) have no counterpart
-// in the canonical spec and are validated separately by Validate.
+// in the canonical spec: Validate checks the session-wide ones, and
+// Involved and Init are checked where the detector is registered
+// (mux.Group.Register), on the same path a mux registration takes.
 func (sp Spec) Canonical() (pred.Spec, error) {
 	if sp.Pred == "" {
 		return pred.Spec{}, fmt.Errorf(`stream: spec names no predicate; set "pred" to a grammar string such as "all(x)" (the numeric "kind" selector is gone)`)
@@ -117,7 +117,7 @@ func (sp Spec) Validate() error {
 		if sp.Pred != "" {
 			return fmt.Errorf("stream: mux sessions carry no fixed predicate; register predicates instead")
 		}
-		if len(sp.Involved) > 0 || len(sp.Init) > 0 || sp.Retain || sp.Slice {
+		if len(sp.Involved) > 0 || len(sp.Init) > 0 || sp.Retain {
 			return fmt.Errorf("stream: mux sessions take per-predicate options at register time, not in the spec")
 		}
 		return nil
@@ -128,21 +128,6 @@ func (sp Spec) Validate() error {
 	}
 	if err := ps.Validate(sp.Procs); err != nil {
 		return fmt.Errorf("stream: %w", err)
-	}
-	if len(sp.Involved) > 0 && ps.Family != pred.Conjunctive {
-		return fmt.Errorf("stream: involved processes apply only to conjunctive sessions, not %v", ps.Family)
-	}
-	if ps.Family == pred.InFlight && len(sp.Init) > 0 {
-		return fmt.Errorf("stream: inflight sessions take no initial values (occupancy starts at 0)")
-	}
-	if sp.Slice {
-		if sp.Retain {
-			return fmt.Errorf("stream: slice and retain are mutually exclusive; a sliced session decides Definitely without retained history")
-		}
-		entry, ok := detect.Lookup(ps.Family, detect.ModalityPossibly)
-		if !ok || !entry.Caps.Sliceable || entry.Caps.Payload != detect.PayloadTruth {
-			return fmt.Errorf("stream: slice sessions need a regular truth-payload predicate family; %v is not (use all(var))", ps.Family)
-		}
 	}
 	return nil
 }
@@ -165,9 +150,10 @@ type Verdict struct {
 	// Definitely reports whether every run passes through a satisfying
 	// cut; only meaningful when DefinitelyKnown.
 	Definitely bool `json:"definitely,omitempty"`
-	// DefinitelyKnown is set when the session retained the trace and
-	// could run the offline Definitely detector at Close — or when a
-	// sliced session's endpoints decided it (Possibly never latched:
-	// Definitely false; the final cut satisfies: Definitely true).
+	// DefinitelyKnown is set when a single-predicate session's endpoints
+	// decided it at Close (Possibly never latched: Definitely false; a
+	// value every run passes through satisfies: Definitely true), or
+	// when the session retained the trace and ran the offline
+	// Definitely detector on the rest.
 	DefinitelyKnown bool `json:"definitely_known,omitempty"`
 }
