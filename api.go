@@ -96,10 +96,11 @@ const (
 	StrategyBatch = detect.StrategyBatch
 	// StrategyReplay drives the family's incremental detector over a
 	// causal linearization of the computation — the same state machine
-	// the streaming server runs — and, under ModalityDefinitely, its
-	// close-time finalizer. Available only for incremental-capable
-	// families; cross-checkable against StrategyBatch. Replay runs do
-	// not construct witness cuts.
+	// the streaming server runs — and, under ModalityDefinitely, closes
+	// the way a retaining session does: the detector's endpoints, then
+	// the batch kernel on the rebuilt trace for what they leave open.
+	// Available only for incremental-capable families; cross-checkable
+	// against StrategyBatch. Replay runs do not construct witness cuts.
 	StrategyReplay = detect.StrategyReplay
 	// StrategySlice computes the predicate's slice first — the exact
 	// sublattice of satisfying cuts a regular predicate induces (Mittal

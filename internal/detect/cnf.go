@@ -12,15 +12,7 @@ func init() {
 	// CNF has no incremental detector: the singular algorithms need the
 	// sealed computation (receive orders, chain covers), so the family
 	// is batch-only — streaming sessions and StrategyReplay reject it.
-	Register(Entry{
-		Family: pred.CNF, Modality: ModalityPossibly,
-		Batch: cnfPossibly,
-	})
-	Register(Entry{
-		Family: pred.CNF, Modality: ModalityDefinitely,
-		Caps:  Caps{NeedsFullTrace: true},
-		Batch: cnfDefinitely,
-	})
+	Register(Entry{Family: pred.CNF, Possibly: cnfPossibly, Definitely: cnfDefinitely})
 }
 
 // singularPredicate converts the CNF body of a spec into the singular

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/conjunctive"
@@ -12,17 +11,12 @@ import (
 )
 
 func init() {
-	caps := Caps{Incremental: true, Sliceable: true, Payload: PayloadTruth}
 	Register(Entry{
-		Family: pred.Conjunctive, Modality: ModalityPossibly, Caps: caps,
-		Batch: conjPossibly, New: newConjDetector, Linearize: linearizeConj,
-		Slice: conjSlicePossibly,
-	})
-	caps.NeedsFullTrace = true
-	Register(Entry{
-		Family: pred.Conjunctive, Modality: ModalityDefinitely, Caps: caps,
-		Batch: conjDefinitely, New: newConjDetector, Linearize: linearizeConj,
-		Slice: conjSliceDefinitely,
+		Family:   pred.Conjunctive,
+		Caps:     Caps{Incremental: true, Sliceable: true, Payload: PayloadTruth},
+		Possibly: conjPossibly, Definitely: conjDefinitely,
+		New: newConjDetector, Linearize: linearizeConj,
+		SlicePossibly: conjSlicePossibly, SliceDefinitely: conjSliceDefinitely,
 	})
 }
 
@@ -61,8 +55,8 @@ type conjDetector struct {
 	involved []int
 	varName  string
 	checker  *conjunctive.Checker
-	pending  map[int][]vclock.VC // per-process true events awaiting a batch
-	truth    []bool              // per-process truth at the delivered frontier; initial states are false
+	pending  [][]vclock.VC // per-process true events awaiting a batch
+	truth    []bool        // per-process truth at the delivered frontier; initial states are false
 	possibly bool
 }
 
@@ -106,7 +100,7 @@ func newConjDetector(s pred.Spec, cfg Config) (Detector, error) {
 		involved: involved,
 		varName:  s.Var,
 		checker:  conjunctive.NewChecker(involved),
-		pending:  make(map[int][]vclock.VC),
+		pending:  make([][]vclock.VC, cfg.Procs),
 		truth:    make([]bool, cfg.Procs),
 	}, nil
 }
@@ -120,19 +114,12 @@ func (d *conjDetector) Step(ev Event) error {
 }
 
 func (d *conjDetector) Flush() bool {
-	// Feed the checker in process order: ObserveBatch moves the token
-	// protocol, and the elimination trace (and its work counters) must
-	// not depend on map iteration order.
-	procs := make([]int, 0, len(d.pending))
-	for p := range d.pending {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	for _, p := range procs {
-		if vcs := d.pending[p]; len(vcs) > 0 {
-			d.checker.ObserveBatch(p, vcs)
+	for p, vcs := range d.pending {
+		if len(vcs) > 0 {
+			d.checker.ObserveBatch(p, vcs) // copies the clocks
+			clear(vcs)                     // so no decoded frame's clock arena stays pinned
+			d.pending[p] = vcs[:0]
 		}
-		delete(d.pending, p)
 	}
 	d.possibly = d.checker.Found()
 	return d.possibly
@@ -179,19 +166,6 @@ func (d *conjDetector) EndpointDefinitely() (holds, known bool) {
 		}
 	}
 	return true, true
-}
-
-// FinalizeDefinitely decides Definitely over the complete computation.
-// Truth follows the online convention — initial states are false — so
-// the verdict matches what the checker saw, for both a transport's
-// rebuilt trace and a replayed offline computation.
-func (d *conjDetector) FinalizeDefinitely(c *computation.Computation, tr *obs.Trace) (bool, error) {
-	locals := make(map[computation.ProcID]conjunctive.LocalPredicate, len(d.involved))
-	truth := truthFn(c, d.varName)
-	for _, p := range d.involved {
-		locals[computation.ProcID(p)] = truth
-	}
-	return conjunctive.DetectDefinitelyTraced(c, locals, tr), nil
 }
 
 // linearizeConj replays the 0/1 variable as Truth flags. The online

@@ -1,15 +1,15 @@
 // Package detect is the detector kernel: one registry of predicate
-// detectors, keyed by (family, modality), that backs every detection
-// surface of the repository — the offline gpd.Detect front door, the
-// streaming serving stack (internal/stream sessions), and the replay
-// bridge between them.
+// detectors, keyed by family, that backs every detection surface of the
+// repository — the offline gpd.Detect front door, the streaming serving
+// stack (internal/stream sessions), and the replay bridge between them.
 //
-// Each registry Entry binds a predicate family and modality to
+// Each registry Entry binds a predicate family to
 //
-//   - a Batch function running the family's offline algorithm on a
-//     sealed computation (CPDHB for conjunctions, max-weight closures
-//     for sums and channel occupancy, the sum decomposition for
-//     symmetric predicates, the singular algorithms for CNF), and
+//   - one batch kernel per modality running the family's offline
+//     algorithm on a sealed computation (CPDHB for conjunctions,
+//     max-weight closures for sums and channel occupancy, the sum
+//     decomposition for symmetric predicates, the singular algorithms
+//     for CNF), and
 //   - for incremental-capable families, a constructor for the online
 //     Detector plus a Linearize function that replays a sealed
 //     computation as the delivered-event stream an instrumented
@@ -20,7 +20,9 @@
 // observed prefix satisfies the predicate, in the spirit of Chauhan et
 // al., "A Distributed Abstraction Algorithm for Online Predicate
 // Detection" (arXiv:1304.4326). Detectors that also implement Finalizer
-// can decide the Definitely modality once the stream is complete.
+// decide the Definitely modality from the stream's endpoints once it is
+// complete; what the endpoints leave open is decided offline, by the
+// family's batch kernel on the trace rebuilt from the stream (Residue).
 //
 // Adding a family costs one constructor and one registration (see the
 // per-family files in this package); transports and the public API
@@ -81,9 +83,11 @@ const (
 	StrategyBatch Strategy = iota + 1
 	// StrategyReplay drives the family's incremental detector over a
 	// causal linearization of the computation — the same state machine
-	// the streaming server runs — and, under ModalityDefinitely, its
-	// close-time finalizer. Available only for incremental-capable
-	// families; cross-checkable against StrategyBatch.
+	// the streaming server runs — and, under ModalityDefinitely, closes
+	// the way a retaining session does: the detector's endpoints, then
+	// the batch kernel on the rebuilt trace. Available only for
+	// incremental-capable families; cross-checkable against
+	// StrategyBatch.
 	StrategyReplay
 	// StrategySlice computes the predicate's slice first — the exact
 	// sublattice of satisfying cuts a regular predicate induces (Mittal
@@ -183,15 +187,10 @@ type Detector interface {
 // every run shares: each starts at the initial cut and ends at the
 // final cut (the cut of everything stepped), and a unit-step quantity
 // passes through every value between the two. It is called after the
-// last Flush; known is false when the endpoints alone cannot decide.
-//
-// FinalizeDefinitely decides it exactly, given the (rebuilt or
-// original) sealed computation. The computation must carry the
-// family's payload as the variable named in the spec the detector was
-// built from.
+// last Flush; known is false when the endpoints alone cannot decide,
+// and the residue then goes to the batch kernel (Residue).
 type Finalizer interface {
 	EndpointDefinitely() (holds, known bool)
-	FinalizeDefinitely(c *computation.Computation, tr *obs.Trace) (bool, error)
 }
 
 // Traceable is implemented by detectors whose incremental work (closure
@@ -257,9 +256,10 @@ type Config struct {
 	// Ignored by families whose initial states are fixed (conjunctive
 	// takes them as false, inflight starts at occupancy zero).
 	Init []int64
-	// Retain tells the detector the transport keeps the full trace and
-	// may call FinalizeDefinitely at close; detectors that need
-	// per-event state for the finalizer only record it when set.
+	// Retain is accepted and ignored: no detector keeps per-event state
+	// for the close, whose residue is decided on the transport's own
+	// trace (Residue). It stays only because bench/ still sets it;
+	// ROADMAP's black-box bench/ item deletes it.
 	Retain bool
 }
 
@@ -269,13 +269,9 @@ type Caps struct {
 	// (New and Linearize are set) — the precondition for streaming
 	// sessions and StrategyReplay.
 	Incremental bool
-	// NeedsFullTrace reports whether the modality needs the complete
-	// computation: the verdict cannot be latched online and is decided
-	// by a close-time Finalizer over the retained trace.
-	NeedsFullTrace bool
-	// Sliceable reports whether the family is regular under this
-	// modality's truth conventions, so detection can go through the
-	// predicate's slice (Entry.Slice is set) — the precondition for
+	// Sliceable reports whether the family is regular, so detection can
+	// go through the predicate's slice (Entry.SlicePossibly and
+	// Entry.SliceDefinitely are set) — the precondition for
 	// StrategySlice. Streaming sessions do not consult it: every session
 	// reads the two facts a slice gives at close (empty; top at the
 	// final cut) from its detector's endpoints (Finalizer).
@@ -285,14 +281,14 @@ type Caps struct {
 	Payload Payload
 }
 
-// Options carries per-run options a Batch function may consume.
+// Options carries per-run options a batch kernel may consume.
 type Options struct {
 	// Singular selects the singular detection algorithm (CNF under
 	// ModalityPossibly only).
 	Singular singular.Strategy
 	// Parallelism is the worker budget of the batch kernels. Batch
-	// resolves the zero value to GOMAXPROCS before dispatching, so Batch
-	// functions always see a concrete count; 1 runs the exact sequential
+	// resolves the zero value to GOMAXPROCS before dispatching, so batch
+	// kernels always see a concrete count; 1 runs the exact sequential
 	// algorithms. Every family's parallel route is bit-identical to its
 	// sequential one (same verdict, witness and work counters), so this
 	// only affects wall-clock time.

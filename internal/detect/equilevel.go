@@ -17,15 +17,7 @@ func init() {
 	// exactly one cut per level, which collapses both modalities to a
 	// single antichain (level-set) scan — there is no incremental
 	// detector, so the family is batch-only, like CNF.
-	Register(Entry{
-		Family: pred.Equilevel, Modality: ModalityPossibly,
-		Batch: equilevelPossibly,
-	})
-	Register(Entry{
-		Family: pred.Equilevel, Modality: ModalityDefinitely,
-		Caps:  Caps{NeedsFullTrace: true},
-		Batch: equilevelDefinitely,
-	})
+	Register(Entry{Family: pred.Equilevel, Possibly: equilevelPossibly, Definitely: equilevelDefinitely})
 }
 
 // equilevelHolds evaluates the conjunction at every cut of the level

@@ -8,17 +8,12 @@ import (
 )
 
 func init() {
-	caps := Caps{Incremental: true, Sliceable: true, Payload: PayloadDelta}
 	Register(Entry{
-		Family: pred.InFlight, Modality: ModalityPossibly, Caps: caps,
-		Batch: inflightPossibly, New: ownCore(PayloadDelta, sumView), View: sumView, Linearize: linearizeInFlight,
-		Slice: inflightSlicePossibly,
-	})
-	caps.NeedsFullTrace = true
-	Register(Entry{
-		Family: pred.InFlight, Modality: ModalityDefinitely, Caps: caps,
-		Batch: inflightDefinitely, New: ownCore(PayloadDelta, sumView), View: sumView, Linearize: linearizeInFlight,
-		Slice: inflightSliceDefinitely,
+		Family:   pred.InFlight,
+		Caps:     Caps{Incremental: true, Sliceable: true, Payload: PayloadDelta},
+		Possibly: inflightPossibly, Definitely: inflightDefinitely,
+		New: ownCore(PayloadDelta, sumView), View: sumView, Linearize: linearizeInFlight,
+		SlicePossibly: inflightSlicePossibly, SliceDefinitely: inflightSliceDefinitely,
 	})
 }
 

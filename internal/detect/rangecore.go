@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/core/symmetric"
 	"github.com/distributed-predicates/gpd/internal/obs"
@@ -33,10 +32,6 @@ type RangeCore struct {
 	lastVal []int64 // value after the last delivered event (PayloadValue, PayloadTruth)
 	sum     int64   // the sum at the cut of everything stepped so far
 	err     error   // sticky: a refused step (relsum.ErrStepTooLarge)
-	// Per-event changes by id, kept for a delta-payload finalizer (the
-	// rebuilt trace has no messages to derive occupancy from) when the
-	// transport retains the trace.
-	weights map[int64]int64
 }
 
 // NewRangeCore starts a core over procs processes consuming the given
@@ -47,7 +42,7 @@ type RangeCore struct {
 // that first cut in the stream's own clocks — the per-process local
 // indices already behind it — for a core joining a running stream; nil
 // starts at the beginning.
-func NewRangeCore(procs int, payload Payload, init, cut []int64, retain bool) (*RangeCore, error) {
+func NewRangeCore(procs int, payload Payload, init, cut []int64) (*RangeCore, error) {
 	if payload == PayloadDelta && len(init) > 0 {
 		return nil, fmt.Errorf("detect: inflight detectors take no initial values (occupancy starts at 0)")
 	}
@@ -71,9 +66,6 @@ func NewRangeCore(procs int, payload Payload, init, cut []int64, retain bool) (*
 		c.sum += v
 	}
 	c.tracker = relsum.NewRangeTracker(c.sum)
-	if retain && payload == PayloadDelta {
-		c.weights = make(map[int64]int64)
-	}
 	return c, nil
 }
 
@@ -110,9 +102,6 @@ func (c *RangeCore) Step(ev Event) error {
 	id := c.fr.id(p, ev.VC[p])
 	c.tracker.Observe(id, change, c.fr.requires(ev))
 	c.fr.observe(ev)
-	if c.weights != nil {
-		c.weights[id] = change
-	}
 	if change > 1 || change < -1 {
 		return fmt.Errorf("%w: process %d event %d changes by %d",
 			relsum.ErrNotUnitStep, p, ev.VC[p], change)
@@ -176,7 +165,7 @@ func newRangeView(s pred.Spec, levels *symmetric.Spec, core *RangeCore) *RangeVi
 // view over a private core built from the session configuration.
 func ownCore(payload Payload, view func(pred.Spec, *RangeCore) *RangeView) func(pred.Spec, Config) (Detector, error) {
 	return func(s pred.Spec, cfg Config) (Detector, error) {
-		core, err := NewRangeCore(cfg.Procs, payload, cfg.Init, nil, cfg.Retain)
+		core, err := NewRangeCore(cfg.Procs, payload, cfg.Init, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -283,26 +272,4 @@ func (v *RangeView) EndpointDefinitely() (holds, known bool) {
 		return true, true
 	}
 	return false, false
-}
-
-// FinalizeDefinitely decides Definitely over the complete computation:
-// from the named variable for value and truth payloads (initial states
-// included — a transport's rebuilt trace carries them as the initial
-// events' variable values), from the core's recorded per-event changes
-// for delta payloads.
-func (v *RangeView) FinalizeDefinitely(c *computation.Computation, tr *obs.Trace) (bool, error) {
-	if v.levels != nil {
-		return symmetric.DefinitelyPar(c, *v.levels, symmetric.Truth(varTruth(c, v.spec.Var)), 1, tr)
-	}
-	if v.core.payload != PayloadDelta {
-		return relsum.DefinitelyPar(c, v.spec.Var, v.spec.Rel, v.spec.K, 1, tr)
-	}
-	weights, fr := v.core.weights, v.core.fr
-	if weights == nil {
-		return false, fmt.Errorf("detect: detector did not retain per-event weights (session not opened with retain)")
-	}
-	w := func(e computation.Event) int64 {
-		return weights[fr.id(int(e.Proc), int64(e.Index))]
-	}
-	return relsum.DefinitelyWeightedPar(c, 0, w, v.spec.Rel, v.spec.K, 1, tr)
 }

@@ -108,7 +108,7 @@ func TestRangeCoreMatchesFromScratch(t *testing.T) {
 			oracle *coreOracle
 		}
 		start := func(cut []int64) pair {
-			core, err := NewRangeCore(procs, PayloadValue, val, cut, false)
+			core, err := NewRangeCore(procs, PayloadValue, val, cut)
 			if err != nil {
 				t.Fatal(err)
 			}

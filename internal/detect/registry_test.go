@@ -12,47 +12,56 @@ import (
 
 // families lists the registered families in stable order.
 func families() []pred.Family {
-	seen := make(map[pred.Family]bool)
 	var out []pred.Family
-	for key := range registry {
-		if !seen[key.family] {
-			seen[key.family] = true
-			out = append(out, key.family)
-		}
+	for f := range registry {
+		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// TestRegistryShape: every family the package registers must be present
-// under both modalities with structurally consistent capabilities —
+// fakeFamily is an out-of-range family value that keeps the throwaway
+// registrations of TestRegisterRejectsBadEntries from colliding with
+// the real ones.
+const fakeFamily = pred.Family(90)
+
+// TestRegistryShape: every family the package registers has one entry
+// serving both modalities, with structurally consistent capabilities —
 // this is the invariant the session layer and the replay route rely on
 // when they resolve detectors without switching on the family.
 func TestRegistryShape(t *testing.T) {
-	fams := families()
-	if len(fams) == 0 {
-		t.Fatal("no families registered")
-	}
-	for _, f := range fams {
-		for _, m := range []Modality{ModalityPossibly, ModalityDefinitely} {
-			e, ok := Lookup(f, m)
-			if !ok {
-				t.Errorf("%v registered under one modality but not %v", f, m)
-				continue
-			}
-			if e.Batch == nil {
-				t.Errorf("%v/%v: nil Batch escaped Register", f, m)
-			}
-			if e.Caps.Incremental != (e.New != nil) {
-				t.Errorf("%v/%v: Incremental=%v but New=%v", f, m, e.Caps.Incremental, e.New != nil)
-			}
-			if e.Caps.Incremental != (e.Linearize != nil) {
-				t.Errorf("%v/%v: Incremental=%v but Linearize=%v", f, m, e.Caps.Incremental, e.Linearize != nil)
-			}
-			if e.Caps.Incremental == (e.Caps.Payload == PayloadNone) {
-				t.Errorf("%v/%v: Incremental=%v but Payload=%v", f, m, e.Caps.Incremental, e.Caps.Payload)
-			}
+	var real []pred.Family
+	for _, f := range families() {
+		if f != fakeFamily {
+			real = append(real, f)
 		}
+	}
+	if len(real) != 8 {
+		t.Fatalf("registry holds %d families %v, want 8 (one entry each)", len(real), real)
+	}
+	for _, f := range real {
+		e, ok := Lookup(f, ModalityPossibly)
+		if !ok {
+			t.Fatalf("%v: no entry", f)
+		}
+		if d, ok := Lookup(f, ModalityDefinitely); !ok || d.Family != f || d.Caps != e.Caps {
+			t.Errorf("%v: Definitely resolves to %v %+v, want the Possibly entry %+v", f, d.Family, d.Caps, e.Caps)
+		}
+		if e.Possibly == nil || e.Definitely == nil {
+			t.Errorf("%v: a nil batch kernel escaped Register", f)
+		}
+		if e.Caps.Incremental != (e.New != nil) {
+			t.Errorf("%v: Incremental=%v but New=%v", f, e.Caps.Incremental, e.New != nil)
+		}
+		if e.Caps.Incremental != (e.Linearize != nil) {
+			t.Errorf("%v: Incremental=%v but Linearize=%v", f, e.Caps.Incremental, e.Linearize != nil)
+		}
+		if e.Caps.Incremental == (e.Caps.Payload == PayloadNone) {
+			t.Errorf("%v: Incremental=%v but Payload=%v", f, e.Caps.Incremental, e.Caps.Payload)
+		}
+	}
+	if _, ok := Lookup(pred.Sum, Modality(0)); ok {
+		t.Error("Lookup resolved an unknown modality")
 	}
 
 	// The streaming server's contract: these families run online.
@@ -83,22 +92,22 @@ func mustPanic(t *testing.T, want string, f func()) {
 	f()
 }
 
-// stubBatch satisfies Entry.Batch for throwaway registrations.
+// stubBatch satisfies a batch kernel for throwaway registrations.
 func stubBatch(c *computation.Computation, s pred.Spec, o Options, tr *obs.Trace) (Result, error) {
 	return Result{}, nil
 }
 
 func TestRegisterRejectsBadEntries(t *testing.T) {
-	// An out-of-range family value keeps these throwaway registrations
-	// from colliding with the real ones.
-	const fake = pred.Family(90)
 	mustPanic(t, "no batch detector", func() {
-		Register(Entry{Family: fake, Modality: ModalityPossibly})
+		Register(Entry{Family: fakeFamily, Possibly: stubBatch})
 	})
-	ok := Entry{Family: fake, Modality: ModalityPossibly, Batch: stubBatch}
+	mustPanic(t, "needs New and Linearize", func() {
+		Register(Entry{Family: fakeFamily, Possibly: stubBatch, Definitely: stubBatch, Caps: Caps{Incremental: true}})
+	})
+	mustPanic(t, "both slice kernels", func() {
+		Register(Entry{Family: fakeFamily, Possibly: stubBatch, Definitely: stubBatch, Caps: Caps{Sliceable: true}, SlicePossibly: stubBatch})
+	})
+	ok := Entry{Family: fakeFamily, Possibly: stubBatch, Definitely: stubBatch}
 	Register(ok)
 	mustPanic(t, "duplicate registration", func() { Register(ok) })
-	mustPanic(t, "needs New and Linearize", func() {
-		Register(Entry{Family: fake, Modality: ModalityDefinitely, Batch: stubBatch, Caps: Caps{Incremental: true}})
-	})
 }

@@ -31,7 +31,10 @@ func Slice(c *computation.Computation, s pred.Spec, m Modality, opt Options, tr 
 	done := tr.Span("slice:" + s.Family.String())
 	defer done()
 	opt.Parallelism = par.Limit(opt.Parallelism)
-	return e.Slice(c, s, opt, tr)
+	if m == ModalityDefinitely {
+		return e.SliceDefinitely(c, s, opt, tr)
+	}
+	return e.SlicePossibly(c, s, opt, tr)
 }
 
 // conjSliceOracle adapts the batch truth convention (the named 0/1

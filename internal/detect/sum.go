@@ -8,15 +8,10 @@ import (
 )
 
 func init() {
-	caps := Caps{Incremental: true, Payload: PayloadValue}
 	Register(Entry{
-		Family: pred.Sum, Modality: ModalityPossibly, Caps: caps,
-		Batch: sumPossibly, New: ownCore(PayloadValue, sumView), View: sumView, Linearize: linearizeSum,
-	})
-	caps.NeedsFullTrace = true
-	Register(Entry{
-		Family: pred.Sum, Modality: ModalityDefinitely, Caps: caps,
-		Batch: sumDefinitely, New: ownCore(PayloadValue, sumView), View: sumView, Linearize: linearizeSum,
+		Family: pred.Sum, Caps: Caps{Incremental: true, Payload: PayloadValue},
+		Possibly: sumPossibly, Definitely: sumDefinitely,
+		New: ownCore(PayloadValue, sumView), View: sumView, Linearize: linearizeSum,
 	})
 }
 

@@ -11,15 +11,10 @@ import (
 
 func init() {
 	for _, f := range []pred.Family{pred.Count, pred.Xor, pred.Levels} {
-		caps := Caps{Incremental: true, Payload: PayloadTruth}
 		Register(Entry{
-			Family: f, Modality: ModalityPossibly, Caps: caps,
-			Batch: symPossibly, New: ownCore(PayloadTruth, symView), View: symView, Linearize: linearizeBool,
-		})
-		caps.NeedsFullTrace = true
-		Register(Entry{
-			Family: f, Modality: ModalityDefinitely, Caps: caps,
-			Batch: symDefinitely, New: ownCore(PayloadTruth, symView), View: symView, Linearize: linearizeBool,
+			Family: f, Caps: Caps{Incremental: true, Payload: PayloadTruth},
+			Possibly: symPossibly, Definitely: symDefinitely,
+			New: ownCore(PayloadTruth, symView), View: symView, Linearize: linearizeBool,
 		})
 	}
 }

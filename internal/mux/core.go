@@ -62,7 +62,7 @@ func (g *Group) coreFor(routeVar string, payload detect.Payload, explicit []int6
 	if payload == detect.PayloadDelta {
 		coreInit = nil
 	}
-	core, err := detect.NewRangeCore(g.procs, payload, coreInit, cut, false)
+	core, err := detect.NewRangeCore(g.procs, payload, coreInit, cut)
 	if err != nil {
 		return nil, err
 	}

@@ -135,8 +135,5 @@ func (d *Delivery) Delivered() int64 {
 	return t
 }
 
-// DeliveredOn returns the number of delivered events of one process.
-func (d *Delivery) DeliveredOn(p int) int64 { return d.delivered[p] }
-
 // Holdback returns the number of buffered undeliverable events.
 func (d *Delivery) Holdback() int { return len(d.holdback) }

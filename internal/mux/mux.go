@@ -27,9 +27,10 @@ type Registration struct {
 	// starting state. A conjunction refuses a true initial state on an
 	// involved process, seeded or given: its checker takes them false.
 	Init []int64
-	// Retain tells the detector to record per-event state for a
-	// close-time finalizer (all-events registrations of retaining
-	// sessions only).
+	// Retain is accepted and ignored: no detector records per-event
+	// state for the close, and a retaining session keeps its trace
+	// itself. It stays only because bench/ still sets it; ROADMAP's
+	// black-box bench/ item deletes it.
 	Retain bool
 	// AllEvents steps the detector on every delivered event with the
 	// raw timestamps — the single-predicate session mode. The
@@ -201,7 +202,6 @@ func (g *Group) Register(r Registration) error {
 			Procs:    g.procs,
 			Involved: r.Involved,
 			Init:     init,
-			Retain:   r.Retain,
 		})
 	}
 	if err != nil {
@@ -309,7 +309,7 @@ func (g *Group) retire(p *predicate) {
 		g.windowSum -= p.core.window
 		p.det, p.view = nil, nil
 	case p.all:
-		g.all = removePred(g.all, p) // the session keeps the detector for its finalizer
+		g.all = removePred(g.all, p) // the session keeps the detector for its endpoint rule
 	default:
 		g.byVar[p.routeVar] = removePred(g.byVar[p.routeVar], p)
 		g.unsubscribed(p.routeVar)
@@ -347,7 +347,7 @@ func removePred(list []*predicate, p *predicate) []*predicate {
 // further events cannot change it — this is what keeps the per-event
 // cost proportional to the event's subscribers, not to every predicate
 // ever registered). All-events predicates keep stepping: their session
-// owns the detector for close-time finalizers.
+// owns the detector for its close-time endpoint rule.
 func (g *Group) latch(p *predicate) {
 	p.possibly = true
 	g.latched++
@@ -377,7 +377,7 @@ func (g *Group) Step(ev detect.Event) error {
 
 // OnDeliver installs a hook invoked for every causally delivered event,
 // before routing. Transports use it to retain the delivered trace for
-// close-time finalizers.
+// the close-time rebuild (detect.Residue).
 func (g *Group) OnDeliver(fn func(detect.Event)) { g.onDeliver = fn }
 
 // OnCost installs a cost resolver: it is called once per registration
@@ -564,7 +564,8 @@ func (g *Group) States() []Update {
 
 // Detector returns the live detector of a registered predicate (nil
 // once a var-routed predicate has latched or failed — its state is
-// freed). Single-predicate sessions use this for close-time finalizers.
+// freed). Single-predicate sessions use this for the close-time
+// endpoint rule (detect.Finalizer).
 func (g *Group) Detector(id string) detect.Detector {
 	if p := g.preds[id]; p != nil {
 		return p.det
@@ -590,9 +591,6 @@ func (g *Group) Possibly(id string) bool {
 
 // Delivered returns the total number of causally delivered events.
 func (g *Group) Delivered() int64 { return g.delivery.Delivered() }
-
-// DeliveredOn returns the number of delivered events of one process.
-func (g *Group) DeliveredOn(p int) int64 { return g.delivery.DeliveredOn(p) }
 
 // Holdback returns the number of buffered undeliverable events.
 func (g *Group) Holdback() int { return g.delivery.Holdback() }

@@ -3,16 +3,11 @@ package stream
 import (
 	"fmt"
 
-	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/mux"
 	"github.com/distributed-predicates/gpd/internal/obs"
 	"github.com/distributed-predicates/gpd/internal/pred"
 )
-
-// varName is the variable name a retained trace is rebuilt under at
-// Close when the predicate names none (inflight).
-const varName = "x"
 
 // sessionPred is the reserved registration id of a single-predicate
 // session's detector inside its multiplexer group.
@@ -40,12 +35,11 @@ const sessionPred = "_session"
 // A Session is confined to one goroutine (the engine gives each session
 // to exactly one shard worker); it is not safe for concurrent use.
 type Session struct {
-	spec    Spec
-	mux     bool           // multiplexed session (Spec.Mux)
-	ps      pred.Spec      // canonical predicate (single-predicate sessions)
-	payload detect.Payload // event field the detector consumes (single)
-	group   *mux.Group     // causal delivery + routing, owns the detectors
-	err     error          // sticky failure; the session is dead once set
+	spec  Spec
+	mux   bool       // multiplexed session (Spec.Mux)
+	ps    pred.Spec  // canonical predicate (single-predicate sessions)
+	group *mux.Group // causal delivery + routing, owns the detectors
+	err   error      // sticky failure; the session is dead once set
 
 	retained []Event // full delivered trace when spec.Retain
 	possibly bool    // latched verdict as of the last Flush
@@ -77,14 +71,12 @@ func NewSession(spec Spec) (*Session, error) {
 		return nil, fmt.Errorf("stream: predicate family %v has no incremental detector", ps.Family)
 	}
 	s.ps = ps
-	s.payload = entry.Caps.Payload
 	if err := s.group.Register(mux.Registration{
 		ID:        sessionPred,
 		Tenant:    spec.Tenant,
 		Spec:      ps,
 		Involved:  spec.Involved,
 		Init:      spec.Init,
-		Retain:    spec.Retain,
 		AllEvents: true,
 	}); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
@@ -119,7 +111,6 @@ func (s *Session) Register(r mux.Registration) error {
 		return s.err
 	}
 	r.AllEvents = false
-	r.Retain = false // multiplexed sessions never decide Definitely
 	return s.group.Register(r)
 }
 
@@ -240,17 +231,18 @@ func (s *Session) RetainedEvents() int { return len(s.retained) }
 // Finalize seals the stream: it flushes the detectors, verifies the
 // stream was gapless, and — for a single-predicate session — decides
 // Definitely from the endpoints every run shares, or, when they leave
-// it open and the session retained the trace, rebuilds the computation
-// and decides it with the detector's finalizer. The Possibly verdict in
-// the returned Verdict is exact for the complete computation.
+// it open and the session retained the trace, with the family's batch
+// kernel on the computation rebuilt from it (detect.Residue). The
+// Possibly verdict in the returned Verdict is exact for the complete
+// computation.
 func (s *Session) Finalize() (Verdict, error) {
 	return s.FinalizeTraced(nil)
 }
 
 // FinalizeTraced is Finalize with the close-time rebuild accounted into
 // the trace, for the closes the endpoints leave open: the rebuild size
-// and the work counters of the offline Definitely detectors (region
-// cuts explored, interval eliminations, ...).
+// and the work counters of the Definitely batch kernel (region cuts
+// explored, interval eliminations, ...).
 func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	s.Flush()
 	v := Verdict{Possibly: s.possibly}
@@ -271,77 +263,12 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 		v.Definitely, v.DefinitelyKnown = def, known
 		return v, nil
 	}
-	c, err := s.buildComputation()
+	cfg := detect.Config{Procs: s.spec.Procs, Involved: s.spec.Involved, Init: s.spec.Init}
+	def, rebuilt, err := detect.Residue(s.ps, cfg, s.retained, tr)
 	if err != nil {
-		return v, s.fail(err)
+		return v, s.fail(fmt.Errorf("stream: %w", err))
 	}
-	tr.Add("stream.rebuilt_events", int64(c.NumEvents()))
-	def, err := fin.FinalizeDefinitely(c, tr)
-	if err != nil {
-		return v, s.fail(err)
-	}
+	tr.Add("stream.rebuilt_events", int64(rebuilt))
 	v.Definitely, v.DefinitelyKnown = def, true
 	return v, nil
-}
-
-// traceVar returns the variable name of the rebuilt computation: the
-// canonical spec's variable, or the default for families that name
-// none (inflight).
-func (s *Session) traceVar() string {
-	if s.ps.Var != "" {
-		return s.ps.Var
-	}
-	return varName
-}
-
-// eventValue maps a delivered event to the rebuilt computation's
-// variable value, following the detector's declared payload.
-func (s *Session) eventValue(ev Event) int64 {
-	if s.payload == detect.PayloadTruth {
-		if ev.Truth {
-			return 1
-		}
-		return 0
-	}
-	return ev.Val // PayloadValue, PayloadDelta
-}
-
-// buildComputation reconstructs the offline computation from the retained
-// trace: one initial event plus the delivered events per process, with
-// order edges derived from the timestamps (for each event and each other
-// process, an edge from the latest event of that process in its causal
-// past — the transitive closure of these is exactly the happened-before
-// relation the timestamps encode). The detector's payload is stored as
-// the canonical spec's variable, uniformly for every family; the
-// finalizer decides what to read from it.
-func (s *Session) buildComputation() (*computation.Computation, error) {
-	name := s.traceVar()
-	c := computation.New()
-	for p := 0; p < s.spec.Procs; p++ {
-		c.AddProcess() // creates the initial event at index 0
-		for i := int64(1); i <= s.group.DeliveredOn(p); i++ {
-			c.AddInternal(computation.ProcID(p))
-		}
-		var init int64
-		if p < len(s.spec.Init) {
-			init = s.spec.Init[p]
-		}
-		c.SetVar(name, c.Initial(computation.ProcID(p)).ID, init)
-	}
-	for _, ev := range s.retained {
-		to := c.EventAt(computation.ProcID(ev.Proc), int(ev.VC[ev.Proc])).ID
-		for q, v := range ev.VC {
-			if q != ev.Proc && v >= 1 {
-				from := c.EventAt(computation.ProcID(q), int(v)).ID
-				if err := c.AddEdge(from, to); err != nil {
-					return nil, fmt.Errorf("stream: rebuild edge: %w", err)
-				}
-			}
-		}
-		c.SetVar(name, to, s.eventValue(ev))
-	}
-	if err := c.Seal(); err != nil {
-		return nil, fmt.Errorf("stream: rebuild: %w", err)
-	}
-	return c, nil
 }

@@ -14,6 +14,9 @@ import (
 // in the detector kernel (detect.LinearizeEvents), shared with the
 // StrategyReplay route of gpd.Detect.
 
+// varName is the variable the tests' computations and predicates name.
+const varName = "x"
+
 // linearize replays c through the registry's own linearization for the
 // family (the one StrategyReplay uses), so sessions, replay and tests
 // cannot drift apart on what an event of a payload carries.

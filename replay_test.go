@@ -5,10 +5,13 @@ package gpd_test
 // streaming state machine driven over a causal linearization) must reach
 // the same verdict as the StrategyBatch route (the offline algorithms).
 // This is the cross-check that keeps the online and offline halves of
-// the detector kernel from drifting apart.
+// the detector kernel from drifting apart. Under Definitely, replay
+// closes as a retaining session does: the endpoint rule first, and the
+// batch kernel on the rebuilt trace only for the cells it leaves open.
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,6 +53,7 @@ func TestReplayBatchAgreementMatrix(t *testing.T) {
 	modalities := []gpd.Modality{gpd.ModalityPossibly, gpd.ModalityDefinitely}
 
 	covered := map[string]bool{}
+	residues := 0 // Definitely cells left open by the endpoints whose residue ran
 	for _, row := range rows {
 		covered[string(row.family)] = true
 		for seed := int64(0); seed < 4; seed++ {
@@ -59,6 +63,7 @@ func TestReplayBatchAgreementMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ParseSpec(%q): %v", text, err)
 				}
+				var possibly bool
 				for _, m := range modalities {
 					batch, err := gpd.Detect(c, spec, gpd.WithModality(m))
 					if err != nil {
@@ -72,6 +77,14 @@ func TestReplayBatchAgreementMatrix(t *testing.T) {
 					if replay.Holds != batch.Holds {
 						t.Errorf("seed %d: %v(%s): replay %v, batch %v",
 							seed, m, text, replay.Holds, batch.Holds)
+					}
+					if m == gpd.ModalityPossibly {
+						possibly = batch.Holds
+					} else if ran := residueRan(replay.Work); endpointDecided(c, spec, possibly) && ran {
+						t.Errorf("seed %d: %v(%s): the endpoints decide it, but replay ran the residue kernel: %v",
+							seed, m, text, replay.Work.Counters)
+					} else if ran {
+						residues++
 					}
 					// Replay drives a state machine forward; it never
 					// constructs witness cuts.
@@ -96,6 +109,10 @@ func TestReplayBatchAgreementMatrix(t *testing.T) {
 		}
 	}
 
+	if residues == 0 {
+		t.Error("no Definitely cell reached the residue kernel; the endpoint check above is vacuous")
+	}
+
 	// Completeness: every family the registry registers must appear in
 	// the matrix (or be an explicit batch-only exception below), so a
 	// newly added family cannot silently skip the cross-check.
@@ -105,6 +122,53 @@ func TestReplayBatchAgreementMatrix(t *testing.T) {
 			t.Errorf("registered family %v is missing from the agreement matrix", f)
 		}
 	}
+}
+
+// residueRan reports whether a run's work counters show a Definitely
+// batch kernel: the conjunctive interval search or a lattice region
+// sweep.
+func residueRan(w gpd.Work) bool {
+	return w.Counters["conjunctive.true_intervals"] > 0 || w.Counters["lattice.region_cuts_explored"] > 0
+}
+
+// endpointDecided is the endpoint rule from the computation's side: a
+// cell is decided when Possibly is false, or when the predicate holds
+// at some value of its quantity between the initial and the final cut,
+// which every run passes through (the quantities move by unit steps
+// wherever the rule relies on the values in between).
+func endpointDecided(c *gpd.Computation, spec gpd.Spec, possibly bool) bool {
+	if !possibly {
+		return true
+	}
+	quantity := func(k gpd.Cut) int64 {
+		switch spec.Family {
+		case gpd.FamilySum:
+			return c.SumVar(spec.Var, k)
+		case gpd.FamilyInFlight:
+			return cutInFlight(c, k)
+		default: // all, count, xor, levels: the true-count
+			return int64(c.CountTrue(k, func(e gpd.Event) bool { return c.Var(spec.Var, e.ID) != 0 }))
+		}
+	}
+	holdsAt := func(v int64) bool {
+		switch spec.Family {
+		case gpd.FamilyConjunctive:
+			return v == int64(c.NumProcs())
+		case gpd.FamilyXor:
+			return v%2 == 1
+		case gpd.FamilyLevels:
+			return slices.Contains(spec.Levels, int(v))
+		default: // sum, count, inflight
+			return spec.Rel.Eval(v, spec.K)
+		}
+	}
+	lo, hi := quantity(c.InitialCut()), quantity(c.FinalCut())
+	for v := min(lo, hi); v <= max(lo, hi); v++ {
+		if holdsAt(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // SpecFamilyName documents the matrix rows; the registry completeness
