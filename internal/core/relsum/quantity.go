@@ -195,6 +195,11 @@ func (q quantity) definitely(c *computation.Computation, r Relop, k int64, worke
 	if err := q.validate(c, r == Eq); err != nil {
 		return false, err
 	}
+	// Definitely implies Possibly: the two closures settle a predicate
+	// no cut satisfies before any region search.
+	if possibly, _, _, _, err := q.possibly(c, r, k, workers, tr); err != nil || !possibly {
+		return false, err
+	}
 	switch r {
 	case Lt, Le, Ge, Gt, Ne:
 		return !avoidable(r), nil

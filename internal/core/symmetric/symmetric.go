@@ -140,6 +140,11 @@ func PossiblyPar(c *computation.Computation, spec Spec, truth Truth, workers int
 // Possibly only), swept on a bounded worker pool with its work counters
 // accumulated into the trace.
 func DefinitelyPar(c *computation.Computation, spec Spec, truth Truth, workers int, tr *obs.Trace) (bool, error) {
+	// Definitely implies Possibly: the count's range settles a level
+	// set no cut reaches before any region search.
+	if possibly, _, _, _, err := PossiblyPar(c, spec, truth, workers, tr); err != nil || !possibly {
+		return false, err
+	}
 	levels := make(map[int]bool, len(spec.Levels))
 	for _, m := range spec.Levels {
 		levels[m] = true

@@ -263,13 +263,22 @@ func (v *RangeView) Snapshot() Snapshot {
 // a value every run passes through is Definitely true. Every run starts
 // at the view's first cut and ends at the final cut; under unit steps
 // (see holdsOn) it also passes through every value between the two.
-func (v *RangeView) EndpointDefinitely() (holds, known bool) {
+func (v *RangeView) EndpointDefinitely() (holds, known bool) { return v.EndpointAt(v.core.sum) }
+
+// EndpointAt is EndpointDefinitely given final, the core's sum at the
+// final cut: the form a released view answers in.
+func (v *RangeView) EndpointAt(final int64) (holds, known bool) {
 	if !v.possibly {
 		return false, true
 	}
-	final := v.core.sum - v.off
+	final -= v.off
 	if v.holdsOn(min(v.first, final), max(v.first, final)) {
 		return true, true
 	}
 	return false, false
 }
+
+// Release detaches a view that is no longer stepped from its core, so
+// a latched view kept for its verdict and EndpointAt does not keep the
+// core reachable. Only Possibly, Fatal and EndpointAt remain valid.
+func (v *RangeView) Release() { v.core = nil }

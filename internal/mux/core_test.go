@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,7 +17,10 @@ import (
 
 // refPred is the reference for one registration: a standalone detector
 // built through detect.Entry.New (a private core), fed exactly the
-// projected events the group routes to the predicate.
+// projected events the group routes to the predicate. The detector of a
+// registration made before the first delivered event is never retired:
+// it keeps stepping to the end, so its own endpoint rule is the
+// reference for the close fan-out's Definitely.
 type refPred struct {
 	id, tenant string
 	routeVar   string
@@ -25,11 +29,26 @@ type refPred struct {
 	possibly   bool
 	err        string
 	active     bool
+	atOpen     bool
+	broken     bool // at open: a step after the latch failed the detector, so its endpoint rule no longer applies
 }
 
 func (r *refPred) update() Update {
 	return Update{ID: r.id, Tenant: r.tenant, Seq: r.seq, Possibly: r.possibly, Err: r.err}
 }
+
+// state is the reference's close fan-out entry: its update plus, for an
+// at-open registration, the endpoint rule of its never-retired detector.
+func (r *refPred) state() Update {
+	u := r.update()
+	if r.atOpen && r.err == "" && !r.broken {
+		u.Definitely, u.DefinitelyKnown = r.det.(detect.Finalizer).EndpointDefinitely()
+	}
+	return u
+}
+
+// stepped reports whether the reference detector still takes events.
+func (r *refPred) stepped() bool { return r.active || r.atOpen && r.err == "" && !r.broken }
 
 // diffHarness drives one Group and the references side by side.
 type diffHarness struct {
@@ -44,13 +63,19 @@ type diffHarness struct {
 	vcs        [][]int64
 	want       []Update // updates the references produced since the last check
 	steps      int64    // reference detector steps taken: the group's logical Stats.Steps
+	delivered  int      // events delivered so far
+	// raw local indices of every delivered event per variable and
+	// process: the projection from the initial cut, which at-open
+	// references keep being stepped under after the group's projector
+	// of the variable is gone.
+	idx map[string][][]int64
 }
 
 func newDiffHarness(t *testing.T, seed int64, procs int) *diffHarness {
 	h := &diffHarness{
 		t: t, seed: seed, procs: procs, g: NewGroup(procs),
 		refs: map[string]*refPred{}, val: map[string][]int64{}, truth: map[string][]int64{},
-		vcs: make([][]int64, procs),
+		vcs: make([][]int64, procs), idx: map[string][][]int64{},
 	}
 	for p := range h.vcs {
 		h.vcs[p] = make([]int64, procs)
@@ -64,6 +89,7 @@ func newDiffHarness(t *testing.T, seed int64, procs int) *diffHarness {
 // not recorded it yet: the projected clock is what project is about to
 // return.
 func (h *diffHarness) deliver(ev detect.Event) {
+	h.delivered++
 	if _, ok := h.val[ev.Var]; !ok {
 		h.val[ev.Var], h.truth[ev.Var] = make([]int64, h.procs), make([]int64, h.procs)
 	}
@@ -72,20 +98,34 @@ func (h *diffHarness) deliver(ev detect.Event) {
 	if ev.Truth {
 		h.truth[ev.Var][ev.Proc] = 1
 	}
-	pj := h.g.projs[ev.Var]
-	if pj == nil {
-		return // no subscriber: nothing is stepped
+	if h.idx[ev.Var] == nil {
+		h.idx[ev.Var] = make([][]int64, h.procs)
 	}
-	pe := ev
-	pe.VC = make([]int64, h.procs)
+	full := detect.Event{Proc: ev.Proc, VC: make([]int64, h.procs), Var: ev.Var, Val: ev.Val, Truth: ev.Truth}
 	for q, v := range ev.VC {
-		pe.VC[q] = pj.base[q] + countLE(pj.idx[q], v)
+		full.VC[q] = countLE(h.idx[ev.Var][q], v)
 	}
-	pe.VC[ev.Proc]++
+	full.VC[ev.Proc]++
+	h.idx[ev.Var][ev.Proc] = append(h.idx[ev.Var][ev.Proc], ev.VC[ev.Proc])
+	pe := ev
+	if pj := h.g.projs[ev.Var]; pj != nil {
+		pe.VC = make([]int64, h.procs)
+		for q, v := range ev.VC {
+			pe.VC[q] = pj.base[q] + countLE(pj.idx[q], v)
+		}
+		pe.VC[ev.Proc]++
+	}
 	for _, id := range h.ids() {
 		r := h.refs[id]
-		if !r.active || r.routeVar != ev.Var {
+		if !r.stepped() || r.routeVar != ev.Var {
 			continue
+		}
+		if !r.active {
+			r.broken = r.det.Step(full) != nil
+			continue
+		}
+		if r.atOpen && !slices.Equal(pe.VC, full.VC) {
+			h.t.Fatalf("seed %d: %s: the group projects %v, the projection from the initial cut %v", h.seed, id, pe.VC, full.VC)
 		}
 		h.steps++
 		if err := r.det.Step(pe); err != nil {
@@ -129,7 +169,7 @@ func (h *diffHarness) register(id string, spec pred.Spec, explicit []int64) {
 	if err := h.g.Register(Registration{ID: id, Tenant: tenant, Spec: spec, Init: explicit}); err != nil {
 		h.t.Fatalf("seed %d: register %s %v: %v", h.seed, id, spec, err)
 	}
-	r := &refPred{id: id, tenant: tenant, routeVar: routeVar, det: det, active: true}
+	r := &refPred{id: id, tenant: tenant, routeVar: routeVar, det: det, active: true, atOpen: h.delivered == 0}
 	h.refs[id] = r
 	if det.Possibly() {
 		r.possibly, r.active = true, false
@@ -153,10 +193,10 @@ func (h *diffHarness) flush() {
 	h.g.Flush()
 	for _, id := range h.ids() {
 		r := h.refs[id]
-		if !r.active {
+		if !r.stepped() {
 			continue
 		}
-		if r.det.Flush() {
+		if r.det.Flush() && r.active {
 			r.possibly, r.active = true, false
 			r.seq++
 			h.want = append(h.want, r.update())
@@ -166,7 +206,7 @@ func (h *diffHarness) flush() {
 	var states []Update
 	for _, id := range h.ids() {
 		r := h.refs[id]
-		states = append(states, r.update())
+		states = append(states, r.state())
 		det := h.g.Detector(id)
 		if (det != nil) != r.active {
 			h.t.Fatalf("seed %d: %s: group detector live=%v, reference active=%v", h.seed, id, det != nil, r.active)

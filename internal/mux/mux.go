@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/pred"
 )
@@ -44,16 +45,26 @@ type Registration struct {
 	Slice bool
 }
 
-// Update is one predicate verdict change, fanned out by Drain. Seq
-// numbers the updates of one predicate from 1 so consumers can spot
-// reordering or loss downstream.
+// Update is one predicate verdict change, fanned out by Drain, or its
+// close-time state, reported by States. Seq numbers the updates of one
+// predicate from 1 so consumers can spot reordering or loss downstream.
 type Update struct {
 	ID       string `json:"id"`
 	Tenant   string `json:"tenant"`
 	Seq      int64  `json:"seq"`
 	Possibly bool   `json:"possibly"`
-	Err      string `json:"error,omitempty"`
+	// Set by States only, for predicates registered at open (see States).
+	Definitely      bool   `json:"definitely,omitempty"`
+	DefinitelyKnown bool   `json:"definitely_known,omitempty"`
+	Err             string `json:"error,omitempty"`
 }
+
+// DetectorError is an all-events predicate's detector failure, which
+// Group.Step returns (sticky) after the delivery's own errors.
+type DetectorError struct{ Err error }
+
+func (e *DetectorError) Error() string { return e.Err.Error() }
+func (e *DetectorError) Unwrap() error { return e.Err }
 
 // Stats is a point-in-time view of a group.
 type Stats struct {
@@ -81,6 +92,7 @@ type predicate struct {
 	routeVar   string // "" for all-events registrations
 	procSet    []bool // nil = all processes
 	all        bool
+	atOpen     bool // registered before the first delivered event: its runs start at the initial cut
 
 	seq      int64
 	possibly bool
@@ -94,11 +106,17 @@ type predicate struct {
 	cost func(steps int64) // the predicate's cost sink (nil: no resolver installed)
 }
 
-// varState is the last delivered value of one variable per process,
-// used to seed detectors registered mid-stream.
+// varState is the delivered record of one variable: its last values
+// seed detectors registered mid-stream, and with the rest the close
+// reads the final cut of an at-open predicate that released its
+// detector (endpoint).
 type varState struct {
 	val   []int64 // last Event.Val
 	truth []int64 // last Event.Truth as 0/1
+	seen  []bool  // the process delivered an event of the variable
+	first []int64 // the process's first Event.Val
+	delta int64   // running sum of Event.Val: a delta (inflight) variable's occupancy
+	grade [2]int8 // worst stepGrade read as a value (between a process's events) and as a delta
 }
 
 // Group multiplexes many predicate detectors over one computation's
@@ -116,6 +134,7 @@ type Group struct {
 	lastVC    [][]int64 // raw timestamp of the last delivered event per process
 
 	preds  map[string]*predicate
+	err    error // an all-events predicate's *DetectorError, returned by Step
 	onCost func(tenant, family, id string) func(steps int64)
 	byVar  map[string][]*predicate // active var-routed predicates with a detector of their own
 	all    []*predicate            // active all-events predicates
@@ -220,6 +239,7 @@ func (g *Group) Register(r Registration) error {
 		core:     core,
 		routeVar: routeVar,
 		all:      r.AllEvents,
+		atOpen:   g.delivery.Delivered() == 0,
 		active:   true,
 	}
 	// The relevance hint narrows the process set (conjunctive predicates
@@ -307,9 +327,10 @@ func (g *Group) retire(p *predicate) {
 	case p.view != nil:
 		p.settle()
 		g.windowSum -= p.core.window
-		p.det, p.view = nil, nil
+		p.det = nil
+		p.view.Release() // the close's endpoint rule needs the view, not its core
 	case p.all:
-		g.all = removePred(g.all, p) // the session keeps the detector for its endpoint rule
+		g.all = removePred(g.all, p)
 	default:
 		g.byVar[p.routeVar] = removePred(g.byVar[p.routeVar], p)
 		g.unsubscribed(p.routeVar)
@@ -346,8 +367,8 @@ func removePred(list []*predicate, p *predicate) []*predicate {
 // var-routed predicate stops being stepped (the verdict is monotone, so
 // further events cannot change it — this is what keeps the per-event
 // cost proportional to the event's subscribers, not to every predicate
-// ever registered). All-events predicates keep stepping: their session
-// owns the detector for its close-time endpoint rule.
+// ever registered). All-events predicates keep stepping, so their
+// detector decides the close-time endpoint rule itself (States).
 func (g *Group) latch(p *predicate) {
 	p.possibly = true
 	g.latched++
@@ -360,19 +381,29 @@ func (g *Group) latch(p *predicate) {
 
 // failPred records a per-predicate step failure. The predicate stops
 // being stepped and reports the error in its update stream; the group
-// (and its other predicates) keeps running.
+// (and its other predicates) keeps running, but Step returns an
+// all-events predicate's failure from then on.
 func (g *Group) failPred(p *predicate, err error) {
 	p.err = err
+	if p.all && g.err == nil {
+		g.err = &DetectorError{Err: err}
+	}
 	p.seq++
 	g.queued = append(g.queued, Update{ID: p.id, Tenant: p.tenant, Seq: p.seq, Possibly: p.possibly, Err: err.Error()})
 	g.retire(p)
 }
 
 // Step ingests one event; causally ready events are routed immediately.
+// It returns the delivery's error for a malformed event, or else the
+// first failure of an all-events predicate (a *DetectorError): both
+// are sticky.
 //
 //lint:hotpath
 func (g *Group) Step(ev detect.Event) error {
-	return g.delivery.Step(ev)
+	if err := g.delivery.Step(ev); err != nil {
+		return err
+	}
+	return g.err
 }
 
 // OnDeliver installs a hook invoked for every causally delivered event,
@@ -449,14 +480,20 @@ func (g *Group) stepPred(p *predicate, ev detect.Event) {
 	}
 }
 
-// recordVar tracks the last delivered value of the event's variable,
-// the seed state for detectors registered after this point.
+// recordVar adds the event to its variable's delivered record.
 func (g *Group) recordVar(ev detect.Event) {
 	st := g.vars[ev.Var]
 	if st == nil {
-		st = &varState{val: make([]int64, g.procs), truth: make([]int64, g.procs)}
+		st = g.newVarState()
 		g.vars[ev.Var] = st
 	}
+	if q := ev.Proc; st.seen[q] {
+		st.grade[0] = max(st.grade[0], stepGrade(ev.Val, st.val[q]))
+	} else {
+		st.seen[q], st.first[q] = true, ev.Val
+	}
+	st.delta += ev.Val
+	st.grade[1] = max(st.grade[1], stepGrade(ev.Val, 0))
 	st.val[ev.Proc] = ev.Val
 	if ev.Truth {
 		st.truth[ev.Proc] = 1
@@ -547,14 +584,20 @@ func (g *Group) Drain() []Update {
 	return out
 }
 
-// States reports the current state of every registered predicate,
-// ordered by id — the close-time fan-out.
+// States reports the state of every registered predicate as of the
+// last Flush, ordered by id — the close-time fan-out. A predicate
+// registered before the group's first delivered event also carries
+// Definitely, decided from the endpoints every run shares (endpoint);
+// one registered mid-stream (its runs do not start at the initial cut)
+// or failed leaves DefinitelyKnown false.
 func (g *Group) States() []Update {
 	out := make([]Update, 0, len(g.preds))
 	for _, p := range g.preds {
 		u := Update{ID: p.id, Tenant: p.tenant, Seq: p.seq, Possibly: p.possibly}
 		if p.err != nil {
 			u.Err = p.err.Error()
+		} else if p.atOpen {
+			u.Definitely, u.DefinitelyKnown = g.endpoint(p)
 		}
 		out = append(out, u)
 	}
@@ -562,32 +605,67 @@ func (g *Group) States() []Update {
 	return out
 }
 
-// Detector returns the live detector of a registered predicate (nil
-// once a var-routed predicate has latched or failed — its state is
-// freed). Single-predicate sessions use this for the close-time
-// endpoint rule (detect.Finalizer).
-func (g *Group) Detector(id string) detect.Detector {
-	if p := g.preds[id]; p != nil {
-		return p.det
+// endpoint decides an at-open predicate's Definitely from its endpoints
+// (detect.Finalizer). A live detector answers itself. A routed one that
+// latched released its detector, so the final cut is read from the
+// variable's delivered record: a conjunction holds there iff every
+// involved process last reported true, and a range view is handed the
+// sum its core would hold — unless a step it never saw would have
+// failed it.
+func (g *Group) endpoint(p *predicate) (holds, known bool) {
+	if fin, ok := p.det.(detect.Finalizer); ok {
+		return fin.EndpointDefinitely()
 	}
-	return nil
+	st := g.vars[p.routeVar]
+	if st == nil {
+		st = g.newVarState() // nothing of the variable delivered
+	}
+	if p.view == nil {
+		for q, in := range p.procSet {
+			if in && st.truth[q] == 0 {
+				return false, false
+			}
+		}
+		return true, true
+	}
+	final, grade := st.delta, st.grade[1]
+	if pl := p.core.payload; pl != detect.PayloadDelta {
+		final, grade = 0, 0
+		for q, v := range p.core.init {
+			switch {
+			case !st.seen[q]:
+			case pl == detect.PayloadTruth:
+				v = st.truth[q]
+			default:
+				grade = max(grade, st.grade[0], stepGrade(st.first[q], v))
+				v = st.val[q]
+			}
+			final += v
+		}
+	}
+	if grade > 0 && p.view.Fatal(gradeErr[grade]) {
+		return false, false
+	}
+	return p.view.EndpointAt(final)
 }
 
-// PredicateErr returns a registered predicate's sticky step error.
-func (g *Group) PredicateErr(id string) error {
-	if p := g.preds[id]; p != nil {
-		return p.err
-	}
-	return nil
+func (g *Group) newVarState() *varState {
+	return &varState{val: make([]int64, g.procs), truth: make([]int64, g.procs), seen: make([]bool, g.procs), first: make([]int64, g.procs)}
 }
 
-// Possibly reports a registered predicate's latched verdict.
-func (g *Group) Possibly(id string) bool {
-	if p := g.preds[id]; p != nil {
-		return p.possibly
+// stepGrade grades one step of a sum as a range core does: 0 a unit
+// step, 1 a non-unit one, 2 one past the kernels' bound (gradeErr).
+func stepGrade(after, before int64) int8 {
+	switch d, err := relsum.Step(after, before); {
+	case err != nil:
+		return 2
+	case d > 1 || d < -1:
+		return 1
 	}
-	return false
+	return 0
 }
+
+var gradeErr = [...]error{nil, relsum.ErrNotUnitStep, relsum.ErrStepTooLarge}
 
 // Delivered returns the total number of causally delivered events.
 func (g *Group) Delivered() int64 { return g.delivery.Delivered() }

@@ -470,9 +470,9 @@ func TestUnregisterAndTenants(t *testing.T) {
 	}
 }
 
-// TestPerPredicateFailureIsolated checks that one predicate's step
-// failure (a unit-step violation) surfaces in its update stream without
-// killing the group or its other predicates.
+// TestPerPredicateFailureIsolated checks that one routed predicate's
+// step failure (a unit-step violation) surfaces in its update stream
+// without killing the group or its other predicates.
 func TestPerPredicateFailureIsolated(t *testing.T) {
 	g := NewGroup(1)
 	if err := g.Register(Registration{ID: "eq",
@@ -509,6 +509,28 @@ func TestPerPredicateFailureIsolated(t *testing.T) {
 	}
 	if active := g.Stats().Active; active != 0 {
 		t.Fatalf("active = %d, want 0 (eq failed, ge latched)", active)
+	}
+
+	// An all-events predicate's failure — the single-predicate session
+	// mode — is the group's, by contrast: Step returns it, sticky, as a
+	// *DetectorError wrapping the detector's error.
+	g = NewGroup(1)
+	if err := g.Register(Registration{ID: "s", AllEvents: true,
+		Spec: pred.Spec{Family: pred.Sum, Var: "x", Rel: relsum.Eq, K: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Step(detect.Event{Proc: 0, VC: []int64{1}, Val: 1}); err != nil {
+		t.Fatalf("unit step: %v", err)
+	}
+	for _, i := range []int64{2, 3} {
+		err := g.Step(detect.Event{Proc: 0, VC: []int64{i}, Val: 5})
+		var de *DetectorError
+		if !errors.As(err, &de) || !errors.Is(err, relsum.ErrNotUnitStep) {
+			t.Fatalf("event %d after a jump of 4: %v, want a sticky *DetectorError wrapping ErrNotUnitStep", i, err)
+		}
+	}
+	if st := g.States(); len(st) != 1 || st[0].Err == "" || st[0].DefinitelyKnown {
+		t.Fatalf("States() = %+v, want the failure and no Definitely", st)
 	}
 }
 
@@ -659,4 +681,29 @@ func TestSlicerSealCompactsEverything(t *testing.T) {
 	if !g.Possibly("a") {
 		t.Fatal("satisfying cut missed")
 	}
+}
+
+// --- Test accessors: one registration's state, read by id ---
+
+// Possibly reports a registered predicate's latched verdict.
+func (g *Group) Possibly(id string) bool {
+	p := g.preds[id]
+	return p != nil && p.possibly
+}
+
+// Detector returns a registered predicate's live detector: nil once a
+// routed predicate has latched or failed and released it.
+func (g *Group) Detector(id string) detect.Detector {
+	if p := g.preds[id]; p != nil {
+		return p.det
+	}
+	return nil
+}
+
+// PredicateErr returns a registered predicate's sticky step error.
+func (g *Group) PredicateErr(id string) error {
+	if p := g.preds[id]; p != nil {
+		return p.err
+	}
+	return nil
 }

@@ -8,8 +8,11 @@ import (
 	gpd "github.com/distributed-predicates/gpd"
 	"github.com/distributed-predicates/gpd/internal/computation"
 	"github.com/distributed-predicates/gpd/internal/core/relsum"
+	"github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/gen"
+	"github.com/distributed-predicates/gpd/internal/mux"
 	"github.com/distributed-predicates/gpd/internal/obs"
+	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
 // endpointCell is one seed of one family: the session spec, the stream
@@ -99,14 +102,55 @@ func inflightCell(seed int64) endpointCell {
 	}
 }
 
+// muxClose feeds a cell to a multiplexed session with its predicate
+// registered at open, events tagged with the variable and a flush every
+// 3 events — so a routed predicate latches and releases its detector
+// mid-stream — and returns the predicate's close fan-out entry.
+func muxClose(t *testing.T, cell endpointCell) mux.Update {
+	t.Helper()
+	ps, err := pred.Parse(cell.spec.Pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(Spec{Mux: true, Procs: cell.spec.Procs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Register(mux.Registration{ID: "p", Spec: ps, Involved: cell.spec.Involved, Init: cell.spec.Init}); err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range cell.events {
+		ev.Var = varName
+		if ps.Family == pred.InFlight {
+			ev.Var = detect.InFlightVar
+		}
+		if err := s.Step(ev); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			s.Flush()
+		}
+	}
+	if _, err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	states := s.PredicateStates()
+	if len(states) != 1 {
+		t.Fatalf("close fan-out %+v, want one entry", states)
+	}
+	return states[0]
+}
+
 // TestEndpointDefinitelyMatchesOracle is the reference for the endpoint
-// rule every single-predicate session closes with. For 1 000 seeds of
+// rule every registration made at open closes with. For 1 000 seeds of
 // each family, a session that keeps no trace must decide Definitely
 // exactly as gpd.Detect does whenever it decides it, and a retaining
 // twin must always decide it, correctly — rebuilding the trace for
-// exactly the closes its endpoints leave open. Each family must produce
-// all three outcomes (known false, known true, unknown), so no arm
-// passes by never deciding.
+// exactly the closes its endpoints leave open. The same predicate
+// registered at open on a multiplexed session must close exactly as the
+// plain session does. Each family must produce all three outcomes
+// (known false, known true, unknown), so no arm passes by never
+// deciding.
 func TestEndpointDefinitelyMatchesOracle(t *testing.T) {
 	const seeds = 1000
 	for _, arm := range []struct {
@@ -134,6 +178,10 @@ func TestEndpointDefinitelyMatchesOracle(t *testing.T) {
 			}
 
 			v, _ := replay(t, rand.New(rand.NewSource(seed)), cell.spec, cell.events)
+			if u := muxClose(t, cell); u.Err != "" || u.Possibly != v.Possibly || u.Definitely != v.Definitely || u.DefinitelyKnown != v.DefinitelyKnown {
+				t.Errorf("%s seed %d (%s): mux registration at open closes %+v, plain session %+v",
+					arm.name, seed, cell.spec.Pred, u, v)
+			}
 			switch {
 			case !v.DefinitelyKnown:
 				outcomes["unknown"]++

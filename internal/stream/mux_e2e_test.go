@@ -90,9 +90,13 @@ func multiVarComputation(rng *rand.Rand, procs, rounds int, vars []string) (*com
 // TestServeMultiPredicateSession is the multiplexer e2e: one mux session
 // over real TCP carrying a whole portfolio of predicates across tenants,
 // streamed shuffled, every per-predicate verdict checked against the
-// offline batch oracle for the full computation. Also exercises the
-// mid-stream unregister path, the per-tenant cap, and the routing
-// economy counters.
+// offline batch oracle for the full computation — Possibly, and
+// Definitely wherever the close fan-out decides it for a registration
+// made at open. Also exercises the unregister path before and after the
+// first event (a predicate registered again mid-stream closes with
+// Definitely unknown), the per-tenant cap, the routing economy
+// counters, and a plain session next to it whose replies carry no
+// per-predicate fields.
 func TestServeMultiPredicateSession(t *testing.T) {
 	const procs = 4
 	srv, cl := serveLoopback(t, Config{Shards: 2, QueueLen: 64, BatchSize: 16, MaxPredicatesPerTenant: 8})
@@ -132,6 +136,18 @@ func TestServeMultiPredicateSession(t *testing.T) {
 	if err := cl.UnregisterPredicate("m", "scratch"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := cl.RegisterPredicate("m", RegisterSpec{ID: sessionPred, Pred: "all(v0)"}); err == nil {
+		t.Fatal("a registration under the reserved id of a single-predicate session accepted")
+	}
+	// "late" is registered at open, then unregistered and registered
+	// again halfway through the stream.
+	late := RegisterSpec{ID: "late", Tenant: "gamma", Pred: "sum(v0) >= 0"}
+	if _, err := cl.RegisterPredicate("m", late); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Open("plain", Spec{Procs: procs, Pred: "sum(v0) >= 1"}); err != nil {
+		t.Fatal(err)
+	}
 	// The per-tenant cap holds: alpha has 3 slots taken, 5 left.
 	for i := 0; i < 5; i++ {
 		id := fmt.Sprintf("fill-%d", i)
@@ -152,10 +168,21 @@ func TestServeMultiPredicateSession(t *testing.T) {
 		if n > len(evs) {
 			n = len(evs)
 		}
-		if _, err := cl.Append("m", evs[:n]); err != nil {
-			t.Fatalf("append: %v", err)
+		for _, id := range []string{"m", "plain"} {
+			if _, err := cl.Append(id, evs[:n]); err != nil {
+				t.Fatalf("append: %v", err)
+			}
 		}
 		evs = evs[n:]
+		if len(evs) <= len(events)/2 && late.ID != "" {
+			if err := cl.UnregisterPredicate("m", late.ID); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.RegisterPredicate("m", late); err != nil {
+				t.Fatal(err)
+			}
+			late.ID = ""
+		}
 	}
 
 	// The update fan-out is sequence-numbered and drains exactly once.
@@ -166,14 +193,14 @@ func TestServeMultiPredicateSession(t *testing.T) {
 	if st.Kind != "mux" {
 		t.Errorf("session kind %q, want mux", st.Kind)
 	}
-	if st.Registered != len(preds)+5 {
-		t.Errorf("registered = %d, want %d", st.Registered, len(preds)+5)
+	if st.Registered != len(preds)+6 {
+		t.Errorf("registered = %d, want %d", st.Registered, len(preds)+6)
 	}
 	if st.Skipped == 0 {
 		t.Error("relevance routing skipped nothing")
 	}
 	for _, u := range updates {
-		if u.Seq != 1 || u.Err != "" {
+		if u.Seq != 1 || u.Err != "" || u.Definitely || u.DefinitelyKnown {
 			t.Errorf("unexpected update %+v", u)
 		}
 	}
@@ -191,7 +218,10 @@ func TestServeMultiPredicateSession(t *testing.T) {
 	for _, u := range states {
 		final[u.ID] = u
 	}
-	anyPossibly := false
+	if u := final["late"]; u.DefinitelyKnown {
+		t.Errorf("a registration made mid-stream decided Definitely: %+v", u)
+	}
+	anyPossibly, decided := false, 0
 	for _, p := range preds {
 		ps, err := pred.Parse(p.text)
 		if err != nil {
@@ -214,9 +244,35 @@ func TestServeMultiPredicateSession(t *testing.T) {
 			t.Errorf("%s (%s): mux possibly=%v, oracle=%v", p.id, p.text, u.Possibly, res.Holds)
 		}
 		anyPossibly = anyPossibly || res.Holds
+		if !u.DefinitelyKnown {
+			continue
+		}
+		decided++
+		def, err := detect.Batch(c, ps, detect.ModalityDefinitely, detect.Options{}, nil)
+		if err != nil {
+			t.Fatalf("oracle %s: %v", p.text, err)
+		}
+		if u.Definitely != def.Holds {
+			t.Errorf("%s (%s): mux definitely=%v, oracle=%v", p.id, p.text, u.Definitely, def.Holds)
+		}
+	}
+	t.Logf("the close fan-out decided Definitely for %d of %d registrations made at open", decided, len(preds))
+	if decided == 0 {
+		t.Error("the close fan-out decided Definitely for no registration made at open")
 	}
 	if verdict.Possibly != anyPossibly {
 		t.Errorf("session verdict %v, want any-predicate %v", verdict.Possibly, anyPossibly)
+	}
+	if verdict.Definitely || verdict.DefinitelyKnown {
+		t.Errorf("mux session verdict %+v carries a Definitely of its own", verdict)
+	}
+
+	// A plain session's replies carry no per-predicate fields.
+	if _, ups, err := cl.QueryUpdates("plain"); err != nil || len(ups) != 0 {
+		t.Errorf("plain session query: updates %v, err %v", ups, err)
+	}
+	if v, states, err := cl.ClosePredicates("plain"); err != nil || len(states) != 0 {
+		t.Errorf("plain session close: verdict %+v, predicates %v, err %v", v, states, err)
 	}
 
 	// Every slot returned to its tenant at close.

@@ -16,15 +16,15 @@ const sessionPred = "_session"
 // Session is one monitored application instance: it ingests that
 // application's timestamped events, re-establishes causal order, and
 // runs incremental detectors resolved from the detector registry. Every
-// session is backed by a mux.Group — causal delivery happens once, and
-// detectors attach to it:
+// session is backed by a mux.Group — causal delivery happens once,
+// detectors attach to it as registrations, and the group decides each
+// registration's close (mux.Group.States):
 //
-//   - A single-predicate session (Spec.Pred) carries one
-//     all-events registration with exactly the pre-multiplexer
-//     semantics: the detector sees every event under raw timestamps, a
-//     detector error kills the session, and Close decides Definitely
-//     from the endpoints every run shares when they suffice, and
-//     otherwise from the retained trace when the session keeps one.
+//   - A single-predicate session (Spec.Pred) is one all-events
+//     registration made at open: the detector sees every event under
+//     raw timestamps, a detector error kills the session, and Close
+//     takes Definitely from the registration's endpoint rule, or else
+//     from the retained trace when the session keeps one.
 //   - A multiplexed session (Spec.Mux) starts empty; predicates are
 //     registered and unregistered mid-stream, each stepped only on the
 //     events its relevance set touches, under projected timestamps.
@@ -36,7 +36,6 @@ const sessionPred = "_session"
 // to exactly one shard worker); it is not safe for concurrent use.
 type Session struct {
 	spec  Spec
-	mux   bool       // multiplexed session (Spec.Mux)
 	ps    pred.Spec  // canonical predicate (single-predicate sessions)
 	group *mux.Group // causal delivery + routing, owns the detectors
 	err   error      // sticky failure; the session is dead once set
@@ -54,12 +53,8 @@ func NewSession(spec Spec) (*Session, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Session{
-		spec:  spec,
-		group: mux.NewGroup(spec.Procs),
-	}
+	s := &Session{spec: spec, group: mux.NewGroup(spec.Procs)}
 	if spec.Mux {
-		s.mux = true
 		return s, nil
 	}
 	ps, err := spec.Canonical()
@@ -84,31 +79,34 @@ func NewSession(spec Spec) (*Session, error) {
 	if spec.Retain {
 		s.group.OnDeliver(func(ev Event) { s.retained = append(s.retained, ev) })
 	}
-	s.possibly = s.group.Possibly(sessionPred) // a satisfied initial cut latches immediately
+	s.possibly = s.group.Flush() // a satisfied initial cut latches immediately
 	return s, nil
 }
 
 // KindLabel names the session for stats surfaces: the predicate family
 // of a single-predicate session, "mux" for a multiplexed one.
 func (s *Session) KindLabel() string {
-	if s.mux {
+	if s.spec.Mux {
 		return "mux"
 	}
 	return s.ps.Family.String()
 }
 
 // Mux reports whether the session is multiplexed.
-func (s *Session) Mux() bool { return s.mux }
+func (s *Session) Mux() bool { return s.spec.Mux }
 
 // Register attaches a predicate to a multiplexed session. The predicate
 // observes the stream from the registration cut onward; its variable is
 // seeded with the last delivered values unless Init is given.
 func (s *Session) Register(r mux.Registration) error {
-	if !s.mux {
+	if !s.spec.Mux {
 		return fmt.Errorf("stream: session is not multiplexed; open it with mux")
 	}
 	if s.err != nil {
 		return s.err
+	}
+	if r.ID == sessionPred {
+		return fmt.Errorf("stream: predicate id %q is reserved", sessionPred)
 	}
 	r.AllEvents = false
 	return s.group.Register(r)
@@ -117,7 +115,7 @@ func (s *Session) Register(r mux.Registration) error {
 // Unregister detaches a predicate from a multiplexed session and
 // returns the tenant that held it.
 func (s *Session) Unregister(id string) (string, error) {
-	if !s.mux {
+	if !s.spec.Mux {
 		return "", fmt.Errorf("stream: session is not multiplexed; open it with mux")
 	}
 	tenant := s.group.Tenant(id)
@@ -154,12 +152,10 @@ func (s *Session) Step(ev Event) error {
 		return s.err
 	}
 	if err := s.group.Step(ev); err != nil {
-		return s.fail(err)
-	}
-	if !s.mux {
-		if perr := s.group.PredicateErr(sessionPred); perr != nil {
-			return s.fail(fmt.Errorf("stream: %w", perr))
+		if perr, ok := err.(*mux.DetectorError); ok {
+			err = fmt.Errorf("stream: %w", perr.Err)
 		}
+		return s.fail(err)
 	}
 	if s.spec.MaxWindow > 0 {
 		if hb := s.group.Holdback(); hb > s.spec.MaxWindow {
@@ -188,9 +184,7 @@ func (s *Session) Flush() bool {
 		return s.possibly
 	}
 	s.flushes++
-	if s.group.Flush() {
-		s.possibly = true
-	}
+	s.possibly = s.group.Flush() || s.possibly
 	return s.possibly
 }
 
@@ -206,18 +200,9 @@ func (s *Session) Delivered() int64 { return s.group.Delivered() }
 // Holdback returns the number of buffered undeliverable events.
 func (s *Session) Holdback() int { return s.group.Holdback() }
 
-// Window returns the retained detector state size: the live detector
-// window of a single-predicate session, the summed windows (as of the
-// last flush) of a multiplexed one.
-func (s *Session) Window() int {
-	if s.mux {
-		return s.group.Window()
-	}
-	if det := s.group.Detector(sessionPred); det != nil {
-		return det.Window()
-	}
-	return 0
-}
+// Window returns the retained detector state size: the summed
+// detector windows as of the last flush.
+func (s *Session) Window() int { return s.group.Window() }
 
 // Flushes returns the number of detector flushes performed.
 func (s *Session) Flushes() int { return s.flushes }
@@ -229,12 +214,12 @@ func (s *Session) Flushes() int { return s.flushes }
 func (s *Session) RetainedEvents() int { return len(s.retained) }
 
 // Finalize seals the stream: it flushes the detectors, verifies the
-// stream was gapless, and — for a single-predicate session — decides
-// Definitely from the endpoints every run shares, or, when they leave
-// it open and the session retained the trace, with the family's batch
-// kernel on the computation rebuilt from it (detect.Residue). The
-// Possibly verdict in the returned Verdict is exact for the complete
-// computation.
+// stream was gapless, and — for a single-predicate session — takes
+// Definitely from its registration's entry in the close fan-out (the
+// endpoints every run shares), or, when they leave it open and the
+// session retained the trace, from the family's batch kernel on the
+// computation rebuilt from it (detect.Residue). The Possibly verdict in
+// the returned Verdict is exact for the complete computation.
 func (s *Session) Finalize() (Verdict, error) {
 	return s.FinalizeTraced(nil)
 }
@@ -252,15 +237,12 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	if hb := s.group.Holdback(); hb > 0 {
 		return v, s.fail(fmt.Errorf("stream: %d events undeliverable at close (gaps in the stream)", hb))
 	}
-	if s.mux { // mux sessions decide Possibly only
-		return v, nil
+	for _, u := range s.group.States() {
+		if u.ID == sessionPred {
+			v.Definitely, v.DefinitelyKnown = u.Definitely, u.DefinitelyKnown
+		}
 	}
-	fin, ok := s.group.Detector(sessionPred).(detect.Finalizer)
-	if !ok {
-		return v, nil // the detector cannot decide Definitely; Possibly stands
-	}
-	if def, known := fin.EndpointDefinitely(); known || !s.spec.Retain {
-		v.Definitely, v.DefinitelyKnown = def, known
+	if v.DefinitelyKnown || !s.spec.Retain {
 		return v, nil
 	}
 	cfg := detect.Config{Procs: s.spec.Procs, Involved: s.spec.Involved, Init: s.spec.Init}

@@ -65,8 +65,8 @@ type Spec struct {
 	// and "unregister"), each stepped only on the events its relevance
 	// set touches. Events must tag the variable they update (Event.Var).
 	// Mutually exclusive with Pred and the per-predicate fields
-	// (Involved, Init, Retain). A mux session retains no history: it
-	// decides Possibly only.
+	// (Involved, Init, Retain). A mux session retains no history; its
+	// close decides Definitely per predicate (mux.Group.States).
 	Mux bool `json:"mux,omitempty"`
 	// Tenant names the session's owning tenant for cost attribution and
 	// per-tenant metrics; "" means "default". Predicates registered on a
@@ -150,10 +150,10 @@ type Verdict struct {
 	// Definitely reports whether every run passes through a satisfying
 	// cut; only meaningful when DefinitelyKnown.
 	Definitely bool `json:"definitely,omitempty"`
-	// DefinitelyKnown is set when a single-predicate session's endpoints
-	// decided it at Close (Possibly never latched: Definitely false; a
-	// value every run passes through satisfies: Definitely true), or
-	// when the session retained the trace and ran the offline
-	// Definitely detector on the rest.
+	// DefinitelyKnown is set when the endpoints decided it at Close
+	// (Possibly never latched: Definitely false; a value every run passes
+	// through satisfies: Definitely true), or when the session retained
+	// the trace and ran the offline Definitely detector on the rest. A mux
+	// session's per-predicate Definitely is in its close fan-out instead.
 	DefinitelyKnown bool `json:"definitely_known,omitempty"`
 }
