@@ -1,6 +1,8 @@
 package relsum
 
 import (
+	"math"
+
 	"github.com/distributed-predicates/gpd/internal/maxflow"
 	"github.com/distributed-predicates/gpd/internal/obs"
 )
@@ -21,7 +23,7 @@ import (
 //
 //   - cuts that do not contain P contain no event delivered after the
 //     prune (any such event f has P ⊆ past(f)), so they are cuts of the
-//     pre-prune prefix and were covered by the flush the prune performs;
+//     pre-prune prefix and were covered by the flushes before it;
 //   - cuts that do contain P are exactly P ∪ I for an ideal I of the
 //     retained window, and their sum is baseline + weight(I), which is
 //     what post-prune flushes compute.
@@ -37,22 +39,40 @@ import (
 // RangeTracker maintains min/max of S over the consistent cuts of a
 // growing computation prefix. The retained window lives in one
 // persistent residual network (maxflow.Network): Observe adds a node and
-// its arcs, Flush tops the two flows up from where the last flush left
+// its arcs, a flush tops the two flows up from where the last one left
 // them, Prune hands back the flow the dropped prefix carried — no flush
 // rebuilds anything. Not safe for concurrent use.
 type RangeTracker struct {
 	baseline int64 // S at the pruned cut P
 	min, max int64 // running extrema over every cut covered so far
-	lo, hi   int64 // extrema over the window of the last flush that had work
 
 	net   *maxflow.Network // retained window: node = slot, weight = per-event change of S
 	slots map[int64]int    // external event id -> slot
 	ids   []int64          // slot -> external event id (arena, first net.Len() in use)
 	drop  []bool           // Prune scratch: slot -> pruned by the current Prune
 
-	dirty bool       // events observed since the last Flush
+	dirty Sides      // closures with events observed since they were last solved
 	tr    *obs.Trace // optional work accounting (nil: free)
 }
+
+// Sides is a set of the window's two closures.
+type Sides uint8
+
+const (
+	MinSide Sides = 1 << iota // the window's lowest sum
+	MaxSide                   // the window's highest sum
+)
+
+// Reach asks a flush for the min closure only if the window's lowest sum
+// can be at most Lo, and for the max closure only if its highest can be
+// at least Hi: the extrema that could still change a verdict.
+type Reach struct{ Lo, Hi int64 }
+
+// Every window reaches Everything, and none reaches Nothing.
+var Everything, Nothing = Reach{math.MaxInt64, math.MinInt64}, Reach{math.MinInt64, math.MaxInt64}
+
+// Union is the reach of two callers sharing a flush.
+func (r Reach) Union(o Reach) Reach { return Reach{max(r.Lo, o.Lo), min(r.Hi, o.Hi)} }
 
 // SetTrace routes the tracker's closure work counters (augmenting paths,
 // BFS phases, network sizes) into the given trace. A nil trace disables
@@ -66,8 +86,6 @@ func NewRangeTracker(baseline int64) *RangeTracker {
 		baseline: baseline,
 		min:      baseline,
 		max:      baseline,
-		lo:       baseline,
-		hi:       baseline,
 		net:      maxflow.NewNetwork(),
 		slots:    make(map[int64]int),
 	}
@@ -95,7 +113,7 @@ func (t *RangeTracker) Observe(id int64, weight int64, requires []int64) {
 			t.net.Require(slot, u)
 		}
 	}
-	t.dirty = true
+	t.dirty = MinSide | MaxSide
 }
 
 // grow doubles the per-slot arenas.
@@ -106,39 +124,43 @@ func (t *RangeTracker) grow() {
 	t.ids, t.drop = append(t.ids, make([]int64, n-len(t.ids))...), make([]bool, n)
 }
 
-// Flush brings the two closures up to date with the events observed
-// since the last call and folds the window's extrema into the running
-// min/max. Free when nothing was observed.
+// Flush solves both closures over the events observed since the last
+// call and returns the running min/max, the exact prefix extrema.
+//
+//lint:ignore testonly the both-sides flush TestRangeTrackerAgreesWithSumRange and TestRangeTrackerWorkBound hold to SumRange and to the work bound
 func (t *RangeTracker) Flush() (min, max int64) {
-	if !t.dirty {
-		return t.min, t.max
-	}
-	t.dirty = false
-	best, worst := t.net.Solve(t.tr)
-	t.hi, t.lo = t.baseline+best, t.baseline-worst
-	if t.hi > t.max {
-		t.max = t.hi
-	}
-	if t.lo < t.min {
-		t.min = t.lo
-	}
+	t.FlushReach(Everything)
 	return t.min, t.max
 }
 
-// WindowRange returns the extrema over the cuts of the window as of the
-// last flush that had work alone — baseline plus an ideal of the then
-// retained events — before they were folded into the running extrema. A
-// consumer that joins the stream late folds these into its own running
-// extrema (folding the same pair twice is harmless).
-func (t *RangeTracker) WindowRange() (lo, hi int64) { return t.lo, t.hi }
+// FlushReach solves each closure that has events observed since it was
+// last solved and whose bound — the network's residual source capacity,
+// at least the closure's weight for any feasible flow — can reach r. It
+// returns the extrema over the window's cuts for the sides it solved
+// (the others' values mean nothing) and folds them into the running
+// min/max. A skipped side stays dirty; its window could not reach r.
+func (t *RangeTracker) FlushReach(r Reach) (lo, hi int64, solved Sides) {
+	if t.dirty&MaxSide != 0 && t.baseline+t.net.Bound(0) >= r.Hi {
+		hi = t.baseline + t.net.Solve(0, t.tr)
+		t.max = max(t.max, hi)
+		solved |= MaxSide
+	}
+	if t.dirty&MinSide != 0 && t.baseline-t.net.Bound(1) <= r.Lo {
+		lo = t.baseline - t.net.Solve(1, t.tr)
+		t.min = min(t.min, lo)
+		solved |= MinSide
+	}
+	t.dirty &^= solved
+	return lo, hi, solved
+}
 
 // Prune folds the given events into the baseline and drops them from the
 // window. The set must be downward closed within the window, and the
 // caller must guarantee that every event yet to be observed causally
-// succeeds all of them (the vector-clock frontier argument above). Prune
-// flushes first so no cut goes uncovered. Unknown ids are ignored.
+// succeeds all of them (the vector-clock frontier argument above), and
+// flushes first: only the flushes before it cover the cuts it removes.
+// Unknown ids are ignored.
 func (t *RangeTracker) Prune(ids []int64) {
-	t.Flush()
 	n := t.net.Len()
 	drop := t.drop[:n]
 	clear(drop)

@@ -90,7 +90,10 @@ func (o *oracleWindow) stable() []int64 {
 	return ids
 }
 
-func runSchedule(t *testing.T, s schedule) {
+// runSchedule runs one schedule and returns how many flushes solved a
+// closure warm from the flow a prune unwound after a flush had skipped
+// that closure: a feasible flow that need not be maximum.
+func runSchedule(t *testing.T, s schedule) (warmAfterPartial int) {
 	rng := rand.New(rand.NewSource(s.seed))
 	c := gen.Random(gen.Params{
 		Seed: s.seed, Procs: 2 + int(s.procs%5), Events: 1 + int(s.events%12),
@@ -114,22 +117,68 @@ func runSchedule(t *testing.T, s schedule) {
 	tr := NewRangeTracker(q.base)
 	wantMin, wantMax := q.base, q.base
 
-	dirty := false // a flush with nothing observed since the last keeps the old window range
+	// The reach arm: half the schedules ask some flushes for only the
+	// sides whose bound can reach drawn thresholds — the from-scratch
+	// extreme, one off it, the residual bound itself, one past it, or
+	// everything and nothing.
+	arm := rng.Intn(2) == 0
+	draw := func(extreme, bound, past, always, never int64) int64 {
+		switch rng.Intn(7) {
+		case 0:
+			return always
+		case 1:
+			return never
+		case 2:
+			return extreme
+		case 3:
+			return extreme - 1
+		case 4:
+			return extreme + 1
+		case 5:
+			return bound
+		}
+		return bound + past
+	}
+	var pending Sides          // sides with events observed since the tracker last solved them
+	exact := MinSide | MaxSide // sides every flush with work solved: their running extrema stay exact
+	var partial, warm Sides    // pending sides a flush skipped; those of them a prune has since unwound
 	check := func(when string) {
 		t.Helper()
-		gotMin, gotMax := tr.Flush()
 		lo, hi := o.fromScratch()
 		wantMin, wantMax = min(wantMin, lo), max(wantMax, hi)
-		if gotLo, gotHi := tr.WindowRange(); dirty && (gotLo != lo || gotHi != hi) {
-			t.Fatalf("%s: window range [%d,%d], from scratch [%d,%d] (window %d)", when, gotLo, gotHi, lo, hi, len(o.retained))
+		r := Everything
+		if arm && rng.Intn(2) == 0 {
+			r = Reach{
+				Lo: draw(lo, tr.baseline-tr.net.Bound(1), -1, Everything.Lo, Nothing.Lo),
+				Hi: draw(hi, tr.baseline+tr.net.Bound(0), +1, Everything.Hi, Nothing.Hi),
+			}
 		}
-		if gotMin != wantMin || gotMax != wantMax {
-			t.Fatalf("%s: range [%d,%d], want [%d,%d]", when, gotMin, gotMax, wantMin, wantMax)
+		gotLo, gotHi, solved := tr.FlushReach(r)
+		if solved&^pending != 0 {
+			t.Fatalf("%s: solved sides %b with nothing observed since (pending %b)", when, solved, pending)
+		}
+		if solved&MinSide != 0 && gotLo != lo || solved&MaxSide != 0 && gotHi != hi {
+			t.Fatalf("%s: solved %b: window range [%d,%d], from scratch [%d,%d] (reach %+v, window %d)", when, solved, gotLo, gotHi, lo, hi, r, len(o.retained))
+		}
+		if skipped := pending &^ solved; skipped != 0 {
+			if skipped&MinSide != 0 && lo <= r.Lo || skipped&MaxSide != 0 && hi >= r.Hi {
+				t.Fatalf("%s: skipped %b, but the window range [%d,%d] reaches %+v", when, skipped, lo, hi, r)
+			}
+			exact &^= skipped
+			partial |= skipped
+		}
+		if solved&warm != 0 {
+			warmAfterPartial++
+		}
+		partial &^= solved
+		warm &^= solved
+		pending &^= solved
+		if exact&MinSide != 0 && tr.min != wantMin || exact&MaxSide != 0 && tr.max != wantMax {
+			t.Fatalf("%s: range [%d,%d], want [%d,%d] (exact sides %b)", when, tr.min, tr.max, wantMin, wantMax, exact)
 		}
 		if tr.Window() != len(o.retained) {
 			t.Fatalf("%s: window %d, want %d", when, tr.Window(), len(o.retained))
 		}
-		dirty = false
 	}
 
 	var reqs []int64
@@ -151,7 +200,7 @@ func runSchedule(t *testing.T, s schedule) {
 	order := randomLinearization(c, rng)
 	for i, id := range order {
 		deliver(id)
-		dirty = true
+		pending = MinSide | MaxSide
 		o.retained = append(o.retained, id)
 		o.last[int(c.Event(id).Proc)] = c.Clock(id)
 		if rng.Intn(100) < int(s.dupPct%101) {
@@ -167,6 +216,7 @@ func runSchedule(t *testing.T, s schedule) {
 		check("flush")
 		if rng.Intn(100) < int(s.prunePct%101) {
 			tr.Prune(o.stable())
+			warm |= partial
 			if tr.Window() != len(o.retained) {
 				t.Fatalf("after prune: window %d, want %d", tr.Window(), len(o.retained))
 			}
@@ -174,23 +224,31 @@ func runSchedule(t *testing.T, s schedule) {
 	}
 	check("final flush")
 	gotMin, gotMax := tr.Flush()
-	if lo, hi, _, _ := q.rangeWitness(c, 1, nil); gotMin != lo || gotMax != hi {
-		t.Fatalf("complete stream: range [%d,%d], batch range [%d,%d]", gotMin, gotMax, lo, hi)
+	if lo, hi, _, _ := q.rangeWitness(c, 1, nil); exact&MinSide != 0 && gotMin != lo || exact&MaxSide != 0 && gotMax != hi {
+		t.Fatalf("complete stream: range [%d,%d], batch range [%d,%d] (exact sides %b)", gotMin, gotMax, lo, hi, exact)
 	}
+	return warmAfterPartial
 }
 
 // TestRangeTrackerMatchesFromScratch checks after every flush of random
 // schedules — random computations, linearisations, flush points,
-// frontier prunes and duplicate deliveries — that the warm tracker fed
-// the reduced requirement lists equals the batch kernel run from scratch
-// over the retained window with the unreduced ones.
+// frontier prunes, duplicate deliveries and reach thresholds — that
+// every closure the warm tracker fed the reduced requirement lists
+// solves equals the batch kernel run from scratch over the retained
+// window with the unreduced ones, and that every closure it skips could
+// not reach its threshold. Some schedules must solve a closure warm from
+// the flow a prune left after a partly solved flush.
 func TestRangeTrackerMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	warm := 0
 	for i := 0; i < 400; i++ {
-		runSchedule(t, schedule{
+		warm += runSchedule(t, schedule{
 			seed: rng.Int63(), procs: uint8(rng.Intn(256)), events: uint8(rng.Intn(256)), kind: uint8(i),
 			flushPct: uint8(rng.Intn(101)), prunePct: uint8(rng.Intn(101)), dupPct: uint8(rng.Intn(40)),
 		})
+	}
+	if warm == 0 {
+		t.Fatal("no schedule solved a closure after a prune that followed a partly solved flush")
 	}
 }
 

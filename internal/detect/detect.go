@@ -234,7 +234,8 @@ func TouchesOf(d Detector) Relevance {
 // Snapshot is a detector's current view: the latched verdict, the
 // retained window, and — for detectors tracking a quantity — the exact
 // range the quantity attains over consistent cuts of the observed
-// prefix.
+// prefix (for a view over a shared range core, a range inside it that
+// is exact on each side that can still change the verdict).
 type Snapshot struct {
 	Possibly bool
 	Window   int

@@ -109,17 +109,17 @@ func (c *RangeCore) Step(ev Event) error {
 	return nil
 }
 
-// Flush advances the core over the events stepped since the last flush
-// (two closure computations over the retained window), prunes the
-// window below the common frontier, and returns the extrema over the
-// cuts of the flushed window. Views fold them; with nothing stepped the
-// previous pair is returned again, which folds to a no-op.
-func (c *RangeCore) Flush() (lo, hi int64) {
-	c.tracker.Flush()
+// Flush advances the core over the events stepped since the last flush,
+// solving only the closures whose window extremum can reach r (the
+// union of its views' Reach), prunes the window below the common
+// frontier, and returns the extrema over the cuts of the flushed window
+// for the sides it solved.
+func (c *RangeCore) Flush(r relsum.Reach) (lo, hi int64, solved relsum.Sides) {
+	lo, hi, solved = c.tracker.FlushReach(r)
 	if ids := c.fr.stable(); len(ids) > 0 {
 		c.tracker.Prune(ids)
 	}
-	return c.tracker.WindowRange()
+	return lo, hi, solved
 }
 
 // Window returns the number of retained events.
@@ -141,8 +141,8 @@ func (c *RangeCore) PrunedPast(cut []int64) bool {
 // [min, max] since the view's first cut, the verdict latched from it,
 // and the unit-step requirement of ==. Through the Detector interface
 // it drives its core itself (the private-core case); a transport
-// sharing the core steps and flushes the core once and hands every view
-// the extrema through Fold.
+// sharing the core steps and flushes the core once, for the union of
+// its views' Reach, and hands every view the extrema through Fold.
 type RangeView struct {
 	core   *RangeCore
 	spec   pred.Spec
@@ -204,13 +204,47 @@ func (v *RangeView) Fatal(err error) bool {
 	return errors.Is(err, relsum.ErrStepTooLarge) || v.levels == nil && v.spec.Rel == relsum.Eq
 }
 
-// Fold widens the view's running extrema by one flushed window of its
-// core and returns the latched verdict.
-func (v *RangeView) Fold(lo, hi int64) bool {
-	if lo -= v.off; lo < v.min {
+// Reach names the window extrema, in its core's sums, that could still
+// flip the view's verdict: an order operator's threshold, for == the
+// side k lies beyond, for != one step off k on both sides, for a level
+// set the nearest level in [0, N] beyond each running extremum, and for
+// a latched view nothing.
+func (v *RangeView) Reach() relsum.Reach {
+	r := relsum.Nothing
+	k, top := v.spec.K+v.off, v.max+v.off // only a delta view has an offset
+	switch rel := v.spec.Rel; {
+	case v.possibly:
+	case v.levels != nil:
+		for _, m := range v.levels.Levels {
+			if m := int64(m); m > v.max && m <= int64(v.levels.N) {
+				r.Hi = min(r.Hi, m)
+			} else if m < v.min && m >= 0 {
+				r.Lo = m
+			}
+		}
+	case rel == relsum.Ge || rel == relsum.Eq && k > top:
+		r.Hi = k
+	case rel == relsum.Le || rel == relsum.Eq:
+		r.Lo = k
+	case rel == relsum.Gt:
+		r.Hi = k + 1
+	case rel == relsum.Lt:
+		r.Lo = k - 1
+	default: // an unlatched != has min = max = k
+		r = relsum.Reach{Lo: k - 1, Hi: k + 1}
+	}
+	return r
+}
+
+// Fold widens the view's running extrema by the sides one flush of its
+// core solved, and returns the latched verdict. A skipped side could
+// not reach the view's Reach, so the verdict stays exact and the extrema
+// stay inside the true ones.
+func (v *RangeView) Fold(lo, hi int64, solved relsum.Sides) bool {
+	if lo -= v.off; solved&relsum.MinSide != 0 && lo < v.min {
 		v.min = lo
 	}
-	if hi -= v.off; hi > v.max {
+	if hi -= v.off; solved&relsum.MaxSide != 0 && hi > v.max {
 		v.max = hi
 	}
 	if !v.possibly && v.holdsOn(v.min, v.max) {
@@ -238,7 +272,8 @@ func (v *RangeView) Step(ev Event) error {
 	return nil
 }
 
-func (v *RangeView) Flush() bool { return v.Fold(v.core.Flush()) }
+// Flush drives a private core: both sides, so the range stays exact.
+func (v *RangeView) Flush() bool { return v.Fold(v.core.Flush(relsum.Everything)) }
 
 func (v *RangeView) Possibly() bool { return v.possibly }
 

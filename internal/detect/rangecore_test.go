@@ -135,9 +135,9 @@ func TestRangeCoreMatchesFromScratch(t *testing.T) {
 				continue
 			}
 			for k, pc := range cores {
-				lo, hi := pc.core.Flush()
+				lo, hi, solved := pc.core.Flush(relsum.Everything)
 				if k == 0 {
-					view.Fold(lo, hi)
+					view.Fold(lo, hi, solved)
 				}
 				if wantLo, wantHi := pc.oracle.flush(); lo != wantLo || hi != wantHi {
 					t.Fatalf("seed %d event %d core %d: flush [%d,%d], from scratch [%d,%d]", seed, i, k, lo, hi, wantLo, wantHi)

@@ -9,16 +9,17 @@ import "github.com/distributed-predicates/gpd/internal/obs"
 // adjacency: a node of weight w carries a source and a sink arc, of
 // capacities max(w,0) and max(-w,0) when maximising and swapped when
 // minimising, and requirement arcs are unbounded in both, so the
-// problems differ only in a capacity array. The warm flow is exact
-// (DESIGN.md, "Why the warm flush is exact"): new nodes and arcs carry
-// no flow, so the old flow stays feasible; the best closure weight is
-// the residual capacity left on the source arcs; and what a prune
-// strands at retained nodes can be walked back to the source inside the
-// retained window. Not safe for concurrent use.
+// problems differ only in a capacity array; each is solved on demand.
+// The warm flow is exact (DESIGN.md, "Why the warm flush is exact"):
+// new nodes and arcs carry no flow, so the old flow stays feasible; the
+// best closure weight is the residual capacity left on the source arcs,
+// an upper bound until solved; and what a prune strands at retained
+// nodes can be walked back to the source inside the retained window,
+// from any feasible flow. Not safe for concurrent use.
 type Network struct {
 	g      Graph    // node 0: source, 1: sink, then the nodes; cap holds the maximisation's residual capacities
 	alt    []int64  // the minimisation's, arc for arc
-	value  [2]int64 // residual source capacity per problem: the best closure weight once solved
+	value  [2]int64 // residual source capacity per problem: the best closure weight once solved, above it before
 	weight []int64  // graph node -> weight
 	excess []int64  // Prune scratch: graph node -> flow still to walk back
 	remap  []int    // Prune scratch: graph node -> compacted graph node, -1 if dropped
@@ -68,27 +69,35 @@ func (nw *Network) addEdge(u, v int, c, altc int64) {
 	nw.alt[a], nw.alt[a^1] = altc, 0
 }
 
-// swap exchanges the problems: Solve and Prune handle one, swap, handle
-// the other and swap back.
+// swap exchanges the problems: Solve and Prune handle the minimisation
+// between two swaps.
 func (nw *Network) swap() { nw.g.cap, nw.alt = nw.alt, nw.g.cap }
 
-// Solve tops both flows up to maximum and returns the best closure
-// weight of the weights and of their negation (at least zero: the empty
-// closure). Work counters accumulate into the trace (nil: free).
-func (nw *Network) Solve(tr *obs.Trace) (best, negBest int64) {
-	for k := range nw.value {
-		nw.value[k] -= nw.g.MaxFlow(source, sink)
+// Bound returns problem k's residual source capacity (0: the weights,
+// 1: their negation): for any feasible flow at least the problem's best
+// closure weight, and equal to it once Solve has topped the flow up.
+func (nw *Network) Bound(k int) int64 { return nw.value[k] }
+
+// Solve tops problem k's flow up to maximum and returns its best
+// closure weight (at least zero: the empty closure). Work counters
+// accumulate into the trace (nil: free).
+func (nw *Network) Solve(k int, tr *obs.Trace) int64 {
+	if k == 1 {
+		nw.swap()
+	}
+	nw.value[k] -= nw.g.MaxFlow(source, sink)
+	if k == 1 {
 		nw.swap()
 	}
 	if tr != nil {
 		tr.Add("maxflow.augmenting_paths", nw.g.augPaths)
 		tr.Add("maxflow.bfs_phases", nw.g.phases)
-		tr.Add("maxflow.closures", 2)
-		tr.Add("maxflow.graph_nodes", 2*int64(nw.Len()))
-		tr.Add("maxflow.graph_arcs", 2*int64(nw.g.arcs))
+		tr.Add("maxflow.closures", 1)
+		tr.Add("maxflow.graph_nodes", int64(nw.Len()))
+		tr.Add("maxflow.graph_arcs", int64(nw.g.arcs))
 	}
 	nw.g.augPaths, nw.g.phases = 0, 0
-	return nw.value[0], nw.value[1]
+	return nw.value[k]
 }
 
 // Prune removes the nodes marked in drop, which must be closed under

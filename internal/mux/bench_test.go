@@ -20,7 +20,8 @@ import (
 // predicates: the sum predicates of a variable share one range core,
 // the count and levels predicates another. Thresholds are
 // chosen unreachable so detectors stay active (the worst case; latching
-// only makes the multiplexer cheaper).
+// only makes the multiplexer cheaper), and a core flush solves only the
+// closures that could reach one of them (closures/coreflush, 0–2).
 func BenchmarkMultiPredicate(b *testing.B) {
 	for _, n := range multiPredicateSizes {
 		b.Run(fmt.Sprintf("preds=%d", n), func(b *testing.B) {
@@ -36,6 +37,7 @@ func BenchmarkMultiPredicate(b *testing.B) {
 				// The physical work behind those logical steps: one core
 				// per (variable, payload) however many predicates share it.
 				b.ReportMetric(float64(st.CoreFlushes)/float64(flushes), "coreflushes/flush")
+				b.ReportMetric(float64(st.Closures)/float64(st.CoreFlushes), "closures/coreflush")
 				b.ReportMetric(float64(st.Cores), "cores")
 			}
 		})
@@ -51,7 +53,11 @@ func BenchmarkMultiPredicate(b *testing.B) {
 // views over shared range cores: a group flush may flush at most the sum
 // core and the truth core of every variable. One tracker per predicate
 // (the pre-sharing design) or cores that stop merging after
-// re-registration blow through that.
+// re-registration blow through that. Nor may a core flush solve a
+// closure no view can be moved by: sum >= 2^40 and count >= 9 over 8
+// processes never need one, levels {8} only the max side when it can
+// reach 8, so at most 0.1 closures per core flush, where solving both
+// sides every time is 2.
 func TestMultiPredicateRoutingBounds(t *testing.T) {
 	for _, n := range multiPredicateSizes {
 		g, nvars := multiPredicateGroup(t, n)
@@ -62,6 +68,9 @@ func TestMultiPredicateRoutingBounds(t *testing.T) {
 		}
 		if cf := float64(st.CoreFlushes) / float64(flushes); cf > float64(2*nvars) {
 			t.Errorf("preds=%d: %.1f core flushes per group flush, want <= 2 x %d variables: predicates of a variable no longer share one range core per payload", n, cf, nvars)
+		}
+		if cl := float64(st.Closures) / float64(st.CoreFlushes); cl > 0.1 {
+			t.Errorf("preds=%d: %.3f closures per core flush, want <= 0.1: cores solve closures no view's threshold can be reached by", n, cl)
 		}
 	}
 }

@@ -5,14 +5,17 @@ package mux
 // variable and the payload but not on the predicate, so the group keeps
 // one detect.RangeCore per (route variable, payload, registration cut),
 // steps it once per delivered event and flushes it once per group
-// flush; each predicate over it is a detect.RangeView folding the
-// flushed extrema. DESIGN.md carries the argument that moving a view
+// flush, solving only the closures that can reach some view's
+// threshold; each predicate over it is a detect.RangeView folding the
+// sides the flush solved. DESIGN.md carries the argument that moving a view
 // onto an older core (absorb) is exact.
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
+	"github.com/distributed-predicates/gpd/internal/core/relsum"
 	"github.com/distributed-predicates/gpd/internal/detect"
 )
 
@@ -29,6 +32,7 @@ type groupCore struct {
 	// cover — up to a constant for delta payloads.
 	seeded bool
 	views  []*predicate // active subscribers
+	reach  relsum.Reach // union of the views' Reach: what the next flush solves for
 	dirty  bool         // stepped since the last flush
 	steps  int64        // events stepped: each is one logical step of every view subscribed at the time
 	window int          // core window as of the last flush
@@ -67,7 +71,7 @@ func (g *Group) coreFor(routeVar string, payload detect.Payload, explicit []int6
 		return nil, err
 	}
 	c := &groupCore{
-		core: core, routeVar: routeVar, payload: payload,
+		core: core, routeVar: routeVar, payload: payload, reach: relsum.Nothing,
 		cut: cut, init: init, seeded: slices.Equal(init, seed),
 	}
 	g.cores[routeVar] = append(g.cores[routeVar], c)
@@ -150,26 +154,31 @@ func (g *Group) stepCores(cores []*groupCore, pe detect.Event) int {
 	return stepped
 }
 
-// flushCore flushes one dirty core, charges every view its share of the
-// core's steps, folds the flushed extrema into each view and latches
-// the ones that now hold.
+// flushCore flushes one dirty core for the union of its views' reach,
+// charges every view its share of the core's steps, folds the solved
+// sides into each view, latches the ones that now hold and recomputes
+// the reach from the views that remain. A view that left since the
+// last flush only widened the reach: the core solves more, never less.
 func (g *Group) flushCore(c *groupCore) {
 	c.dirty = false
 	if len(c.views) == 0 {
 		return // emptied and dropped since it was stepped
 	}
-	lo, hi := c.core.Flush()
+	lo, hi, solved := c.core.Flush(c.reach)
 	g.coreFlushes++
+	g.closures += int64(bits.OnesCount8(uint8(solved)))
 	w := c.core.Window()
 	g.windowSum += (w - c.window) * len(c.views)
 	c.window = w
+	c.reach = relsum.Nothing
 	c.sift(func(p *predicate) bool {
 		p.settle()
 		g.charge(p)
-		if p.view.Fold(lo, hi) {
+		if p.view.Fold(lo, hi, solved) {
 			g.latch(p)
 			return false
 		}
+		c.reach = c.reach.Union(p.view.Reach())
 		return true
 	})
 	if len(c.views) == 0 {
@@ -191,6 +200,7 @@ func (g *Group) absorb(a *groupCore) {
 		for _, p := range b.views {
 			p.view.Attach(a.core)
 			p.core, p.seen = a, a.steps
+			a.reach = a.reach.Union(p.view.Reach())
 		}
 		g.windowSum += (a.window - b.window) * len(b.views)
 		a.views = append(a.views, b.views...)

@@ -79,7 +79,8 @@ type Stats struct {
 	// Physical work behind the logical per-predicate counters above:
 	// range-based predicates of one variable share a core (core.go).
 	Cores       int   // live shared range cores
-	CoreFlushes int64 // core flushes performed (two closures each)
+	CoreFlushes int64 // core flushes performed
+	Closures    int64 // closure problems the core flushes solved: 0–2 each, only the sides some view can still be moved by
 }
 
 // predicate is one registered detector and its routing state.
@@ -147,6 +148,7 @@ type Group struct {
 	dirtyCores  []*groupCore // cores stepped since the last flush
 	ncores      int
 	coreFlushes int64
+	closures    int64
 
 	active    int
 	latched   int // registered predicates whose verdict has latched
@@ -260,6 +262,7 @@ func (g *Group) Register(r Registration) error {
 		g.all = append(g.all, p)
 	case view != nil:
 		core.views = append(core.views, p)
+		core.reach = core.reach.Union(view.Reach())
 		p.seen = core.steps
 		g.windowSum += core.window
 	default:
@@ -585,24 +588,39 @@ func (g *Group) Drain() []Update {
 }
 
 // States reports the state of every registered predicate as of the
-// last Flush, ordered by id — the close-time fan-out. A predicate
-// registered before the group's first delivered event also carries
-// Definitely, decided from the endpoints every run shares (endpoint);
-// one registered mid-stream (its runs do not start at the initial cut)
-// or failed leaves DefinitelyKnown false.
+// last Flush, ordered by id — the close-time fan-out, one State per
+// registration.
 func (g *Group) States() []Update {
 	out := make([]Update, 0, len(g.preds))
 	for _, p := range g.preds {
-		u := Update{ID: p.id, Tenant: p.tenant, Seq: p.seq, Possibly: p.possibly}
-		if p.err != nil {
-			u.Err = p.err.Error()
-		} else if p.atOpen {
-			u.Definitely, u.DefinitelyKnown = g.endpoint(p)
-		}
-		out = append(out, u)
+		out = append(out, g.state(p))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// State reports one registration's state as of the last Flush (false:
+// id is not registered). A predicate registered before the group's
+// first delivered event also carries Definitely, decided from the
+// endpoints every run shares (endpoint); one registered mid-stream (its
+// runs do not start at the initial cut) or failed leaves
+// DefinitelyKnown false.
+func (g *Group) State(id string) (Update, bool) {
+	p := g.preds[id]
+	if p == nil {
+		return Update{}, false
+	}
+	return g.state(p), true
+}
+
+func (g *Group) state(p *predicate) Update {
+	u := Update{ID: p.id, Tenant: p.tenant, Seq: p.seq, Possibly: p.possibly}
+	if p.err != nil {
+		u.Err = p.err.Error()
+	} else if p.atOpen {
+		u.Definitely, u.DefinitelyKnown = g.endpoint(p)
+	}
+	return u
 }
 
 // endpoint decides an at-open predicate's Definitely from its endpoints
@@ -698,5 +716,6 @@ func (g *Group) Stats() Stats {
 
 		Cores:       g.ncores,
 		CoreFlushes: g.coreFlushes,
+		Closures:    g.closures,
 	}
 }

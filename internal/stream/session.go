@@ -237,10 +237,8 @@ func (s *Session) FinalizeTraced(tr *obs.Trace) (Verdict, error) {
 	if hb := s.group.Holdback(); hb > 0 {
 		return v, s.fail(fmt.Errorf("stream: %d events undeliverable at close (gaps in the stream)", hb))
 	}
-	for _, u := range s.group.States() {
-		if u.ID == sessionPred {
-			v.Definitely, v.DefinitelyKnown = u.Definitely, u.DefinitelyKnown
-		}
+	if u, ok := s.group.State(sessionPred); ok {
+		v.Definitely, v.DefinitelyKnown = u.Definitely, u.DefinitelyKnown
 	}
 	if v.DefinitelyKnown || !s.spec.Retain {
 		return v, nil

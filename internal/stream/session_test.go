@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,8 @@ import (
 	"github.com/distributed-predicates/gpd/internal/core/symmetric"
 	"github.com/distributed-predicates/gpd/internal/detect"
 	"github.com/distributed-predicates/gpd/internal/gen"
+	"github.com/distributed-predicates/gpd/internal/mux"
+	"github.com/distributed-predicates/gpd/internal/pred"
 )
 
 // replay shuffles a trace, streams it through a fresh session with
@@ -249,4 +252,40 @@ func TestSessionRejects(t *testing.T) {
 			t.Fatal("want error once holdback exceeds MaxWindow")
 		}
 	})
+}
+
+// TestMuxFinalizeAllocsIndependentOfRegistrations: a mux session's
+// close reads only its own registration's state, not the close fan-out
+// (the engine builds that once, through PredicateStates), so
+// FinalizeTraced allocates no more with 1 024 registrations than with 1.
+func TestMuxFinalizeAllocsIndependentOfRegistrations(t *testing.T) {
+	allocs := func(n int) float64 {
+		s, err := NewSession(Spec{Mux: true, Procs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			k := int64(i % 5) // the odd ones latch, and close from the group's delivered record
+			if i%2 == 0 {
+				k = 1 << 40
+			}
+			spec := pred.Spec{Family: pred.Sum, Var: fmt.Sprintf("v%d", i%8), Rel: relsum.Ge, K: k}
+			if err := s.Register(mux.Registration{ID: fmt.Sprintf("p%d", i), Spec: spec}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, vc := range [][]int64{{1, 0}, {0, 1}, {2, 0}, {2, 2}} {
+			if err := s.Step(Event{Proc: i % 2, VC: vc, Var: "v0", Val: int64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := s.FinalizeTraced(nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(1024); many > one {
+		t.Fatalf("FinalizeTraced allocates %.0f times with 1 024 registrations, %.0f with 1", many, one)
+	}
 }
