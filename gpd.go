@@ -62,8 +62,11 @@ func PossiblyGeneric(c *Computation, pred GlobalPredicate) (bool, Cut) {
 }
 
 // DefinitelyGeneric reports whether every run of the computation passes
-// through a cut satisfying the predicate, by the level-synchronous sweep
-// of the global-state lattice. Exponential in the number of processes.
+// through a cut satisfying the predicate: no path of the global-state
+// lattice from the initial to the final cut avoids it. The lattice is
+// swept level by level on one worker, by the same search the region
+// queries of the relational and symmetric Definitely kernels use.
+// Exponential in the number of processes.
 func DefinitelyGeneric(c *Computation, pred GlobalPredicate) bool {
 	return lattice.Definitely(c, pred)
 }

@@ -182,15 +182,17 @@ func (q quantity) region(r Relop, k int64) lattice.Predicate {
 // region, so each operator is one region-reachability query; = on
 // unit-step computations is the two queries of Theorem 7(2) — a run hits
 // k exactly when it dips to <= k and rises to >= k (intermediate value
-// along the run). Region reachability explores at most the consistent
-// cuts of the region: far fewer than run enumeration, but exponential in
-// the worst case — the paper defers polynomial algorithms for the <=/>=
-// primitives to prior work and this package keeps their role explicit.
+// along the run). Each query is lattice.PathExists, the package's one
+// level-synchronous search, on the worker pool. It explores at most the
+// consistent cuts of the region: far fewer than run enumeration, but
+// exponential in the worst case — the paper defers polynomial algorithms
+// for the <=/>= primitives to prior work and this package keeps their
+// role explicit.
 func (q quantity) definitely(c *computation.Computation, r Relop, k int64, workers int, tr *obs.Trace) (bool, error) {
 	avoidable := func(r Relop) bool {
 		pred := q.region(r, k)
 		not := func(cc *computation.Computation, cut computation.Cut) bool { return !pred(cc, cut) }
-		return lattice.PathExistsPar(c, c.InitialCut(), c.FinalCut(), not, workers, tr)
+		return lattice.PathExists(c, c.InitialCut(), c.FinalCut(), not, workers, tr)
 	}
 	if err := q.validate(c, r == Eq); err != nil {
 		return false, err

@@ -137,7 +137,8 @@ func PossiblyPar(c *computation.Computation, spec Spec, truth Truth, workers int
 // the symmetric predicate. Definitely does not distribute over
 // disjunction, so this falls back to region reachability in the cut
 // lattice (worst-case exponential; the paper's polynomial corollary covers
-// Possibly only), swept on a bounded worker pool with its work counters
+// Possibly only): one lattice.PathExists query over the cuts outside the
+// level set, swept on a bounded worker pool with its region counter
 // accumulated into the trace.
 func DefinitelyPar(c *computation.Computation, spec Spec, truth Truth, workers int, tr *obs.Trace) (bool, error) {
 	// Definitely implies Possibly: the count's range settles a level
@@ -153,6 +154,6 @@ func DefinitelyPar(c *computation.Computation, spec Spec, truth Truth, workers i
 		return levels[cc.CountTrue(k, func(e computation.Event) bool { return truth(e) })]
 	}
 	not := func(cc *computation.Computation, k computation.Cut) bool { return !holds(cc, k) }
-	avoidable := lattice.PathExistsPar(c, c.InitialCut(), c.FinalCut(), not, workers, tr)
+	avoidable := lattice.PathExists(c, c.InitialCut(), c.FinalCut(), not, workers, tr)
 	return !avoidable, nil
 }

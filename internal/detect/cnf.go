@@ -43,8 +43,10 @@ func cnfDefinitely(c *computation.Computation, s pred.Spec, opt Options, tr *obs
 		return Result{}, err
 	}
 	truth := varTruth(c, s.Var)
-	holds := lattice.DefinitelyPar(c, func(cc *computation.Computation, k computation.Cut) bool {
-		return p.Holds(cc, singular.Truth(truth), k)
-	}, opt.Parallelism, tr)
-	return Result{Holds: holds}, nil
+	// A run avoids the predicate iff the lattice has a bottom-to-top path
+	// of cuts where it does not hold.
+	avoids := func(cc *computation.Computation, k computation.Cut) bool {
+		return !p.Holds(cc, singular.Truth(truth), k)
+	}
+	return Result{Holds: !lattice.PathExists(c, c.InitialCut(), c.FinalCut(), avoids, opt.Parallelism, tr)}, nil
 }

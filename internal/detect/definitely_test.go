@@ -47,3 +47,40 @@ func TestNotPossiblyDecidesDefinitelyWithoutSearch(t *testing.T) {
 	}
 	decide(c, pred.Spec{Family: pred.Levels, Var: "b", Levels: []int{m}})
 }
+
+// TestCNFDefinitelyReportsRegionWork: the cnf Definitely kernel is one
+// region search over the complement of the predicate, and reports its
+// work as lattice.region_cuts_explored. On two independent processes
+// whose flags each rise and fall, p0 ∧ p1 is avoidable only after a
+// search; raised at the start, it holds at the initial cut and no cut
+// is explored.
+func TestCNFDefinitelyReportsRegionWork(t *testing.T) {
+	spec := pred.Spec{Family: pred.CNF, Var: "x", Clauses: []pred.Clause{{{Proc: 0}}, {{Proc: 1}}}}
+	for _, tc := range []struct {
+		initial     int64
+		holds       bool
+		explores    bool
+		description string
+	}{
+		{0, false, true, "flags down at the start"},
+		{1, true, false, "flags up at the start"},
+	} {
+		c := computation.New()
+		for p := 0; p < 2; p++ {
+			proc := c.AddProcess()
+			c.SetVar("x", c.Initial(proc).ID, tc.initial)
+			c.SetVar("x", c.AddInternal(proc), 1)
+			c.SetVar("x", c.AddInternal(proc), 0)
+		}
+		c.MustSeal()
+		tr := obs.NewTrace()
+		res, err := Batch(c, spec, ModalityDefinitely, Options{Parallelism: 1}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts := tr.Report().Counters["lattice.region_cuts_explored"]
+		if res.Holds != tc.holds || (cuts > 0) != tc.explores {
+			t.Errorf("%s: Definitely=%v after %d region cuts; want %v, exploring %v", tc.description, res.Holds, cuts, tc.holds, tc.explores)
+		}
+	}
+}

@@ -1,7 +1,11 @@
 // Package lattice explores the lattice of consistent cuts (global states) of
-// a distributed computation. It provides the Cooper–Marzullo style
-// breadth-first enumeration and the exhaustive Possibly/Definitely detectors
-// built on it.
+// a distributed computation. One level-synchronous breadth-first search
+// (Cooper–Marzullo) serves every entry point: enumeration (Explore,
+// Count, SumRange), the exhaustive Possibly/Definitely detectors, region
+// reachability (PathExists) and level sets (LevelCutsTraced). The search
+// expands each level on a bounded worker pool and merges in frontier
+// order, so verdicts, frontiers and work counters do not depend on the
+// worker count.
 //
 // These detectors are exponential in the number of processes — the
 // combinatorial explosion the paper sets out to avoid — and serve two roles
@@ -23,44 +27,13 @@ type Predicate func(*computation.Computation, computation.Cut) bool
 // breadth-first (level) order starting from the initial cut. It stops early
 // when visit returns false. The computation must be sealed.
 func Explore(c *computation.Computation, visit func(computation.Cut) bool) {
-	ExploreTraced(c, visit, nil)
-}
-
-// ExploreTraced is Explore, accumulating work counters into the trace:
-// cuts enumerated, levels swept and the widest frontier (level width) —
-// the quantities that make the exponential blowup of exhaustive detection
-// visible. Counters are added once per run, so a nil trace costs nothing
-// and a live one costs three map updates.
-func ExploreTraced(c *computation.Computation, visit func(computation.Cut) bool, tr *obs.Trace) {
-	var cuts, levels, width int64
-	defer func() {
-		tr.Add("lattice.cuts_explored", cuts)
-		tr.Add("lattice.levels_swept", levels)
-		tr.Max("lattice.max_frontier_width", width)
-	}()
-	level := []computation.Cut{c.InitialCut()}
-	seen := map[string]bool{c.InitialCut().Key(): true}
-	for len(level) > 0 {
-		levels++
-		if int64(len(level)) > width {
-			width = int64(len(level))
-		}
-		var next []computation.Cut
+	s := newSweep(c, 1, nil, nil)
+	for level := []computation.Cut{c.InitialCut()}; len(level) > 0; level, _ = s.next(level) {
 		for _, k := range level {
-			cuts++
 			if !visit(k) {
 				return
 			}
-			for _, id := range c.Enabled(k) {
-				nk := c.Execute(k, c.Event(id).Proc)
-				key := nk.Key()
-				if !seen[key] {
-					seen[key] = true
-					next = append(next, nk)
-				}
-			}
 		}
-		level = next
 	}
 }
 
@@ -78,125 +51,88 @@ func Count(c *computation.Computation) int64 {
 // returns a witness cut when one exists. This is the exhaustive detector for
 // Possibly(phi) under the weak modality.
 func Possibly(c *computation.Computation, pred Predicate) (bool, computation.Cut) {
-	return PossiblyTraced(c, pred, nil)
-}
-
-// PossiblyTraced is Possibly with work counters accumulated into the trace.
-func PossiblyTraced(c *computation.Computation, pred Predicate, tr *obs.Trace) (bool, computation.Cut) {
 	var witness computation.Cut
-	found := false
-	ExploreTraced(c, func(k computation.Cut) bool {
+	Explore(c, func(k computation.Cut) bool {
 		if pred(c, k) {
 			witness = k.Clone()
-			found = true
-			return false
 		}
-		return true
-	}, tr)
-	return found, witness
+		return witness == nil
+	})
+	return witness != nil, witness
 }
 
 // Definitely reports whether every run of the computation passes through a
-// cut satisfying the predicate (the strong modality). It performs the
-// level-synchronous sweep of Cooper and Marzullo: maintain the set of cuts
-// at each level reachable from the initial cut along paths avoiding the
-// predicate; the predicate definitely holds iff that set becomes empty
-// before the final cut is reached.
+// cut satisfying the predicate (the strong modality): a run avoids the
+// predicate iff the lattice has a path from the initial to the final cut
+// on which it never holds. This is the level-synchronous sweep of Cooper
+// and Marzullo — the set of cuts at each level reachable while avoiding
+// the predicate — run on one worker.
 func Definitely(c *computation.Computation, pred Predicate) bool {
-	return DefinitelyTraced(c, pred, nil)
+	avoids := func(cc *computation.Computation, k computation.Cut) bool { return !pred(cc, k) }
+	return !PathExists(c, c.InitialCut(), c.FinalCut(), avoids, 1, nil)
 }
 
-// DefinitelyTraced is Definitely with work counters accumulated into the
-// trace: cuts swept, levels and the widest surviving frontier.
-func DefinitelyTraced(c *computation.Computation, pred Predicate, tr *obs.Trace) bool {
-	var cuts, levels, width int64
-	defer func() {
-		tr.Add("lattice.cuts_explored", cuts)
-		tr.Add("lattice.levels_swept", levels)
-		tr.Max("lattice.max_frontier_width", width)
-	}()
-	start := c.InitialCut()
-	cuts++
-	if pred(c, start) {
-		return true
-	}
-	level := []computation.Cut{start}
-	final := c.FinalCut()
-	for len(level) > 0 {
-		levels++
-		if int64(len(level)) > width {
-			width = int64(len(level))
-		}
-		seen := make(map[string]bool)
-		var next []computation.Cut
-		for _, k := range level {
-			if k.Equal(final) {
-				// A complete run avoided the predicate.
-				return false
-			}
-			for _, id := range c.Enabled(k) {
-				nk := c.Execute(k, c.Event(id).Proc)
-				cuts++
-				if pred(c, nk) {
-					continue // this path is intercepted
-				}
-				key := nk.Key()
-				if !seen[key] {
-					seen[key] = true
-					next = append(next, nk)
-				}
-			}
-		}
-		level = next
-	}
-	return true
-}
-
-// PathExistsTraced reports whether the lattice contains a path of
-// consistent cuts from one cut to another (from must be <= to
-// component-wise) such that every cut on the path, including the
-// endpoints, satisfies allowed. A nil allowed admits every cut. This is
-// the reachability primitive behind Theorem 4 of the paper. The number of
-// region cuts explored is accumulated into the trace.
-func PathExistsTraced(c *computation.Computation, from, to computation.Cut, allowed Predicate, tr *obs.Trace) bool {
+// PathExists reports whether the lattice contains a path of consistent
+// cuts from one cut to another (from must be <= to component-wise) such
+// that every cut on the path, including the endpoints, satisfies
+// allowed. A nil allowed admits every cut. This is the reachability
+// primitive behind Theorem 4 of the paper, swept level by level on a
+// bounded worker pool; the verdict and the count of region cuts
+// explored (every frontier cut expanded, up to the parent of the first
+// path's end) accumulated into the trace are the same for every worker
+// count.
+func PathExists(c *computation.Computation, from, to computation.Cut, allowed Predicate, workers int, tr *obs.Trace) bool {
 	var cuts int64
 	defer func() {
 		tr.Add("lattice.region_cuts_explored", cuts)
 	}()
-	if !from.Leq(to) {
-		return false
-	}
-	if allowed != nil && (!allowed(c, from) || !allowed(c, to)) {
+	if !from.Leq(to) || allowed != nil && (!allowed(c, from) || !allowed(c, to)) {
 		return false
 	}
 	if from.Equal(to) {
 		return true
 	}
-	seen := map[string]bool{from.Key(): true}
-	queue := []computation.Cut{from}
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		cuts++
-		for _, id := range c.Enabled(k) {
-			nk := c.Execute(k, c.Event(id).Proc)
-			if !nk.Leq(to) {
-				continue
-			}
-			if allowed != nil && !allowed(c, nk) {
-				continue
-			}
-			if nk.Equal(to) {
-				return true
-			}
-			key := nk.Key()
-			if !seen[key] {
-				seen[key] = true
-				queue = append(queue, nk)
-			}
+	admit := func(k computation.Cut) bool { return k.Leq(to) && (allowed == nil || allowed(c, k)) }
+	s := newSweep(c, workers, admit, to.Equal)
+	for level := []computation.Cut{from}; len(level) > 0; {
+		next, parent := s.next(level)
+		if parent >= 0 {
+			cuts += int64(parent + 1)
+			return true
 		}
+		cuts += int64(len(level))
+		level = next
 	}
 	return false
+}
+
+// LevelCutsTraced returns every consistent cut at the given level
+// (number of non-initial events executed), in breadth-first frontier
+// order. The result is empty when the level exceeds the computation's
+// event count. This is the level-set primitive behind the equilevel
+// detectors (Garg & Streit, "Parallel Algorithms for Equilevel
+// Predicates", 2023): every run passes through exactly one cut of each
+// level, so both modalities of an equilevel predicate reduce to one
+// antichain scan. Each frontier is expanded on a bounded worker pool and
+// the number of cuts explored (all levels up to and including the target)
+// is accumulated into the trace; the frontier order and counters are
+// identical for every worker count.
+func LevelCutsTraced(c *computation.Computation, level, workers int, tr *obs.Trace) []computation.Cut {
+	var cuts int64
+	defer func() {
+		tr.Add("lattice.level_cuts_explored", cuts)
+	}()
+	if level < 0 {
+		return nil
+	}
+	s := newSweep(c, workers, nil, nil)
+	cur := []computation.Cut{c.InitialCut()}
+	for d := 0; d < level && len(cur) > 0; d++ {
+		cuts += int64(len(cur))
+		cur, _ = s.next(cur)
+	}
+	cuts += int64(len(cur))
+	return cur
 }
 
 // Runs enumerates the runs (maximal paths, i.e. linearizations) of the

@@ -211,27 +211,27 @@ func TestPathExists(t *testing.T) {
 	c := grid(2, 2)
 	from := computation.Cut{0, 0}
 	to := computation.Cut{2, 2}
-	if !PathExistsTraced(c, from, to, nil, nil) {
+	if !PathExists(c, from, to, nil, 1, nil) {
 		t.Error("path to final cut must exist")
 	}
-	if PathExistsTraced(c, to, from, nil, nil) {
+	if PathExists(c, to, from, nil, 1, nil) {
 		t.Error("no backward path")
 	}
 	// Forbid the whole middle level: no path can cross.
 	avoidMid := func(_ *computation.Computation, k computation.Cut) bool {
 		return k.Size() != 2
 	}
-	if PathExistsTraced(c, from, to, avoidMid, nil) {
+	if PathExists(c, from, to, avoidMid, 1, nil) {
 		t.Error("every path crosses level 2; blocking it must cut all paths")
 	}
 	// Allow one middle cut back.
 	holeAt := func(_ *computation.Computation, k computation.Cut) bool {
 		return k.Size() != 2 || (k[0] == 1 && k[1] == 1)
 	}
-	if !PathExistsTraced(c, from, to, holeAt, nil) {
+	if !PathExists(c, from, to, holeAt, 1, nil) {
 		t.Error("path through the single allowed middle cut must exist")
 	}
-	if !PathExistsTraced(c, from, from, nil, nil) {
+	if !PathExists(c, from, from, nil, 1, nil) {
 		t.Error("trivial path from a cut to itself")
 	}
 }

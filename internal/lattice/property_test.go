@@ -141,11 +141,11 @@ func TestPathExistsUnrestrictedAlwaysUpward(t *testing.T) {
 		ok := true
 		n := 0
 		Explore(c, func(k computation.Cut) bool {
-			if !PathExistsTraced(c, c.InitialCut(), k, nil, nil) {
+			if !PathExists(c, c.InitialCut(), k, nil, 1, nil) {
 				ok = false
 				return false
 			}
-			if !PathExistsTraced(c, k, c.FinalCut(), nil, nil) {
+			if !PathExists(c, k, c.FinalCut(), nil, 1, nil) {
 				ok = false
 				return false
 			}

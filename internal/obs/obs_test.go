@@ -70,7 +70,6 @@ func TestNilSafety(t *testing.T) {
 	end := tr.Span("phase")
 	end()
 	tr.Add("work", 1)
-	tr.Max("peak", 2)
 	tr.Note("k", "v")
 	if rep := tr.Report(); len(rep.Spans) != 0 || len(rep.Counters) != 0 {
 		t.Errorf("nil trace report = %+v", rep)
@@ -83,8 +82,6 @@ func TestTraceSpansAndCounters(t *testing.T) {
 	endInner := tr.Span("sumrange")
 	tr.Add("paths", 3)
 	tr.Add("paths", 2)
-	tr.Max("width", 4)
-	tr.Max("width", 2) // lower: no effect
 	tr.Note("strategy", "chain-cover")
 	time.Sleep(time.Millisecond)
 	endInner()
@@ -102,7 +99,7 @@ func TestTraceSpansAndCounters(t *testing.T) {
 	if rep.Spans[0].Duration < rep.Spans[1].Duration || rep.Spans[1].Duration == 0 {
 		t.Errorf("durations outer=%v inner=%v", rep.Spans[0].Duration, rep.Spans[1].Duration)
 	}
-	if rep.Counters["paths"] != 5 || rep.Counters["width"] != 4 {
+	if rep.Counters["paths"] != 5 {
 		t.Errorf("counters = %v", rep.Counters)
 	}
 	if rep.Notes["strategy"] != "chain-cover" {

@@ -27,7 +27,6 @@ func TestConcurrentUpdates(t *testing.T) {
 				h.Observe(int64(i % 100))
 				end := tr.Span("work")
 				tr.Add("ops", 1)
-				tr.Max("peak", int64(i))
 				end()
 				if i%100 == 0 {
 					_ = r.Snapshot()

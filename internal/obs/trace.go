@@ -67,22 +67,6 @@ func (t *Trace) Add(name string, n int64) {
 	t.mu.Unlock()
 }
 
-// Max raises the named work counter to n if it is below it (for high-water
-// quantities such as frontier width).
-func (t *Trace) Max(name string, n int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.counters == nil {
-		t.counters = make(map[string]int64)
-	}
-	if n > t.counters[name] {
-		t.counters[name] = n
-	}
-	t.mu.Unlock()
-}
-
 // Note records a named string fact about the run (e.g. the strategy that
 // produced the answer). Later notes overwrite earlier ones.
 func (t *Trace) Note(name, value string) {
