@@ -42,12 +42,44 @@ func parTestComputations(t *testing.T) []*computation.Computation {
 	return cs
 }
 
-// TestPathExistsWorkerMatrix: the verdict and the region counter of every
-// search are identical at every worker count, with one worker as the
-// reference. The queries cover Definitely's shape (initial to final over
-// the complement of a predicate), regions that contain the endpoints,
-// pure reachability, and interior endpoints.
-func TestPathExistsWorkerMatrix(t *testing.T) {
+// assertSameAtEveryWorkerCount checks that the verdict and the region
+// counter of one PathExists query are identical at every worker count,
+// with one worker as the reference, and returns the verdict.
+func assertSameAtEveryWorkerCount(t *testing.T, c *computation.Computation, from, to computation.Cut, allowed Predicate, label string) bool {
+	t.Helper()
+	refTr := obs.NewTrace()
+	ref := PathExists(c, from, to, allowed, 1, refTr)
+	for _, w := range workerCounts[1:] {
+		tr := obs.NewTrace()
+		if got := PathExists(c, from, to, allowed, w, tr); got != ref {
+			t.Fatalf("%s w=%d: PathExists = %v, want %v", label, w, got, ref)
+		}
+		assertSameCounters(t, refTr, tr, fmt.Sprintf("PathExists %s w=%d", label, w))
+	}
+	return ref
+}
+
+// TestDefinitelyParMatchesSequential: Definitely's search — initial to
+// final cut over the complement of the predicate — gives Definitely's
+// verdict and the same region counter at every worker count.
+func TestDefinitelyParMatchesSequential(t *testing.T) {
+	for ci, c := range parTestComputations(t) {
+		for _, k := range []int64{-100, -1, 0, 1, 2, 100} {
+			pred := sumAtLeast("x", k)
+			label := fmt.Sprintf("c%d Definitely(sum>=%d)", ci, k)
+			avoids := assertSameAtEveryWorkerCount(t, c, c.InitialCut(), c.FinalCut(), not(pred), label)
+			if want := Definitely(c, pred); !avoids != want {
+				t.Fatalf("%s: search over the complement says %v, Definitely = %v", label, !avoids, want)
+			}
+		}
+	}
+}
+
+// TestPathExistsParMatchesSequential: the verdict and the region counter
+// of every search are identical at every worker count, with one worker
+// as the reference. The queries cover regions that contain the
+// endpoints, pure reachability, and interior endpoints.
+func TestPathExistsParMatchesSequential(t *testing.T) {
 	type query struct {
 		label    string
 		from, to computation.Cut
@@ -57,9 +89,7 @@ func TestPathExistsWorkerMatrix(t *testing.T) {
 		initial, final := c.InitialCut(), c.FinalCut()
 		qs := []query{{"nil", initial, final, nil}}
 		for _, k := range []int64{-100, -1, 0, 1, 2, 100} {
-			qs = append(qs,
-				query{fmt.Sprintf("sum>=%d", k), initial, final, sumAtLeast("x", k)},
-				query{fmt.Sprintf("sum<%d", k), initial, final, not(sumAtLeast("x", k))})
+			qs = append(qs, query{fmt.Sprintf("sum>=%d", k), initial, final, sumAtLeast("x", k)})
 		}
 		levels := c.NumEvents() - c.NumProcs()
 		upper := LevelCutsTraced(c, 2*levels/3, 1, nil)
@@ -72,14 +102,9 @@ func TestPathExistsWorkerMatrix(t *testing.T) {
 			qs = append(qs, query{fmt.Sprintf("%v->final", mid[len(mid)/2]), mid[len(mid)/2], final, nil})
 		}
 		for _, q := range qs {
-			refTr := obs.NewTrace()
-			ref := PathExists(c, q.from, q.to, q.allowed, 1, refTr)
-			for _, w := range workerCounts[1:] {
-				tr := obs.NewTrace()
-				if got := PathExists(c, q.from, q.to, q.allowed, w, tr); got != ref {
-					t.Fatalf("c%d %s w=%d: PathExists = %v, want %v", ci, q.label, w, got, ref)
-				}
-				assertSameCounters(t, refTr, tr, fmt.Sprintf("PathExists c%d %s w=%d", ci, q.label, w))
+			got := assertSameAtEveryWorkerCount(t, c, q.from, q.to, q.allowed, fmt.Sprintf("c%d %s", ci, q.label))
+			if q.allowed == nil && !got {
+				t.Fatalf("c%d %s: pure reachability from <= to is false", ci, q.label)
 			}
 		}
 	}
